@@ -101,64 +101,62 @@ for f in "$EXEC_DIR"/full/*.csv; do
 done
 echo "results baselines OK (wall times -> results/timings.csv, non-gating)"
 
-echo "== static surface: fpsurface baseline =="
-# Lint every golden protected image of the protection matrix. The run
-# fails on any error-severity finding (fpsurface exit code), and the
-# per-cell tamper-surface counts must match the checked-in baseline —
-# a diff means coverage regressed (or improved: regenerate the baseline
-# with the same command and commit it alongside the change).
-cargo run --quiet --release -p flexprot-cli --bin fpsurface -- \
-    --csv "$EXEC_DIR/surface.csv" > /dev/null || {
-    echo "fpsurface reported error-severity findings"; exit 1;
+# matrix_baseline <driver> <baseline.csv> [<ledger-option> <ledger-baseline.csv>]
+#
+# Sweeps the golden protection matrix (flexprot_exec::matrix) with one of
+# the matrix drivers. Both runs, --jobs 1 and --jobs 4, must exit 0 (no
+# error-severity finding in any cell) and write byte-identical output.
+# The report, and the side ledger if the driver writes one, must then
+# match the checked-in baseline: a diff means the analysis changed. After
+# a deliberate change, regenerate with UPDATE_BASELINES=1 ./ci.sh and
+# commit the new baseline.
+matrix_baseline() {
+    driver=$1 baseline=$2 ledger_opt=${3:-} ledger=${4:-}
+    echo "== $driver: protection-matrix baseline =="
+    out="$EXEC_DIR/$driver"
+    for jobs in 1 4; do
+        set -- --jobs "$jobs" --csv "$out/jobs$jobs/report.csv"
+        if [ -n "$ledger_opt" ]; then
+            set -- "$@" "--$ledger_opt" "$out/jobs$jobs/ledger.csv"
+        fi
+        cargo run --quiet --release -p flexprot-cli --bin "$driver" -- "$@" > /dev/null || {
+            echo "$driver --jobs $jobs reported error-severity findings"; exit 1;
+        }
+    done
+    diff -ru "$out/jobs1" "$out/jobs4" || {
+        echo "$driver output differs between --jobs 1 and --jobs 4"; exit 1;
+    }
+    set -- "$baseline" report.csv
+    if [ -n "$ledger_opt" ]; then
+        set -- "$@" "$ledger" ledger.csv
+    fi
+    while [ $# -gt 0 ]; do
+        if [ "${UPDATE_BASELINES:-0}" = "1" ]; then
+            cp "$out/jobs1/$2" "$1"
+            echo "regenerated $1"
+        fi
+        diff -u "$1" "$out/jobs1/$2" || {
+            echo "$driver output diverged from $1"
+            echo "hint: rerun as UPDATE_BASELINES=1 ./ci.sh and commit the regenerated baseline"
+            exit 1
+        }
+        shift 2
+    done
+    echo "$driver baseline OK"
 }
-diff -u results/surface_baseline.csv "$EXEC_DIR/surface.csv" || {
-    echo "tamper-surface counts diverged from results/surface_baseline.csv"
-    exit 1
-}
-echo "surface baseline OK"
 
-echo "== guard network: fpnetmap baseline + fplint --guardnet schema =="
-# Map the guard network of every protection-matrix cell: abstract
-# checksum proofs (proven/mismatch/unproven) and graph shape (edges,
-# SCCs, min cut) per cell. A mismatch or error column going non-zero
-# means the emitter and the verifier disagree about a checksum constant;
-# any other diff against the baseline means network shape or proof power
-# changed (regenerate with UPDATE_BASELINES=1 ./ci.sh and commit the new
-# baseline). The grid must also be byte-identical whatever the worker
-# count. --refusals writes the per-window non-proven ledger: one row per
-# unproven/mismatch window with its typed reason code. Diffing it against
-# results/refusals_baseline.csv enforces that the refusal count only goes
-# down — a window sliding back from proven shows up as a new ledger row.
-cargo run --quiet --release -p flexprot-cli --bin fpnetmap -- \
-    --jobs 1 --csv "$EXEC_DIR/guardnet.csv" \
-    --refusals "$EXEC_DIR/refusals.csv" > /dev/null || {
-    echo "fpnetmap reported checksum mismatches"; exit 1;
-}
-cargo run --quiet --release -p flexprot-cli --bin fpnetmap -- \
-    --jobs 4 --csv "$EXEC_DIR/guardnet4.csv" \
-    --refusals "$EXEC_DIR/refusals4.csv" > /dev/null
-diff -u "$EXEC_DIR/guardnet.csv" "$EXEC_DIR/guardnet4.csv" || {
-    echo "guard-network grid differs between --jobs 1 and --jobs 4"; exit 1;
-}
-diff -u "$EXEC_DIR/refusals.csv" "$EXEC_DIR/refusals4.csv" || {
-    echo "refusal ledger differs between --jobs 1 and --jobs 4"; exit 1;
-}
-if [ "${UPDATE_BASELINES:-0}" = "1" ]; then
-    cp "$EXEC_DIR/guardnet.csv" results/guardnet_baseline.csv
-    cp "$EXEC_DIR/refusals.csv" results/refusals_baseline.csv
-    echo "regenerated results/guardnet_baseline.csv and results/refusals_baseline.csv"
-fi
-diff -u results/guardnet_baseline.csv "$EXEC_DIR/guardnet.csv" || {
-    echo "guard network diverged from results/guardnet_baseline.csv"
-    echo "hint: rerun as UPDATE_BASELINES=1 ./ci.sh and commit the regenerated baseline"
-    exit 1
-}
-diff -u results/refusals_baseline.csv "$EXEC_DIR/refusals.csv" || {
-    echo "per-window refusal ledger diverged from results/refusals_baseline.csv"
-    echo "hint: a new row means a window regressed from proven; rerun as"
-    echo "      UPDATE_BASELINES=1 ./ci.sh only for deliberate prover changes"
-    exit 1
-}
+# Static tamper surface per cell: coverage, encryption and surface counts.
+matrix_baseline fpsurface results/surface_baseline.csv
+
+# Guard network and checksum proofs per cell. A mismatch column going
+# non-zero means the emitter and the verifier disagree about a checksum
+# constant. The --refusals ledger lists every unproven window with its
+# typed reason code, so a window sliding back from proven shows up as a
+# new ledger row.
+matrix_baseline fpnetmap results/guardnet_baseline.csv \
+    refusals results/refusals_baseline.csv
+
+echo "== fplint --guardnet schema =="
 # The machine-readable guard-network report keeps its stable schema keys.
 cargo run --quiet --release -p flexprot-cli --bin fplint -- \
     "$OBS_DIR/smoke.prot.fpx" --secmon "$OBS_DIR/smoke.fpm" --guardnet \
@@ -169,34 +167,13 @@ for key in '"schema":"flexprot-guardnet-v1"' '"guards"' '"nodes"' '"edges"' \
         echo "guardnet document missing $key"; exit 1;
     }
 done
-echo "guard network OK"
+echo "guard network schema OK"
 
-echo "== translation validation: fpequiv baseline + fplint --equiv schema =="
-# Translation-validate every protection-matrix cell against its baseline:
-# the verdict column must read `proven` everywhere (fpequiv exits 1 on any
-# error-severity FP8xx finding), the grid must be byte-identical whatever
-# the worker count, and the per-cell verdicts must match the checked-in
-# baseline. Run UPDATE_BASELINES=1 ./ci.sh to regenerate the baseline
-# after a deliberate validator or matrix change.
-cargo run --quiet --release -p flexprot-cli --bin fpequiv -- \
-    --jobs 1 --csv "$EXEC_DIR/equiv.csv" > /dev/null || {
-    echo "fpequiv reported error-severity findings (a matrix cell is not proven)"
-    exit 1
-}
-cargo run --quiet --release -p flexprot-cli --bin fpequiv -- \
-    --jobs 4 --csv "$EXEC_DIR/equiv4.csv" > /dev/null
-diff -u "$EXEC_DIR/equiv.csv" "$EXEC_DIR/equiv4.csv" || {
-    echo "translation-validation grid differs between --jobs 1 and --jobs 4"; exit 1;
-}
-if [ "${UPDATE_BASELINES:-0}" = "1" ]; then
-    cp "$EXEC_DIR/equiv.csv" results/equiv_baseline.csv
-    echo "regenerated results/equiv_baseline.csv"
-fi
-diff -u results/equiv_baseline.csv "$EXEC_DIR/equiv.csv" || {
-    echo "translation-validation verdicts diverged from results/equiv_baseline.csv"
-    echo "hint: rerun as UPDATE_BASELINES=1 ./ci.sh and commit the regenerated baseline"
-    exit 1
-}
+# Translation validation per cell: the verdict column must read `proven`
+# everywhere (fpequiv exits 1 on any error-severity FP8xx finding).
+matrix_baseline fpequiv results/equiv_baseline.csv
+
+echo "== fplint --equiv schema =="
 # The machine-readable verdict document keeps its stable schema keys.
 cargo run --quiet --release -p flexprot-cli --bin fplint -- \
     "$OBS_DIR/smoke.prot.fpx" --secmon "$OBS_DIR/smoke.fpm" \
@@ -207,7 +184,7 @@ for key in '"schema":"flexprot-equiv-v1"' '"verdict":"proven"' '"stats"' \
         echo "equiv document missing $key"; exit 1;
     }
 done
-echo "translation validation OK"
+echo "translation validation schema OK"
 
 echo "== key-flow taint: fplint --taint schema =="
 # The extended lint document carries the taint stats object when --taint

@@ -303,44 +303,6 @@ pub fn static_detects(image: &Image, config: &SecMonConfig) -> bool {
     !flexprot_verify::verify(image, config).is_clean()
 }
 
-/// Runs one attacked trial (dynamic classification only).
-pub fn run_trial(
-    protected: &Protected,
-    expected_output: &str,
-    attack: Attack,
-    rng: &mut Rng64,
-    sim: &SimConfig,
-) -> TrialOutcome {
-    run_trial_attributed(protected, expected_output, attack, rng, sim).0
-}
-
-/// Like [`run_trial`] but also reports which event or fault proved a
-/// caught run (`None` for benign/wrong-output/timeout/inapplicable).
-pub fn run_trial_attributed(
-    protected: &Protected,
-    expected_output: &str,
-    attack: Attack,
-    rng: &mut Rng64,
-    sim: &SimConfig,
-) -> (TrialOutcome, Option<DetectionCause>) {
-    let mut mutated = protected.clone();
-    if !attack.apply(&mut mutated.image, rng) {
-        return (TrialOutcome::Inapplicable, None);
-    }
-    classify(&mutated, expected_output, sim)
-}
-
-fn classify(
-    mutated: &Protected,
-    expected_output: &str,
-    sim: &SimConfig,
-) -> (TrialOutcome, Option<DetectionCause>) {
-    let (sink, recorder) = Recorder::new().shared();
-    let result = mutated.run_traced(sim.clone(), &sink);
-    let first_failure = recorder.borrow().first_failure();
-    classify_result(&result, first_failure, expected_output)
-}
-
 /// Classifies a finished attacked run from its result and the first
 /// monitor failure event the trial's recorder captured.
 fn classify_result(
@@ -400,27 +362,22 @@ pub fn evaluate(
             summary.record(TrialOutcome::Inapplicable, false);
             continue;
         }
-        let flagged = static_detects(&mutated.image, &mutated.secmon);
-        let predicted = oracle.predicts(&protected.image, &mutated.image);
-        match machine.as_mut() {
-            Some(m) => mutated.rearm(m),
-            None => machine = Some(mutated.machine(sim.clone())),
-        }
-        let m = machine.as_mut().expect("machine built on first trial");
-        let (sink, recorder) = Recorder::new().shared();
-        m.monitor_mut().attach_sink(sink.clone());
-        m.attach_sink(sink);
-        let result = m.run();
-        let first_failure = recorder.borrow().first_failure();
-        let (outcome, cause) = classify_result(&result, first_failure, expected_output);
-        summary.record_caused(outcome, flagged, cause);
-        summary.record_prediction(outcome, predicted);
+        run_planned_trial(
+            protected,
+            &mutated,
+            expected_output,
+            &oracle,
+            &mut machine,
+            sim,
+            &mut summary,
+        );
     }
     summary
 }
 
-/// Runs one mutated image through the shared trial machinery, scoring the
-/// static baseline and the oracle prediction like [`evaluate`] does.
+/// Runs one mutated image through the shared trial machinery on the
+/// re-armed `machine`, scoring the static baseline and the oracle
+/// prediction alongside the dynamic outcome.
 fn run_planned_trial(
     protected: &Protected,
     mutated: &Protected,
@@ -549,6 +506,19 @@ loop:   addu $s0, $s0, $t0
         let r = Machine::new(&image, SimConfig::default()).run();
         assert_eq!(r.outcome, Outcome::Exit(0));
         (image, r.output)
+    }
+
+    /// Classifies one trial on a fresh machine: the reference the
+    /// re-armed trial machinery is checked against.
+    fn classify(
+        mutated: &Protected,
+        expected_output: &str,
+        sim: &SimConfig,
+    ) -> (TrialOutcome, Option<DetectionCause>) {
+        let (sink, recorder) = Recorder::new().shared();
+        let result = mutated.run_traced(sim.clone(), &sink);
+        let first_failure = recorder.borrow().first_failure();
+        classify_result(&result, first_failure, expected_output)
     }
 
     fn fast_sim() -> SimConfig {

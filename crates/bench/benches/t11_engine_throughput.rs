@@ -1,12 +1,13 @@
 //! T11 bench: simulator throughput, predecoded engine vs the reference
 //! interpreter.
 //!
-//! Runs the six protection-matrix programs (three MiniC kernels, three
-//! assembly workloads) to completion under the guards+encryption cell on
-//! both simulator cores and reports instructions per second and the
-//! speedup. The two engines execute the identical committed-instruction
-//! stream (pinned by the differential suites), so the wall-clock ratio
-//! is exactly the throughput ratio.
+//! Runs the six protection-matrix programs ([`flexprot_exec::matrix`]:
+//! three MiniC kernels, three assembly workloads) to completion under
+//! full-density guards plus whole-program encryption on both simulator
+//! cores and reports instructions per second and the speedup. The two
+//! engines execute the identical committed-instruction stream (pinned by
+//! the differential suites), so the wall-clock ratio is exactly the
+//! throughput ratio.
 //!
 //! Not part of the `experiments` tables: wall time is machine-dependent
 //! and must stay out of the deterministic CSV output that CI diffs.
@@ -19,23 +20,6 @@ use flexprot_sim::{EngineKind, Outcome, SimConfig};
 const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
 const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 const SAMPLES: usize = 7;
-
-fn matrix_images() -> Vec<(String, flexprot_isa::Image)> {
-    let mut images = Vec::new();
-    for (name, source) in [
-        ("queens", flexprot_cc::kernels::QUEENS),
-        ("sieve", flexprot_cc::kernels::SIEVE),
-        ("collatz", flexprot_cc::kernels::COLLATZ),
-    ] {
-        let image = flexprot_cc::compile_to_image(source).expect("kernel compiles");
-        images.push((name.to_owned(), image));
-    }
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot_workloads::by_name(name).expect("kernel");
-        images.push((name.to_owned(), workload.image()));
-    }
-    images
-}
 
 /// Median wall time of a full run under `engine`, and the instruction
 /// count (identical across engines by construction).
@@ -70,7 +54,7 @@ fn main() {
     );
     let mut at_least_2x = 0;
     let mut total = 0;
-    for (name, image) in matrix_images() {
+    for (name, image) in flexprot_exec::matrix::programs() {
         let protected = protect(&image, &config, None).expect("protect");
         let (ref_time, insts) = measure(&protected, EngineKind::Reference);
         let (fast_time, _) = measure(&protected, EngineKind::Predecoded);

@@ -33,7 +33,12 @@ fn bench(c: &mut Bench) {
         });
         c.bench_function(&format!("t8/surface_{name}_{words}w"), |b| {
             b.iter(|| {
-                flexprot_verify::surface(black_box(&protected.image), black_box(&protected.secmon))
+                flexprot_verify::analyze(
+                    black_box(&protected.image),
+                    black_box(&protected.secmon),
+                    &LintPolicy::default(),
+                )
+                .surface
             })
         });
     }

@@ -4,9 +4,10 @@ use std::fmt;
 use std::path::Path;
 
 use flexprot_core::{
-    protect, EncryptConfig, Granularity, GuardConfig, Placement, ProtectionConfig, Selection,
+    protect, EncryptConfig, Granularity, GuardConfig, Placement, Protected, ProtectionConfig,
+    Selection,
 };
-use flexprot_exec::{default_jobs, Engine, SweepSpec};
+use flexprot_exec::{default_jobs, matrix, Engine, SweepSpec};
 use flexprot_isa::Image;
 use flexprot_secmon::{DecryptModel, SecMon, SecMonConfig};
 use flexprot_sim::{CacheConfig, Machine, Outcome, SimConfig};
@@ -684,84 +685,97 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
     })
 }
 
-/// `fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>]` — lint
-/// every golden program of the protection matrix and tabulate its static
-/// tamper surface.
-///
-/// The grid crosses the reference MiniC kernels
-/// ([`flexprot_cc::kernels`]) and three assembly workloads with the seven
-/// protection-matrix cells (no protection, guards at two densities,
-/// encryption at three granularities, guards+encryption). Each cell
-/// protects the program, runs the full static analysis
-/// ([`flexprot_verify::analyze`]) on the shipped image, and reports one
-/// CSV row; cells fan out over `--jobs` workers through the batched
-/// execution engine and the rows are identical whatever the worker count.
-/// The suggested exit code is 1 when any cell has error-severity
-/// findings, which is how CI gates on it.
-///
-/// # Errors
-///
-/// Reports unknown program names, compilation and I/O failures.
-pub fn fpsurface(raw_args: &[String]) -> Result<LintSummary, CliError> {
-    use flexprot_verify::{LintPolicy, Severity};
+/// One protection-matrix cell as a matrix sweep reports it.
+struct CellReport {
+    /// The CSV row, starting with the program and cell names.
+    row: Vec<String>,
+    /// Error-severity findings in the cell; any one makes the exit code 1.
+    errors: usize,
+    /// Rows for the sweep's side ledger, if it writes one.
+    ledger: Vec<Vec<String>>,
+}
 
+/// A CSV file a sweep writes next to its main report: the valued option
+/// that names its path, and its header line.
+struct Ledger {
+    option: &'static str,
+    header: &'static str,
+}
+
+/// The skeleton of every protection-matrix sweep: parses `--programs`,
+/// the ledger option and the [`BatchOpts`] block, protects each cell of
+/// the golden [`matrix`] on `--jobs` workers, assembles the `cell_report`
+/// rows in matrix order (identical whatever the worker count), writes the
+/// requested files, and suggests exit code 1 when any cell has
+/// error-severity findings. Unknown `--programs` names are usage errors.
+fn matrix_sweep(
+    raw_args: &[String],
+    usage: &str,
+    header: &str,
+    ledger: Option<Ledger>,
+    cell_report: fn(&str, &str, &Image, &Protected) -> CellReport,
+) -> Result<LintSummary, CliError> {
     let mut valued = vec!["programs"];
+    valued.extend(ledger.as_ref().map(|l| l.option));
     valued.extend(BatchOpts::VALUED);
     let args = parse(raw_args, &valued)?;
     if !args.positional.is_empty() {
-        return Err(CliError(
-            "usage: fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-             [--metrics <out.json>]"
-                .to_owned(),
-        ));
+        return Err(CliError(usage.to_owned()));
     }
     let batch = BatchOpts::from_args(&args)?;
-    let jobs = matrix_jobs(args.value("programs"))?;
+    let mut programs = matrix::programs();
+    if let Some(filter) = args.value("programs") {
+        let wanted: Vec<&str> = filter
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect();
+        let known: Vec<&str> = programs.iter().map(|(n, _)| n.as_str()).collect();
+        if let Some(name) = wanted.iter().find(|w| !known.contains(w)) {
+            return Err(CliError(format!(
+                "--programs: unknown program `{name}`; known: {}",
+                known.join(", ")
+            )));
+        }
+        programs.retain(|(name, _)| wanted.contains(&name.as_str()));
+    }
+    let cells = matrix::cells();
+    let jobs: Vec<(&str, &Image, &str, &ProtectionConfig)> = programs
+        .iter()
+        .flat_map(|(name, image)| {
+            cells
+                .iter()
+                .map(move |(cell, config)| (name.as_str(), image, *cell, config))
+        })
+        .collect();
+
     let engine = Engine::new(batch.workers);
-    let results = engine.run_jobs(&jobs, |_ctx, (name, cell, image, config)| {
+    let results = engine.run_jobs(&jobs, |_ctx, &(name, image, cell, config)| {
         let protected = protect(image, config, None)
             .map_err(|e| CliError(format!("{name}/{cell}: protect failed: {e}")))?;
-        let verification =
-            flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
-        let map = &verification.surface;
-        Ok::<_, CliError>(vec![
-            name.clone(),
-            cell.clone(),
-            map.text_words.to_string(),
-            map.reachable.iter().filter(|&&r| r).count().to_string(),
-            map.sound_windows.to_string(),
-            map.covered_words().to_string(),
-            map.encrypted_words().to_string(),
-            map.surface_words().to_string(),
-            verification.report.count(Severity::Error).to_string(),
-            verification.report.count(Severity::Warning).to_string(),
-            map.full_reachable_coverage().to_string(),
-        ])
+        Ok::<_, CliError>(cell_report(name, cell, image, &protected))
     });
 
-    let header = [
-        "program",
-        "cell",
-        "text_words",
-        "reachable",
-        "windows",
-        "covered",
-        "encrypted",
-        "surface",
-        "errors",
-        "warnings",
-        "full_coverage",
-    ];
-    let mut csv = header.join(",");
-    csv.push('\n');
+    let mut csv = format!("{header}\n");
+    let mut side = ledger
+        .as_ref()
+        .map(|l| format!("{}\n", l.header))
+        .unwrap_or_default();
     let mut errors = 0usize;
     for result in results {
-        let row = result?;
-        errors += row[8].parse::<usize>().unwrap_or(0);
-        csv.push_str(&csv_row(&row));
+        let cell = result?;
+        errors += cell.errors;
+        csv.push_str(&csv_row(&cell.row));
         csv.push('\n');
+        for row in &cell.ledger {
+            side.push_str(&csv_row(row));
+            side.push('\n');
+        }
     }
     batch.write_csv(&csv)?;
+    if let Some(path) = ledger.and_then(|l| args.value(l.option)) {
+        write(path, side.as_bytes())?;
+    }
     batch.write_metrics(&engine)?;
     Ok(LintSummary {
         report: csv,
@@ -769,108 +783,77 @@ pub fn fpsurface(raw_args: &[String]) -> Result<LintSummary, CliError> {
     })
 }
 
-/// The golden protection-matrix grid every batch analyzer sweeps: the
-/// reference MiniC kernels plus three assembly workloads, crossed with
-/// the seven protection cells (no protection, guards at two densities,
-/// encryption at three granularities, guards+encryption). `filter` is
-/// the `--programs` comma list; unknown names are usage errors.
-fn matrix_jobs(
-    filter: Option<&str>,
-) -> Result<Vec<(String, String, Image, ProtectionConfig)>, CliError> {
-    let mut programs: Vec<(String, Image)> = Vec::new();
-    for (name, source) in flexprot_cc::kernels::all() {
-        let image = flexprot_cc::compile_to_image(source)
-            .map_err(|e| CliError(format!("{name}: internal: {e}")))?;
-        programs.push((name.to_owned(), image));
-    }
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot_workloads::by_name(name)
-            .ok_or_else(|| CliError(format!("workload `{name}` missing")))?;
-        programs.push((name.to_owned(), workload.image()));
-    }
-    if let Some(filter) = filter {
-        let wanted: Vec<&str> = filter
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let known: Vec<String> = programs.iter().map(|(n, _)| n.clone()).collect();
-        for name in &wanted {
-            if !known.iter().any(|k| k == name) {
-                return Err(CliError(format!(
-                    "--programs: unknown program `{name}`; known: {}",
-                    known.join(", ")
-                )));
-            }
-        }
-        programs.retain(|(name, _)| wanted.iter().any(|w| w == name));
-    }
+/// `fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>]` — lint
+/// every golden program of the protection matrix and tabulate its static
+/// tamper surface.
+///
+/// The grid is [`flexprot_exec::matrix`]: the reference MiniC kernels and
+/// three assembly workloads crossed with the seven protection cells (no
+/// protection, guards at two densities, encryption at three
+/// granularities, guards+encryption). Each cell protects the program,
+/// runs the full static analysis ([`flexprot_verify::analyze`]) on the
+/// shipped image, and reports one CSV row; cells fan out over `--jobs`
+/// workers through the batched execution engine and the rows are
+/// identical whatever the worker count. The suggested exit code is 1
+/// when any cell has error-severity findings, which is how CI gates on
+/// it.
+///
+/// # Errors
+///
+/// Reports unknown program names and I/O failures.
+pub fn fpsurface(raw_args: &[String]) -> Result<LintSummary, CliError> {
+    matrix_sweep(
+        raw_args,
+        "usage: fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
+         [--metrics <out.json>]",
+        "program,cell,text_words,reachable,windows,covered,encrypted,surface,\
+         errors,warnings,full_coverage",
+        None,
+        surface_cell,
+    )
+}
 
-    let guards = |density: f64| GuardConfig {
-        key: 0x0BAD_C0DE_CAFE_F00D,
-        ..GuardConfig::with_density(density)
-    };
-    let enc = |granularity: Granularity| EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED)
-    };
-    let cells: Vec<(&str, ProtectionConfig)> = vec![
-        ("none", ProtectionConfig::new()),
-        (
-            "guards-0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-        ),
-        (
-            "guards-1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-        ),
-        (
-            "enc-program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-        ),
-        (
-            "enc-function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-        ),
-        (
-            "enc-block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-        ),
-        (
-            "guards-enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-        ),
-    ];
+/// One `fpsurface` row: the static tamper surface of a protected cell.
+fn surface_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> CellReport {
+    use flexprot_verify::{LintPolicy, Severity};
 
-    let mut jobs: Vec<(String, String, Image, ProtectionConfig)> = Vec::new();
-    for (name, image) in &programs {
-        for (cell, config) in &cells {
-            jobs.push((
-                name.clone(),
-                (*cell).to_owned(),
-                image.clone(),
-                config.clone(),
-            ));
-        }
+    let verification =
+        flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
+    let map = &verification.surface;
+    let errors = verification.report.count(Severity::Error);
+    CellReport {
+        row: vec![
+            name.to_owned(),
+            cell.to_owned(),
+            map.text_words.to_string(),
+            map.reachable.iter().filter(|&&r| r).count().to_string(),
+            map.sound_windows.to_string(),
+            map.covered_words().to_string(),
+            map.encrypted_words().to_string(),
+            map.surface_words().to_string(),
+            errors.to_string(),
+            verification.report.count(Severity::Warning).to_string(),
+            map.full_reachable_coverage().to_string(),
+        ],
+        errors,
+        ledger: Vec::new(),
     }
-    Ok(jobs)
 }
 
 /// `fpnetmap [--programs a,b,..] [--jobs N] [--csv <out.csv>]
 /// [--refusals <out.csv>] [--metrics <out.json>]` — tabulate the guard
 /// network and checksum proofs of every protection-matrix cell.
 ///
-/// Each cell protects the program, builds the who-checks-whom guard
-/// digraph and the abstract-interpretation checksum proofs
-/// ([`flexprot_verify::analyze`]), and reports one CSV row: guard/sound
-/// counts, edge and SCC counts, unchecked/acyclic/articulation tallies,
-/// the minimum-cut size (`none` when no cut disconnects the network),
-/// and the proof verdict tally (proven/mismatch/unproven). Cells fan out
-/// over `--jobs` workers and the rows are identical whatever the worker
-/// count. The suggested exit code is 1 when any cell has an
-/// error-severity finding (a `mismatch` implies one via FP703).
+/// Each cell of [`flexprot_exec::matrix`] protects the program, builds
+/// the who-checks-whom guard digraph and the abstract-interpretation
+/// checksum proofs ([`flexprot_verify::analyze`]), and reports one CSV
+/// row: guard/sound counts, edge and SCC counts,
+/// unchecked/acyclic/articulation tallies, the minimum-cut size (`none`
+/// when no cut disconnects the network), and the proof verdict tally
+/// (proven/mismatch/unproven). Cells fan out over `--jobs` workers and
+/// the rows are identical whatever the worker count. The suggested exit
+/// code is 1 when any cell has an error-severity finding (a `mismatch`
+/// implies one via FP703).
 ///
 /// `--refusals` writes the per-window refusal ledger alongside: one
 /// `program,cell,site,verdict,code` row per guard window the prover
@@ -881,65 +864,63 @@ fn matrix_jobs(
 ///
 /// # Errors
 ///
-/// Reports unknown program names, compilation and I/O failures.
+/// Reports unknown program names and I/O failures.
 pub fn fpnetmap(raw_args: &[String]) -> Result<LintSummary, CliError> {
+    matrix_sweep(
+        raw_args,
+        "usage: fpnetmap [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
+         [--refusals <out.csv>] [--metrics <out.json>]",
+        "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,\
+         min_cut,proven,mismatch,unproven,errors",
+        Some(Ledger {
+            option: "refusals",
+            header: "program,cell,site,verdict,code",
+        }),
+        netmap_cell,
+    )
+}
+
+/// One `fpnetmap` row, plus a refusal-ledger row per window the checksum
+/// prover did not prove.
+fn netmap_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> CellReport {
     use flexprot_verify::{LintPolicy, Severity, Verdict};
 
-    let mut valued = vec!["programs", "refusals"];
-    valued.extend(BatchOpts::VALUED);
-    let args = parse(raw_args, &valued)?;
-    if !args.positional.is_empty() {
-        return Err(CliError(
-            "usage: fpnetmap [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-             [--refusals <out.csv>] [--metrics <out.json>]"
-                .to_owned(),
-        ));
-    }
-    let batch = BatchOpts::from_args(&args)?;
-    let jobs = matrix_jobs(args.value("programs"))?;
-    let engine = Engine::new(batch.workers);
-    let results = engine.run_jobs(&jobs, |_ctx, (name, cell, image, config)| {
-        let protected = protect(image, config, None)
-            .map_err(|e| CliError(format!("{name}/{cell}: protect failed: {e}")))?;
-        let v =
-            flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
-        let net = &v.guardnet;
-        let mut proven = 0usize;
-        let mut mismatch = 0usize;
-        let mut unproven = 0usize;
-        let mut unproven_rows: Vec<Vec<String>> = Vec::new();
-        for proof in &v.proofs {
-            match &proof.verdict {
-                Verdict::Proven { .. } => proven += 1,
-                Verdict::Mismatch { .. } => {
-                    mismatch += 1;
-                    unproven_rows.push(vec![
-                        name.clone(),
-                        cell.clone(),
-                        format!("{:#010x}", proof.site_addr),
-                        "mismatch".to_owned(),
-                        "signature_mismatch".to_owned(),
-                    ]);
-                }
-                Verdict::Unproven { reason } => {
-                    unproven += 1;
-                    unproven_rows.push(vec![
-                        name.clone(),
-                        cell.clone(),
-                        format!("{:#010x}", proof.site_addr),
-                        "unproven".to_owned(),
-                        reason.code().to_owned(),
-                    ]);
-                }
+    let v = flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
+    let net = &v.guardnet;
+    let (mut proven, mut mismatch, mut unproven) = (0usize, 0usize, 0usize);
+    let mut ledger: Vec<Vec<String>> = Vec::new();
+    for proof in &v.proofs {
+        let (verdict, code) = match &proof.verdict {
+            Verdict::Proven { .. } => {
+                proven += 1;
+                continue;
             }
-        }
-        let min_cut = match &net.min_cut {
-            None => "none".to_owned(),
-            Some(cut) => cut.len().to_string(),
+            Verdict::Mismatch { .. } => {
+                mismatch += 1;
+                ("mismatch", "signature_mismatch")
+            }
+            Verdict::Unproven { reason } => {
+                unproven += 1;
+                ("unproven", reason.code())
+            }
         };
-        let row = vec![
-            name.clone(),
-            cell.clone(),
+        ledger.push(vec![
+            name.to_owned(),
+            cell.to_owned(),
+            format!("{:#010x}", proof.site_addr),
+            verdict.to_owned(),
+            code.to_owned(),
+        ]);
+    }
+    let min_cut = match &net.min_cut {
+        None => "none".to_owned(),
+        Some(cut) => cut.len().to_string(),
+    };
+    let errors = v.report.count(Severity::Error);
+    CellReport {
+        row: vec![
+            name.to_owned(),
+            cell.to_owned(),
             net.nodes.len().to_string(),
             net.sound_count().to_string(),
             net.edges.to_string(),
@@ -955,68 +936,29 @@ pub fn fpnetmap(raw_args: &[String]) -> Result<LintSummary, CliError> {
             proven.to_string(),
             mismatch.to_string(),
             unproven.to_string(),
-            v.report.count(Severity::Error).to_string(),
-        ];
-        Ok::<_, CliError>((row, unproven_rows))
-    });
-
-    let header = [
-        "program",
-        "cell",
-        "guards",
-        "sound",
-        "edges",
-        "sccs",
-        "unchecked",
-        "acyclic",
-        "articulation",
-        "min_cut",
-        "proven",
-        "mismatch",
-        "unproven",
-        "errors",
-    ];
-    let mut csv = header.join(",");
-    csv.push('\n');
-    let mut refusals = String::from("program,cell,site,verdict,code\n");
-    let mut errors = 0usize;
-    for result in results {
-        let (row, unproven_rows) = result?;
-        errors += row[13].parse::<usize>().unwrap_or(0);
-        csv.push_str(&csv_row(&row));
-        csv.push('\n');
-        for r in &unproven_rows {
-            refusals.push_str(&csv_row(r));
-            refusals.push('\n');
-        }
+            errors.to_string(),
+        ],
+        errors,
+        ledger,
     }
-    batch.write_csv(&csv)?;
-    if let Some(path) = args.value("refusals") {
-        write(path, refusals.as_bytes())?;
-    }
-    batch.write_metrics(&engine)?;
-    Ok(LintSummary {
-        report: csv,
-        exit_code: i32::from(errors > 0),
-    })
 }
 
 /// `fpequiv [--programs a,b,..] [--jobs N] [--csv <out.csv>]
 /// [--metrics <out.json>]` — translation-validate every cell of the
 /// protection matrix.
 ///
-/// Each cell protects the program and runs the translation validator
-/// ([`flexprot_verify::equiv`]) against the unprotected baseline: CFG
-/// alignment modulo inserted guard runs, guard-window transparency
-/// (no live architectural state written), and cipher round-trip
-/// identity. One CSV row per cell carries the three-valued verdict
-/// (`proven` / `inequivalent` / `refused`), the witness address when one
-/// exists, the alignment and window tallies, the per-window refusal
-/// reasons as a `code:count` tally keyed by the stable
-/// [`flexprot_verify::RefusalReason`] codes (`none` when every window is
-/// proven), and the FP801–FP804 finding counts. Cells fan out over
-/// `--jobs` workers through the batched execution engine and the rows
-/// are identical whatever the worker count.
+/// Each cell of [`flexprot_exec::matrix`] protects the program and runs
+/// the translation validator ([`flexprot_verify::equiv`]) against the
+/// unprotected baseline: CFG alignment modulo inserted guard runs,
+/// guard-window transparency (no live architectural state written), and
+/// cipher round-trip identity. One CSV row per cell carries the
+/// three-valued verdict (`proven` / `inequivalent` / `refused`), the
+/// witness address when one exists, the alignment and window tallies,
+/// the per-window refusal reasons as a `code:count` tally keyed by the
+/// stable [`flexprot_verify::RefusalReason`] codes (`none` when every
+/// window is proven), and the FP801–FP804 finding counts. Cells fan out
+/// over `--jobs` workers through the batched execution engine and the
+/// rows are identical whatever the worker count.
 ///
 /// # Exit codes
 ///
@@ -1027,53 +969,53 @@ pub fn fpnetmap(raw_args: &[String]) -> Result<LintSummary, CliError> {
 ///
 /// # Errors
 ///
-/// Reports unknown program names, compilation and I/O failures.
+/// Reports unknown program names and I/O failures.
 pub fn fpequiv(raw_args: &[String]) -> Result<LintSummary, CliError> {
+    matrix_sweep(
+        raw_args,
+        "usage: fpequiv [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
+         [--metrics <out.json>]",
+        "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
+         windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
+         fp801,fp802,fp803,fp804,errors",
+        None,
+        equiv_cell,
+    )
+}
+
+/// One `fpequiv` row: the translation-validation verdict of a protected
+/// cell against its unprotected `base`.
+fn equiv_cell(name: &str, cell: &str, base: &Image, protected: &Protected) -> CellReport {
     use flexprot_verify::{equiv, Severity};
 
-    let mut valued = vec!["programs"];
-    valued.extend(BatchOpts::VALUED);
-    let args = parse(raw_args, &valued)?;
-    if !args.positional.is_empty() {
-        return Err(CliError(
-            "usage: fpequiv [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-             [--metrics <out.json>]"
-                .to_owned(),
-        ));
+    let report = equiv::validate(base, &protected.image, &protected.secmon);
+    let witness = match report.verdict {
+        equiv::EquivVerdict::Inequivalent { witness_addr } => format!("{witness_addr:#010x}"),
+        _ => "none".to_owned(),
+    };
+    let errors = report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count();
+    let mut by_code: std::collections::BTreeMap<&'static str, usize> =
+        std::collections::BTreeMap::new();
+    for (_, reason) in &report.refusals {
+        *by_code.entry(reason.code()).or_default() += 1;
     }
-    let batch = BatchOpts::from_args(&args)?;
-    let jobs = matrix_jobs(args.value("programs"))?;
-    let engine = Engine::new(batch.workers);
-    let results = engine.run_jobs(&jobs, |_ctx, (name, cell, image, config)| {
-        let protected = protect(image, config, None)
-            .map_err(|e| CliError(format!("{name}/{cell}: protect failed: {e}")))?;
-        let report = equiv::validate(image, &protected.image, &protected.secmon);
-        let witness = match report.verdict {
-            equiv::EquivVerdict::Inequivalent { witness_addr } => format!("{witness_addr:#010x}"),
-            _ => "none".to_owned(),
-        };
-        let errors = report
-            .findings
+    let refusal_codes = if by_code.is_empty() {
+        "none".to_owned()
+    } else {
+        by_code
             .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count();
-        let mut by_code: std::collections::BTreeMap<&'static str, usize> =
-            std::collections::BTreeMap::new();
-        for (_, reason) in &report.refusals {
-            *by_code.entry(reason.code()).or_default() += 1;
-        }
-        let refusal_codes = if by_code.is_empty() {
-            "none".to_owned()
-        } else {
-            by_code
-                .iter()
-                .map(|(code, count)| format!("{code}:{count}"))
-                .collect::<Vec<_>>()
-                .join(";")
-        };
-        Ok::<_, CliError>(vec![
-            name.clone(),
-            cell.clone(),
+            .map(|(code, count)| format!("{code}:{count}"))
+            .collect::<Vec<_>>()
+            .join(";")
+    };
+    CellReport {
+        row: vec![
+            name.to_owned(),
+            cell.to_owned(),
             report.verdict.label().to_owned(),
             witness,
             report.stats.base_words.to_string(),
@@ -1090,44 +1032,10 @@ pub fn fpequiv(raw_args: &[String]) -> Result<LintSummary, CliError> {
             report.count_id("FP803").to_string(),
             report.count_id("FP804").to_string(),
             errors.to_string(),
-        ])
-    });
-
-    let header = [
-        "program",
-        "cell",
-        "verdict",
-        "witness",
-        "base_words",
-        "prot_words",
-        "guard_words",
-        "aligned",
-        "windows_proven",
-        "windows_refused",
-        "refusal_codes",
-        "cipher_regions",
-        "cipher_words",
-        "fp801",
-        "fp802",
-        "fp803",
-        "fp804",
-        "errors",
-    ];
-    let mut csv = header.join(",");
-    csv.push('\n');
-    let mut errors = 0usize;
-    for result in results {
-        let row = result?;
-        errors += row[17].parse::<usize>().unwrap_or(0);
-        csv.push_str(&csv_row(&row));
-        csv.push('\n');
+        ],
+        errors,
+        ledger: Vec::new(),
     }
-    batch.write_csv(&csv)?;
-    batch.write_metrics(&engine)?;
-    Ok(LintSummary {
-        report: csv,
-        exit_code: i32::from(errors > 0),
-    })
 }
 
 #[cfg(test)]
@@ -1836,6 +1744,7 @@ mod tests {
         for err in [
             fpsurface(&strs(&["--jobs", "0"])).unwrap_err(),
             fpnetmap(&strs(&["--jobs", "0"])).unwrap_err(),
+            fpequiv(&strs(&["--jobs", "0"])).unwrap_err(),
             fpsweep(&strs(&["--jobs", "0"])).unwrap_err(),
         ] {
             assert!(err.to_string().contains("--jobs"), "{err}");

@@ -217,7 +217,12 @@ impl Protected {
     /// coverage plus the ranked list of words no rolling-MAC window or
     /// cipher region covers (see `flexprot-verify`).
     pub fn surface_map(&self) -> flexprot_verify::SurfaceMap {
-        flexprot_verify::surface(&self.image, &self.secmon)
+        flexprot_verify::analyze(
+            &self.image,
+            &self.secmon,
+            &flexprot_verify::LintPolicy::default(),
+        )
+        .surface
     }
 
     /// Translation-validates the shipped image against its baseline:
@@ -351,46 +356,37 @@ pub fn protect_traced(
     // N-version self-check: the independent verifier must be able to prove
     // every invariant this pipeline claims to have established. Refusing to
     // ship an unprovable image turns silent rewriting bugs into build
-    // failures.
-    let verdict = flexprot_verify::verify(&protected.image, &protected.secmon);
-    if !verdict.is_clean() {
-        let errors = verdict.count(flexprot_verify::Severity::Error);
-        let first = verdict
-            .findings
-            .iter()
-            .find(|f| f.severity == flexprot_verify::Severity::Error)
-            .map(|f| f.to_string())
-            .unwrap_or_default();
-        return Err(ProtectError::VerificationFailed { errors, first });
+    // failures. One analysis serves both this check and the optional
+    // key-flow post-condition; its FP9xx taint findings belong to the
+    // latter only.
+    let verification = flexprot_verify::analyze_with_options(
+        &protected.image,
+        &protected.secmon,
+        &flexprot_verify::LintPolicy::default(),
+        config.key_flow_check,
+    );
+    let errors = |taint: bool| {
+        verification.report.findings.iter().filter(move |f| {
+            f.severity == flexprot_verify::Severity::Error && f.id.starts_with("FP9") == taint
+        })
+    };
+    if let Some(first) = errors(false).next() {
+        return Err(ProtectError::VerificationFailed {
+            errors: errors(false).count(),
+            first: first.to_string(),
+        });
     }
 
-    // Optional key-flow post-condition: forward taint from the cipher-key
-    // material (every in-region ciphertext read) must not reach an
-    // observable sink. A leak here means the protected program itself
-    // re-publishes what the encryption layer was meant to hide.
-    if config.key_flow_check {
-        let v = flexprot_verify::analyze_with_options(
-            &protected.image,
-            &protected.secmon,
-            &flexprot_verify::LintPolicy::default(),
-            true,
-        );
-        let leaks: Vec<&flexprot_verify::Finding> = v
-            .report
-            .findings
-            .iter()
-            .filter(|f| {
-                f.severity == flexprot_verify::Severity::Error
-                    && (f.id == "FP901" || f.id == "FP902")
-            })
-            .collect();
-        if let Some(first) = leaks.first() {
-            return Err(ProtectError::KeyFlowLeak {
-                errors: leaks.len(),
-                witness: first.addr,
-                first: first.to_string(),
-            });
-        }
+    // Key-flow post-condition: forward taint from the cipher-key material
+    // (every in-region ciphertext read) must not reach an observable sink.
+    // A leak here means the protected program itself re-publishes what the
+    // encryption layer was meant to hide.
+    if let Some(first) = errors(true).next() {
+        return Err(ProtectError::KeyFlowLeak {
+            errors: errors(true).count(),
+            witness: first.addr,
+            first: first.to_string(),
+        });
     }
 
     // Optional stronger self-check: translation validation proves the

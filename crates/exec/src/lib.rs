@@ -17,7 +17,9 @@
 //!   across every cell that needs them;
 //! * per-job [`flexprot_trace`] recorders merge into one aggregate
 //!   [`Metrics`] document (commutative counter/histogram merges), so the
-//!   aggregate too is independent of scheduling.
+//!   aggregate too is independent of scheduling;
+//! * [`matrix`] defines the golden protection matrix (programs × cells)
+//!   that the matrix sweeps, acceptance tests and CI baselines share.
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@
 
 mod cache;
 mod engine;
+pub mod matrix;
 mod sweep;
 
 pub use cache::{fingerprint, ArtifactCache, Baseline, CacheStats};

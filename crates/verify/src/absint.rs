@@ -19,11 +19,11 @@
 //! capping every set at [`MAX_SET`] members — the cap *is* the widening:
 //! a join that would exceed it goes straight to `Top`, so chains are
 //! bounded and the worklist solver in [`crate::dataflow`] terminates.
-//! The register analysis ([`analyze_registers`]) is a forward instance of
-//! that solver whose facts are whole abstract register files; its
-//! transfer function mirrors the simulator's semantics instruction by
-//! instruction (wrapping arithmetic, division by zero yielding zero,
-//! `$zero` pinned to `Const(0)`, loads unknown).
+//! The per-instruction transfer over this domain (`scalar_eval`) mirrors
+//! the simulator's semantics (wrapping arithmetic, division by zero
+//! yielding zero, loads unknown); the program-wide register analysis that
+//! runs it is [`crate::memdom`], which adds pointer provenance and a
+//! tracked stack frame on top.
 //!
 //! [`prove_guards`] then replays each guard's checksum loop abstractly:
 //! every window word is valued in the domain, an [`AbsHasher`] streams the
@@ -33,17 +33,16 @@
 //! The verdict is a proof ([`Verdict::Proven`]), a refutation with a
 //! concrete witness word ([`Verdict::Mismatch`]), or an honest
 //! [`Verdict::Unproven`] with the reason precision ran out. The register
-//! value-sets guard the proof's one soundness obligation: a store
-//! executing inside the hashed window whose abstract address may land in
-//! the text segment would invalidate the static-text assumption, so such
-//! windows are reported unproven rather than proven.
+//! value-sets of [`crate::memdom`] guard the proof's one soundness
+//! obligation: a store executing inside the hashed window whose abstract
+//! address may land in the text segment would invalidate the static-text
+//! assumption, so such windows are reported unproven rather than proven.
 
 use flexprot_isa::{Image, Inst, Reg};
 use flexprot_secmon::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher};
 use flexprot_secmon::SecMonConfig;
 
 use crate::coverage::GuardWindow;
-use crate::dataflow::{self, Analysis, Direction};
 use crate::flow::Flow;
 
 /// Maximum members of a value set before widening to `Top`.
@@ -127,51 +126,10 @@ impl AbsVal {
     }
 }
 
-/// Abstract register file at one program point; `None` means the point is
-/// unreachable (the lattice bottom for whole states).
-pub type RegState = Option<Vec<AbsVal>>;
-
-/// Joins `from` into `into` pointwise, reporting change.
-fn join_states(into: &mut RegState, from: &RegState) -> bool {
-    let Some(from) = from else { return false };
-    match into {
-        None => {
-            *into = Some(from.clone());
-            true
-        }
-        Some(into) => {
-            let mut changed = false;
-            for (i, f) in into.iter_mut().zip(from) {
-                let joined = i.join(f);
-                if joined != *i {
-                    *i = joined;
-                    changed = true;
-                }
-            }
-            changed
-        }
-    }
-}
-
-/// The forward constant-propagation / value-set analysis, one node per
-/// text word over the recovered flow graph.
-struct RegAbs<'a> {
-    flow: &'a Flow,
-    text_base: u32,
-}
-
-/// The register file every root starts with: nothing known except the
-/// architectural zero.
-fn entry_state() -> Vec<AbsVal> {
-    let mut regs = vec![AbsVal::Top; 32];
-    regs[Reg::ZERO.index() as usize] = AbsVal::Const(0);
-    regs
-}
-
 /// The register (if any) `inst` writes, and its abstract value, mirroring
 /// the simulator's concrete semantics over plain (pointer-blind) scalars.
-/// Shared by the register analysis here and the memory-sensitive domain in
-/// [`crate::memdom`], which layers pointer provenance on top.
+/// The memory-sensitive domain in [`crate::memdom`] layers pointer
+/// provenance on top.
 pub(crate) fn scalar_eval(addr: u32, inst: Inst, regs: &[AbsVal]) -> Option<(Reg, AbsVal)> {
     use Inst::*;
     let r = |reg: Reg| &regs[reg.index() as usize];
@@ -235,67 +193,6 @@ pub(crate) fn scalar_eval(addr: u32, inst: Inst, regs: &[AbsVal]) -> Option<(Reg
             return None
         }
     })
-}
-
-impl Analysis for RegAbs<'_> {
-    type Fact = RegState;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn bottom(&self) -> RegState {
-        None
-    }
-
-    fn join(&self, into: &mut RegState, from: &RegState) -> bool {
-        join_states(into, from)
-    }
-
-    fn transfer(&self, node: usize, input: &RegState) -> RegState {
-        let Some(regs) = input else { return None };
-        let mut regs = regs.clone();
-        if let Some(inst) = self.flow.decoded[node] {
-            let addr = self.text_base.wrapping_add(4 * node as u32);
-            if let Some((rd, val)) = scalar_eval(addr, inst, &regs) {
-                if rd != Reg::ZERO {
-                    regs[rd.index() as usize] = val;
-                }
-            }
-        }
-        Some(regs)
-    }
-}
-
-/// Runs the value-set analysis, returning the abstract register file
-/// *entering* each text word (`None` where no static path arrives).
-pub fn analyze_registers(image: &Image, flow: &Flow) -> Vec<RegState> {
-    let succs: Vec<Vec<usize>> = flow
-        .succs
-        .iter()
-        .map(|es| es.iter().map(|e| e.to).collect())
-        .collect();
-    let index_of = |addr: u32| -> Option<usize> {
-        if addr < image.text_base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - image.text_base) / 4) as usize;
-        (i < flow.decoded.len()).then_some(i)
-    };
-    let mut seeds: Vec<(usize, RegState)> = Vec::new();
-    if let Some(e) = index_of(image.entry) {
-        seeds.push((e, Some(entry_state())));
-    }
-    for &addr in image.symbols.values() {
-        if let Some(i) = index_of(addr) {
-            seeds.push((i, Some(entry_state())));
-        }
-    }
-    let analysis = RegAbs {
-        flow,
-        text_base: image.text_base,
-    };
-    dataflow::solve(&analysis, &succs, &seeds).input
 }
 
 /// Abstract window hasher: one concrete [`WindowHasher`] per candidate
@@ -631,13 +528,21 @@ mod tests {
         assert_eq!(wide, AbsVal::Top);
     }
 
+    /// The memory domain's abstract register files entering each word.
+    fn register_states(image: &Image) -> Vec<Option<Vec<AbsVal>>> {
+        let flow = Flow::recover(image, &image.text.clone());
+        crate::memdom::analyze_memory(image, &flow)
+            .into_iter()
+            .map(|fact| fact.map(|state| state.regs.into_iter().map(|r| r.off).collect()))
+            .collect()
+    }
+
     #[test]
     fn straight_line_constants_propagate() {
         let image = flexprot_asm::assemble_or_panic(
             "main: li $t0, 5\n addi $t1, $t0, 3\n li $v0, 10\n syscall\n",
         );
-        let flow = Flow::recover(&image, &image.text.clone());
-        let regs = analyze_registers(&image, &flow);
+        let regs = register_states(&image);
         // State entering the syscall: $t0 = 5, $t1 = 8, $zero = 0.
         let at_syscall = regs.last().unwrap().as_ref().expect("reachable");
         assert_eq!(at_syscall[Reg::T0.index() as usize], AbsVal::Const(5));
@@ -654,8 +559,7 @@ mod tests {
              other: li $t0, 2\n done: li $v0, 10\n syscall\n",
         );
         image.symbols.retain(|name, _| name.as_str() == "main");
-        let flow = Flow::recover(&image, &image.text.clone());
-        let regs = analyze_registers(&image, &flow);
+        let regs = register_states(&image);
         let at_done = regs[regs.len() - 2].as_ref().expect("reachable");
         assert_eq!(
             at_done[Reg::T0.index() as usize],
@@ -671,12 +575,10 @@ mod tests {
         let image = flexprot_asm::assemble_or_panic(
             "main: li $v0, 10\n syscall\n j main\n dead: li $t0, 1\n",
         );
-        let flow = Flow::recover(&image, &image.text.clone());
-        let regs = analyze_registers(&image, &flow);
+        let regs = register_states(&image);
         let mut stripped = image.clone();
         stripped.symbols.retain(|name, _| name.as_str() == "main");
-        let flow2 = Flow::recover(&stripped, &stripped.text.clone());
-        let regs2 = analyze_registers(&stripped, &flow2);
+        let regs2 = register_states(&stripped);
         assert!(regs[3].is_some(), "symbol-seeded word has a state");
         assert!(regs2[3].is_none(), "unreachable word has none");
     }

@@ -130,22 +130,12 @@ impl Verification {
 
 /// Verifies `image` against `config` under the default lint policy.
 pub fn verify(image: &Image, config: &SecMonConfig) -> Report {
-    verify_with_policy(image, config, &LintPolicy::default())
+    analyze(image, config, &LintPolicy::default()).report
 }
 
-/// Verifies `image` against `config`, applying `policy`'s severity
-/// overrides to every finding.
-pub fn verify_with_policy(image: &Image, config: &SecMonConfig, policy: &LintPolicy) -> Report {
-    analyze(image, config, policy).report
-}
-
-/// The static tamper-surface map of `image` under `config`.
-pub fn surface(image: &Image, config: &SecMonConfig) -> SurfaceMap {
-    analyze(image, config, &LintPolicy::default()).surface
-}
-
-/// Runs every analysis once, returning both the report and the surface
-/// map ([`verify`]/[`surface`] are thin projections of this).
+/// Runs every analysis once under `policy`, returning the report, the
+/// surface map and the rest of the [`Verification`] ([`verify`] is the
+/// report under the default policy).
 pub fn analyze(image: &Image, config: &SecMonConfig, policy: &LintPolicy) -> Verification {
     analyze_with_options(image, config, policy, false)
 }

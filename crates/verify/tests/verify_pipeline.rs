@@ -9,7 +9,7 @@ use flexprot_core::{protect, EncryptConfig, GuardConfig, Placement, ProtectionCo
 use flexprot_isa::{Inst, Rng64};
 use flexprot_secmon::SecMonConfig;
 use flexprot_sim::{Outcome, SimConfig};
-use flexprot_verify::{verify, verify_with_policy, LintPolicy, Severity};
+use flexprot_verify::{analyze, verify, LintPolicy, Severity};
 
 const LOOP_CALL: &str = r#"
         .data
@@ -299,7 +299,7 @@ fn policy_overrides_change_the_verdict() {
     // tamper FP102 catches concretely; both must be demoted for a clean
     // verdict.
     let allow = LintPolicy::new::<&str>(&[], &["FP102", "FP301", "FP703"]).unwrap();
-    let relaxed = verify_with_policy(&image, &secmon, &allow);
+    let relaxed = analyze(&image, &secmon, &allow).report;
     assert!(
         relaxed.is_clean(),
         "allowing FP102/FP301/FP703 must demote the findings:\n{}",
@@ -307,7 +307,7 @@ fn policy_overrides_change_the_verdict() {
     );
 
     let deny = LintPolicy::new(&["FP501"], &[]).unwrap();
-    let strict = verify_with_policy(&image, &secmon, &deny);
+    let strict = analyze(&image, &secmon, &deny).report;
     assert!(strict.count(Severity::Error) >= default_report.count(Severity::Error));
 }
 

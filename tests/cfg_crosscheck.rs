@@ -6,31 +6,13 @@
 //! catch toolchain bugs. That redundancy is only worth anything if the
 //! two agree: this test pins the contract that both recoveries partition
 //! the text segment into the *same* basic-block boundaries for every
-//! program of the protection matrix, and that the shared anchor set
-//! ([`flexprot::isa::Image::anchor_indices`]) is a subset of both.
+//! program of the protection matrix ([`flexprot_exec::matrix`]), and that
+//! the shared anchor set ([`flexprot::isa::Image::anchor_indices`]) is a
+//! subset of both.
 
 use flexprot::isa::Image;
 use flexprot::verify::{Cfg as VerifyCfg, Flow};
-
-/// The six matrix programs: three MiniC kernels and three assembly
-/// workloads.
-fn matrix_images() -> Vec<(String, Image)> {
-    let mut images = Vec::new();
-    for (name, source) in [
-        ("queens", flexprot::cc::kernels::QUEENS),
-        ("sieve", flexprot::cc::kernels::SIEVE),
-        ("collatz", flexprot::cc::kernels::COLLATZ),
-    ] {
-        let image = flexprot::cc::compile_to_image(source)
-            .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-        images.push((name.to_owned(), image));
-    }
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot::workloads::by_name(name).expect("kernel");
-        images.push((name.to_owned(), workload.image()));
-    }
-    images
-}
+use flexprot_exec::matrix;
 
 /// Block boundaries as half-open word-index ranges, from the toolchain's
 /// recovery.
@@ -51,7 +33,7 @@ fn verify_boundaries(image: &Image) -> Vec<(usize, usize)> {
 
 #[test]
 fn both_recoveries_agree_on_block_boundaries() {
-    for (name, image) in matrix_images() {
+    for (name, image) in matrix::programs() {
         let core = core_boundaries(&image);
         let verify = verify_boundaries(&image);
         assert_eq!(
@@ -71,7 +53,7 @@ fn both_recoveries_agree_on_block_boundaries() {
 
 #[test]
 fn anchor_indices_are_leaders_in_both_recoveries() {
-    for (name, image) in matrix_images() {
+    for (name, image) in matrix::programs() {
         let anchors = image.anchor_indices();
         assert!(!anchors.is_empty(), "{name}: no anchors");
         let starts: Vec<usize> = core_boundaries(&image).iter().map(|b| b.0).collect();

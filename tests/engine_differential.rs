@@ -5,60 +5,18 @@
 //! same outcome, same output, and bit-identical statistics — cycles,
 //! cache misses and monitor fill penalties included. This sweep runs 64
 //! randomly generated MiniC programs through every cell of the
-//! 7-configuration protection grid on both engines and asserts full
-//! [`flexprot::sim::RunResult`] equality.
+//! protection matrix ([`flexprot_exec::matrix`]) on both engines and
+//! asserts full [`flexprot::sim::RunResult`] equality.
 //!
 //! Generated programs may loop past the fuel limit; that is fine — the
 //! engines must then agree on `OutOfFuel` at the same instruction count.
 
-use flexprot::core::{protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
+use flexprot::core::protect;
 use flexprot::isa::{Inst, Reg, Rng64};
 use flexprot::sim::{EngineKind, Machine, Outcome, SimConfig};
+use flexprot_exec::matrix;
 
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 const FUEL: u64 = 200_000;
-
-/// The same 7-cell grid as `tests/protection_matrix.rs`.
-fn grid() -> Vec<(&'static str, ProtectionConfig)> {
-    let guards = |density: f64| GuardConfig {
-        key: GUARD_KEY,
-        ..GuardConfig::with_density(density)
-    };
-    let enc = |granularity: Granularity| EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
-    };
-    vec![
-        ("none", ProtectionConfig::new()),
-        (
-            "guards d=0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-        ),
-        (
-            "guards d=1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-        ),
-        (
-            "enc program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-        ),
-        (
-            "enc function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-        ),
-        (
-            "enc block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-        ),
-        (
-            "guards+enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-        ),
-    ]
-}
 
 /// A random well-formed MiniC program (the grammar from the verifier's
 /// property tests): straight-line assignments, nested ifs, decrementing
@@ -184,12 +142,12 @@ patch:  li   $a0, 1              # word 5 (offset 20): overwritten above
 #[test]
 fn engines_agree_on_random_programs_across_the_protection_grid() {
     let mut rng = Rng64::new(0xD1FF_E12E_4CE5_0001);
-    let grid = grid();
+    let cells = matrix::cells();
     for case in 0..64 {
         let source = random_minic(&mut rng);
         let image = flexprot::cc::compile_to_image(&source)
             .unwrap_or_else(|e| panic!("random-{case}: compile failed: {e}\n{source}"));
-        for (cell, config) in &grid {
+        for (cell, config) in &cells {
             let protected = protect(&image, config, None)
                 .unwrap_or_else(|e| panic!("random-{case}/{cell}: protect failed: {e}"));
             let sim = SimConfig {

@@ -1,7 +1,8 @@
 //! Acceptance tests for the guard-network analysis and the
 //! abstract-interpretation checksum proofs.
 //!
-//! Three claims over the protection-matrix grid:
+//! Three claims, the first over the golden protection matrix
+//! ([`flexprot_exec::matrix`]):
 //!
 //! 1. every guard window of every cell gets a *verdict* — proven, or
 //!    unproven with a stated reason — and an untampered build never
@@ -13,14 +14,13 @@
 //!    baseline on a weakly connected configuration.
 
 use flexprot::attack::{evaluate_random_nop, evaluate_targeted};
-use flexprot::core::{protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
-use flexprot::isa::Image;
+use flexprot::core::{protect, GuardConfig, ProtectionConfig};
 use flexprot::secmon::guard::{decode_guard_symbol, encode_guard_inst, is_guard_form};
 use flexprot::sim::SimConfig;
 use flexprot::verify::{analyze, verify, LintPolicy, Verdict};
+use flexprot_exec::matrix;
 
 const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 
 fn guards(density: f64) -> GuardConfig {
     GuardConfig {
@@ -29,66 +29,11 @@ fn guards(density: f64) -> GuardConfig {
     }
 }
 
-fn enc(granularity: Granularity) -> EncryptConfig {
-    EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
-    }
-}
-
-/// The golden images: MiniC kernels plus assembly workloads.
-fn programs() -> Vec<(String, Image)> {
-    let mut out: Vec<(String, Image)> = flexprot::cc::kernels::all()
-        .into_iter()
-        .map(|(name, src)| {
-            let image =
-                flexprot::cc::compile_to_image(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            (name.to_owned(), image)
-        })
-        .collect();
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot::workloads::by_name(name).expect("kernel");
-        out.push((name.to_owned(), workload.image()));
-    }
-    out
-}
-
-fn cells() -> Vec<(&'static str, ProtectionConfig)> {
-    vec![
-        ("none", ProtectionConfig::new()),
-        (
-            "guards d=0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-        ),
-        (
-            "guards d=1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-        ),
-        (
-            "enc program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-        ),
-        (
-            "enc function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-        ),
-        (
-            "enc block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-        ),
-        (
-            "guards+enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-        ),
-    ]
-}
-
 #[test]
 fn every_matrix_cell_gets_a_proof_or_a_reasoned_refusal() {
-    for (name, image) in programs() {
-        for (cell, config) in &cells() {
+    let cells = matrix::cells();
+    for (name, image) in matrix::programs() {
+        for (cell, config) in &cells {
             let label = format!("{name}/{cell}");
             let protected = protect(&image, config, None)
                 .unwrap_or_else(|e| panic!("{label}: protect failed: {e}"));

@@ -5,63 +5,19 @@
 //! from `flexprot::cc::kernels`) are checked against Rust reference
 //! implementations computed in-test,
 //! and three assembly workloads against their recorded reference outputs —
-//! each across {no protection, guards at two densities, encryption at all
-//! three keying granularities, guards+encryption}.
+//! each across the seven cells of the golden protection matrix
+//! ([`flexprot_exec::matrix`]): no protection, guards at two densities,
+//! encryption at all three keying granularities, guards+encryption.
 
-use flexprot::core::{
-    protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig, Selection,
-};
+use flexprot::core::{protect, Selection};
 use flexprot::isa::Image;
 use flexprot::sim::{Outcome, SimConfig};
+use flexprot_exec::matrix;
 
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
-
-/// The configuration grid every kernel is swept over.
-fn grid() -> Vec<(&'static str, ProtectionConfig)> {
-    let guards = |density: f64| GuardConfig {
-        key: GUARD_KEY,
-        ..GuardConfig::with_density(density)
-    };
-    let enc = |granularity: Granularity| EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
-    };
-    vec![
-        ("none", ProtectionConfig::new()),
-        (
-            "guards d=0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-        ),
-        (
-            "guards d=1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-        ),
-        (
-            "enc program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-        ),
-        (
-            "enc function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-        ),
-        (
-            "enc block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-        ),
-        (
-            "guards+enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-        ),
-    ]
-}
-
-/// Runs `image` through every grid cell, asserting output and exit code
-/// match the reference.
+/// Runs `image` through every matrix cell, asserting output and exit
+/// code match the reference.
 fn assert_matrix(name: &str, image: &Image, expected: &str) {
-    for (cell, config) in grid() {
+    for (cell, config) in matrix::cells() {
         let protected = protect(image, &config, None)
             .unwrap_or_else(|e| panic!("{name}/{cell}: protect failed: {e}"));
         let r = protected.run(SimConfig::default());
@@ -173,18 +129,21 @@ fn collatz_matrix() {
 
 #[test]
 fn assembly_workload_matrix() {
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot::workloads::by_name(name).expect("kernel");
-        let image = workload.image();
-        assert_matrix(name, &image, &workload.expected_output());
+    // The MiniC kernels are checked against Rust references above.
+    let kernels = flexprot::cc::kernels::all().map(|(name, _)| name);
+    for (name, image) in matrix::programs() {
+        if !kernels.contains(&name.as_str()) {
+            let workload = flexprot::workloads::by_name(&name).expect("workload");
+            assert_matrix(&name, &image, &workload.expected_output());
+        }
     }
 }
 
-// The grid itself must exercise distinct selections (guard against a
+// The matrix must exercise distinct selections (guard against a
 // refactor collapsing cells into duplicates).
 #[test]
 fn grid_cells_are_distinct() {
-    let cells = grid();
+    let cells = matrix::cells();
     assert_eq!(cells.len(), 7);
     let selections: Vec<String> = cells.iter().map(|(_, c)| format!("{c:?}")).collect();
     for (i, a) in selections.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Acceptance tests for the static tamper-surface analysis.
 //!
-//! Two claims are checked against the same protection-matrix grid the
-//! differential tests sweep:
+//! Two claims are checked, the first over the golden protection matrix
+//! ([`flexprot_exec::matrix`]):
 //!
 //! 1. the coverage analysis *proves* full reachable coverage for every
 //!    fully-protected cell, and *refutes* it with a concrete witness word
@@ -11,10 +11,11 @@
 //!    sweep.
 
 use flexprot::attack::{evaluate, Attack, AttackSummary};
-use flexprot::core::{protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
+use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::isa::Image;
 use flexprot::sim::SimConfig;
 use flexprot::verify::SurfaceMap;
+use flexprot_exec::matrix;
 
 const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
 const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
@@ -24,30 +25,6 @@ fn guards(density: f64) -> GuardConfig {
         key: GUARD_KEY,
         ..GuardConfig::with_density(density)
     }
-}
-
-fn enc(granularity: Granularity) -> EncryptConfig {
-    EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
-    }
-}
-
-/// The golden images: MiniC kernels plus assembly workloads.
-fn programs() -> Vec<(String, Image)> {
-    let mut out: Vec<(String, Image)> = flexprot::cc::kernels::all()
-        .into_iter()
-        .map(|(name, src)| {
-            let image =
-                flexprot::cc::compile_to_image(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            (name.to_owned(), image)
-        })
-        .collect();
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot::workloads::by_name(name).expect("kernel");
-        out.push((name.to_owned(), workload.image()));
-    }
-    out
 }
 
 /// Internal consistency: the entry list is exactly the set of words that
@@ -70,58 +47,33 @@ fn assert_consistent(label: &str, image: &Image, map: &SurfaceMap) {
     }
 }
 
+/// What the analysis must conclude for each matrix cell: a proof of full
+/// reachable coverage (`Some(true)`) or a refutation with a witness
+/// (`Some(false)`). Function/block keying covers what the front end mapped
+/// into regions; whether that is everything depends on the program, so
+/// only the verdict's witness obligation is checked (`None`).
+fn expected_full_coverage(cell: &str) -> Option<bool> {
+    match cell {
+        "none" | "guards-0.25" => Some(false),
+        "guards-1.0" | "enc-program" | "guards-enc" => Some(true),
+        "enc-function" | "enc-block" => None,
+        other => panic!("no coverage expectation for matrix cell `{other}`"),
+    }
+}
+
 #[test]
 fn coverage_is_proved_or_refuted_for_every_matrix_cell() {
-    // `full` records what the analysis must conclude for the cell: a
-    // proof of full reachable coverage, or a refutation with a witness.
-    let cells: Vec<(&str, ProtectionConfig, Option<bool>)> = vec![
-        ("none", ProtectionConfig::new(), Some(false)),
-        (
-            "guards d=0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-            Some(false),
-        ),
-        (
-            "guards d=1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-            Some(true),
-        ),
-        (
-            "enc program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-            Some(true),
-        ),
-        // Function/block keying covers what the front end mapped into
-        // regions; whether that is everything depends on the program, so
-        // only the verdict's witness obligation is checked.
-        (
-            "enc function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-            None,
-        ),
-        (
-            "enc block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-            None,
-        ),
-        (
-            "guards+enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-            Some(true),
-        ),
-    ];
-    for (name, image) in programs() {
-        for (cell, config, full) in &cells {
+    let cells = matrix::cells();
+    for (name, image) in matrix::programs() {
+        for (cell, config) in &cells {
             let label = format!("{name}/{cell}");
             let protected = protect(&image, config, None)
                 .unwrap_or_else(|e| panic!("{label}: protect failed: {e}"));
             let map = protected.surface_map();
             assert_consistent(&label, &protected.image, &map);
             let proved = map.full_reachable_coverage();
-            if let Some(expected) = full {
-                assert_eq!(proved, *expected, "{label}: verdict");
+            if let Some(expected) = expected_full_coverage(cell) {
+                assert_eq!(proved, expected, "{label}: verdict");
             }
             if !proved {
                 // The refutation must carry a concrete witness: a

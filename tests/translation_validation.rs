@@ -1,80 +1,26 @@
 //! Acceptance tests for the translation validator (`verify::equiv`).
 //!
-//! Every cell of the 6-program × 7-configuration protection matrix must
-//! validate with a `Proven` verdict or carry a concrete witness address —
-//! a refusal without a logged reason is a test failure. Injected faults
+//! Every cell of the 6-program × 7-configuration protection matrix
+//! ([`flexprot_exec::matrix`]) must validate with a `Proven` verdict or
+//! carry a concrete witness address — a refusal without a logged reason
+//! is a test failure. Injected faults
 //! (a guard word rewritten to clobber a live register, a skewed cipher
 //! region key) must be caught with witness addresses inside the damaged
 //! range.
 
 use flexprot::core::{protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
-use flexprot::isa::Image;
 use flexprot::secmon::derive_subkey;
 use flexprot::verify::equiv::{self, EquivVerdict};
+use flexprot_exec::matrix;
 
 const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
 const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 
-/// The same 6-program roster as `fpsurface`/`fpnetmap`/`fpequiv`.
-fn programs() -> Vec<(String, Image)> {
-    let mut programs: Vec<(String, Image)> = Vec::new();
-    for (name, source) in flexprot::cc::kernels::all() {
-        let image = flexprot::cc::compile_to_image(source)
-            .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-        programs.push((name.to_owned(), image));
-    }
-    for name in ["rle", "bitcount", "fir"] {
-        let workload = flexprot::workloads::by_name(name).expect("workload");
-        programs.push((name.to_owned(), workload.image()));
-    }
-    programs
-}
-
-/// The 7-cell protection grid of `tests/protection_matrix.rs`.
-fn grid() -> Vec<(&'static str, ProtectionConfig)> {
-    let guards = |density: f64| GuardConfig {
-        key: GUARD_KEY,
-        ..GuardConfig::with_density(density)
-    };
-    let enc = |granularity: Granularity| EncryptConfig {
-        granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
-    };
-    vec![
-        ("none", ProtectionConfig::new()),
-        (
-            "guards d=0.25",
-            ProtectionConfig::new().with_guards(guards(0.25)),
-        ),
-        (
-            "guards d=1.0",
-            ProtectionConfig::new().with_guards(guards(1.0)),
-        ),
-        (
-            "enc program",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Program)),
-        ),
-        (
-            "enc function",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Function)),
-        ),
-        (
-            "enc block",
-            ProtectionConfig::new().with_encryption(enc(Granularity::Block)),
-        ),
-        (
-            "guards+enc",
-            ProtectionConfig::new()
-                .with_guards(guards(1.0))
-                .with_encryption(enc(Granularity::Function)),
-        ),
-    ]
-}
-
 #[test]
 fn every_matrix_cell_is_proven_or_carries_a_witness() {
-    for (name, image) in &programs() {
-        for (cell, config) in &grid() {
+    let cells = matrix::cells();
+    for (name, image) in &matrix::programs() {
+        for (cell, config) in &cells {
             let protected =
                 protect(image, config, None).unwrap_or_else(|e| panic!("{name}/{cell}: {e}"));
             let report = equiv::validate(image, &protected.image, &protected.secmon);
@@ -119,8 +65,9 @@ fn pipeline_matrix_is_fully_proven() {
     // Stronger than the witness-or-proof guarantee: the real protection
     // pipeline emits only inert guard forms and involutive ciphers, so
     // every cell must in fact be Proven with zero refusals.
-    for (name, image) in &programs() {
-        for (cell, config) in &grid() {
+    let cells = matrix::cells();
+    for (name, image) in &matrix::programs() {
+        for (cell, config) in &cells {
             let protected =
                 protect(image, config, None).unwrap_or_else(|e| panic!("{name}/{cell}: {e}"));
             let report = equiv::validate(image, &protected.image, &protected.secmon);
@@ -137,7 +84,7 @@ fn pipeline_matrix_is_fully_proven() {
 
 #[test]
 fn injected_guard_clobber_is_caught_with_witness() {
-    let (name, image) = &programs()[0];
+    let (name, image) = &matrix::programs()[0];
     let config = ProtectionConfig::new().with_guards(GuardConfig {
         key: GUARD_KEY,
         ..GuardConfig::with_density(1.0)
@@ -182,7 +129,7 @@ fn injected_guard_clobber_is_caught_with_witness() {
 
 #[test]
 fn injected_cipher_key_skew_is_caught_with_witness() {
-    let (name, image) = &programs()[0];
+    let (name, image) = &matrix::programs()[0];
     let config = ProtectionConfig::new().with_encryption(EncryptConfig {
         granularity: Granularity::Function,
         ..EncryptConfig::whole_program(ENC_KEY)
