@@ -5,13 +5,20 @@
 //!
 //! Options:
 //!   --quick           reduced workloads/trials (CI smoke run)
-//!   --only <ID>       run a single experiment (T1..T6, T9, T10, T12, T13, F1..F6)
+//!   --only <ID>       print and write a single table (T1..T6, T9, T10, T12, T13, F1..F6)
 //!   --jobs <N>        worker threads (default: FLEXPROT_JOBS or CPU count)
 //!   --csv <DIR>       write one CSV per table into DIR (default: results)
 //!   --no-csv          skip CSV output
 //!   --metrics <PATH>  write the engine's aggregate metrics JSON to PATH
-//!   --timings <PATH>  write per-table wall time (CSV: table,seconds) to PATH
+//!   --timings <PATH>  write per-runner wall time (CSV: table,seconds) to PATH
 //! ```
+//!
+//! The experiments come from the [`flexprot_bench::EXPERIMENTS`] registry.
+//! Tables projected from one campaign share a runner (T3 and T9 read one
+//! attack campaign, T12 and T13 one cross-check campaign), so `--only T9`
+//! runs the whole T3 campaign but prints and writes only T9, and
+//! `--timings` records a shared runner once under its joined ids
+//! (`T3+T9`).
 //!
 //! Tables go to stdout; timing and engine summaries go to stderr, so
 //! stdout is diff-clean across `--jobs` values (the engine guarantees
@@ -21,69 +28,45 @@
 //! the deterministic table output that CI diffs.
 
 use std::io::Write;
+use std::str::FromStr;
 
-use flexprot_bench::{Params, Table};
+use flexprot_bench::{Params, EXPERIMENTS};
 use flexprot_exec::Engine;
 
+/// Parses the value following `option`; a missing or malformed value is a
+/// usage error (exit 2).
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, option: &str, what: &str) -> T {
+    match args.next().map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{option} requires {what}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut quick = false;
     let mut only: Option<String> = None;
     let mut csv_dir: Option<String> = Some("results".to_owned());
     let mut jobs: Option<usize> = None;
     let mut metrics_path: Option<String> = None;
     let mut timings_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => quick = true,
-            "--only" => {
-                i += 1;
-                only = args.get(i).cloned();
-                if only.is_none() {
-                    eprintln!("--only requires an experiment id");
-                    std::process::exit(2);
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args.get(i).and_then(|v| v.parse().ok());
-                if jobs.is_none() {
-                    eprintln!("--jobs requires a worker count");
-                    std::process::exit(2);
-                }
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = args.get(i).cloned();
-                if csv_dir.is_none() {
-                    eprintln!("--csv requires a directory");
-                    std::process::exit(2);
-                }
-            }
+            "--only" => only = Some(value(&mut args, &arg, "an experiment id")),
+            "--jobs" => jobs = Some(value(&mut args, &arg, "a worker count")),
+            "--csv" => csv_dir = Some(value(&mut args, &arg, "a directory")),
             "--no-csv" => csv_dir = None,
-            "--metrics" => {
-                i += 1;
-                metrics_path = args.get(i).cloned();
-                if metrics_path.is_none() {
-                    eprintln!("--metrics requires a path");
-                    std::process::exit(2);
-                }
-            }
-            "--timings" => {
-                i += 1;
-                timings_path = args.get(i).cloned();
-                if timings_path.is_none() {
-                    eprintln!("--timings requires a path");
-                    std::process::exit(2);
-                }
-            }
+            "--metrics" => metrics_path = Some(value(&mut args, &arg, "a path")),
+            "--timings" => timings_path = Some(value(&mut args, &arg, "a path")),
             other => {
                 eprintln!("unknown option `{other}`");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
 
     let params = Params { quick };
@@ -91,44 +74,30 @@ fn main() {
         Some(n) => Engine::new(n),
         None => Engine::with_default_jobs(),
     };
-    type Runner = fn(&Params, &Engine) -> Table;
-    let experiments: Vec<(&str, Runner)> = vec![
-        ("T1", flexprot_bench::t1_characterize as Runner),
-        ("T2", flexprot_bench::t2_size_overhead),
-        ("F1", flexprot_bench::f1_guard_density),
-        ("F2", flexprot_bench::f2_decrypt_latency),
-        ("F3", flexprot_bench::f3_icache_sweep),
-        ("T3", flexprot_bench::t3_detection),
-        ("F4", flexprot_bench::f4_pareto),
-        ("T4", flexprot_bench::t4_placement),
-        ("F5", flexprot_bench::f5_estimator),
-        ("T5", flexprot_bench::t5_diversity),
-        ("T6", flexprot_bench::t6_stealth),
-        ("F6", flexprot_bench::f6_latency),
-        ("T9", flexprot_bench::t9_static_oracle),
-        ("T10", flexprot_bench::t10_guardnet),
-        ("T12", flexprot_bench::t12_crosscheck),
-        ("T13", flexprot_bench::t13_refusal_reasons),
-    ];
+    let wanted = |id: &str| {
+        only.as_ref()
+            .is_none_or(|filter| filter.eq_ignore_ascii_case(id))
+    };
 
     let wall = std::time::Instant::now();
     let mut timings: Vec<(String, f64)> = Vec::new();
-    for (id, run) in experiments {
-        if let Some(ref filter) = only {
-            if !filter.eq_ignore_ascii_case(id) {
-                continue;
-            }
+    for (ids, runner) in EXPERIMENTS {
+        if !ids.iter().any(|id| wanted(id)) {
+            continue;
         }
         let start = std::time::Instant::now();
-        let table = run(&params, &engine);
+        let tables = runner.run(&params, &engine);
         let secs = start.elapsed().as_secs_f64();
-        println!("{table}");
-        eprintln!("({id} finished in {secs:.1}s)");
-        timings.push((id.to_owned(), secs));
-        if let Some(ref dir) = csv_dir {
-            let path = table.save_csv(dir).expect("write csv");
-            eprintln!("wrote {}", path.display());
+        let label = ids.join("+");
+        for table in tables.iter().filter(|table| wanted(table.id)) {
+            println!("{table}");
+            if let Some(ref dir) = csv_dir {
+                let path = table.save_csv(dir).expect("write csv");
+                eprintln!("wrote {}", path.display());
+            }
         }
+        eprintln!("({label} finished in {secs:.1}s)");
+        timings.push((label, secs));
     }
 
     let stats = engine.cache().stats();

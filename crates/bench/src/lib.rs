@@ -1,8 +1,10 @@
 //! Experiment runners for every table and figure of the evaluation.
 //!
-//! Each `tN_*`/`fN_*` function regenerates one artifact of the
-//! reconstructed DATE-2004 evaluation (see `DESIGN.md` for the index and
-//! `EXPERIMENTS.md` for recorded results):
+//! Each `tN_*`/`fN_*` runner regenerates one artifact of the
+//! reconstructed DATE-2004 evaluation, or two artifacts projected from one
+//! shared campaign (`t3_t9_*`, `t12_t13_*`); [`EXPERIMENTS`] registers
+//! them all (see `DESIGN.md` for the index and `EXPERIMENTS.md` for
+//! recorded results):
 //!
 //! | id | artifact |
 //! |----|----------|
@@ -41,7 +43,7 @@ use flexprot_attack::{Attack, AttackSummary};
 use flexprot_core::{
     optimize, EncryptConfig, GuardConfig, OptimizerConfig, Placement, ProtectionConfig, Selection,
 };
-use flexprot_exec::{AttackSpec, Engine, Job};
+use flexprot_exec::{AttackSpec, Engine, Job, JobCtx};
 use flexprot_secmon::DecryptModel;
 use flexprot_sim::{CacheConfig, SimConfig};
 use flexprot_workloads::Workload;
@@ -155,15 +157,41 @@ pub fn t1_characterize(params: &Params, engine: &Engine) -> Table {
             format!("{:.3}", b.run.stats.dcache_miss_rate() * 100.0),
         ]
     });
-    for row in rows {
-        table.push(row);
-    }
+    table.extend(rows);
     table
+}
+
+/// Runs the `workloads × axis` grid, one engine job per cell in
+/// workload-major order, and returns each workload with its cells in axis
+/// order.
+fn workload_grid<A, T: Send>(
+    params: &Params,
+    engine: &Engine,
+    axis: &[A],
+    job: impl Fn(Workload, &A) -> Job,
+    cell: impl Fn(&mut JobCtx<'_>, &Job) -> T + Sync,
+) -> Vec<(Workload, Vec<T>)> {
+    let workloads = params.workloads();
+    let jobs: Vec<Job> = workloads
+        .iter()
+        .flat_map(|&w| axis.iter().map(move |a| (w, a)))
+        .map(|(w, a)| job(w, a))
+        .collect();
+    let mut cells = engine.run_jobs(&jobs, cell).into_iter();
+    let mut chunk = || cells.by_ref().take(axis.len()).collect();
+    workloads.into_iter().map(|w| (w, chunk())).collect()
+}
+
+/// Flattens a workload's cells so every cell's first `lead` columns come
+/// first, in axis order, and the appended breakdown columns after them.
+fn lead_then_rest<const N: usize>(cells: &[[String; N]], lead: usize) -> Vec<String> {
+    let leads = cells.iter().flat_map(|c| &c[..lead]);
+    let rest = cells.iter().flat_map(|c| &c[lead..]);
+    leads.chain(rest).cloned().collect()
 }
 
 /// T2 — static code-size overhead vs guard density.
 pub fn t2_size_overhead(params: &Params, engine: &Engine) -> Table {
-    let workloads = params.workloads();
     let densities = params.densities();
     let mut headers = vec!["workload".to_owned(), "words".to_owned()];
     for d in &densities {
@@ -174,29 +202,30 @@ pub fn t2_size_overhead(params: &Params, engine: &Engine) -> Table {
         "Static code-size overhead (%) vs guard density",
         headers,
     );
-    let mut jobs = Vec::new();
-    for &w in &workloads {
-        for &d in &densities {
-            let config = ProtectionConfig::new().with_guards(guard_config(d, Placement::Uniform));
-            jobs.push(Job::new(w, config));
-        }
-    }
-    let cells = engine.run_jobs(&jobs, |ctx, job| {
-        let protected = ctx.protected(job).expect("protect");
-        fmt_pct(protected.report.size_overhead_fraction() * 100.0)
-    });
-    for (w, chunk) in workloads.iter().zip(cells.chunks(densities.len())) {
-        let words = engine.cache().image(w).text.len();
-        let mut row = vec![w.name.to_owned(), words.to_string()];
-        row.extend(chunk.iter().cloned());
-        table.push(row);
+    let grid = workload_grid(
+        params,
+        engine,
+        &densities,
+        |w, &d| {
+            Job::new(
+                w,
+                ProtectionConfig::new().with_guards(guard_config(d, Placement::Uniform)),
+            )
+        },
+        |ctx, job| {
+            let protected = ctx.protected(job).expect("protect");
+            fmt_pct(protected.report.size_overhead_fraction() * 100.0)
+        },
+    );
+    for (w, cells) in grid {
+        let words = engine.cache().image(&w).text.len();
+        table.push([vec![w.name.to_owned(), words.to_string()], cells].concat());
     }
     table
 }
 
 /// F1 — runtime overhead vs guard density.
 pub fn f1_guard_density(params: &Params, engine: &Engine) -> Table {
-    let workloads = params.workloads();
     let densities = params.densities();
     let mut headers = vec!["workload".to_owned()];
     for d in &densities {
@@ -207,25 +236,24 @@ pub fn f1_guard_density(params: &Params, engine: &Engine) -> Table {
         "Runtime overhead (%) vs guard density (guards only, uniform placement)",
         headers,
     );
-    let mut jobs = Vec::new();
-    for &w in &workloads {
-        for &d in &densities {
+    let grid = workload_grid(
+        params,
+        engine,
+        &densities,
+        |w, &d| {
             let config = ProtectionConfig::new().with_guards(guard_config(d, Placement::Uniform));
-            jobs.push(Job::new(w, config).profiled());
-        }
-    }
-    let cells = engine.run_jobs(&jobs, |ctx, job| fmt_pct(ctx.run_cell(job).overhead_pct()));
-    for (w, chunk) in workloads.iter().zip(cells.chunks(densities.len())) {
-        let mut row = vec![w.name.to_owned()];
-        row.extend(chunk.iter().cloned());
-        table.push(row);
+            Job::new(w, config).profiled()
+        },
+        |ctx, job| fmt_pct(ctx.run_cell(job).overhead_pct()),
+    );
+    for (w, cells) in grid {
+        table.push([vec![w.name.to_owned()], cells].concat());
     }
     table
 }
 
 /// F2 — runtime overhead vs decrypt latency (whole-program encryption).
 pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
-    let workloads = params.workloads();
     let cpws: &[u64] = if params.quick {
         &[2, 8]
     } else {
@@ -255,9 +283,11 @@ pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
         "Runtime overhead (%) vs decrypt cycles/word (whole-program encryption)",
         headers,
     );
-    let mut jobs = Vec::new();
-    for &w in &workloads {
-        for &(cpw, pipelined) in &specs {
+    let grid = workload_grid(
+        params,
+        engine,
+        &specs,
+        |w, &(cpw, pipelined)| {
             let model = DecryptModel {
                 cycles_per_word: cpw,
                 startup: 4,
@@ -267,35 +297,26 @@ pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
                 model,
                 ..EncryptConfig::whole_program(ENC_KEY)
             };
-            jobs.push(Job::new(w, ProtectionConfig::new().with_encryption(enc)));
-        }
-    }
-    let cells = engine.run_jobs(&jobs, |ctx, job| {
-        let cell = ctx.run_cell(job);
-        let base = cell.baseline.run.stats.cycles as f64;
-        (
-            fmt_pct(cell.overhead_pct()),
-            fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
-            fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
-        )
-    });
-    for (w, chunk) in workloads.iter().zip(cells.chunks(specs.len())) {
-        let mut row = vec![w.name.to_owned()];
-        for (overhead, _, _) in chunk {
-            row.push(overhead.clone());
-        }
-        for (_, dstall, miss) in chunk {
-            row.push(dstall.clone());
-            row.push(miss.clone());
-        }
-        table.push(row);
+            Job::new(w, ProtectionConfig::new().with_encryption(enc))
+        },
+        |ctx, job| {
+            let cell = ctx.run_cell(job);
+            let base = cell.baseline.run.stats.cycles as f64;
+            [
+                fmt_pct(cell.overhead_pct()),
+                fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
+                fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
+            ]
+        },
+    );
+    for (w, cells) in grid {
+        table.push([vec![w.name.to_owned()], lead_then_rest(&cells, 1)].concat());
     }
     table
 }
 
 /// F3 — runtime overhead of encryption vs I-cache size.
 pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
-    let workloads = params.workloads();
     let sizes: &[u32] = if params.quick {
         &[256, 4096]
     } else {
@@ -317,9 +338,11 @@ pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
         headers,
     );
     let config = ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(ENC_KEY));
-    let mut jobs = Vec::new();
-    for &w in &workloads {
-        for &size in sizes {
+    let grid = workload_grid(
+        params,
+        engine,
+        sizes,
+        |w, &size| {
             let sim = SimConfig {
                 icache: CacheConfig {
                     size_bytes: size,
@@ -328,30 +351,21 @@ pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
                 },
                 ..SimConfig::default()
             };
-            jobs.push(Job::new(w, config.clone()).with_sim(sim));
-        }
-    }
-    let cells = engine.run_jobs(&jobs, |ctx, job| {
-        let cell = ctx.run_cell(job);
-        let base = cell.baseline.run.stats.cycles as f64;
-        (
-            fmt_pct(cell.overhead_pct()),
-            format!("{:.3}", cell.baseline.run.stats.icache_miss_rate() * 100.0),
-            fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
-            fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
-        )
-    });
-    for (w, chunk) in workloads.iter().zip(cells.chunks(sizes.len())) {
-        let mut row = vec![w.name.to_owned()];
-        for (overhead, miss_rate, _, _) in chunk {
-            row.push(overhead.clone());
-            row.push(miss_rate.clone());
-        }
-        for (_, _, dstall, fill) in chunk {
-            row.push(dstall.clone());
-            row.push(fill.clone());
-        }
-        table.push(row);
+            Job::new(w, config.clone()).with_sim(sim)
+        },
+        |ctx, job| {
+            let cell = ctx.run_cell(job);
+            let base = cell.baseline.run.stats.cycles as f64;
+            [
+                fmt_pct(cell.overhead_pct()),
+                format!("{:.3}", cell.baseline.run.stats.icache_miss_rate() * 100.0),
+                fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
+                fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
+            ]
+        },
+    );
+    for (w, cells) in grid {
+        table.push([vec![w.name.to_owned()], lead_then_rest(&cells, 2)].concat());
     }
     table
 }
@@ -377,10 +391,27 @@ pub fn t3_configs() -> Vec<(&'static str, ProtectionConfig)> {
     ]
 }
 
-/// T3 — tamper-detection coverage matrix.
-pub fn t3_detection(params: &Params, engine: &Engine) -> Table {
+/// Merges per-workload attack summaries into one aggregate.
+fn merged(summaries: &[AttackSummary]) -> AttackSummary {
+    let mut agg = AttackSummary::default();
+    for summary in summaries {
+        agg.merge(summary);
+    }
+    agg
+}
+
+/// T3 and T9 — one attack campaign over the T3 grid, projected twice.
+///
+/// T3 is the tamper-detection coverage matrix. T9 scores the static
+/// oracle: the harness already scores every applied trial against the
+/// [`flexprot_attack::StaticOracle`] built from the protected image's
+/// surface map, so T9 only aggregates the confusion matrices. A trial
+/// counts when its dynamic outcome is effective (not benign/inapplicable):
+/// positive = the stack caught it (detected or faulted), predicted
+/// positive = the oracle said it would.
+pub fn t3_t9_attack_matrix(params: &Params, engine: &Engine) -> [Table; 2] {
     let attack_workloads = params.attack_workloads();
-    let mut table = Table::new(
+    let mut t3 = Table::new(
         "T3",
         "Tamper-detection coverage (aggregated over attack workloads)",
         &[
@@ -394,6 +425,21 @@ pub fn t3_detection(params: &Params, engine: &Engine) -> Table {
             "det-rate%",
             "atk-success%",
             "mean-latency",
+        ],
+    );
+    let mut t9 = Table::new(
+        "T9",
+        "Static tamper-surface oracle vs dynamic ground truth",
+        &[
+            "config",
+            "attack",
+            "effective",
+            "tp",
+            "fp",
+            "fn",
+            "tn",
+            "precision",
+            "recall",
         ],
     );
     let mut labels = Vec::new();
@@ -414,11 +460,8 @@ pub fn t3_detection(params: &Params, engine: &Engine) -> Table {
     for ((config_name, attack), chunk) in
         labels.iter().zip(summaries.chunks(attack_workloads.len()))
     {
-        let mut agg = AttackSummary::default();
-        for summary in chunk {
-            agg.merge(summary);
-        }
-        table.push(vec![
+        let agg = merged(chunk);
+        t3.push(vec![
             (*config_name).to_owned(),
             attack.name().to_owned(),
             agg.applied.to_string(),
@@ -431,8 +474,19 @@ pub fn t3_detection(params: &Params, engine: &Engine) -> Table {
             agg.mean_latency()
                 .map_or_else(|| "-".to_owned(), |l| format!("{l:.0}")),
         ]);
+        t9.push(vec![
+            (*config_name).to_owned(),
+            attack.name().to_owned(),
+            agg.oracle_trials().to_string(),
+            agg.oracle_true_pos.to_string(),
+            agg.oracle_false_pos.to_string(),
+            agg.oracle_false_neg.to_string(),
+            agg.oracle_true_neg.to_string(),
+            format!("{:.3}", agg.oracle_precision()),
+            format!("{:.3}", agg.oracle_recall()),
+        ]);
     }
-    table
+    [t3, t9]
 }
 
 /// F4 — the flexibility Pareto frontier: coverage vs overhead budget.
@@ -493,15 +547,12 @@ pub fn f4_pareto(params: &Params, engine: &Engine) -> Table {
             enc_fns.to_string(),
         ]
     });
-    for row in rows {
-        table.push(row);
-    }
+    table.extend(rows);
     table
 }
 
 /// T4 — placement-policy ablation at matched density.
 pub fn t4_placement(params: &Params, engine: &Engine) -> Table {
-    let workloads = params.workloads();
     let density = 0.3;
     let policies = [
         ("uniform", Placement::Uniform),
@@ -518,18 +569,18 @@ pub fn t4_placement(params: &Params, engine: &Engine) -> Table {
         "Runtime overhead (%) by placement policy (density 0.3)",
         headers,
     );
-    let mut jobs = Vec::new();
-    for &w in &workloads {
-        for (_, placement) in policies {
+    let grid = workload_grid(
+        params,
+        engine,
+        &policies,
+        |w, &(_, placement)| {
             let config = ProtectionConfig::new().with_guards(guard_config(density, placement));
-            jobs.push(Job::new(w, config).profiled());
-        }
-    }
-    let cells = engine.run_jobs(&jobs, |ctx, job| fmt_pct(ctx.run_cell(job).overhead_pct()));
-    for (w, chunk) in workloads.iter().zip(cells.chunks(policies.len())) {
-        let mut row = vec![w.name.to_owned()];
-        row.extend(chunk.iter().cloned());
-        table.push(row);
+            Job::new(w, config).profiled()
+        },
+        |ctx, job| fmt_pct(ctx.run_cell(job).overhead_pct()),
+    );
+    for (w, cells) in grid {
+        table.push([vec![w.name.to_owned()], cells].concat());
     }
     table
 }
@@ -598,9 +649,7 @@ pub fn f5_estimator(params: &Params, engine: &Engine) -> Table {
             fmt_pct((est_pct - meas_pct).abs()),
         ]
     });
-    for row in rows {
-        table.push(row);
-    }
+    table.extend(rows);
     table
 }
 
@@ -647,9 +696,7 @@ pub fn t5_diversity(params: &Params, engine: &Engine) -> Table {
             fmt_pct(diversity(&c1.image, &c2.image) * 100.0),
         ]
     });
-    for row in rows {
-        table.push(row);
-    }
+    table.extend(rows);
     table
 }
 
@@ -694,9 +741,7 @@ pub fn t6_stealth(params: &Params, engine: &Engine) -> Table {
             })
             .collect::<Vec<_>>()
     });
-    for row in rows.into_iter().flatten() {
-        table.push(row);
-    }
+    table.extend(rows.into_iter().flatten());
     table
 }
 
@@ -724,10 +769,7 @@ pub fn f6_latency(params: &Params, engine: &Engine) -> Table {
         .into_iter()
         .zip(summaries.chunks(attack_workloads.len()))
     {
-        let mut agg = AttackSummary::default();
-        for summary in chunk {
-            agg.merge(summary);
-        }
+        let agg = merged(chunk);
         let q = |v: f64| {
             agg.latency_quantile(v)
                 .map_or_else(|| "-".to_owned(), |x| x.to_string())
@@ -746,69 +788,6 @@ pub fn f6_latency(params: &Params, engine: &Engine) -> Table {
     table
 }
 
-/// T9 — static-oracle accuracy: the verifier's tamper-surface map as a
-/// predictor of dynamic detection.
-///
-/// Reuses the T3 attack grid; the harness already scores every applied
-/// trial against the [`flexprot_attack::StaticOracle`] built from the
-/// protected image's surface map, so this table only aggregates the
-/// confusion matrices. A trial counts when its dynamic outcome is
-/// effective (not benign/inapplicable): positive = the stack caught it
-/// (detected or faulted), predicted positive = the oracle said it would.
-pub fn t9_static_oracle(params: &Params, engine: &Engine) -> Table {
-    let attack_workloads = params.attack_workloads();
-    let mut table = Table::new(
-        "T9",
-        "Static tamper-surface oracle vs dynamic ground truth",
-        &[
-            "config",
-            "attack",
-            "effective",
-            "tp",
-            "fp",
-            "fn",
-            "tn",
-            "precision",
-            "recall",
-        ],
-    );
-    let mut labels = Vec::new();
-    let mut jobs = Vec::new();
-    for (config_name, config) in t3_configs() {
-        for attack in Attack::all() {
-            labels.push((config_name, attack));
-            for &w in &attack_workloads {
-                jobs.push(Job::new(w, config.clone()).with_attack(AttackSpec {
-                    attack,
-                    trials: params.trials(),
-                    seed: 0xA77A_C4E5,
-                }));
-            }
-        }
-    }
-    let summaries = engine.run_jobs(&jobs, |ctx, job| ctx.attack_cell(job));
-    for ((config_name, attack), chunk) in
-        labels.iter().zip(summaries.chunks(attack_workloads.len()))
-    {
-        let mut agg = AttackSummary::default();
-        for summary in chunk {
-            agg.merge(summary);
-        }
-        table.push(vec![
-            (*config_name).to_owned(),
-            attack.name().to_owned(),
-            agg.oracle_trials().to_string(),
-            agg.oracle_true_pos.to_string(),
-            agg.oracle_false_pos.to_string(),
-            agg.oracle_false_neg.to_string(),
-            agg.oracle_true_neg.to_string(),
-            format!("{:.3}", agg.oracle_precision()),
-            format!("{:.3}", agg.oracle_recall()),
-        ]);
-    }
-    table
-}
-
 /// T10 — what the guard-network analysis buys the attacker.
 ///
 /// For each attack workload and guard density, runs the plan-driven
@@ -816,10 +795,10 @@ pub fn t9_static_oracle(params: &Params, engine: &Engine) -> Table {
 /// [`flexprot_attack::StaticOracle::target_plan`]: cheapest defeat
 /// closures first) against the uniformly random single-word baseline
 /// with the same edit budget, next to the network shape that explains
-/// the gap (sound guards, edges, minimum vertex cut). Both attackers
-/// are deterministic given the seed, so the table is byte-identical
-/// whatever the worker count.
-pub fn t10_guardnet(params: &Params, _engine: &Engine) -> Table {
+/// the gap (sound guards, edges, minimum vertex cut). The cells fan out
+/// over the engine's worker pool; both attackers are deterministic given
+/// the seed, so the table is byte-identical whatever the worker count.
+pub fn t10_guardnet(params: &Params, engine: &Engine) -> Table {
     let mut table = Table::new(
         "T10",
         "Guard-network targeted attack vs random single-word baseline",
@@ -840,60 +819,73 @@ pub fn t10_guardnet(params: &Params, _engine: &Engine) -> Table {
         max_instructions: 2_000_000,
         ..SimConfig::default()
     };
+    let mut cells = Vec::new();
     for w in params.attack_workloads() {
-        let expected = w.expected_output();
         for density in [0.25, 1.0] {
             let config =
                 ProtectionConfig::new().with_guards(guard_config(density, Placement::Uniform));
-            let protected = flexprot_core::protect(&w.image(), &config, None).expect("protect");
-            let v = flexprot_verify::analyze(
-                &protected.image,
-                &protected.secmon,
-                &flexprot_verify::LintPolicy::default(),
-            );
-            let targeted = flexprot_attack::evaluate_targeted(&protected, &expected, trials, &sim);
-            let random = flexprot_attack::evaluate_random_nop(
-                &protected,
-                &expected,
-                trials,
-                0xA77A_C4E5,
-                &sim,
-            );
-            table.push(vec![
-                w.name.to_owned(),
-                format!("{density}"),
-                v.guardnet.nodes.len().to_string(),
-                v.guardnet.sound_count().to_string(),
-                v.guardnet.edges.to_string(),
-                v.guardnet
-                    .min_cut
-                    .as_ref()
-                    .map_or_else(|| "none".to_owned(), |cut| cut.len().to_string()),
-                trials.to_string(),
-                format!("{:.3}", targeted.attacker_success_rate()),
-                format!("{:.3}", random.attacker_success_rate()),
-            ]);
+            cells.push((density, Job::new(w, config)));
         }
     }
+    let rows = engine.run_jobs(&cells, |ctx, (density, job)| {
+        let protected = ctx.protected(job).expect("protect");
+        let expected = job.workload.expected_output();
+        let net = flexprot_verify::analyze(
+            &protected.image,
+            &protected.secmon,
+            &flexprot_verify::LintPolicy::default(),
+        )
+        .guardnet;
+        let targeted = flexprot_attack::evaluate_targeted(&protected, &expected, trials, &sim);
+        let random =
+            flexprot_attack::evaluate_random_nop(&protected, &expected, trials, 0xA77A_C4E5, &sim);
+        vec![
+            job.workload.name.to_owned(),
+            format!("{density}"),
+            net.nodes.len().to_string(),
+            net.sound_count().to_string(),
+            net.edges.to_string(),
+            net.min_cut
+                .as_ref()
+                .map_or_else(|| "none".to_owned(), |cut| cut.len().to_string()),
+            trials.to_string(),
+            format!("{:.3}", targeted.attacker_success_rate()),
+            format!("{:.3}", random.attacker_success_rate()),
+        ]
+    });
+    table.extend(rows);
     table
 }
 
-/// T12 — translation validator vs static oracle cross-check.
+/// T12 and T13 — one translation-validator mutation campaign, projected
+/// twice.
 ///
-/// For each attack workload and T3 protection config, runs a
+/// For each T3 protection config and attack workload, runs a
 /// deterministic single-word mutation campaign
 /// ([`flexprot_attack::cross_check`]) and scores every mutated image
 /// against both independent analyses: the translation validator's
 /// semantic verdict (proven / inequivalent / refused) and the static
-/// oracle's detection prediction. The two must mesh — an edit the
+/// oracle's detection prediction. The cells fan out over the engine's
+/// worker pool and both tables are byte-identical whatever the worker
+/// count.
+///
+/// T12 is the cross-check. The two analyses must mesh — an edit the
 /// validator proves inequivalent is either an oracle-predicted detection
 /// (`caught`) or lands on the tamper surface the oracle already reports
 /// (`known_gap`); the `unexplained` column counts disagreements off the
-/// surface and must be zero everywhere. The cells fan out over the
-/// engine's worker pool and the table is byte-identical whatever the
-/// worker count.
-pub fn t12_crosscheck(params: &Params, engine: &Engine) -> Table {
-    let mut table = Table::new(
+/// surface and must be zero everywhere.
+///
+/// T13 attributes the campaign's refusals: every `Refused` verdict the
+/// memory-sensitive validator still returns maps to exactly one stable
+/// [`flexprot_verify::RefusalReason`] code, so `refused` must equal the
+/// sum of the three reason columns in every row (the `unattributed`
+/// column pins that difference at zero). The `proven` column counts
+/// mutations the sharper domain proves outright (semantically transparent
+/// edits, e.g. resigned guard words), which is the precision the alias
+/// analysis buys: under the store-blind domain these were blanket
+/// refusals.
+pub fn t12_t13_crosscheck(params: &Params, engine: &Engine) -> [Table; 2] {
+    let mut t12 = Table::new(
         "T12",
         "Translation validator vs static oracle cross-check",
         &[
@@ -910,51 +902,7 @@ pub fn t12_crosscheck(params: &Params, engine: &Engine) -> Table {
             "unexplained",
         ],
     );
-    let trials = params.trials() * 4;
-    let mut jobs = Vec::new();
-    for (config_name, config) in t3_configs() {
-        for &w in &params.attack_workloads() {
-            jobs.push((config_name, w, config.clone()));
-        }
-    }
-    let summaries = engine.run_jobs(&jobs, |_ctx, (_, w, config)| {
-        let base = w.image();
-        let protected = flexprot_core::protect(&base, config, None).expect("protect");
-        let mut rng = flexprot_isa::Rng64::new(0xC405_5EED);
-        flexprot_attack::cross_check(&base, &protected, trials, &mut rng)
-    });
-    for ((config_name, w, _), s) in jobs.iter().zip(&summaries) {
-        table.push(vec![
-            (*config_name).to_owned(),
-            w.name.to_owned(),
-            s.trials.to_string(),
-            s.inequivalent.to_string(),
-            s.refused.to_string(),
-            s.predicted.to_string(),
-            s.caught_damage.to_string(),
-            s.known_gaps.to_string(),
-            s.harmless_caught.to_string(),
-            s.benign.to_string(),
-            s.unexplained.to_string(),
-        ]);
-    }
-    table
-}
-
-/// T13 — validator refusal attribution by typed reason.
-///
-/// Re-scores the T12 mutation campaign through the refusal lens: every
-/// `Refused` verdict the memory-sensitive validator still returns is
-/// attributed to exactly one stable [`flexprot_verify::RefusalReason`]
-/// code, so the table proves there are no unexplained refusals left —
-/// `refused` must equal the sum of the three reason columns in every row
-/// (the `unattributed` column pins that difference at zero). The `proven`
-/// column counts mutations the sharper domain proves outright
-/// (semantically transparent edits, e.g. resigned guard words), which is
-/// the precision the alias analysis buys: under the store-blind domain
-/// these were blanket refusals.
-pub fn t13_refusal_reasons(params: &Params, engine: &Engine) -> Table {
-    let mut table = Table::new(
+    let mut t13 = Table::new(
         "T13",
         "Validator refusal attribution by typed reason",
         &[
@@ -973,21 +921,35 @@ pub fn t13_refusal_reasons(params: &Params, engine: &Engine) -> Table {
     let trials = params.trials() * 4;
     let mut jobs = Vec::new();
     for (config_name, config) in t3_configs() {
-        for &w in &params.attack_workloads() {
-            jobs.push((config_name, w, config.clone()));
+        for w in params.attack_workloads() {
+            jobs.push((config_name, Job::new(w, config.clone())));
         }
     }
-    let summaries = engine.run_jobs(&jobs, |_ctx, (_, w, config)| {
-        let base = w.image();
-        let protected = flexprot_core::protect(&base, config, None).expect("protect");
+    let summaries = engine.run_jobs(&jobs, |ctx, (_, job)| {
+        let base = ctx.cache().image(&job.workload);
+        let protected = ctx.protected(job).expect("protect");
         let mut rng = flexprot_isa::Rng64::new(0xC405_5EED);
         flexprot_attack::cross_check(&base, &protected, trials, &mut rng)
     });
-    for ((config_name, w, _), s) in jobs.iter().zip(&summaries) {
+    for ((config_name, job), s) in jobs.iter().zip(&summaries) {
+        let (config_name, workload) = ((*config_name).to_owned(), job.workload.name.to_owned());
+        t12.push(vec![
+            config_name.clone(),
+            workload.clone(),
+            s.trials.to_string(),
+            s.inequivalent.to_string(),
+            s.refused.to_string(),
+            s.predicted.to_string(),
+            s.caught_damage.to_string(),
+            s.known_gaps.to_string(),
+            s.harmless_caught.to_string(),
+            s.benign.to_string(),
+            s.unexplained.to_string(),
+        ]);
         let attributed = s.refused_store_writes + s.refused_may_alias + s.refused_branch;
-        table.push(vec![
-            (*config_name).to_owned(),
-            w.name.to_owned(),
+        t13.push(vec![
+            config_name,
+            workload,
             s.trials.to_string(),
             (s.trials - s.inequivalent - s.refused).to_string(),
             s.inequivalent.to_string(),
@@ -998,31 +960,48 @@ pub fn t13_refusal_reasons(params: &Params, engine: &Engine) -> Table {
             (s.refused - attributed).to_string(),
         ]);
     }
-    table
+    [t12, t13]
 }
 
-/// Runs every experiment in order over a shared engine (artifacts built by
-/// one experiment are reused by the next).
-pub fn run_all(params: &Params, engine: &Engine) -> Vec<Table> {
-    vec![
-        t1_characterize(params, engine),
-        t2_size_overhead(params, engine),
-        f1_guard_density(params, engine),
-        f2_decrypt_latency(params, engine),
-        f3_icache_sweep(params, engine),
-        t3_detection(params, engine),
-        f4_pareto(params, engine),
-        t4_placement(params, engine),
-        f5_estimator(params, engine),
-        t5_diversity(params, engine),
-        t6_stealth(params, engine),
-        f6_latency(params, engine),
-        t9_static_oracle(params, engine),
-        t10_guardnet(params, engine),
-        t12_crosscheck(params, engine),
-        t13_refusal_reasons(params, engine),
-    ]
+/// How a registry entry builds its tables.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// One table from its own grid.
+    One(fn(&Params, &Engine) -> Table),
+    /// Two tables projected from one shared campaign.
+    Two(fn(&Params, &Engine) -> [Table; 2]),
 }
+
+impl Runner {
+    /// Runs the experiment and returns its tables in registry-id order.
+    pub fn run(self, params: &Params, engine: &Engine) -> Vec<Table> {
+        match self {
+            Runner::One(run) => vec![run(params, engine)],
+            Runner::Two(run) => run(params, engine).into(),
+        }
+    }
+}
+
+/// Every experiment in print order, tagged with the ids of the tables its
+/// runner returns. Tables projected from one campaign share an entry, so
+/// the campaign runs once; all runners share one engine, so artifacts
+/// built by one experiment are reused by the next.
+pub const EXPERIMENTS: [(&[&str], Runner); 14] = [
+    (&["T1"], Runner::One(t1_characterize)),
+    (&["T2"], Runner::One(t2_size_overhead)),
+    (&["F1"], Runner::One(f1_guard_density)),
+    (&["F2"], Runner::One(f2_decrypt_latency)),
+    (&["F3"], Runner::One(f3_icache_sweep)),
+    (&["T3", "T9"], Runner::Two(t3_t9_attack_matrix)),
+    (&["F4"], Runner::One(f4_pareto)),
+    (&["T4"], Runner::One(t4_placement)),
+    (&["F5"], Runner::One(f5_estimator)),
+    (&["T5"], Runner::One(t5_diversity)),
+    (&["T6"], Runner::One(t6_stealth)),
+    (&["F6"], Runner::One(f6_latency)),
+    (&["T10"], Runner::One(t10_guardnet)),
+    (&["T12", "T13"], Runner::Two(t12_t13_crosscheck)),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1095,7 +1074,7 @@ mod tests {
 
     #[test]
     fn t3_guards_beat_none_on_bitflips() {
-        let t = t3_detection(&QUICK, &engine());
+        let [t, _] = t3_t9_attack_matrix(&QUICK, &engine());
         let rate = |config: &str, attack: &str| -> f64 {
             t.rows
                 .iter()
@@ -1109,7 +1088,7 @@ mod tests {
 
     #[test]
     fn t9_oracle_is_accurate_on_protected_configs() {
-        let t = t9_static_oracle(&QUICK, &engine());
+        let [_, t] = t3_t9_attack_matrix(&QUICK, &engine());
         // Aggregate the confusion matrices over every protected config
         // (the "none" rows characterise the unprotected baseline, where
         // only decode faults are predictable).
@@ -1128,8 +1107,35 @@ mod tests {
     }
 
     #[test]
+    fn t3_and_t9_project_one_attack_campaign() {
+        let engine = engine();
+        let [t3, t9] = t3_t9_attack_matrix(&QUICK, &engine);
+        let column = |t: &Table, row: &[String], name: &str| -> u64 {
+            let i = t.headers.iter().position(|h| h == name).unwrap();
+            row[i].parse().unwrap()
+        };
+        // The grid ran once: the engine counted exactly the trials T3
+        // reports as applied.
+        let applied: u64 = t3.rows.iter().map(|r| column(&t3, r, "applied")).sum();
+        assert!(applied > 0, "{t3}");
+        assert_eq!(
+            engine.metrics().counter("attack_trials_applied"),
+            applied,
+            "{t3}"
+        );
+        // T9 reads the same summaries: row for row, the oracle scores
+        // exactly the effective (non-benign) trials T3 counted.
+        assert_eq!(t3.rows.len(), t9.rows.len());
+        for (r3, r9) in t3.rows.iter().zip(&t9.rows) {
+            assert_eq!(r3[..2], r9[..2]);
+            let effective = column(&t3, r3, "applied") - column(&t3, r3, "benign");
+            assert_eq!(column(&t9, r9, "effective"), effective, "{t3}\n{t9}");
+        }
+    }
+
+    #[test]
     fn t12_crosscheck_has_zero_unexplained_disagreements() {
-        let t = t12_crosscheck(&QUICK, &engine());
+        let [t, _] = t12_t13_crosscheck(&QUICK, &engine());
         // Quick mode: rle crossed with the four T3 configs.
         assert_eq!(t.rows.len(), 4, "{t}");
         for row in &t.rows {
@@ -1150,7 +1156,7 @@ mod tests {
 
     #[test]
     fn t13_attributes_every_refusal_to_a_typed_reason() {
-        let t = t13_refusal_reasons(&QUICK, &engine());
+        let [_, t] = t12_t13_crosscheck(&QUICK, &engine());
         assert_eq!(t.rows.len(), 4, "{t}");
         for row in &t.rows {
             // Verdicts are conserved: proven + inequivalent + refused.

@@ -70,6 +70,15 @@ impl Table {
     }
 }
 
+impl Extend<Vec<String>> for Table {
+    /// Appends rows with [`Table::push`]'s arity check.
+    fn extend<I: IntoIterator<Item = Vec<String>>>(&mut self, rows: I) {
+        for row in rows {
+            self.push(row);
+        }
+    }
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "[{}] {}", self.id, self.title)?;

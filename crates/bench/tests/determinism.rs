@@ -1,7 +1,7 @@
 //! The engine's headline guarantee: a sweep's rendered tables and
 //! aggregate metrics JSON are byte-identical whatever the worker count.
 
-use flexprot_bench::{f1_guard_density, t2_size_overhead, t3_detection, Params};
+use flexprot_bench::{f1_guard_density, t2_size_overhead, t3_t9_attack_matrix, Params};
 use flexprot_exec::Engine;
 
 const QUICK: Params = Params { quick: true };
@@ -10,7 +10,9 @@ fn sweep(engine: &Engine) -> String {
     let mut out = String::new();
     out.push_str(&t2_size_overhead(&QUICK, engine).to_string());
     out.push_str(&f1_guard_density(&QUICK, engine).to_string());
-    out.push_str(&t3_detection(&QUICK, engine).to_string());
+    for table in t3_t9_attack_matrix(&QUICK, engine) {
+        out.push_str(&table.to_string());
+    }
     out
 }
 

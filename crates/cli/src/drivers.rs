@@ -1038,6 +1038,186 @@ fn equiv_cell(name: &str, cell: &str, base: &Image, protected: &Protected) -> Ce
     }
 }
 
+/// `fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]` — compile MiniC.
+///
+/// With `--emit-asm` the generated assembly is written next to the image
+/// (same stem, `.s` extension).
+///
+/// # Errors
+///
+/// Reports I/O and compilation failures.
+pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
+    let args = parse(raw_args, &["o"])?;
+    let [input] = args.positional.as_slice() else {
+        return Err(CliError(
+            "usage: fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]".to_owned(),
+        ));
+    };
+    let source = String::from_utf8(read(input)?)
+        .map_err(|_| CliError(format!("{input}: not valid UTF-8")))?;
+    let asm = flexprot_cc::compile(&source).map_err(|e| CliError(format!("{input}: {e}")))?;
+    let image =
+        flexprot_asm::assemble(&asm).map_err(|e| CliError(format!("{input}: internal: {e}")))?;
+    let stem = input.trim_end_matches(".c");
+    let output = args
+        .value("o")
+        .map(str::to_owned)
+        .unwrap_or_else(|| format!("{stem}.fpx"));
+    write(&output, &image.to_bytes())?;
+    let mut message = format!(
+        "compiled {input}: {} text words, {} data bytes -> {output}",
+        image.text.len(),
+        image.data.len()
+    );
+    if args.has("emit-asm") {
+        let asm_path = format!("{stem}.s");
+        write(&asm_path, asm.as_bytes())?;
+        message.push_str(&format!("; assembly -> {asm_path}"));
+    }
+    Ok(message)
+}
+
+/// `fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] [--encrypt]
+/// [--jobs N] [--csv <out.csv>] [--metrics <out.json>]` — run a guard
+/// density sweep over built-in workloads on the batched execution engine.
+///
+/// Each (workload, density) cell protects the kernel with uniform
+/// profile-guided guards at that density (plus whole-program encryption
+/// under `--encrypt`), runs it, and reports the cycle overhead against the
+/// cached unprotected baseline. Cells fan out over `--jobs` workers;
+/// compiled images, baselines and protected binaries are shared through
+/// the engine's artifact cache, and the rendered rows are identical
+/// whatever the worker count.
+///
+/// # Errors
+///
+/// Reports unknown workloads, malformed densities and I/O failures.
+pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
+    let mut valued = vec!["workloads", "densities"];
+    valued.extend(BatchOpts::VALUED);
+    let args = parse(raw_args, &valued)?;
+    if !args.positional.is_empty() {
+        return Err(CliError(
+            "usage: fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] \
+             [--encrypt] [--jobs N] [--csv <out.csv>] [--metrics <out.json>]"
+                .to_owned(),
+        ));
+    }
+    let mut workloads = Vec::new();
+    for name in args
+        .value("workloads")
+        .unwrap_or("rle,qsort,dijkstra")
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+    {
+        workloads.push(flexprot_workloads::by_name(name).ok_or_else(|| {
+            let known: Vec<&str> = flexprot_workloads::all().iter().map(|w| w.name).collect();
+            CliError(format!(
+                "unknown workload `{name}`; known: {}",
+                known.join(", ")
+            ))
+        })?);
+    }
+    let mut densities = Vec::new();
+    for token in args
+        .value("densities")
+        .unwrap_or("0.25,1.0")
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+    {
+        let density: f64 = token
+            .parse()
+            .map_err(|_| CliError(format!("invalid density `{token}`")))?;
+        if !(density > 0.0 && density <= 1.0) {
+            return Err(CliError(format!("density `{token}` out of range (0, 1]")));
+        }
+        densities.push(density);
+    }
+    let encrypt = args.has("encrypt");
+
+    let mut spec = SweepSpec::new().workloads(workloads).profiled();
+    for &density in &densities {
+        let mut config = ProtectionConfig::new().with_guards(GuardConfig {
+            key: 0x0BAD_C0DE_CAFE_F00D,
+            seed: 7,
+            placement: Placement::Uniform,
+            selection: Selection::Density(density),
+            enforce_spacing: true,
+        });
+        let mut tag = format!("guards@{density}");
+        if encrypt {
+            config = config.with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+            tag.push_str("+enc");
+        }
+        spec = spec.config(tag, config);
+    }
+
+    let batch = BatchOpts::from_args(&args)?;
+    let engine = Engine::new(batch.workers);
+    let jobs = spec.jobs();
+    let cells = engine.run_jobs(&jobs, |ctx, job| ctx.run_cell(job));
+
+    let mut rows: Vec<Vec<String>> = vec![[
+        "workload",
+        "config",
+        "base-cycles",
+        "cycles",
+        "+%",
+        "guards",
+    ]
+    .iter()
+    .map(|s| (*s).to_owned())
+    .collect()];
+    for (job, cell) in jobs.iter().zip(&cells) {
+        rows.push(vec![
+            job.workload.name.to_owned(),
+            job.config_tag.clone(),
+            cell.baseline.run.stats.cycles.to_string(),
+            cell.run.stats.cycles.to_string(),
+            format!("{:.2}", cell.overhead_pct()),
+            cell.protected.report.guards_inserted.to_string(),
+        ]);
+    }
+
+    if batch.csv.is_some() {
+        let mut csv = String::new();
+        for row in &rows {
+            csv.push_str(&csv_row(row));
+            csv.push('\n');
+        }
+        batch.write_csv(&csv)?;
+    }
+    batch.write_metrics(&engine)?;
+
+    let mut widths = vec![0usize; rows[0].len()];
+    for row in &rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    for row in &rows {
+        for (i, (cell, width)) in row.iter().zip(&widths).enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            out.push_str(&format!("{cell:>width$}"));
+        }
+        out.push('\n');
+    }
+    let stats = engine.cache().stats();
+    out.push_str(&format!(
+        "({} cells, {} workers, cache {} hits / {} misses)\n",
+        jobs.len(),
+        engine.workers(),
+        stats.hits,
+        stats.misses
+    ));
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1904,195 +2084,6 @@ mod tests {
         assert!(fpprotect(&strs(&[&fpx, "--encrypt", "bogus"])).is_err());
         assert!(fprun(&strs(&[&fpx, "--icache", "999"])).is_err());
     }
-}
-
-/// `fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]` — compile MiniC.
-///
-/// With `--emit-asm` the generated assembly is written next to the image
-/// (same stem, `.s` extension).
-///
-/// # Errors
-///
-/// Reports I/O and compilation failures.
-pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
-    let args = parse(raw_args, &["o"])?;
-    let [input] = args.positional.as_slice() else {
-        return Err(CliError(
-            "usage: fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]".to_owned(),
-        ));
-    };
-    let source = String::from_utf8(read(input)?)
-        .map_err(|_| CliError(format!("{input}: not valid UTF-8")))?;
-    let asm = flexprot_cc::compile(&source).map_err(|e| CliError(format!("{input}: {e}")))?;
-    let image =
-        flexprot_asm::assemble(&asm).map_err(|e| CliError(format!("{input}: internal: {e}")))?;
-    let stem = input.trim_end_matches(".c");
-    let output = args
-        .value("o")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("{stem}.fpx"));
-    write(&output, &image.to_bytes())?;
-    let mut message = format!(
-        "compiled {input}: {} text words, {} data bytes -> {output}",
-        image.text.len(),
-        image.data.len()
-    );
-    if args.has("emit-asm") {
-        let asm_path = format!("{stem}.s");
-        write(&asm_path, asm.as_bytes())?;
-        message.push_str(&format!("; assembly -> {asm_path}"));
-    }
-    Ok(message)
-}
-
-/// `fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] [--encrypt]
-/// [--jobs N] [--csv <out.csv>] [--metrics <out.json>]` — run a guard
-/// density sweep over built-in workloads on the batched execution engine.
-///
-/// Each (workload, density) cell protects the kernel with uniform
-/// profile-guided guards at that density (plus whole-program encryption
-/// under `--encrypt`), runs it, and reports the cycle overhead against the
-/// cached unprotected baseline. Cells fan out over `--jobs` workers;
-/// compiled images, baselines and protected binaries are shared through
-/// the engine's artifact cache, and the rendered rows are identical
-/// whatever the worker count.
-///
-/// # Errors
-///
-/// Reports unknown workloads, malformed densities and I/O failures.
-pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
-    let mut valued = vec!["workloads", "densities"];
-    valued.extend(BatchOpts::VALUED);
-    let args = parse(raw_args, &valued)?;
-    if !args.positional.is_empty() {
-        return Err(CliError(
-            "usage: fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] \
-             [--encrypt] [--jobs N] [--csv <out.csv>] [--metrics <out.json>]"
-                .to_owned(),
-        ));
-    }
-    let mut workloads = Vec::new();
-    for name in args
-        .value("workloads")
-        .unwrap_or("rle,qsort,dijkstra")
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
-        workloads.push(flexprot_workloads::by_name(name).ok_or_else(|| {
-            let known: Vec<&str> = flexprot_workloads::all().iter().map(|w| w.name).collect();
-            CliError(format!(
-                "unknown workload `{name}`; known: {}",
-                known.join(", ")
-            ))
-        })?);
-    }
-    let mut densities = Vec::new();
-    for token in args
-        .value("densities")
-        .unwrap_or("0.25,1.0")
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
-        let density: f64 = token
-            .parse()
-            .map_err(|_| CliError(format!("invalid density `{token}`")))?;
-        if !(density > 0.0 && density <= 1.0) {
-            return Err(CliError(format!("density `{token}` out of range (0, 1]")));
-        }
-        densities.push(density);
-    }
-    let encrypt = args.has("encrypt");
-
-    let mut spec = SweepSpec::new().workloads(workloads).profiled();
-    for &density in &densities {
-        let mut config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
-            seed: 7,
-            placement: Placement::Uniform,
-            selection: Selection::Density(density),
-            enforce_spacing: true,
-        });
-        let mut tag = format!("guards@{density}");
-        if encrypt {
-            config = config.with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
-            tag.push_str("+enc");
-        }
-        spec = spec.config(tag, config);
-    }
-
-    let batch = BatchOpts::from_args(&args)?;
-    let engine = Engine::new(batch.workers);
-    let jobs = spec.jobs();
-    let cells = engine.run_jobs(&jobs, |ctx, job| ctx.run_cell(job));
-
-    let mut rows: Vec<Vec<String>> = vec![[
-        "workload",
-        "config",
-        "base-cycles",
-        "cycles",
-        "+%",
-        "guards",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect()];
-    for (job, cell) in jobs.iter().zip(&cells) {
-        rows.push(vec![
-            job.workload.name.to_owned(),
-            job.config_tag.clone(),
-            cell.baseline.run.stats.cycles.to_string(),
-            cell.run.stats.cycles.to_string(),
-            format!("{:.2}", cell.overhead_pct()),
-            cell.protected.report.guards_inserted.to_string(),
-        ]);
-    }
-
-    if batch.csv.is_some() {
-        let mut csv = String::new();
-        for row in &rows {
-            csv.push_str(&csv_row(row));
-            csv.push('\n');
-        }
-        batch.write_csv(&csv)?;
-    }
-    batch.write_metrics(&engine)?;
-
-    let mut widths = vec![0usize; rows[0].len()];
-    for row in &rows {
-        for (width, cell) in widths.iter_mut().zip(row) {
-            *width = (*width).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    for row in &rows {
-        for (i, (cell, width)) in row.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&format!("{cell:>width$}"));
-        }
-        out.push('\n');
-    }
-    let stats = engine.cache().stats();
-    out.push_str(&format!(
-        "({} cells, {} workers, cache {} hits / {} misses)\n",
-        jobs.len(),
-        engine.workers(),
-        stats.hits,
-        stats.misses
-    ));
-    Ok(out)
-}
-
-#[cfg(test)]
-mod fpsweep_tests {
-    use super::*;
-
-    fn strs(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| (*s).to_owned()).collect()
-    }
 
     #[test]
     fn sweep_reports_overhead_rows_and_cache_sharing() {
@@ -2163,21 +2154,6 @@ mod fpsweep_tests {
         assert!(fpsweep(&strs(&["--densities", "2.0"])).is_err());
         assert!(fpsweep(&strs(&["--densities", "abc"])).is_err());
         assert!(fpsweep(&strs(&["stray-positional"])).is_err());
-    }
-}
-
-#[cfg(test)]
-mod fpcc_tests {
-    use super::*;
-
-    fn strs(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| (*s).to_owned()).collect()
-    }
-
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("flexprot-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
     }
 
     #[test]

@@ -213,35 +213,11 @@ impl Protected {
         }
     }
 
-    /// The static tamper-surface map of the shipped image: per-word guard
-    /// coverage plus the ranked list of words no rolling-MAC window or
-    /// cipher region covers (see `flexprot-verify`).
-    pub fn surface_map(&self) -> flexprot_verify::SurfaceMap {
-        flexprot_verify::analyze(
-            &self.image,
-            &self.secmon,
-            &flexprot_verify::LintPolicy::default(),
-        )
-        .surface
-    }
-
     /// Translation-validates the shipped image against its baseline:
     /// alignment modulo guard insertion, guard-window transparency, and
     /// cipher round-trip identity (see `flexprot-verify`'s `equiv` module).
     pub fn validate_against(&self, base: &Image) -> flexprot_verify::EquivReport {
         flexprot_verify::equiv::validate(base, &self.image, &self.secmon)
-    }
-
-    /// The who-checks-whom guard network of the shipped image, plus the
-    /// abstract-interpretation checksum proof for every guard window (see
-    /// `flexprot-verify`'s `guardnet`/`absint` modules).
-    pub fn guard_net(&self) -> (flexprot_verify::GuardNet, Vec<flexprot_verify::GuardProof>) {
-        let v = flexprot_verify::analyze(
-            &self.image,
-            &self.secmon,
-            &flexprot_verify::LintPolicy::default(),
-        );
-        (v.guardnet, v.proofs)
     }
 
     /// Runs the protected program to completion.
@@ -497,7 +473,8 @@ fold:   mul  $t1, $t0, $t0
         let (image, _) = baseline();
         let config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
         let protected = protect(&image, &config, None).unwrap();
-        let (net, proofs) = protected.guard_net();
+        let v = flexprot_verify::analyze(&protected.image, &protected.secmon, &Default::default());
+        let (net, proofs) = (v.guardnet, v.proofs);
         assert_eq!(proofs.len(), protected.report.guards_inserted);
         // The emitter keeps hash windows disjoint, so the who-checks-whom
         // digraph of its output is edgeless — the verifier reports that

@@ -28,10 +28,6 @@ use crate::diag::{self, Severity};
 use crate::flow::{EdgeKind, Flow};
 use crate::Sink;
 
-/// Bulk lints (undecodable words, wild targets) report at most this many
-/// individual findings before summarising the rest.
-const MAX_PER_LINT: usize = 8;
-
 /// Everything the checks share: the image, the provisioned configuration,
 /// the decrypted text and the recovered flow graph.
 pub(crate) struct Ctx<'a> {
@@ -69,57 +65,30 @@ pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
         );
     }
 
-    let mut undecodable = 0usize;
     for i in 0..ctx.text.len() {
         if ctx.flow.reachable[i] && ctx.flow.decoded[i].is_none() {
-            undecodable += 1;
-            if undecodable <= MAX_PER_LINT {
-                sink.emit(
-                    &diag::UNDECODABLE_TEXT,
-                    Some(ctx.addr_of(i)),
-                    format!("reachable word {:#010x} does not decode", ctx.text[i]),
-                );
-            }
+            sink.emit_capped(
+                &diag::UNDECODABLE_TEXT,
+                ctx.addr_of(i),
+                format_args!("reachable word {:#010x} does not decode", ctx.text[i]),
+            );
         }
     }
-    if undecodable > MAX_PER_LINT {
-        sink.emit(
-            &diag::UNDECODABLE_TEXT,
-            None,
-            format!(
-                "... and {} more undecodable reachable word(s)",
-                undecodable - MAX_PER_LINT
-            ),
-        );
-    }
+    sink.summarise(&diag::UNDECODABLE_TEXT, "undecodable reachable word(s)");
 
-    let mut wild = 0usize;
     for &(src, target) in &ctx.flow.wild_targets {
         let i = ctx
             .index_of(src)
             .expect("wild-target source is a text word");
-        if !ctx.flow.reachable[i] {
-            continue;
-        }
-        wild += 1;
-        if wild <= MAX_PER_LINT {
-            sink.emit(
+        if ctx.flow.reachable[i] {
+            sink.emit_capped(
                 &diag::WILD_CONTROL_TARGET,
-                Some(src),
-                format!("control transfer targets {target:#010x}, outside the text segment"),
+                src,
+                format_args!("control transfer targets {target:#010x}, outside the text segment"),
             );
         }
     }
-    if wild > MAX_PER_LINT {
-        sink.emit(
-            &diag::WILD_CONTROL_TARGET,
-            None,
-            format!(
-                "... and {} more wild control target(s)",
-                wild - MAX_PER_LINT
-            ),
-        );
-    }
+    sink.summarise(&diag::WILD_CONTROL_TARGET, "wild control target(s)");
 
     let unreachable = ctx.text.len() - ctx.flow.reachable_count();
     if unreachable > 0 {
@@ -333,8 +302,6 @@ pub(crate) fn check_coverage(
     if ctx.config.sites.is_empty() {
         return;
     }
-    let mut gaps = 0usize;
-    let mut shadowed = 0usize;
     for i in 0..ctx.text.len() {
         if !ctx.flow.reachable[i] || !coverage.covered_by[i].is_empty() {
             continue;
@@ -344,43 +311,23 @@ pub(crate) fn check_coverage(
             continue;
         }
         if coverage.dominated[i] {
-            shadowed += 1;
-            if shadowed <= MAX_PER_LINT {
-                sink.emit(
-                    &diag::POST_CHECK_WINDOW,
-                    Some(addr),
+            sink.emit_capped(
+                &diag::POST_CHECK_WINDOW,
+                addr,
+                format_args!(
                     "protected word is uncovered but dominated by a completed guard check"
-                        .to_owned(),
-                );
-            }
+                ),
+            );
         } else {
-            gaps += 1;
-            if gaps <= MAX_PER_LINT {
-                sink.emit(
-                    &diag::COVERAGE_GAP,
-                    Some(addr),
-                    "reachable protected word is covered by no guard window".to_owned(),
-                );
-            }
+            sink.emit_capped(
+                &diag::COVERAGE_GAP,
+                addr,
+                format_args!("reachable protected word is covered by no guard window"),
+            );
         }
     }
-    if gaps > MAX_PER_LINT {
-        sink.emit(
-            &diag::COVERAGE_GAP,
-            None,
-            format!("... and {} more uncovered word(s)", gaps - MAX_PER_LINT),
-        );
-    }
-    if shadowed > MAX_PER_LINT {
-        sink.emit(
-            &diag::POST_CHECK_WINDOW,
-            None,
-            format!(
-                "... and {} more post-check word(s)",
-                shadowed - MAX_PER_LINT
-            ),
-        );
-    }
+    sink.summarise(&diag::COVERAGE_GAP, "uncovered word(s)");
+    sink.summarise(&diag::POST_CHECK_WINDOW, "post-check word(s)");
 }
 
 /// Guard-network and checksum-proof lints (`FP7xx`).
@@ -421,46 +368,23 @@ pub(crate) fn check_network(
     if sound == 0 {
         return;
     }
-    let mut unchecked = 0usize;
-    let mut acyclic = 0usize;
     for node in &net.nodes {
         if node.unchecked {
-            unchecked += 1;
-            if unchecked <= MAX_PER_LINT {
-                sink.emit(
-                    &diag::UNGUARDED_GUARD,
-                    Some(node.site_addr),
-                    "no other guard's window covers this guard".to_owned(),
-                );
-            }
+            sink.emit_capped(
+                &diag::UNGUARDED_GUARD,
+                node.site_addr,
+                format_args!("no other guard's window covers this guard"),
+            );
         } else if node.acyclic {
-            acyclic += 1;
-            if acyclic <= MAX_PER_LINT {
-                sink.emit(
-                    &diag::ACYCLIC_GUARD_CHAIN,
-                    Some(node.site_addr),
-                    "guard is checked but belongs to no checking cycle".to_owned(),
-                );
-            }
+            sink.emit_capped(
+                &diag::ACYCLIC_GUARD_CHAIN,
+                node.site_addr,
+                format_args!("guard is checked but belongs to no checking cycle"),
+            );
         }
     }
-    if unchecked > MAX_PER_LINT {
-        sink.emit(
-            &diag::UNGUARDED_GUARD,
-            None,
-            format!(
-                "... and {} more unguarded guard(s)",
-                unchecked - MAX_PER_LINT
-            ),
-        );
-    }
-    if acyclic > MAX_PER_LINT {
-        sink.emit(
-            &diag::ACYCLIC_GUARD_CHAIN,
-            None,
-            format!("... and {} more acyclic link(s)", acyclic - MAX_PER_LINT),
-        );
-    }
+    sink.summarise(&diag::UNGUARDED_GUARD, "unguarded guard(s)");
+    sink.summarise(&diag::ACYCLIC_GUARD_CHAIN, "acyclic link(s)");
 
     match &net.min_cut {
         Some(cut) if cut.is_empty() && sound >= 2 => {
@@ -471,23 +395,17 @@ pub(crate) fn check_network(
             );
         }
         Some(cut) => {
-            for &v in cut.iter().take(MAX_PER_LINT) {
-                sink.emit(
+            for &v in cut {
+                sink.emit_capped(
                     &diag::MIN_CUT_WEAK_LINK,
-                    Some(net.nodes[v].site_addr),
-                    format!(
+                    net.nodes[v].site_addr,
+                    format_args!(
                         "defeating {} guard(s) disconnects the guard network; this one is in the cut",
                         cut.len()
                     ),
                 );
             }
-            if cut.len() > MAX_PER_LINT {
-                sink.emit(
-                    &diag::MIN_CUT_WEAK_LINK,
-                    None,
-                    format!("... and {} more cut member(s)", cut.len() - MAX_PER_LINT),
-                );
-            }
+            sink.summarise(&diag::MIN_CUT_WEAK_LINK, "cut member(s)");
         }
         None => {}
     }

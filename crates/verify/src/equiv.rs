@@ -65,10 +65,6 @@ use crate::liveness::{self, Liveness};
 use crate::memdom::{self, MemFact};
 use crate::{decrypt_text, Sink};
 
-/// Cap on findings emitted per lint before summarising, mirroring
-/// `checks::MAX_PER_LINT`.
-const MAX_PER_LINT: usize = 8;
-
 /// Which proof obligation a verdict belongs to (used only for labelling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Obligation {
@@ -335,10 +331,7 @@ pub fn validate_with_policy(
     config: &SecMonConfig,
     policy: &LintPolicy,
 ) -> EquivReport {
-    let mut sink = Sink {
-        policy,
-        findings: Vec::new(),
-    };
+    let mut sink = Sink::new(policy);
     let mut refusals: Vec<(u32, RefusalReason)> = Vec::new();
     let text = decrypt_text(protected, config);
     let mut stats = EquivStats {
@@ -429,30 +422,16 @@ pub fn validate_with_policy(
             misaligned.push((addr_p, config.regions.lookup(addr_p).is_some(), detail));
         }
     }
-    let mut align_counts = (0usize, 0usize); // (FP802, FP803)
     for (addr, in_region, detail) in &misaligned {
-        let (lint, count) = if *in_region {
-            (&diag::EQUIV_CIPHER_MISMATCH, &mut align_counts.1)
+        let lint = if *in_region {
+            &diag::EQUIV_CIPHER_MISMATCH
         } else {
-            (&diag::EQUIV_UNALIGNED, &mut align_counts.0)
+            &diag::EQUIV_UNALIGNED
         };
-        *count += 1;
-        if *count <= MAX_PER_LINT {
-            sink.emit(lint, Some(*addr), detail.clone());
-        }
+        sink.emit_capped(lint, *addr, format_args!("{detail}"));
     }
-    for (lint, count) in [
-        (&diag::EQUIV_UNALIGNED, align_counts.0),
-        (&diag::EQUIV_CIPHER_MISMATCH, align_counts.1),
-    ] {
-        if count > MAX_PER_LINT {
-            sink.emit(
-                lint,
-                None,
-                format!("... and {} more mismatched words", count - MAX_PER_LINT),
-            );
-        }
-    }
+    sink.summarise(&diag::EQUIV_UNALIGNED, "mismatched words");
+    sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "mismatched words");
 
     // Entry point and symbol table must survive the remapping.
     if base.contains_text_addr(base.entry) && back(protected.entry) != Some(base.entry) {
@@ -551,7 +530,6 @@ pub fn validate_with_policy(
     }
 
     // --- Obligation 3: per-region decrypt(encrypt(·)) involution. ---
-    let mut cipher_failures = 0usize;
     for region in config.regions.regions() {
         stats.cipher_regions += 1;
         let mut addr = region.start;
@@ -563,32 +541,20 @@ pub fn validate_with_policy(
                     .regions
                     .apply(addr, config.regions.apply(addr, stored));
                 if round_trip != stored {
-                    cipher_failures += 1;
-                    if cipher_failures <= MAX_PER_LINT {
-                        sink.emit(
-                            &diag::EQUIV_CIPHER_MISMATCH,
-                            Some(addr),
-                            format!(
-                                "keystream is not an involution here: \
-                                 {stored:#010x} round-trips to {round_trip:#010x}"
-                            ),
-                        );
-                    }
+                    sink.emit_capped(
+                        &diag::EQUIV_CIPHER_MISMATCH,
+                        addr,
+                        format_args!(
+                            "keystream is not an involution here: \
+                             {stored:#010x} round-trips to {round_trip:#010x}"
+                        ),
+                    );
                 }
             }
             addr = addr.wrapping_add(4);
         }
     }
-    if cipher_failures > MAX_PER_LINT {
-        sink.emit(
-            &diag::EQUIV_CIPHER_MISMATCH,
-            None,
-            format!(
-                "... and {} more involution failures",
-                cipher_failures - MAX_PER_LINT
-            ),
-        );
-    }
+    sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "involution failures");
 
     // --- Overall verdict: worst obligation wins; errors beat refusals. ---
     let witness = sink

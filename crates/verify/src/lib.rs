@@ -62,18 +62,71 @@ pub use guardnet::{GuardNet, NetNode, WeakLink};
 pub use liveness::Liveness;
 pub use taint::{TaintState, TaintStats};
 
+use std::fmt;
+
 use flexprot_isa::Image;
 use flexprot_secmon::SecMonConfig;
+
+/// Bulk lints report at most this many individual findings before
+/// summarising the rest (see [`Sink::emit_capped`]).
+const MAX_PER_LINT: usize = 8;
 
 /// Collects findings, applying the policy's severity overrides at emission.
 pub(crate) struct Sink<'p> {
     policy: &'p LintPolicy,
     findings: Vec<Finding>,
+    /// Findings seen per capped lint id since its last summary.
+    capped: Vec<(&'static str, usize)>,
 }
 
-impl Sink<'_> {
+impl<'p> Sink<'p> {
+    fn new(policy: &'p LintPolicy) -> Sink<'p> {
+        Sink {
+            policy,
+            findings: Vec::new(),
+            capped: Vec::new(),
+        }
+    }
+
     fn emit(&mut self, lint: &'static Lint, addr: Option<u32>, message: String) {
         self.emit_severity(lint, lint.default_severity, addr, message);
+    }
+
+    /// Emits one finding of bulk `lint`, or only counts it once
+    /// [`MAX_PER_LINT`] findings of that lint are out; [`Sink::summarise`]
+    /// reports the overflow.
+    fn emit_capped(&mut self, lint: &'static Lint, addr: u32, message: fmt::Arguments<'_>) {
+        let seen = match self.capped.iter_mut().find(|(id, _)| *id == lint.id) {
+            Some((_, seen)) => {
+                *seen += 1;
+                *seen
+            }
+            None => {
+                self.capped.push((lint.id, 1));
+                1
+            }
+        };
+        if seen <= MAX_PER_LINT {
+            self.emit(lint, Some(addr), message.to_string());
+        }
+    }
+
+    /// Closes a batch of [`Sink::emit_capped`] findings of `lint`: the ones
+    /// past the cap become a single "... and N more <noun>" finding, and the
+    /// count restarts.
+    fn summarise(&mut self, lint: &'static Lint, noun: &str) {
+        let Some(i) = self.capped.iter().position(|(id, _)| *id == lint.id) else {
+            return;
+        };
+        let more = self.capped.swap_remove(i).1.saturating_sub(MAX_PER_LINT);
+        if more > 0 {
+            let message = if noun.is_empty() {
+                format!("... and {more} more")
+            } else {
+                format!("... and {more} more {noun}")
+            };
+            self.emit(lint, None, message);
+        }
     }
 
     fn emit_severity(
@@ -157,10 +210,7 @@ pub fn analyze_with_options(
         text,
         flow,
     };
-    let mut sink = Sink {
-        policy,
-        findings: Vec::new(),
-    };
+    let mut sink = Sink::new(policy);
     checks::check_flow(&ctx, &mut sink);
     let (sites_checked, windows) = checks::check_guards(&ctx, &mut sink);
     let max_spacing = checks::check_spacing(&ctx, &mut sink);
@@ -210,5 +260,32 @@ pub fn analyze_with_options(
         coverage: cov,
         guardnet: net,
         proofs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capped_lints_summarise_their_overflow_and_restart() {
+        let policy = LintPolicy::default();
+        let mut sink = Sink::new(&policy);
+        for addr in 0..11 {
+            sink.emit_capped(&diag::COVERAGE_GAP, addr, format_args!("gap"));
+            sink.emit_capped(&diag::TAINT_KEY_STORE, addr, format_args!("store"));
+        }
+        sink.summarise(&diag::COVERAGE_GAP, "uncovered word(s)");
+        sink.summarise(&diag::TAINT_KEY_STORE, "");
+        // Below the cap nothing is summarised, and the count restarted.
+        sink.emit_capped(&diag::COVERAGE_GAP, 99, format_args!("gap"));
+        sink.summarise(&diag::COVERAGE_GAP, "uncovered word(s)");
+        let messages: Vec<&str> = sink.findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(messages.len(), 2 * MAX_PER_LINT + 3);
+        assert_eq!(
+            messages[2 * MAX_PER_LINT..],
+            ["... and 3 more uncovered word(s)", "... and 3 more", "gap"]
+        );
+        assert_eq!(sink.findings[2 * MAX_PER_LINT].addr, None);
     }
 }

@@ -222,7 +222,7 @@ fn root_state(exact_seed: bool) -> MemState {
 
 /// Registers a callee may clobber (assumption A2): everything except
 /// `$zero`, `$sp`, `$fp`, `$gp`, `$s0..$s7` and `$k0`/`$k1`.
-fn caller_saved(reg: usize) -> bool {
+pub(crate) fn caller_saved(reg: usize) -> bool {
     let r = Reg::from_bits(reg as u32);
     !(r == Reg::ZERO
         || r == Reg::SP

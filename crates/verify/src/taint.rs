@@ -48,11 +48,8 @@ use crate::absint::AbsVal;
 use crate::dataflow::{self, Analysis, Direction};
 use crate::diag;
 use crate::flow::Flow;
-use crate::memdom::{Base, MemFact, MemState, MemVal};
+use crate::memdom::{self, Base, MemFact, MemState, MemVal};
 use crate::Sink;
-
-/// Cap on findings emitted per FP9xx lint before summarising.
-const MAX_PER_LINT: usize = 8;
 
 /// How a memory access relates to the union of encrypted regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,19 +188,6 @@ fn store_taint(taint: &mut TaintState, target: &MemVal, size: u32, value_tainted
     }
 }
 
-/// Registers a callee may clobber; taint on them is cleared at calls
-/// (return-value flow is not modelled — a documented approximation).
-fn caller_saved(reg: u8) -> bool {
-    let r = Reg::from_bits(reg as u32);
-    !(r == Reg::ZERO
-        || r == Reg::SP
-        || r == Reg::FP
-        || r == Reg::GP
-        || r == Reg::K0
-        || r == Reg::K1
-        || (Reg::S0.index()..=Reg::S7.index()).contains(&reg))
-}
-
 /// The forward key-flow analysis, one node per text word, reading the
 /// memory-sensitive points-to facts for address resolution.
 struct TaintAbs<'a> {
@@ -230,9 +214,12 @@ impl TaintAbs<'_> {
             return;
         }
         match inst {
+            // A callee may clobber the caller-saved registers, so their
+            // taint clears at calls (return-value flow is not modelled — a
+            // documented approximation).
             Inst::Jal { .. } | Inst::Jalr { .. } => {
-                for r in 0..32u8 {
-                    if caller_saved(r) {
+                for r in 0..32 {
+                    if memdom::caller_saved(r) {
                         taint.set(Reg::from_bits(r as u32), false);
                     }
                 }
@@ -348,41 +335,6 @@ pub struct TaintStats {
     pub unresolved_reads: usize,
 }
 
-/// One lint's emission cap, summarised when exceeded.
-struct Capped<'s, 'p> {
-    sink: &'s mut Sink<'p>,
-    lint: &'static diag::Lint,
-    count: usize,
-}
-
-impl<'s, 'p> Capped<'s, 'p> {
-    fn new(sink: &'s mut Sink<'p>, lint: &'static diag::Lint) -> Capped<'s, 'p> {
-        Capped {
-            sink,
-            lint,
-            count: 0,
-        }
-    }
-
-    fn emit(&mut self, addr: u32, message: String) {
-        self.count += 1;
-        if self.count <= MAX_PER_LINT {
-            self.sink.emit(self.lint, Some(addr), message);
-        }
-    }
-
-    fn finish(self) -> usize {
-        if self.count > MAX_PER_LINT {
-            self.sink.emit(
-                self.lint,
-                None,
-                format!("... and {} more", self.count - MAX_PER_LINT),
-            );
-        }
-        self.count
-    }
-}
-
 /// Runs the key-flow analysis and reports every sink hit through `sink`,
 /// returning the run counters. `mem` must be the points-to facts of the
 /// same `flow` (see [`crate::memdom::analyze_memory`]).
@@ -397,7 +349,6 @@ pub(crate) fn check_taint(
     let mut stats = TaintStats::default();
 
     // Findings grouped by lint ID — FP901 stores first.
-    let mut stores = Capped::new(sink, &diag::TAINT_KEY_STORE);
     for (i, fact) in taints.iter().enumerate() {
         let (Some(taint), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
             continue;
@@ -431,57 +382,57 @@ pub(crate) fn check_taint(
                  to observable memory"
             ),
         };
-        stores.emit(addr, detail);
+        sink.emit_capped(&diag::TAINT_KEY_STORE, addr, format_args!("{detail}"));
         stats.tainted_stores += 1;
     }
-    stores.finish();
+    sink.summarise(&diag::TAINT_KEY_STORE, "");
 
     // FP902 syscall operands.
-    let mut syscalls = Capped::new(sink, &diag::TAINT_KEY_SYSCALL);
     for (i, fact) in taints.iter().enumerate() {
         let (Some(taint), Some(Inst::Syscall)) = (fact.as_ref(), flow.decoded[i]) else {
             continue;
         };
         for r in [Reg::V0, Reg::A0] {
             if taint.tainted(r) {
-                syscalls.emit(
+                sink.emit_capped(
+                    &diag::TAINT_KEY_SYSCALL,
                     image.addr_of_index(i),
-                    format!("syscall operand {r} carries key-derived data"),
+                    format_args!("syscall operand {r} carries key-derived data"),
                 );
                 stats.tainted_syscalls += 1;
             }
         }
     }
-    syscalls.finish();
+    sink.summarise(&diag::TAINT_KEY_SYSCALL, "");
 
     // FP903 key-dependent control flow / access patterns.
-    let mut dependent = Capped::new(sink, &diag::TAINT_KEY_DEPENDENT);
     for (i, fact) in taints.iter().enumerate() {
         let (Some(taint), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
             continue;
         };
         if inst.is_branch() {
             if inst.uses().iter().flatten().any(|&r| taint.tainted(r)) {
-                dependent.emit(
+                sink.emit_capped(
+                    &diag::TAINT_KEY_DEPENDENT,
                     image.addr_of_index(i),
-                    "branch condition depends on key-derived data".to_owned(),
+                    format_args!("branch condition depends on key-derived data"),
                 );
                 stats.key_dependent += 1;
             }
         } else if let Some((_, _, base, _, _)) = mem_operand(inst) {
             if taint.tainted(base) {
-                dependent.emit(
+                sink.emit_capped(
+                    &diag::TAINT_KEY_DEPENDENT,
                     image.addr_of_index(i),
-                    format!("memory address in {base} depends on key-derived data"),
+                    format_args!("memory address in {base} depends on key-derived data"),
                 );
                 stats.key_dependent += 1;
             }
         }
     }
-    dependent.finish();
+    sink.summarise(&diag::TAINT_KEY_DEPENDENT, "");
 
     // FP904 unresolved ciphertext reads, plus the source counter.
-    let mut unresolved = Capped::new(sink, &diag::TAINT_UNRESOLVED_READ);
     for (i, fact) in taints.iter().enumerate() {
         let (Some(_), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
             continue;
@@ -492,18 +443,20 @@ pub(crate) fn check_taint(
         match region_class(config, &target_at(mem, i, base, off), size) {
             RegionClass::Inside(_) => stats.sources += 1,
             RegionClass::May => {
-                unresolved.emit(
+                sink.emit_capped(
+                    &diag::TAINT_UNRESOLVED_READ,
                     image.addr_of_index(i),
-                    "load may read an encrypted region but its address is unresolved; \
-                     taint tracking is approximate here"
-                        .to_owned(),
+                    format_args!(
+                        "load may read an encrypted region but its address is unresolved; \
+                         taint tracking is approximate here"
+                    ),
                 );
                 stats.unresolved_reads += 1;
             }
             RegionClass::Outside => {}
         }
     }
-    unresolved.finish();
+    sink.summarise(&diag::TAINT_UNRESOLVED_READ, "");
     stats
 }
 
@@ -531,10 +484,7 @@ mod tests {
         let flow = Flow::recover(&image, &text);
         let mem = crate::memdom::analyze_memory(&image, &flow);
         let policy = LintPolicy::default();
-        let mut sink = Sink {
-            policy: &policy,
-            findings: Vec::new(),
-        };
+        let mut sink = Sink::new(&policy);
         let stats = check_taint(&image, &config, &flow, &mem, &mut sink);
         let report = crate::diag::Report {
             findings: sink.findings,

@@ -14,7 +14,7 @@ use flexprot::attack::{evaluate, Attack, AttackSummary};
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::isa::Image;
 use flexprot::sim::SimConfig;
-use flexprot::verify::SurfaceMap;
+use flexprot::verify::{analyze, LintPolicy, SurfaceMap};
 use flexprot_exec::matrix;
 
 const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
@@ -69,7 +69,7 @@ fn coverage_is_proved_or_refuted_for_every_matrix_cell() {
             let label = format!("{name}/{cell}");
             let protected = protect(&image, config, None)
                 .unwrap_or_else(|e| panic!("{label}: protect failed: {e}"));
-            let map = protected.surface_map();
+            let map = analyze(&protected.image, &protected.secmon, &LintPolicy::default()).surface;
             assert_consistent(&label, &protected.image, &map);
             let proved = map.full_reachable_coverage();
             if let Some(expected) = expected_full_coverage(cell) {
