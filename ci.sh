@@ -55,6 +55,32 @@ grep -q '"ev":"run_end"' "$OBS_DIR/smoke.trace.jsonl" || {
 }
 echo "metrics schema OK"
 
+echo "== perfbench: correctness smoke =="
+# perfbench is a Cargo package of its own, so the workspace stages above
+# never compile it. One-second runs of each workload build it against the
+# current crates and run its own correctness checks: the end-to-end mode
+# (--trace 0) checks protect round trips and campaign tallies, the layered
+# mode (--trace 1) replays evaluate() step by step and checks the staged
+# trials against it. The stage only reads perfbench; every run must report
+# "correct": true and "failed": 0.
+for workload in loops footprint checked; do
+    for trace in 0 1; do
+        out="$EXEC_DIR/perfbench.$workload.$trace.txt"
+        python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 \
+            --trace "$trace" > "$out" || {
+            echo "perfbench $workload --trace $trace failed to build or run"; exit 1;
+        }
+        tail -n 1 "$out" | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' || {
+            echo "perfbench $workload --trace $trace reported failed checks"; exit 1;
+        }
+    done
+done
+echo "perfbench correctness OK"
+
 echo "== exec engine: parallel determinism =="
 # The batched execution engine guarantees that a sweep's tables, CSVs and
 # aggregate metrics are byte-identical whatever the worker count, and that

@@ -100,21 +100,22 @@ impl CrossCheckSummary {
     }
 }
 
-/// Scores one mutated image against both analyses.
+/// Classifies one mutated image from both analyses' answers.
 ///
-/// `base` is the unprotected baseline, `protected` the shipped build the
-/// attacker started from, `mutated` the attacker's edit of
-/// `protected.image`. The oracle must have been built from
-/// `protected.image` + `protected.secmon`.
+/// `protected` is the shipped build the attacker started from, `mutated`
+/// the attacker's edit of `protected.image`, `verdict` the validator's
+/// verdict on `mutated` against the unprotected baseline and `predicted`
+/// the oracle's prediction for it. The oracle must have been built from
+/// `protected.image` + `protected.secmon`; it also supplies the surface
+/// map that separates known gaps from unexplained misses.
 pub fn classify(
-    base: &Image,
     protected: &Protected,
     oracle: &StaticOracle,
     mutated: &Image,
+    verdict: &EquivVerdict,
+    predicted: bool,
 ) -> Agreement {
-    let predicted = oracle.predicts(&protected.image, mutated);
-    let report = equiv::validate(base, mutated, &protected.secmon);
-    match report.verdict {
+    match verdict {
         EquivVerdict::Inequivalent { .. } => {
             if predicted {
                 Agreement::CaughtDamage
@@ -158,8 +159,9 @@ fn mutation_on_surface(protected: &Protected, oracle: &StaticOracle, mutated: &I
 
 /// Runs a single-word random mutation campaign: each trial flips a
 /// random bit pattern into one random text word of the protected image,
-/// classifies the result via [`classify`], and tallies the agreement
-/// classes. Deterministic for a given seed.
+/// validates and predicts it once, classifies the result via
+/// [`classify`], and tallies the agreement classes. Deterministic for a
+/// given seed.
 pub fn cross_check(
     base: &Image,
     protected: &Protected,
@@ -179,8 +181,9 @@ pub fn cross_check(
             mutated.text[index] = rng.next_u32();
         }
         summary.trials += 1;
-        let report = equiv::validate(base, &mutated, &protected.secmon);
-        match report.verdict {
+        let verdict = equiv::validate(base, &mutated, &protected.secmon).verdict;
+        let predicted = oracle.predicts(&protected.image, &mutated);
+        match &verdict {
             EquivVerdict::Inequivalent { .. } => summary.inequivalent += 1,
             EquivVerdict::Refused { reason } => {
                 summary.refused += 1;
@@ -192,10 +195,10 @@ pub fn cross_check(
             }
             EquivVerdict::Proven => {}
         }
-        if oracle.predicts(&protected.image, &mutated) {
+        if predicted {
             summary.predicted += 1;
         }
-        match classify(base, protected, &oracle, &mutated) {
+        match classify(protected, &oracle, &mutated, &verdict, predicted) {
             Agreement::CaughtDamage => summary.caught_damage += 1,
             Agreement::KnownGap => summary.known_gaps += 1,
             Agreement::Unexplained => summary.unexplained += 1,
@@ -285,8 +288,10 @@ loop:   add  $t1, $t1, $t0
         let forged = encode_guard_inst(0x15, 3).encode();
         assert_ne!(mutated.text[idx], forged);
         mutated.text[idx] = forged;
+        let verdict = equiv::validate(&base, &mutated, &protected.secmon).verdict;
+        let predicted = oracle.predicts(&protected.image, &mutated);
         assert_eq!(
-            classify(&base, &protected, &oracle, &mutated),
+            classify(&protected, &oracle, &mutated, &verdict, predicted),
             Agreement::HarmlessCaught
         );
     }

@@ -3,12 +3,13 @@
 use std::collections::BTreeMap;
 
 use flexprot_core::Protected;
-use flexprot_isa::{Image, Rng64};
+use flexprot_isa::{Image, Inst, Rng64};
 use flexprot_secmon::{SecMon, SecMonConfig};
 use flexprot_sim::{Fault, Machine, Outcome, RunResult, SimConfig};
 use flexprot_trace::{Metrics, Recorder, TraceEvent};
 
 use crate::attacks::Attack;
+use crate::oracle::StaticOracle;
 
 /// Classification of one attacked run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,10 +335,23 @@ fn classify_result(
     (outcome, cause)
 }
 
+/// The campaign simulator config for a program whose clean run commits
+/// `baseline_instructions`: `sim` with fuel of four times the baseline
+/// plus 10 000 instructions. Attacked binaries can loop, so the fuel must
+/// be bounded; the slack lets a mutation that only slows the program
+/// still finish. Every simulated campaign over a workload grid uses this
+/// rule.
+pub fn campaign_sim(baseline_instructions: u64, sim: &SimConfig) -> SimConfig {
+    SimConfig {
+        max_instructions: baseline_instructions * 4 + 10_000,
+        ..sim.clone()
+    }
+}
+
 /// Runs `trials` randomized instances of `attack` and aggregates them.
 ///
-/// The fuel limit in `sim` should be modest (attacked binaries can loop);
-/// a few times the baseline instruction count works well.
+/// The fuel limit in `sim` should come from [`campaign_sim`]. The static
+/// oracle is built once from the pristine image and serves every trial.
 ///
 /// One simulator [`Machine`] is re-armed across trials (its page table
 /// and cache arrays are reused), which matters when an engine batches
@@ -352,132 +366,108 @@ pub fn evaluate(
     sim: &SimConfig,
 ) -> AttackSummary {
     let mut rng = Rng64::new(seed);
-    let mut summary = AttackSummary::default();
-    let mut machine: Option<Machine<SecMon>> = None;
-    // One coverage analysis of the pristine image serves every trial.
-    let oracle = crate::oracle::StaticOracle::new(&protected.image, &protected.secmon);
-    for _ in 0..trials {
-        let mut mutated = protected.clone();
-        if !attack.apply(&mut mutated.image, &mut rng) {
-            summary.record(TrialOutcome::Inapplicable, false);
-            continue;
-        }
-        run_planned_trial(
-            protected,
-            &mutated,
-            expected_output,
-            &oracle,
-            &mut machine,
-            sim,
-            &mut summary,
-        );
-    }
-    summary
-}
-
-/// Runs one mutated image through the shared trial machinery on the
-/// re-armed `machine`, scoring the static baseline and the oracle
-/// prediction alongside the dynamic outcome.
-fn run_planned_trial(
-    protected: &Protected,
-    mutated: &Protected,
-    expected_output: &str,
-    oracle: &crate::oracle::StaticOracle,
-    machine: &mut Option<Machine<SecMon>>,
-    sim: &SimConfig,
-    summary: &mut AttackSummary,
-) {
-    let flagged = static_detects(&mutated.image, &mutated.secmon);
-    let predicted = oracle.predicts(&protected.image, &mutated.image);
-    match machine.as_mut() {
-        Some(m) => mutated.rearm(m),
-        None => *machine = Some(mutated.machine(sim.clone())),
-    }
-    let m = machine.as_mut().expect("machine built on first trial");
-    let (sink, recorder) = Recorder::new().shared();
-    m.monitor_mut().attach_sink(sink.clone());
-    m.attach_sink(sink);
-    let result = m.run();
-    let first_failure = recorder.borrow().first_failure();
-    let (outcome, cause) = classify_result(&result, first_failure, expected_output);
-    summary.record_caused(outcome, flagged, cause);
-    summary.record_prediction(outcome, predicted);
+    let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+    let mutate = |_, image: &mut Image| attack.apply(image, &mut rng);
+    campaign(protected, &oracle, expected_output, trials, sim, mutate)
 }
 
 /// The graph-aware attacker: NOPs out single words following the
-/// [`crate::StaticOracle::target_plan`] ranking — cheapest defeat
-/// closures (min-cut guards, uncovered surface words) first, cycling
-/// through the plan when `trials` exceeds it. Deterministic: no
-/// randomness is consumed. Compare against [`evaluate_random_nop`] with
-/// the same trial count to measure what the network analysis buys the
-/// attacker.
+/// [`StaticOracle::target_plan`] ranking — cheapest defeat closures
+/// (min-cut guards, uncovered surface words) first, cycling through the
+/// plan when `trials` exceeds it. Deterministic: no randomness is
+/// consumed. Compare against [`evaluate_random_nop`] with the same trial
+/// count to measure what the network analysis buys the attacker.
+///
+/// `oracle` must have been built from `protected.image` and
+/// `protected.secmon`.
 pub fn evaluate_targeted(
     protected: &Protected,
+    oracle: &StaticOracle,
     expected_output: &str,
     trials: u32,
     sim: &SimConfig,
 ) -> AttackSummary {
-    let mut summary = AttackSummary::default();
-    let oracle = crate::oracle::StaticOracle::new(&protected.image, &protected.secmon);
-    let nop = flexprot_isa::Inst::NOP.encode();
     let targets: Vec<usize> = oracle
         .target_plan()
         .into_iter()
-        .filter(|&i| protected.image.text[i] != nop)
+        .filter(|&i| protected.image.text[i] != Inst::NOP.encode())
         .collect();
-    let mut machine: Option<Machine<SecMon>> = None;
-    for trial in 0..trials {
-        let Some(&index) = targets.get(trial as usize % targets.len().max(1)) else {
-            summary.record(TrialOutcome::Inapplicable, false);
-            continue;
-        };
-        let mut mutated = protected.clone();
-        mutated.image.text[index] = nop;
-        run_planned_trial(
-            protected,
-            &mutated,
-            expected_output,
-            &oracle,
-            &mut machine,
-            sim,
-            &mut summary,
-        );
-    }
-    summary
+    let mutate = |trial: u32, image: &mut Image| {
+        let plan_step = targets.get(trial as usize % targets.len().max(1));
+        plan_step.is_some_and(|&index| nop_out(image, index))
+    };
+    campaign(protected, oracle, expected_output, trials, sim, mutate)
 }
 
 /// The baseline the targeted attacker is judged against: NOPs out one
 /// *uniformly random* text word per trial — the same single-word edit
-/// budget as [`evaluate_targeted`], without the plan.
+/// budget as [`evaluate_targeted`], without the plan. `oracle` is built
+/// from the same build, as there.
 pub fn evaluate_random_nop(
     protected: &Protected,
+    oracle: &StaticOracle,
     expected_output: &str,
     trials: u32,
     seed: u64,
     sim: &SimConfig,
 ) -> AttackSummary {
     let mut rng = Rng64::new(seed);
+    let mutate = |_, image: &mut Image| {
+        let index = rng.index(image.text.len());
+        nop_out(image, index)
+    };
+    campaign(protected, oracle, expected_output, trials, sim, mutate)
+}
+
+/// NOPs out word `index`; `false` (nothing to edit) when it already is one.
+fn nop_out(image: &mut Image, index: usize) -> bool {
+    let nop = Inst::NOP.encode();
+    if image.text[index] == nop {
+        return false;
+    }
+    image.text[index] = nop;
+    true
+}
+
+/// The one trial loop of every simulated campaign.
+///
+/// Trial `t` clones the pristine build and hands its image to
+/// `mutate(t, ..)`, which edits it in place or returns `false` when the
+/// attack found no site (the trial is then recorded
+/// [`TrialOutcome::Inapplicable`]). An applied mutation is scored by the
+/// static baseline and the oracle prediction, then run on one lazily
+/// built, re-armed machine with a fresh recorder and classified.
+fn campaign(
+    protected: &Protected,
+    oracle: &StaticOracle,
+    expected_output: &str,
+    trials: u32,
+    sim: &SimConfig,
+    mut mutate: impl FnMut(u32, &mut Image) -> bool,
+) -> AttackSummary {
     let mut summary = AttackSummary::default();
-    let oracle = crate::oracle::StaticOracle::new(&protected.image, &protected.secmon);
-    let nop = flexprot_isa::Inst::NOP.encode();
     let mut machine: Option<Machine<SecMon>> = None;
-    for _ in 0..trials {
-        let index = rng.index(protected.image.text.len());
-        if protected.image.text[index] == nop {
+    for trial in 0..trials {
+        let mut mutated = protected.clone();
+        if !mutate(trial, &mut mutated.image) {
             summary.record(TrialOutcome::Inapplicable, false);
             continue;
         }
-        let mut mutated = protected.clone();
-        mutated.image.text[index] = nop;
-        run_planned_trial(
-            protected,
-            &mutated,
-            expected_output,
-            &oracle,
-            &mut machine,
-            sim,
-            &mut summary,
-        );
+        let flagged = static_detects(&mutated.image, &mutated.secmon);
+        let predicted = oracle.predicts(&protected.image, &mutated.image);
+        match machine.as_mut() {
+            Some(m) => mutated.rearm(m),
+            None => machine = Some(mutated.machine(sim.clone())),
+        }
+        let m = machine.as_mut().expect("machine built on first trial");
+        let (sink, recorder) = Recorder::new().shared();
+        m.monitor_mut().attach_sink(sink.clone());
+        m.attach_sink(sink);
+        let result = m.run();
+        let first_failure = recorder.borrow().first_failure();
+        let (outcome, cause) = classify_result(&result, first_failure, expected_output);
+        summary.record_caused(outcome, flagged, cause);
+        summary.record_prediction(outcome, predicted);
     }
     summary
 }
@@ -719,7 +709,7 @@ loop:   addu $s0, $s0, $t0
         // a freshly constructed machine.
         let mut rng = Rng64::new(9);
         let mut fresh = AttackSummary::default();
-        let oracle = crate::oracle::StaticOracle::new(&protected.image, &protected.secmon);
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
         for _ in 0..30 {
             let mut mutated = protected.clone();
             if !Attack::BitFlip.apply(&mut mutated.image, &mut rng) {
@@ -747,8 +737,9 @@ loop:   addu $s0, $s0, $t0
             ..GuardConfig::with_density(0.25)
         });
         let protected = protect(&image, &config, None).unwrap();
-        let targeted = evaluate_targeted(&protected, &expected, 40, &fast_sim());
-        let random = evaluate_random_nop(&protected, &expected, 40, 7, &fast_sim());
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+        let targeted = evaluate_targeted(&protected, &oracle, &expected, 40, &fast_sim());
+        let random = evaluate_random_nop(&protected, &oracle, &expected, 40, 7, &fast_sim());
         assert!(targeted.applied > 0 && random.applied > 0);
         assert!(
             targeted.attacker_success_rate() > random.attacker_success_rate(),
@@ -762,8 +753,9 @@ loop:   addu $s0, $s0, $t0
         let (image, expected) = sample();
         let config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
         let protected = protect(&image, &config, None).unwrap();
-        let a = evaluate_targeted(&protected, &expected, 25, &fast_sim());
-        let b = evaluate_targeted(&protected, &expected, 25, &fast_sim());
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+        let a = evaluate_targeted(&protected, &oracle, &expected, 25, &fast_sim());
+        let b = evaluate_targeted(&protected, &oracle, &expected, 25, &fast_sim());
         assert_eq!(a, b, "no randomness is consumed");
         assert_eq!(
             a.wrong_output, 0,

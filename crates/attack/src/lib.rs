@@ -26,7 +26,7 @@ pub mod oracle;
 pub use attacks::Attack;
 pub use crosscheck::{classify, cross_check, Agreement, CrossCheckSummary};
 pub use harness::{
-    evaluate, evaluate_random_nop, evaluate_targeted, static_detects, AttackSummary,
+    campaign_sim, evaluate, evaluate_random_nop, evaluate_targeted, static_detects, AttackSummary,
     DetectionCause, TrialOutcome,
 };
 pub use oracle::StaticOracle;

@@ -39,7 +39,9 @@
 pub mod micro;
 pub mod table;
 
-use flexprot_attack::{Attack, AttackSummary};
+use flexprot_attack::{
+    evaluate_random_nop, evaluate_targeted, Attack, AttackSummary, StaticOracle,
+};
 use flexprot_core::{
     optimize, EncryptConfig, GuardConfig, OptimizerConfig, Placement, ProtectionConfig, Selection,
 };
@@ -791,13 +793,15 @@ pub fn f6_latency(params: &Params, engine: &Engine) -> Table {
 /// T10 — what the guard-network analysis buys the attacker.
 ///
 /// For each attack workload and guard density, runs the plan-driven
-/// single-word NOP attacker (ranked by
-/// [`flexprot_attack::StaticOracle::target_plan`]: cheapest defeat
-/// closures first) against the uniformly random single-word baseline
-/// with the same edit budget, next to the network shape that explains
-/// the gap (sound guards, edges, minimum vertex cut). The cells fan out
-/// over the engine's worker pool; both attackers are deterministic given
-/// the seed, so the table is byte-identical whatever the worker count.
+/// single-word NOP attacker (ranked by [`StaticOracle::target_plan`]:
+/// cheapest defeat closures first) against the uniformly random
+/// single-word baseline with the same edit budget, next to the network
+/// shape that explains the gap (sound guards, edges, minimum vertex
+/// cut). One static oracle per cell supplies the plan, both attackers'
+/// predictions and the network columns, so the verifier analyses each
+/// build once. The cells fan out over the engine's worker pool; both
+/// attackers are deterministic given the seed, so the table is
+/// byte-identical whatever the worker count.
 pub fn t10_guardnet(params: &Params, engine: &Engine) -> Table {
     let mut table = Table::new(
         "T10",
@@ -830,15 +834,10 @@ pub fn t10_guardnet(params: &Params, engine: &Engine) -> Table {
     let rows = engine.run_jobs(&cells, |ctx, (density, job)| {
         let protected = ctx.protected(job).expect("protect");
         let expected = job.workload.expected_output();
-        let net = flexprot_verify::analyze(
-            &protected.image,
-            &protected.secmon,
-            &flexprot_verify::LintPolicy::default(),
-        )
-        .guardnet;
-        let targeted = flexprot_attack::evaluate_targeted(&protected, &expected, trials, &sim);
-        let random =
-            flexprot_attack::evaluate_random_nop(&protected, &expected, trials, 0xA77A_C4E5, &sim);
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+        let net = oracle.net();
+        let targeted = evaluate_targeted(&protected, &oracle, &expected, trials, &sim);
+        let random = evaluate_random_nop(&protected, &oracle, &expected, trials, 0xA77A_C4E5, &sim);
         vec![
             job.workload.name.to_owned(),
             format!("{density}"),

@@ -198,19 +198,11 @@ impl Protected {
     ///
     /// When the machine's previous monitor used the same encryption
     /// regions — the attack harness's case: thousands of single-word
-    /// mutations of one protected binary — the machine's decoded-line
-    /// store is retained and revalidated against memory at fill time, so
-    /// each trial re-decrypts only the lines the mutation touched. A
-    /// different region table (different keys or layout) forces a full
-    /// reset: identical ciphertext bytes would otherwise replay a stale
-    /// decrypt.
+    /// mutations of one protected binary — [`Machine::rearm`] keeps the
+    /// decoded lines and each trial re-decrypts only the lines the
+    /// mutation touched; a different region table clears them.
     pub fn rearm(&self, machine: &mut Machine<SecMon>) {
-        let monitor = SecMon::new(self.secmon.clone());
-        if machine.monitor().config().regions == self.secmon.regions {
-            machine.rearm(&self.image, monitor);
-        } else {
-            machine.reset_with_monitor(&self.image, monitor);
-        }
+        machine.rearm(&self.image, SecMon::new(self.secmon.clone()));
     }
 
     /// Translation-validates the shipped image against its baseline:

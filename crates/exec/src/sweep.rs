@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use flexprot_attack::{evaluate, Attack, AttackSummary};
+use flexprot_attack::{campaign_sim, evaluate, Attack, AttackSummary};
 use flexprot_core::{Protected, ProtectionConfig};
 use flexprot_sim::{Outcome, RunResult, SimConfig};
 use flexprot_trace::Recorder;
@@ -278,8 +278,8 @@ impl JobCtx<'_> {
     }
 
     /// Evaluates one attack cell: the job's attack family against its
-    /// cached protected binary, with a fuel limit derived from the cached
-    /// baseline (a few times the clean instruction count). Attack outcome
+    /// cached protected binary, with the campaign fuel rule
+    /// ([`campaign_sim`]) applied to the cached baseline. Attack outcome
     /// counters land in this job's metrics.
     ///
     /// # Panics
@@ -291,17 +291,13 @@ impl JobCtx<'_> {
         let protected = self
             .protected(job)
             .unwrap_or_else(|e| panic!("{}: protect failed: {e}", job.workload.name));
-        let fueled = SimConfig {
-            max_instructions: baseline.run.stats.instructions * 4 + 10_000,
-            ..job.sim.clone()
-        };
         let summary = evaluate(
             &protected,
             &job.workload.expected_output(),
             spec.attack,
             spec.trials,
             spec.seed,
-            &fueled,
+            &campaign_sim(baseline.run.stats.instructions, &job.sim),
         );
         summary.export_metrics(self.metrics_mut());
         summary

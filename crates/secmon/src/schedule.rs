@@ -113,22 +113,14 @@ impl SecMonConfig {
     /// The full hashed interval of a guard site, as a half-open byte
     /// address range `[start, end)`: the window body from
     /// [`window_of`](Self::window_of) through the guard symbols and the
-    /// signed tail. `None` when `site_addr` is not a registered site or
-    /// no window start precedes it.
+    /// signed tail. `None` when `site_addr` is not a registered site, no
+    /// window start precedes it, or the sequence runs past the end of the
+    /// address space (a hostile site length).
     pub fn window_interval(&self, site_addr: u32) -> Option<(u32, u32)> {
         let site = self.sites.get(&site_addr)?;
         let start = self.window_of(site_addr)?;
-        let end = site_addr + 4 * (site.symbols + site.tail);
-        Some((start, end))
-    }
-
-    /// Every guard site with a resolvable window, as
-    /// `(window_start, site_addr, site)` triples in address order — the
-    /// guard-window metadata static analyzers consume.
-    pub fn guard_windows(&self) -> impl Iterator<Item = (u32, u32, &GuardSite)> {
-        self.sites
-            .iter()
-            .filter_map(|(&addr, site)| self.window_of(addr).map(|w| (w, addr, site)))
+        let end = u64::from(site_addr) + 4 * (u64::from(site.symbols) + u64::from(site.tail));
+        Some((start, u32::try_from(end).ok()?))
     }
 }
 
@@ -174,8 +166,6 @@ mod tests {
         assert_eq!(c.window_of(0x150), Some(0x140));
         assert_eq!(c.window_of(0x140), Some(0x140), "empty body: start == site");
         assert_eq!(c.window_of(0x0FF), None);
-        let triples: Vec<(u32, u32)> = c.guard_windows().map(|(w, s, _)| (w, s)).collect();
-        assert_eq!(triples, vec![(0x140, 0x140), (0x140, 0x150)]);
     }
 
     #[test]

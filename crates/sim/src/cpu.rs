@@ -221,7 +221,7 @@ impl<M: FetchMonitor> Machine<M> {
     }
 
     /// Mutable access to the monitor (e.g. to attach an observability sink
-    /// after [`Machine::reset_with_monitor`]).
+    /// after [`Machine::rearm`]).
     pub fn monitor_mut(&mut self) -> &mut M {
         &mut self.monitor
     }
@@ -255,7 +255,7 @@ impl<M: FetchMonitor> Machine<M> {
     /// [`Machine::with_monitor`] under the same config. The monitor is left
     /// untouched — stateless monitors (e.g. [`NullMonitor`]) can be reused
     /// directly; monitors with per-run state must be re-provisioned via
-    /// [`Machine::reset_with_monitor`].
+    /// [`Machine::rearm`].
     pub fn reset(&mut self, image: &Image) {
         self.restore(image);
         self.decode.clear();
@@ -263,26 +263,21 @@ impl<M: FetchMonitor> Machine<M> {
 
     /// [`Machine::reset`] plus a fresh monitor, for monitors that carry
     /// per-run state (the secure monitor's guard windows and tamper log).
-    pub fn reset_with_monitor(&mut self, image: &Image, monitor: M) {
-        self.monitor = monitor;
-        self.reset(image);
-    }
-
-    /// [`Machine::reset_with_monitor`] that additionally *retains* the
-    /// decoded-line store across the reset: each retained line is
-    /// revalidated against raw memory at its next I-cache fill, so
-    /// re-running an image that differs in only a few lines (the attack
-    /// harness's tamper trials) re-decrypts and re-decodes only those
-    /// lines.
     ///
-    /// Sound only when the new monitor's `transform_fetch` is the same
-    /// function as the previous one's — identical raw bytes must decrypt
-    /// identically. Callers that change the transform (re-keying, different
-    /// encryption regions) must use [`Machine::reset_with_monitor`]
-    /// instead. Results are still byte-identical to a fresh machine: the
-    /// I-cache itself is fully reset, so miss patterns and timing do not
-    /// change.
+    /// When the new monitor has the same fetch transform as the previous
+    /// one ([`FetchMonitor::same_transform`]) the decoded-line store is
+    /// *retained*: each retained line is revalidated against raw memory at
+    /// its next I-cache fill, so re-running an image that differs in only
+    /// a few lines (the attack harness's tamper trials) re-decrypts and
+    /// re-decodes only those lines. A different transform (re-keying,
+    /// different encryption regions) clears the store, because identical
+    /// ciphertext bytes would otherwise replay a stale decrypt. Either way
+    /// results are byte-identical to a fresh machine: the I-cache itself
+    /// is fully reset, so miss patterns and timing do not change.
     pub fn rearm(&mut self, image: &Image, monitor: M) {
+        if !self.monitor.same_transform(&monitor) {
+            self.decode.clear();
+        }
         self.monitor = monitor;
         self.restore(image);
     }

@@ -15,7 +15,8 @@
 //!   machine byte-identical to a fresh one;
 //! * **rearm** — decoded lines are *retained* and revalidated against the
 //!   raw memory contents at the next fill, so re-running a mutated image
-//!   re-decodes only the mutated lines;
+//!   re-decodes only the mutated lines; a monitor with a different fetch
+//!   transform clears them instead;
 //! * **tamper response** — the machine clears the store when a run ends in
 //!   tamper detection, so re-keyed monitors never see stale plaintext;
 //! * **store to text** — [`DecodeCache::invalidate`] drops the line a

@@ -90,13 +90,30 @@ pub trait FetchMonitor {
         let _ = (pc, word, sequential);
         None
     }
+
+    /// Whether `other`'s [`FetchMonitor::transform_fetch`] is the same
+    /// function as this monitor's, so identical raw bytes decrypt
+    /// identically under both. [`Machine::rearm`](crate::Machine::rearm)
+    /// keeps its decoded lines across a monitor swap only when this holds.
+    /// The default, `false`, is always sound.
+    fn same_transform(&self, other: &Self) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = other;
+        false
+    }
 }
 
 /// A monitor that does nothing — the unprotected baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullMonitor;
 
-impl FetchMonitor for NullMonitor {}
+impl FetchMonitor for NullMonitor {
+    fn same_transform(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 #[cfg(test)]
 mod tests {

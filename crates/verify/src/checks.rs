@@ -473,7 +473,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
         let Some(si) = ctx.index_of(site_addr) else {
             continue;
         };
-        let total = (site.symbols + site.tail) as usize;
+        let total = site.symbols as usize + site.tail as usize;
         if total > 0 && si + total <= len {
             seq_end.insert(si, si + total - 1);
         }

@@ -6,7 +6,7 @@
 //! cargo run --release --example tamper_response
 //! ```
 
-use flexprot::attack::{evaluate, Attack};
+use flexprot::attack::{campaign_sim, evaluate, Attack};
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::sim::{Machine, SimConfig};
 
@@ -15,10 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = workload.image();
     let expected = workload.expected_output();
     let baseline = Machine::new(&image, SimConfig::default()).run();
-    let sim = SimConfig {
-        max_instructions: baseline.stats.instructions * 4 + 10_000,
-        ..SimConfig::default()
-    };
+    let sim = campaign_sim(baseline.stats.instructions, &SimConfig::default());
 
     let configs: Vec<(&str, ProtectionConfig)> = vec![
         ("none", ProtectionConfig::new()),

@@ -1,14 +1,11 @@
 //! Cross-crate integration: end-to-end attack/detection properties.
 
-use flexprot::attack::{evaluate, Attack, DetectionCause};
+use flexprot::attack::{campaign_sim, evaluate, Attack, DetectionCause};
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::sim::{Machine, SimConfig};
 
 fn attack_sim(base_instrs: u64) -> SimConfig {
-    SimConfig {
-        max_instructions: base_instrs * 4 + 10_000,
-        ..SimConfig::default()
-    }
+    campaign_sim(base_instrs, &SimConfig::default())
 }
 
 #[test]
@@ -167,18 +164,12 @@ fn detection_latency_is_recorded_and_bounded() {
         None,
     )
     .unwrap();
-    let summary = evaluate(
-        &guarded,
-        &expected,
-        Attack::InstrSub,
-        40,
-        42,
-        &attack_sim(base.stats.instructions),
-    );
+    let sim = attack_sim(base.stats.instructions);
+    let summary = evaluate(&guarded, &expected, Attack::InstrSub, 40, 42, &sim);
     if let Some(latency) = summary.mean_latency() {
         assert!(latency >= 0.0);
         assert!(
-            latency <= (base.stats.instructions * 4 + 10_000) as f64,
+            latency <= sim.max_instructions as f64,
             "latency beyond fuel: {latency}"
         );
     }

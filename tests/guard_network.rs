@@ -13,7 +13,7 @@
 //! 3. the min-cut-aware targeted attacker beats the random single-word
 //!    baseline on a weakly connected configuration.
 
-use flexprot::attack::{evaluate_random_nop, evaluate_targeted};
+use flexprot::attack::{evaluate_random_nop, evaluate_targeted, StaticOracle};
 use flexprot::core::{protect, GuardConfig, ProtectionConfig};
 use flexprot::secmon::guard::{decode_guard_symbol, encode_guard_inst, is_guard_form};
 use flexprot::sim::SimConfig;
@@ -149,8 +149,9 @@ fn min_cut_targeting_beats_random_words_on_a_weak_network() {
         max_instructions: 2_000_000,
         ..SimConfig::default()
     };
-    let targeted = evaluate_targeted(&p, &expected, 30, &sim);
-    let random = evaluate_random_nop(&p, &expected, 30, 0xA77A_C4E5, &sim);
+    let oracle = StaticOracle::new(&p.image, &p.secmon);
+    let targeted = evaluate_targeted(&p, &oracle, &expected, 30, &sim);
+    let random = evaluate_random_nop(&p, &oracle, &expected, 30, 0xA77A_C4E5, &sim);
     assert!(targeted.applied > 0 && random.applied > 0);
     assert!(
         targeted.attacker_success_rate() > random.attacker_success_rate(),

@@ -4,7 +4,7 @@
 
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::isa::Image;
-use flexprot::secmon::{SecMon, SecMonConfig};
+use flexprot::secmon::{GuardSite, SecMon, SecMonConfig};
 use flexprot::sim::{Machine, Outcome, SimConfig};
 
 #[test]
@@ -83,4 +83,41 @@ fn corrupted_containers_are_rejected_not_misparsed() {
             "cut {cut}"
         );
     }
+}
+
+#[test]
+fn hostile_guard_site_length_is_reported_not_overflowed() {
+    // A well-formed FPM1 may still name a guard sequence of u32::MAX
+    // symbols plus a tail word inside a protected range. The container
+    // accepts it; the verifier must report the site out of range and the
+    // window accessor must resolve no window, instead of overflowing.
+    let workload = flexprot::workloads::by_name("rle").expect("kernel");
+    let protected = protect(
+        &workload.image(),
+        &ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0)),
+        None,
+    )
+    .expect("protect");
+    let mut hostile = protected.secmon.clone();
+    let site = *hostile.sites.keys().next().expect("a guard site");
+    hostile.sites.insert(
+        site,
+        GuardSite {
+            symbols: u32::MAX,
+            tail: 1,
+        },
+    );
+    assert!(!hostile.protected.is_empty());
+    let shipped = SecMonConfig::from_bytes(&hostile.to_bytes()).expect("config container");
+
+    assert_eq!(shipped.window_interval(site), None);
+    let report = flexprot::verify::verify(&protected.image, &shipped);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.id == "FP103" && f.addr == Some(site)),
+        "{}",
+        report.render_human()
+    );
 }

@@ -10,10 +10,10 @@
 //!    detection with precision and recall ≥ 0.9 on the default attack
 //!    sweep.
 
-use flexprot::attack::{evaluate, Attack, AttackSummary};
+use flexprot::attack::{campaign_sim, evaluate, Attack, AttackSummary};
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::isa::Image;
-use flexprot::sim::SimConfig;
+use flexprot::sim::{Machine, SimConfig};
 use flexprot::verify::{analyze, LintPolicy, SurfaceMap};
 use flexprot_exec::matrix;
 
@@ -112,7 +112,8 @@ fn static_oracle_meets_precision_and_recall_targets() {
                 .with_encryption(EncryptConfig::whole_program(ENC_KEY)),
         ),
     ];
-    let sim = SimConfig::default();
+    let baseline = Machine::new(&image, SimConfig::default()).run();
+    let sim = campaign_sim(baseline.stats.instructions, &SimConfig::default());
     let mut agg = AttackSummary::default();
     for (name, config) in configs {
         let protected = protect(&image, &config, None).unwrap_or_else(|e| panic!("{name}: {e}"));
