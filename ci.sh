@@ -110,6 +110,23 @@ grep -Eq '"exec_cache_misses":[1-9]' "$EXEC_DIR/serial.metrics.json" || {
 }
 echo "parallel determinism OK"
 
+# check_baseline <baseline> <generated> <producer>
+#
+# Diffs a generated file against its checked-in baseline: a diff means the
+# producer's output changed. After a deliberate change, regenerate with
+# UPDATE_BASELINES=1 ./ci.sh and commit the new baseline.
+check_baseline() {
+    if [ "${UPDATE_BASELINES:-0}" = "1" ]; then
+        cp "$2" "$1"
+        echo "regenerated $1"
+    fi
+    diff -u "$1" "$2" || {
+        echo "$3 output diverged from $1"
+        echo "hint: rerun as UPDATE_BASELINES=1 ./ci.sh and commit the regenerated baseline"
+        exit 1
+    }
+}
+
 echo "== experiments: results/ baselines under the predecoded engine =="
 # Regenerate every table at full fidelity and diff against the committed
 # CSVs: the predecoded fetch path must keep all recorded numbers
@@ -119,7 +136,7 @@ echo "== experiments: results/ baselines under the predecoded engine =="
 # machine-dependent and NOT diffed (non-gating).
 cargo run --quiet --release -p flexprot-bench --bin experiments -- \
     --csv "$EXEC_DIR/full" --timings results/timings.csv \
-    > /dev/null 2> /dev/null
+    --metrics "$EXEC_DIR/full.metrics.json" > /dev/null 2> /dev/null
 for f in "$EXEC_DIR"/full/*.csv; do
     diff -u "results/$(basename "$f")" "$f" || {
         echo "results baseline diverged: $(basename "$f")"; exit 1;
@@ -127,15 +144,31 @@ for f in "$EXEC_DIR"/full/*.csv; do
 done
 echo "results baselines OK (wall times -> results/timings.csv, non-gating)"
 
+echo "== experiments: attack counter baseline =="
+# Every attack_* counter and histogram of the full run, the detection-cause
+# tallies (attack_cause_*) included, as sorted `key value` lines.
+python3 - "$EXEC_DIR/full.metrics.json" > "$EXEC_DIR/attack_metrics.txt" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+lines = [f"{k} {v}" for k, v in doc["counters"].items() if k.startswith("attack_")]
+for name, hist in doc["histograms"].items():
+    if name.startswith("attack_"):
+        for field, v in hist.items():
+            v = ",".join(map(str, v)) if isinstance(v, list) else v
+            lines.append(f"{name}.{field} {v}")
+print("\n".join(sorted(lines)))
+EOF
+check_baseline results/attack_metrics_baseline.txt "$EXEC_DIR/attack_metrics.txt" experiments
+echo "attack counter baseline OK"
+
 # matrix_baseline <driver> <baseline.csv> [<ledger-option> <ledger-baseline.csv>]
 #
 # Sweeps the golden protection matrix (flexprot_exec::matrix) with one of
 # the matrix drivers. Both runs, --jobs 1 and --jobs 4, must exit 0 (no
 # error-severity finding in any cell) and write byte-identical output.
 # The report, and the side ledger if the driver writes one, must then
-# match the checked-in baseline: a diff means the analysis changed. After
-# a deliberate change, regenerate with UPDATE_BASELINES=1 ./ci.sh and
-# commit the new baseline.
+# match the checked-in baseline (check_baseline): a diff means the
+# analysis changed.
 matrix_baseline() {
     driver=$1 baseline=$2 ledger_opt=${3:-} ledger=${4:-}
     echo "== $driver: protection-matrix baseline =="
@@ -157,15 +190,7 @@ matrix_baseline() {
         set -- "$@" "$ledger" ledger.csv
     fi
     while [ $# -gt 0 ]; do
-        if [ "${UPDATE_BASELINES:-0}" = "1" ]; then
-            cp "$out/jobs1/$2" "$1"
-            echo "regenerated $1"
-        fi
-        diff -u "$1" "$out/jobs1/$2" || {
-            echo "$driver output diverged from $1"
-            echo "hint: rerun as UPDATE_BASELINES=1 ./ci.sh and commit the regenerated baseline"
-            exit 1
-        }
+        check_baseline "$1" "$out/jobs1/$2" "$driver"
         shift 2
     done
     echo "$driver baseline OK"

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use flexprot_core::Protected;
 use flexprot_isa::{Image, Inst, Rng64};
 use flexprot_secmon::{SecMon, SecMonConfig};
-use flexprot_sim::{Fault, Machine, Outcome, RunResult, SimConfig};
-use flexprot_trace::{Metrics, Recorder, TraceEvent};
+use flexprot_sim::{Fault, Machine, Outcome, RunResult, SimConfig, TamperCause};
+use flexprot_trace::Metrics;
 
 use crate::attacks::Attack;
 use crate::oracle::StaticOracle;
@@ -30,19 +30,19 @@ pub enum TrialOutcome {
     Inapplicable,
 }
 
-/// What *proved* a detection: the trace event or fault kind that stopped
+/// What *proved* a detection: the monitor trip or fault kind that stopped
 /// the attacked run.
 ///
-/// Guard-machinery causes come from the monitor's own event stream (the
-/// [`TraceEvent::GuardFail`] / [`TraceEvent::SpacingExceeded`] event
-/// recorded during the trial); fault causes come from the CPU. On an
-/// encrypted binary an [`DetectionCause::DecryptGarble`] means the
-/// attacker's plaintext patch decrypted to an undecodable word — on a
-/// plaintext binary it means the patch itself was undecodable.
+/// Guard-machinery causes come from the monitor's typed trip cause (the
+/// [`TamperCause`] carried by [`Outcome::TamperDetected`]); fault causes
+/// come from the CPU. On an encrypted binary an
+/// [`DetectionCause::DecryptGarble`] means the attacker's plaintext patch
+/// decrypted to an undecodable word — on a plaintext binary it means the
+/// patch itself was undecodable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DetectionCause {
     /// A guard signature check failed (mismatch, malformed guard word or
-    /// interrupted sequence) — proven by a guard-fail event.
+    /// interrupted sequence).
     GuardFail,
     /// The spacing counter exceeded its bound — guard stripping.
     SpacingBound,
@@ -52,19 +52,6 @@ pub enum DetectionCause {
     WildControlFlow,
     /// Any other hard fault (unaligned access, break, bad syscall).
     OtherFault,
-}
-
-impl DetectionCause {
-    /// Stable lowercase name (used as a metrics/report key).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DetectionCause::GuardFail => "guard_fail",
-            DetectionCause::SpacingBound => "spacing_bound",
-            DetectionCause::DecryptGarble => "decrypt_garble",
-            DetectionCause::WildControlFlow => "wild_control_flow",
-            DetectionCause::OtherFault => "other_fault",
-        }
-    }
 }
 
 /// Aggregated results of many randomized trials of one attack family.
@@ -304,11 +291,9 @@ pub fn static_detects(image: &Image, config: &SecMonConfig) -> bool {
     !flexprot_verify::verify(image, config).is_clean()
 }
 
-/// Classifies a finished attacked run from its result and the first
-/// monitor failure event the trial's recorder captured.
+/// Classifies a finished attacked run from its result alone.
 fn classify_result(
     result: &RunResult,
-    first_failure: Option<TraceEvent>,
     expected_output: &str,
 ) -> (TrialOutcome, Option<DetectionCause>) {
     let outcome = match result.outcome {
@@ -321,10 +306,9 @@ fn classify_result(
         Outcome::Exit(_) => TrialOutcome::WrongOutput,
     };
     let cause = match &result.outcome {
-        // A tamper detection is proven by the monitor's own failure
-        // event, recorded during the run.
-        Outcome::TamperDetected(_) => Some(match first_failure {
-            Some(TraceEvent::SpacingExceeded { .. }) => DetectionCause::SpacingBound,
+        // A tamper detection carries the monitor's own trip cause.
+        Outcome::TamperDetected(event) => Some(match event.cause {
+            TamperCause::SpacingBound { .. } => DetectionCause::SpacingBound,
             _ => DetectionCause::GuardFail,
         }),
         Outcome::Fault(Fault::IllegalInstruction { .. }) => Some(DetectionCause::DecryptGarble),
@@ -435,8 +419,8 @@ fn nop_out(image: &mut Image, index: usize) -> bool {
 /// `mutate(t, ..)`, which edits it in place or returns `false` when the
 /// attack found no site (the trial is then recorded
 /// [`TrialOutcome::Inapplicable`]). An applied mutation is scored by the
-/// static baseline and the oracle prediction, then run on one lazily
-/// built, re-armed machine with a fresh recorder and classified.
+/// static baseline and the oracle prediction, then run untraced on one
+/// lazily built, re-armed machine and classified from its result.
 fn campaign(
     protected: &Protected,
     oracle: &StaticOracle,
@@ -460,12 +444,8 @@ fn campaign(
             None => machine = Some(mutated.machine(sim.clone())),
         }
         let m = machine.as_mut().expect("machine built on first trial");
-        let (sink, recorder) = Recorder::new().shared();
-        m.monitor_mut().attach_sink(sink.clone());
-        m.attach_sink(sink);
         let result = m.run();
-        let first_failure = recorder.borrow().first_failure();
-        let (outcome, cause) = classify_result(&result, first_failure, expected_output);
+        let (outcome, cause) = classify_result(&result, expected_output);
         summary.record_caused(outcome, flagged, cause);
         summary.record_prediction(outcome, predicted);
     }
@@ -496,19 +476,6 @@ loop:   addu $s0, $s0, $t0
         let r = Machine::new(&image, SimConfig::default()).run();
         assert_eq!(r.outcome, Outcome::Exit(0));
         (image, r.output)
-    }
-
-    /// Classifies one trial on a fresh machine: the reference the
-    /// re-armed trial machinery is checked against.
-    fn classify(
-        mutated: &Protected,
-        expected_output: &str,
-        sim: &SimConfig,
-    ) -> (TrialOutcome, Option<DetectionCause>) {
-        let (sink, recorder) = Recorder::new().shared();
-        let result = mutated.run_traced(sim.clone(), &sink);
-        let first_failure = recorder.borrow().first_failure();
-        classify_result(&result, first_failure, expected_output)
     }
 
     fn fast_sim() -> SimConfig {
@@ -609,7 +576,7 @@ loop:   addu $s0, $s0, $t0
                     continue;
                 }
                 let statically = static_detects(&mutated.image, &mutated.secmon);
-                let (outcome, _) = classify(&mutated, &expected, &fast_sim());
+                let (outcome, _) = classify_result(&mutated.run(fast_sim()), &expected);
                 if !matches!(outcome, TrialOutcome::Benign | TrialOutcome::Inapplicable) {
                     effective += 1;
                     assert!(
@@ -718,7 +685,7 @@ loop:   addu $s0, $s0, $t0
             }
             let flagged = static_detects(&mutated.image, &mutated.secmon);
             let predicted = oracle.predicts(&protected.image, &mutated.image);
-            let (outcome, cause) = classify(&mutated, &expected, &fast_sim());
+            let (outcome, cause) = classify_result(&mutated.run(fast_sim()), &expected);
             fresh.record_caused(outcome, flagged, cause);
             fresh.record_prediction(outcome, predicted);
         }

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use crate::image::{Image, Reloc, RelocKind};
+use crate::image::{Image, Reloc, RelocKind, Segment};
 
 const MAGIC: &[u8; 4] = b"FPX1";
 
@@ -33,6 +33,8 @@ pub enum ImageFormatError {
     BadRelocKind(u8),
     /// Trailing bytes after the last field.
     TrailingBytes,
+    /// A segment runs past the end of the 32-bit address space.
+    SegmentWraps(Segment),
 }
 
 impl fmt::Display for ImageFormatError {
@@ -44,6 +46,9 @@ impl fmt::Display for ImageFormatError {
             ImageFormatError::BadSymbolName => f.write_str("symbol name is not valid UTF-8"),
             ImageFormatError::BadRelocKind(k) => write!(f, "unknown relocation kind {k}"),
             ImageFormatError::TrailingBytes => f.write_str("trailing bytes after image"),
+            ImageFormatError::SegmentWraps(s) => {
+                write!(f, "{s} segment runs past the end of the address space")
+            }
         }
     }
 }
@@ -182,6 +187,14 @@ impl Image {
         }
         if r.pos != bytes.len() {
             return Err(ImageFormatError::TrailingBytes);
+        }
+        for (segment, base, bytes) in [
+            (Segment::Text, text_base, 4 * text.len()),
+            (Segment::Data, data_base, data.len()),
+        ] {
+            if u64::from(base) + bytes as u64 > u64::from(u32::MAX) {
+                return Err(ImageFormatError::SegmentWraps(segment));
+            }
         }
         Ok(Image {
             entry,

@@ -14,7 +14,7 @@
 //! * fetched words passing through the monitor are decrypted per the region
 //!   table, with latency charged on I-cache fills.
 
-use flexprot_sim::{FetchMonitor, TamperEvent};
+use flexprot_sim::{FetchMonitor, TamperCause, TamperEvent};
 use flexprot_trace::{SharedSink, TraceEvent};
 
 use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher};
@@ -98,9 +98,9 @@ impl SecMon {
         &self.tamper_log
     }
 
-    fn trip(&mut self, pc: u32, reason: String) -> Option<TamperEvent> {
-        let event = TamperEvent { pc, reason };
-        self.tamper_log.push(event.clone());
+    fn trip(&mut self, pc: u32, cause: TamperCause) -> Option<TamperEvent> {
+        let event = TamperEvent { pc, cause };
+        self.tamper_log.push(event);
         // Recover to a clean state so non-halting mode can continue.
         self.collecting = None;
         self.hasher.reset();
@@ -117,11 +117,11 @@ impl SecMon {
             self.emit(TraceEvent::GuardFail { site: col.site, pc });
             return self.trip(
                 pc,
-                format!(
-                    "signature mismatch at site {:#010x}: stream hash {computed:#010x}, \
-                     embedded signature {claimed:#010x}",
-                    col.site
-                ),
+                TamperCause::SignatureMismatch {
+                    site: col.site,
+                    computed,
+                    claimed,
+                },
             );
         }
         self.emit(TraceEvent::GuardPass { site: col.site });
@@ -141,10 +141,7 @@ impl SecMon {
             if !crate::guard::is_guard_form(word) {
                 let site = col.site;
                 self.emit(TraceEvent::GuardFail { site, pc });
-                return self.trip(
-                    pc,
-                    format!("malformed guard instruction at site {site:#010x}"),
-                );
+                return self.trip(pc, TamperCause::MalformedGuard { site });
             }
             col.symbols.push(decode_guard_symbol(word));
         } else {
@@ -166,10 +163,10 @@ impl SecMon {
                 self.emit(TraceEvent::GuardFail { site: col.site, pc });
                 return self.trip(
                     pc,
-                    format!(
-                        "guard sequence at {:#010x} interrupted (expected {:#010x})",
-                        col.site, col.next_pc
-                    ),
+                    TamperCause::InterruptedGuard {
+                        site: col.site,
+                        expected: col.next_pc,
+                    },
                 );
             }
             return self.advance_collect(col, pc, word);
@@ -209,10 +206,7 @@ impl SecMon {
                 });
                 if self.spacing > bound {
                     self.emit(TraceEvent::SpacingExceeded { pc, bound });
-                    return self.trip(
-                        pc,
-                        format!("guard spacing bound {bound} exceeded in protected region"),
-                    );
+                    return self.trip(pc, TamperCause::SpacingBound { bound });
                 }
             }
         }
@@ -321,7 +315,19 @@ mod tests {
         stream[1].1 ^= 1 << 13;
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &stream).expect("must detect");
-        assert!(event.reason.contains("signature mismatch"), "{event}");
+        let (site, computed, claimed) = (0x0040_000C, 0x6A6B_6F74, 0x51CA_E1CC);
+        let cause = TamperCause::SignatureMismatch {
+            site,
+            computed,
+            claimed,
+        };
+        assert_eq!(event.cause, cause);
+        // `fprun` prints this line after `TAMPER: `.
+        assert_eq!(
+            event.to_string(),
+            "tamper detected at 0x00400018: signature mismatch at site 0x0040000c: \
+             stream hash 0x6a6b6f74, embedded signature 0x51cae1cc"
+        );
         assert_eq!(mon.checks_passed(), 0);
     }
 
@@ -333,7 +339,23 @@ mod tests {
         stream[last].1 = encode_guard_inst(0x5A, 1).encode();
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &stream).expect("must detect");
-        assert!(event.reason.contains("signature mismatch"), "{event}");
+        assert!(matches!(event.cause, TamperCause::SignatureMismatch { .. }));
+    }
+
+    #[test]
+    fn malformed_guard_word_is_detected() {
+        let (config, mut stream) = guarded_stream(&[0xAAAA_0001, 0xAAAA_0002]);
+        // `addiu $t0, $zero, 1` in the second guard slot.
+        stream[3].1 = 0x2408_0001;
+        let event = feed(&mut SecMon::new(config), &stream).expect("must detect");
+        assert_eq!(
+            event.cause,
+            TamperCause::MalformedGuard { site: 0x0040_0008 }
+        );
+        assert_eq!(
+            event.to_string(),
+            "tamper detected at 0x0040000c: malformed guard instruction at site 0x00400008"
+        );
     }
 
     #[test]
@@ -345,7 +367,16 @@ mod tests {
         truncated.push((BASE + 0x100, 0, false));
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &truncated).expect("must detect");
-        assert!(event.reason.contains("interrupted"), "{event}");
+        let (site, expected) = (0x0040_0008, 0x0040_0010);
+        assert_eq!(
+            event.cause,
+            TamperCause::InterruptedGuard { site, expected }
+        );
+        assert_eq!(
+            event.to_string(),
+            "tamper detected at 0x00400100: guard sequence at 0x00400008 interrupted \
+             (expected 0x00400010)"
+        );
     }
 
     #[test]
@@ -384,7 +415,7 @@ mod tests {
         assert_eq!(m.counter("guard_windows_closed"), 1);
         assert_eq!(m.counter("guard_checks_passed"), mon.checks_passed());
         assert_eq!(m.counter("guard_checks_failed"), 0);
-        assert!(recorder.first_failure().is_none());
+        assert!(mon.tamper_log().is_empty());
     }
 
     #[test]
@@ -394,13 +425,10 @@ mod tests {
         let (sink, recorder) = flexprot_trace::Recorder::new().shared();
         let mut mon = SecMon::new(config);
         mon.attach_sink(sink);
-        assert!(feed(&mut mon, &stream).is_some());
-        let recorder = recorder.borrow();
-        assert_eq!(recorder.metrics().counter("guard_checks_failed"), 1);
-        assert!(matches!(
-            recorder.first_failure(),
-            Some(flexprot_trace::TraceEvent::GuardFail { .. })
-        ));
+        let event = feed(&mut mon, &stream).expect("must detect");
+        assert!(matches!(event.cause, TamperCause::SignatureMismatch { .. }));
+        let failed = recorder.borrow().metrics().counter("guard_checks_failed");
+        assert_eq!(failed, 1);
     }
 
     #[test]
@@ -452,7 +480,11 @@ mod tests {
             }
         }
         let event = tripped.expect("spacing bound must trip");
-        assert!(event.reason.contains("spacing"), "{event}");
+        assert_eq!(event.cause, TamperCause::SpacingBound { bound: 10 });
+        assert_eq!(
+            event.to_string(),
+            "tamper detected at 0x00400028: guard spacing bound 10 exceeded in protected region"
+        );
     }
 
     #[test]
@@ -669,7 +701,7 @@ mod tail_tests {
         stream[last].1 ^= 1 << 26;
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &stream).expect("terminator patch must be caught");
-        assert!(event.reason.contains("signature mismatch"), "{event}");
+        assert!(matches!(event.cause, TamperCause::SignatureMismatch { .. }));
     }
 
     #[test]
@@ -679,6 +711,6 @@ mod tail_tests {
         cut.push((BASE + 0x200, 0, false));
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &cut).expect("skipping the tail must be caught");
-        assert!(event.reason.contains("interrupted"), "{event}");
+        assert!(matches!(event.cause, TamperCause::InterruptedGuard { .. }));
     }
 }

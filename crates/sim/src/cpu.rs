@@ -353,6 +353,7 @@ impl<M: FetchMonitor> Machine<M> {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use crate::monitor::TamperCause;
 
     fn run(src: &str) -> RunResult {
         let image = flexprot_asm::assemble_or_panic(src);
@@ -766,9 +767,9 @@ loop:   addi $t0, $t0, -1
         impl FetchMonitor for TripAtThird {
             fn observe_commit(&mut self, pc: u32, _w: u32, _seq: bool) -> Option<TamperEvent> {
                 self.0 += 1;
-                (self.0 == 3).then(|| TamperEvent {
+                (self.0 == 3).then_some(TamperEvent {
                     pc,
-                    reason: "test trip".to_owned(),
+                    cause: TamperCause::SpacingBound { bound: 2 },
                 })
             }
         }

@@ -50,5 +50,5 @@ pub mod stats;
 
 pub use cache::{Cache, CacheConfig};
 pub use cpu::{EngineKind, Machine, Outcome, RunResult, SimConfig};
-pub use monitor::{FetchMonitor, NullMonitor, TamperEvent};
+pub use monitor::{FetchMonitor, NullMonitor, TamperCause, TamperEvent};
 pub use stats::{Fault, Stats};

@@ -17,17 +17,66 @@
 use std::fmt;
 
 /// Raised by a monitor when it detects tampering; aborts simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TamperEvent {
     /// Program counter of the instruction that triggered detection.
     pub pc: u32,
-    /// Human-readable reason (signature mismatch, spacing overflow, …).
-    pub reason: String,
+    /// Why the monitor tripped.
+    pub cause: TamperCause,
 }
 
 impl fmt::Display for TamperEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tamper detected at {:#010x}: {}", self.pc, self.reason)
+        write!(f, "tamper detected at {:#010x}: {}", self.pc, self.cause)
+    }
+}
+
+/// The check a monitor failed, as decided by the monitor itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TamperCause {
+    /// The stream hash of a guard's window disagrees with the signature
+    /// the guard embeds.
+    SignatureMismatch {
+        site: u32,
+        computed: u32,
+        claimed: u32,
+    },
+    /// A word in a guard's symbol sequence is not a guard instruction.
+    MalformedGuard { site: u32 },
+    /// Control left a guard sequence before it completed; `expected` is
+    /// the pc that should have come next.
+    InterruptedGuard { site: u32, expected: u32 },
+    /// More than `bound` protected instructions committed since the last
+    /// passing check (guard stripping).
+    SpacingBound { bound: u64 },
+}
+
+impl fmt::Display for TamperCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TamperCause::SignatureMismatch {
+                site,
+                computed,
+                claimed,
+            } => write!(
+                f,
+                "signature mismatch at site {site:#010x}: stream hash {computed:#010x}, \
+                 embedded signature {claimed:#010x}"
+            ),
+            TamperCause::MalformedGuard { site } => {
+                write!(f, "malformed guard instruction at site {site:#010x}")
+            }
+            TamperCause::InterruptedGuard { site, expected } => write!(
+                f,
+                "guard sequence at {site:#010x} interrupted (expected {expected:#010x})"
+            ),
+            TamperCause::SpacingBound { bound } => {
+                write!(
+                    f,
+                    "guard spacing bound {bound} exceeded in protected region"
+                )
+            }
+        }
     }
 }
 
@@ -131,11 +180,11 @@ mod tests {
     fn tamper_event_display() {
         let e = TamperEvent {
             pc: 0x0040_0010,
-            reason: "signature mismatch".to_owned(),
+            cause: TamperCause::MalformedGuard { site: 0x0040_0008 },
         };
         assert_eq!(
             e.to_string(),
-            "tamper detected at 0x00400010: signature mismatch"
+            "tamper detected at 0x00400010: malformed guard instruction at site 0x00400008"
         );
     }
 }

@@ -45,9 +45,8 @@ impl fmt::Debug for SharedSink {
     }
 }
 
-/// The standard aggregating sink: counts every event into named metrics,
-/// optionally keeps the raw JSONL lines, and remembers the first failure
-/// event so detections can be attributed.
+/// The standard aggregating sink: counts every event into named metrics
+/// and optionally keeps the raw JSONL lines.
 ///
 /// Counter names are part of the stable surface (tests and CI assert on
 /// them): `icache_accesses`, `icache_misses`, `miss_fill_cycles`,
@@ -63,7 +62,6 @@ impl fmt::Debug for SharedSink {
 pub struct Recorder {
     metrics: Metrics,
     sites_passed: BTreeSet<u32>,
-    first_failure: Option<TraceEvent>,
     trace: Option<Vec<String>>,
 }
 
@@ -98,13 +96,6 @@ impl Recorder {
     /// Number of *distinct* guard sites that passed at least once.
     pub fn distinct_sites_passed(&self) -> usize {
         self.sites_passed.len()
-    }
-
-    /// The first [`TraceEvent::GuardFail`] or
-    /// [`TraceEvent::SpacingExceeded`] observed, if any — the event that
-    /// proved a dynamic detection.
-    pub fn first_failure(&self) -> Option<TraceEvent> {
-        self.first_failure
     }
 
     /// Captured JSONL lines (empty unless built [`Recorder::with_trace`]).
@@ -173,14 +164,12 @@ impl EventSink for Recorder {
             }
             TraceEvent::GuardFail { .. } => {
                 m.incr("guard_checks_failed");
-                self.first_failure.get_or_insert(*event);
             }
             TraceEvent::SpacingTick { .. } => {
                 m.incr("spacing_ticks");
             }
             TraceEvent::SpacingExceeded { .. } => {
                 m.incr("spacing_exceeded");
-                self.first_failure.get_or_insert(*event);
             }
             TraceEvent::GuardInsert { .. } => {
                 m.incr("guard_sites_inserted");
@@ -258,31 +247,6 @@ mod tests {
         assert_eq!(r.metrics().counter("guard_checks_passed"), 3);
         assert_eq!(r.metrics().counter("guard_sites_passed"), 2);
         assert_eq!(r.distinct_sites_passed(), 2);
-        assert!(r.first_failure().is_none());
-    }
-
-    #[test]
-    fn first_failure_sticks() {
-        let mut r = Recorder::new();
-        drive(
-            &mut r,
-            &[
-                TraceEvent::GuardFail {
-                    site: 0x10,
-                    pc: 0x14,
-                },
-                TraceEvent::SpacingExceeded {
-                    pc: 0x20,
-                    bound: 64,
-                },
-            ],
-        );
-        assert!(matches!(
-            r.first_failure(),
-            Some(TraceEvent::GuardFail { site: 0x10, .. })
-        ));
-        assert_eq!(r.metrics().counter("guard_checks_failed"), 1);
-        assert_eq!(r.metrics().counter("spacing_exceeded"), 1);
     }
 
     #[test]

@@ -414,7 +414,7 @@ fn prove_window(
     if let Some(&(b, target_addr)) = aliasing.must_alias.first() {
         return Verdict::Unproven {
             reason: UnprovenReason::StoreClobbersWindow {
-                store_addr: image.text_base + 4 * b as u32,
+                store_addr: image.addr_of_index(b),
                 target_addr,
             },
         };
@@ -422,7 +422,7 @@ fn prove_window(
     if let Some(&b) = aliasing.may_alias.first() {
         return Verdict::Unproven {
             reason: UnprovenReason::StoreMayAliasWindow {
-                store_addr: image.text_base + 4 * b as u32,
+                store_addr: image.addr_of_index(b),
             },
         };
     }
@@ -432,11 +432,11 @@ fn prove_window(
     let mut hasher = AbsHasher::new(config.guard_key);
     let word_val = |i: usize| AbsVal::Const(text[i]);
     for b in w.start..w.site {
-        hasher.absorb(image.text_base + 4 * b as u32, &word_val(b));
+        hasher.absorb(image.addr_of_index(b), &word_val(b));
     }
     for t in 0..w.tail {
         let i = w.site + w.symbols + t;
-        hasher.absorb(image.text_base + 4 * i as u32, &word_val(i));
+        hasher.absorb(image.addr_of_index(i), &word_val(i));
     }
     let symbols: Vec<u8> = (0..w.symbols)
         .map(|k| decode_guard_symbol(text[w.site + k]))

@@ -118,10 +118,7 @@ pub fn classify(target: &MemVal, size: u32, lo: u32, hi: u32) -> StoreClass {
 /// symbol and tail words alike (a rewrite of *any* of them changes what
 /// the hardware will fetch and judge).
 pub fn window_interval(image: &Image, w: &GuardWindow) -> (u32, u32) {
-    (
-        image.text_base + 4 * w.start as u32,
-        image.text_base + 4 * w.end() as u32,
-    )
+    (image.addr_of_index(w.start), image.addr_of_index(w.end()))
 }
 
 /// The partition of one window's in-window stores against its own

@@ -51,13 +51,6 @@ impl Cfg {
                 entry: None,
             };
         }
-        let index_of = |addr: u32| -> Option<usize> {
-            if addr < image.text_base || !addr.is_multiple_of(4) {
-                return None;
-            }
-            let i = ((addr - image.text_base) / 4) as usize;
-            (i < len).then_some(i)
-        };
 
         // Leaders: the shared anchor set (first word, entry, in-text
         // symbols), every target of a non-plain edge, and the word after
@@ -118,7 +111,7 @@ impl Cfg {
             succs[b] = outs;
         }
         let preds = dataflow::invert(&succs);
-        let entry = index_of(image.entry).map(|e| block_of[e]);
+        let entry = image.text_index_of(image.entry).map(|e| block_of[e]);
         Cfg {
             blocks,
             block_of,

@@ -38,23 +38,9 @@ pub(crate) struct Ctx<'a> {
     pub flow: Flow,
 }
 
-impl Ctx<'_> {
-    fn addr_of(&self, index: usize) -> u32 {
-        self.image.text_base + 4 * index as u32
-    }
-
-    fn index_of(&self, addr: u32) -> Option<usize> {
-        if addr < self.image.text_base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - self.image.text_base) / 4) as usize;
-        (i < self.text.len()).then_some(i)
-    }
-}
-
 /// Entry point, decodability of reachable text, wild targets, dead text.
 pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
-    if ctx.index_of(ctx.image.entry).is_none() {
+    if ctx.image.text_index_of(ctx.image.entry).is_none() {
         sink.emit(
             &diag::BAD_ENTRY,
             Some(ctx.image.entry),
@@ -69,7 +55,7 @@ pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
         if ctx.flow.reachable[i] && ctx.flow.decoded[i].is_none() {
             sink.emit_capped(
                 &diag::UNDECODABLE_TEXT,
-                ctx.addr_of(i),
+                ctx.image.addr_of_index(i),
                 format_args!("reachable word {:#010x} does not decode", ctx.text[i]),
             );
         }
@@ -78,7 +64,8 @@ pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
 
     for &(src, target) in &ctx.flow.wild_targets {
         let i = ctx
-            .index_of(src)
+            .image
+            .text_index_of(src)
             .expect("wild-target source is a text word");
         if ctx.flow.reachable[i] {
             sink.emit_capped(
@@ -127,7 +114,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
         let Some(inst) = ctx.flow.decoded[i] else {
             continue;
         };
-        if let Some(t) = inst.branch_target(ctx.addr_of(i)) {
+        if let Some(t) = inst.branch_target(ctx.image.addr_of_index(i)) {
             direct_targets.insert(t);
         }
         if let Some(t) = inst.jump_target() {
@@ -136,7 +123,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
     }
 
     for (&site_addr, site) in &config.sites {
-        let Some(si) = ctx.index_of(site_addr) else {
+        let Some(si) = ctx.image.text_index_of(site_addr) else {
             sink.emit(
                 &diag::GUARD_OUT_OF_BOUNDS,
                 Some(site_addr),
@@ -161,7 +148,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
             if !is_guard_form(word) {
                 sink.emit(
                     &diag::MALFORMED_GUARD,
-                    Some(ctx.addr_of(si + k)),
+                    Some(ctx.image.addr_of_index(si + k)),
                     format!(
                         "word {word:#010x} at guard site {site_addr:#010x} is not of guard shape"
                     ),
@@ -180,7 +167,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
             );
             continue;
         };
-        let Some(wi) = ctx.index_of(window) else {
+        let Some(wi) = ctx.image.text_index_of(window) else {
             sink.emit(
                 &diag::MALFORMED_WINDOW,
                 Some(site_addr),
@@ -193,7 +180,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
             if !matches!(ctx.flow.decoded[b], Some(inst) if !inst.is_control_transfer()) {
                 sink.emit(
                     &diag::MALFORMED_WINDOW,
-                    Some(ctx.addr_of(b)),
+                    Some(ctx.image.addr_of_index(b)),
                     format!("window body of site {site_addr:#010x} is not straight-line code"),
                 );
                 window_ok = false;
@@ -218,11 +205,11 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
         if sound {
             let mut hasher = WindowHasher::new(config.guard_key);
             for b in wi..si {
-                hasher.absorb(ctx.addr_of(b), ctx.text[b]);
+                hasher.absorb(ctx.image.addr_of_index(b), ctx.text[b]);
             }
             for t in 0..site.tail as usize {
                 let index = si + symbols + t;
-                hasher.absorb(ctx.addr_of(index), ctx.text[index]);
+                hasher.absorb(ctx.image.addr_of_index(index), ctx.text[index]);
             }
             let computed = hasher.digest();
             let syms: Vec<u8> = (0..symbols)
@@ -279,7 +266,7 @@ pub(crate) fn check_coverage(
             if r != flexprot_isa::Reg::ZERO && live.live_out_has(i, r) {
                 sink.emit(
                     &diag::GUARD_CLOBBERS_LIVE,
-                    Some(ctx.addr_of(i)),
+                    Some(ctx.image.addr_of_index(i)),
                     format!(
                         "guard word at site {:#010x} overwrites {r}, which is live after it",
                         w.site_addr
@@ -306,7 +293,7 @@ pub(crate) fn check_coverage(
         if !ctx.flow.reachable[i] || !coverage.covered_by[i].is_empty() {
             continue;
         }
-        let addr = ctx.addr_of(i);
+        let addr = ctx.image.addr_of_index(i);
         if !ctx.config.in_protected(addr) {
             continue;
         }
@@ -455,7 +442,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
             Some(Inst::Jal { .. }) | Some(Inst::Jalr { .. })
         ) && i + 1 < len
         {
-            let cont = ctx.addr_of(i + 1);
+            let cont = ctx.image.addr_of_index(i + 1);
             if config.in_protected(cont) && !config.reset_points.contains(&cont) {
                 sink.emit(
                     &diag::UNRESET_CALL_RETURN,
@@ -470,7 +457,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
     // Guard sequences: site start index -> last sequence word index.
     let mut seq_end: BTreeMap<usize, usize> = BTreeMap::new();
     for (&site_addr, site) in &config.sites {
-        let Some(si) = ctx.index_of(site_addr) else {
+        let Some(si) = ctx.image.text_index_of(site_addr) else {
             continue;
         };
         let total = site.symbols as usize + site.tail as usize;
@@ -495,11 +482,11 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
     };
 
     // Roots: the entry point and every text symbol, with a zero counter.
-    if let Some(e) = ctx.index_of(ctx.image.entry) {
+    if let Some(e) = ctx.image.text_index_of(ctx.image.entry) {
         push_val(e, 0, &mut value, &mut work);
     }
     for &addr in ctx.image.symbols.values() {
-        if let Some(i) = ctx.index_of(addr) {
+        if let Some(i) = ctx.image.text_index_of(addr) {
             push_val(i, 0, &mut value, &mut work);
         }
     }
@@ -516,7 +503,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
             }
             continue;
         }
-        let addr = ctx.addr_of(i);
+        let addr = ctx.image.addr_of_index(i);
         let out = if config.in_protected(addr) {
             (v + 1).min(cap)
         } else {
@@ -534,7 +521,8 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
                 // reset point; any other arrival is a pc discontinuity and
                 // resets at reset points.
                 EdgeKind::Flow
-                    if e.to != i + 1 && config.reset_points.contains(&ctx.addr_of(e.to)) =>
+                    if e.to != i + 1
+                        && config.reset_points.contains(&ctx.image.addr_of_index(e.to)) =>
                 {
                     0
                 }
@@ -597,7 +585,7 @@ pub(crate) fn check_relocs(ctx: &Ctx, sink: &mut Sink) -> usize {
             continue;
         }
         checked += 1;
-        let addr = ctx.addr_of(reloc.text_index);
+        let addr = ctx.image.addr_of_index(reloc.text_index);
         let word = ctx.text[reloc.text_index];
         match reloc.kind {
             RelocKind::Branch16 | RelocKind::Jump26 => {
@@ -622,7 +610,7 @@ pub(crate) fn check_relocs(ctx: &Ctx, sink: &mut Sink) -> usize {
                         ),
                     );
                 }
-                if ctx.index_of(reloc.target).is_none() {
+                if ctx.image.text_index_of(reloc.target).is_none() {
                     sink.emit(
                         &diag::RELOC_TARGET_OOB,
                         Some(addr),
@@ -672,7 +660,7 @@ pub(crate) fn check_relocs(ctx: &Ctx, sink: &mut Sink) -> usize {
         if inst.is_branch() || inst.is_direct_jump() {
             sink.emit(
                 &diag::UNRELOCATED_CONTROL,
-                Some(ctx.addr_of(i)),
+                Some(ctx.image.addr_of_index(i)),
                 "reachable direct control transfer has no relocation entry".to_owned(),
             );
         }

@@ -288,10 +288,7 @@ pub fn surface_map(
         .map(|i| !coverage.covered_by[i].is_empty())
         .collect();
     let encrypted: Vec<bool> = (0..len)
-        .map(|i| {
-            let addr = image.text_base.wrapping_add(4 * i as u32);
-            config.regions.lookup(addr).is_some()
-        })
+        .map(|i| config.regions.lookup(image.addr_of_index(i)).is_some())
         .collect();
 
     // Minimum flow depth from the entry and every symbol landing pad.
@@ -300,19 +297,12 @@ pub fn surface_map(
         .iter()
         .map(|es| es.iter().map(|e| e.to).collect())
         .collect();
-    let index_of = |addr: u32| -> Option<usize> {
-        if addr < image.text_base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - image.text_base) / 4) as usize;
-        (i < len).then_some(i)
-    };
     let mut seeds: Vec<(usize, Option<u32>)> = Vec::new();
-    if let Some(e) = index_of(image.entry) {
+    if let Some(e) = image.text_index_of(image.entry) {
         seeds.push((e, Some(0)));
     }
     for &addr in image.symbols.values() {
-        if let Some(i) = index_of(addr) {
+        if let Some(i) = image.text_index_of(addr) {
             seeds.push((i, Some(0)));
         }
     }
@@ -332,7 +322,7 @@ pub fn surface_map(
     let mut entries: Vec<SurfaceEntry> = (0..len)
         .filter(|&i| !covered[i] && !encrypted[i])
         .map(|i| SurfaceEntry {
-            addr: image.text_base.wrapping_add(4 * i as u32),
+            addr: image.addr_of_index(i),
             reachable: flow.reachable[i],
             depth: depth[i],
             must_execute: cfg.block_of.get(i).is_some_and(|&b| must_execute_block[b]),

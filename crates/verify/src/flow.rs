@@ -48,28 +48,26 @@ pub struct Flow {
 impl Flow {
     /// Recovers the flow graph of `text` (already decrypted) laid out at
     /// `image`'s text base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `text` and `image.text` differ in length.
     pub fn recover(image: &Image, text: &[u32]) -> Flow {
         let len = text.len();
-        let addr_of = |i: usize| image.text_base.wrapping_add(4 * i as u32);
-        let index_of = |addr: u32| -> Option<usize> {
-            if addr < image.text_base || !addr.is_multiple_of(4) {
-                return None;
-            }
-            let i = ((addr - image.text_base) / 4) as usize;
-            (i < len).then_some(i)
-        };
+        assert_eq!(len, image.text.len(), "text must be the image's text");
 
         let decoded: Vec<Option<Inst>> = text.iter().map(|&w| Inst::decode(w).ok()).collect();
         let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); len];
         let mut wild_targets = Vec::new();
         for (i, inst) in decoded.iter().enumerate() {
             let Some(inst) = inst else { continue };
-            let addr = addr_of(i);
-            let mut push =
-                |edges: &mut Vec<Edge>, target: u32, kind: EdgeKind| match index_of(target) {
-                    Some(t) => edges.push(Edge { to: t, kind }),
-                    None => wild_targets.push((addr, target)),
-                };
+            let addr = image.addr_of_index(i);
+            let mut push = |edges: &mut Vec<Edge>, target: u32, kind: EdgeKind| match image
+                .text_index_of(target)
+            {
+                Some(t) => edges.push(Edge { to: t, kind }),
+                None => wild_targets.push((addr, target)),
+            };
             let mut edges = Vec::new();
             match inst {
                 // `beq r, r` is architecturally always taken — treating it
@@ -139,11 +137,11 @@ impl Flow {
                 work.push(i);
             }
         };
-        if let Some(e) = index_of(image.entry) {
+        if let Some(e) = image.text_index_of(image.entry) {
             root(e, &mut work, &mut reachable);
         }
         for &addr in image.symbols.values() {
-            if let Some(i) = index_of(addr) {
+            if let Some(i) = image.text_index_of(addr) {
                 root(i, &mut work, &mut reachable);
             }
         }

@@ -304,7 +304,7 @@ fn apply_call(state: &mut MemState) {
 /// The forward memory-sensitive analysis, one node per text word.
 struct MemAbs<'a> {
     flow: &'a Flow,
-    text_base: u32,
+    image: &'a Image,
 }
 
 impl MemAbs<'_> {
@@ -464,8 +464,7 @@ impl Analysis for MemAbs<'_> {
         let state = input.as_ref()?;
         let mut state = state.clone();
         if let Some(inst) = self.flow.decoded[node] {
-            let addr = self.text_base.wrapping_add(4 * node as u32);
-            self.eval(addr, inst, &mut state);
+            self.eval(self.image.addr_of_index(node), inst, &mut state);
         }
         Some(state)
     }
@@ -479,29 +478,19 @@ pub fn analyze_memory(image: &Image, flow: &Flow) -> Vec<MemFact> {
         .iter()
         .map(|es| es.iter().map(|e| e.to).collect())
         .collect();
-    let index_of = |addr: u32| -> Option<usize> {
-        if addr < image.text_base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - image.text_base) / 4) as usize;
-        (i < flow.decoded.len()).then_some(i)
-    };
     let mut seeds: Vec<(usize, MemFact)> = Vec::new();
-    let entry = index_of(image.entry);
+    let entry = image.text_index_of(image.entry);
     if let Some(e) = entry {
         seeds.push((e, Some(root_state(true))));
     }
     for &addr in image.symbols.values() {
-        if let Some(i) = index_of(addr) {
+        if let Some(i) = image.text_index_of(addr) {
             if entry != Some(i) {
                 seeds.push((i, Some(root_state(false))));
             }
         }
     }
-    let analysis = MemAbs {
-        flow,
-        text_base: image.text_base,
-    };
+    let analysis = MemAbs { flow, image };
     dataflow::solve(&analysis, &succs, &seeds).input
 }
 

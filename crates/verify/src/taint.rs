@@ -296,20 +296,13 @@ pub fn analyze_taint(
         .iter()
         .map(|es| es.iter().map(|e| e.to).collect())
         .collect();
-    let index_of = |addr: u32| -> Option<usize> {
-        if addr < image.text_base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - image.text_base) / 4) as usize;
-        (i < flow.decoded.len()).then_some(i)
-    };
     let mut seeds: Vec<(usize, TaintFact)> = Vec::new();
-    let entry = index_of(image.entry);
+    let entry = image.text_index_of(image.entry);
     if let Some(e) = entry {
         seeds.push((e, Some(TaintState::default())));
     }
     for &addr in image.symbols.values() {
-        if let Some(i) = index_of(addr) {
+        if let Some(i) = image.text_index_of(addr) {
             if entry != Some(i) {
                 seeds.push((i, Some(TaintState::default())));
             }

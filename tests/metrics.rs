@@ -107,7 +107,6 @@ fn straight_line_clean_run_checks_every_site_exactly_once() {
     assert_eq!(recorder.distinct_sites_passed() as u64, static_sites);
     assert_eq!(m.counter("guard_checks_failed"), 0);
     assert_eq!(m.counter("spacing_exceeded"), 0);
-    assert!(recorder.first_failure().is_none());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! deployment (binary to the device, monitor config to the FPGA).
 
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
-use flexprot::isa::Image;
+use flexprot::isa::{Image, ImageFormatError, Segment};
 use flexprot::secmon::{GuardSite, SecMon, SecMonConfig};
 use flexprot::sim::{Machine, Outcome, SimConfig};
 
@@ -82,6 +82,20 @@ fn corrupted_containers_are_rejected_not_misparsed() {
             SecMonConfig::from_bytes(&config_bytes[..cut]).is_err(),
             "cut {cut}"
         );
+    }
+}
+
+#[test]
+fn segments_wrapping_the_address_space_are_rejected() {
+    // 32 bytes starting 16 bytes below the top of the address space.
+    for segment in [Segment::Text, Segment::Data] {
+        let mut image = Image::from_text(vec![0; 8]);
+        match segment {
+            Segment::Text => image.text_base = 0xFFFF_FFF0,
+            Segment::Data => (image.data_base, image.data) = (0xFFFF_FFF0, vec![0; 32]),
+        }
+        let decoded = Image::from_bytes(&image.to_bytes());
+        assert_eq!(decoded, Err(ImageFormatError::SegmentWraps(segment)));
     }
 }
 
