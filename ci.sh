@@ -81,6 +81,13 @@ sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
 done
 echo "perfbench correctness OK"
 
+echo "== cargo bench: bench-only experiments T7 and T11 =="
+# The two experiments that report wall time only. Each asserts that every
+# timed run exits cleanly; the stage gates on that, not on the numbers,
+# which are machine-dependent.
+cargo bench --quiet -p flexprot-bench
+echo "bench targets OK"
+
 echo "== exec engine: parallel determinism =="
 # The batched execution engine guarantees that a sweep's tables, CSVs and
 # aggregate metrics are byte-identical whatever the worker count, and that

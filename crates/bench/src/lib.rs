@@ -36,7 +36,6 @@
 //! experiments` (add `--quick` for a fast subset, `--jobs N` to size the
 //! worker pool).
 
-pub mod micro;
 pub mod table;
 
 use flexprot_attack::{

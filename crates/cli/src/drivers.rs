@@ -7,7 +7,7 @@ use flexprot_core::{
     protect, EncryptConfig, Granularity, GuardConfig, Placement, Protected, ProtectionConfig,
     Selection,
 };
-use flexprot_exec::{default_jobs, matrix, Engine, SweepSpec};
+use flexprot_exec::{default_jobs, matrix, Engine, Job};
 use flexprot_isa::Image;
 use flexprot_secmon::{DecryptModel, SecMon, SecMonConfig};
 use flexprot_sim::{CacheConfig, Machine, Outcome, SimConfig};
@@ -1137,27 +1137,30 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     }
     let encrypt = args.has("encrypt");
 
-    let mut spec = SweepSpec::new().workloads(workloads).profiled();
-    for &density in &densities {
-        let mut config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
-            seed: 7,
-            placement: Placement::Uniform,
-            selection: Selection::Density(density),
-            enforce_spacing: true,
-        });
-        let mut tag = format!("guards@{density}");
-        if encrypt {
-            config = config.with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
-            tag.push_str("+enc");
+    // Workload-major grid of (display tag, profiled job) cells.
+    let mut grid = Vec::new();
+    for &workload in &workloads {
+        for &density in &densities {
+            let mut config = ProtectionConfig::new().with_guards(GuardConfig {
+                key: 0x0BAD_C0DE_CAFE_F00D,
+                seed: 7,
+                placement: Placement::Uniform,
+                selection: Selection::Density(density),
+                enforce_spacing: true,
+            });
+            let mut tag = format!("guards@{density}");
+            if encrypt {
+                config =
+                    config.with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+                tag.push_str("+enc");
+            }
+            grid.push((tag, Job::new(workload, config).profiled()));
         }
-        spec = spec.config(tag, config);
     }
 
     let batch = BatchOpts::from_args(&args)?;
     let engine = Engine::new(batch.workers);
-    let jobs = spec.jobs();
-    let cells = engine.run_jobs(&jobs, |ctx, job| ctx.run_cell(job));
+    let cells = engine.run_jobs(&grid, |ctx, (_, job)| ctx.run_cell(job));
 
     let mut rows: Vec<Vec<String>> = vec![[
         "workload",
@@ -1170,10 +1173,10 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     .iter()
     .map(|s| (*s).to_owned())
     .collect()];
-    for (job, cell) in jobs.iter().zip(&cells) {
+    for ((tag, job), cell) in grid.iter().zip(&cells) {
         rows.push(vec![
             job.workload.name.to_owned(),
-            job.config_tag.clone(),
+            tag.clone(),
             cell.baseline.run.stats.cycles.to_string(),
             cell.run.stats.cycles.to_string(),
             format!("{:.2}", cell.overhead_pct()),
@@ -1210,7 +1213,7 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     let stats = engine.cache().stats();
     out.push_str(&format!(
         "({} cells, {} workers, cache {} hits / {} misses)\n",
-        jobs.len(),
+        grid.len(),
         engine.workers(),
         stats.hits,
         stats.misses

@@ -229,10 +229,7 @@ impl Protected {
     /// the guard sites.
     pub fn extract_watermark(&self, payload_len: usize) -> Option<Vec<u8>> {
         let mut plaintext = self.image.clone();
-        for index in 0..plaintext.text.len() {
-            let addr = plaintext.addr_of_index(index);
-            plaintext.text[index] = self.secmon.regions.apply(addr, plaintext.text[index]);
-        }
+        plaintext.text = flexprot_verify::decrypt_text(&self.image, &self.secmon);
         watermark::extract(&plaintext, &self.secmon, payload_len)
     }
 }

@@ -7,8 +7,7 @@
 //! an engineered subsystem:
 //!
 //! * a [`Job`] describes one (workload, [`ProtectionConfig`],
-//!   [`SimConfig`], attack) cell, and a [`SweepSpec`] expands axes into a
-//!   job grid in a fixed workload-major order;
+//!   [`SimConfig`], attack) cell; a sweep is a plain list of jobs;
 //! * an [`Engine`] runs jobs on a scoped-thread worker pool (std-only;
 //!   `--jobs N` or `FLEXPROT_JOBS`), collecting results in *job order* so
 //!   output is deterministic whatever the thread count;
@@ -24,12 +23,12 @@
 //! # Example
 //!
 //! ```
-//! use flexprot_exec::{Engine, SweepSpec};
+//! use flexprot_exec::{Engine, Job, ProtectionConfig};
 //!
 //! let engine = Engine::new(2);
-//! let spec = SweepSpec::new()
-//!     .workloads(flexprot_workloads::by_name("rle"));
-//! let cells = engine.run_jobs(&spec.jobs(), |ctx, job| ctx.run_cell(job).run.stats.cycles);
+//! let rle = flexprot_workloads::by_name("rle").expect("known kernel");
+//! let jobs = [Job::new(rle, ProtectionConfig::new())];
+//! let cells = engine.run_jobs(&jobs, |ctx, job| ctx.run_cell(job).run.stats.cycles);
 //! assert_eq!(cells.len(), 1);
 //! assert!(engine.metrics().counter("exec_jobs_completed") >= 1);
 //! ```
@@ -41,7 +40,7 @@ mod sweep;
 
 pub use cache::{fingerprint, ArtifactCache, Baseline, CacheStats};
 pub use engine::{default_jobs, Engine, JobCtx};
-pub use sweep::{AttackSpec, CellResult, CycleBreakdown, Job, SweepSpec};
+pub use sweep::{AttackSpec, CellResult, CycleBreakdown, Job};
 
 // Re-exported so engine users can build jobs without extra imports.
 pub use flexprot_core::ProtectionConfig;

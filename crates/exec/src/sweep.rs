@@ -1,5 +1,4 @@
-//! Job descriptions, the sweep-grid builder, and the standard cell
-//! evaluators.
+//! Job descriptions and the standard cell evaluators.
 
 use std::sync::Arc;
 
@@ -29,12 +28,8 @@ pub struct AttackSpec {
 pub struct Job {
     /// The kernel to run.
     pub workload: Workload,
-    /// Display tag for the protection config axis value.
-    pub config_tag: String,
     /// The protection layers to apply.
     pub config: ProtectionConfig,
-    /// Display tag for the simulator config axis value.
-    pub sim_tag: String,
     /// The simulated hardware.
     pub sim: SimConfig,
     /// Protect with the baseline profile collected under `sim`
@@ -49,9 +44,7 @@ impl Job {
     pub fn new(workload: Workload, config: ProtectionConfig) -> Job {
         Job {
             workload,
-            config_tag: String::new(),
             config,
-            sim_tag: String::new(),
             sim: SimConfig::default(),
             use_profile: false,
             attack: None,
@@ -74,111 +67,6 @@ impl Job {
     pub fn with_attack(mut self, attack: AttackSpec) -> Job {
         self.attack = Some(attack);
         self
-    }
-}
-
-/// Builder that expands axes into a job grid.
-///
-/// Expansion order is fixed — workload-major, then config, then sim, then
-/// attack — so a grid's job list (and therefore the engine's result order)
-/// is deterministic. Empty axes default to a single identity value
-/// (unprotected config, default sim, no attack).
-#[derive(Debug, Clone, Default)]
-pub struct SweepSpec {
-    workloads: Vec<Workload>,
-    configs: Vec<(String, ProtectionConfig)>,
-    sims: Vec<(String, SimConfig)>,
-    attacks: Vec<AttackSpec>,
-    use_profile: bool,
-}
-
-impl SweepSpec {
-    /// An empty spec (expands to no jobs until workloads are added).
-    pub fn new() -> SweepSpec {
-        SweepSpec::default()
-    }
-
-    /// Adds workloads to the workload axis.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> SweepSpec {
-        self.workloads.extend(workloads);
-        self
-    }
-
-    /// Adds one tagged value to the protection-config axis.
-    pub fn config(mut self, tag: impl Into<String>, config: ProtectionConfig) -> SweepSpec {
-        self.configs.push((tag.into(), config));
-        self
-    }
-
-    /// Adds tagged values to the protection-config axis.
-    pub fn configs(
-        mut self,
-        configs: impl IntoIterator<Item = (String, ProtectionConfig)>,
-    ) -> SweepSpec {
-        self.configs.extend(configs);
-        self
-    }
-
-    /// Adds one tagged value to the simulator-config axis.
-    pub fn sim(mut self, tag: impl Into<String>, sim: SimConfig) -> SweepSpec {
-        self.sims.push((tag.into(), sim));
-        self
-    }
-
-    /// Adds one attack to the attack axis.
-    pub fn attack(mut self, spec: AttackSpec) -> SweepSpec {
-        self.attacks.push(spec);
-        self
-    }
-
-    /// Protect every cell with its baseline profile (collected under the
-    /// cell's sim config).
-    pub fn profiled(mut self) -> SweepSpec {
-        self.use_profile = true;
-        self
-    }
-
-    /// Expands the axes into the job grid, workload-major.
-    pub fn jobs(&self) -> Vec<Job> {
-        let default_configs = [("none".to_owned(), ProtectionConfig::new())];
-        let default_sims = [("default".to_owned(), SimConfig::default())];
-        let configs: &[(String, ProtectionConfig)] = if self.configs.is_empty() {
-            &default_configs
-        } else {
-            &self.configs
-        };
-        let sims: &[(String, SimConfig)] = if self.sims.is_empty() {
-            &default_sims
-        } else {
-            &self.sims
-        };
-        let mut jobs = Vec::new();
-        for workload in &self.workloads {
-            for (config_tag, config) in configs {
-                for (sim_tag, sim) in sims {
-                    let base = Job {
-                        workload: *workload,
-                        config_tag: config_tag.clone(),
-                        config: config.clone(),
-                        sim_tag: sim_tag.clone(),
-                        sim: sim.clone(),
-                        use_profile: self.use_profile,
-                        attack: None,
-                    };
-                    if self.attacks.is_empty() {
-                        jobs.push(base);
-                    } else {
-                        for spec in &self.attacks {
-                            jobs.push(Job {
-                                attack: Some(spec.clone()),
-                                ..base.clone()
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        jobs
     }
 }
 
@@ -310,75 +198,19 @@ mod tests {
     use crate::engine::Engine;
     use flexprot_core::GuardConfig;
 
-    fn kernels(names: &[&str]) -> Vec<Workload> {
-        names
-            .iter()
-            .map(|n| flexprot_workloads::by_name(n).expect("kernel"))
-            .collect()
-    }
-
-    #[test]
-    fn grid_expands_workload_major_with_defaults() {
-        let spec = SweepSpec::new()
-            .workloads(kernels(&["rle", "qsort"]))
-            .config("a", ProtectionConfig::new())
-            .config(
-                "b",
-                ProtectionConfig::new().with_guards(GuardConfig::with_density(0.5)),
-            );
-        let jobs = spec.jobs();
-        let tags: Vec<(&str, &str)> = jobs
-            .iter()
-            .map(|j| (j.workload.name, j.config_tag.as_str()))
-            .collect();
-        assert_eq!(
-            tags,
-            vec![("rle", "a"), ("rle", "b"), ("qsort", "a"), ("qsort", "b")]
-        );
-        assert!(jobs
-            .iter()
-            .all(|j| j.sim_tag == "default" && j.attack.is_none()));
-    }
-
-    #[test]
-    fn empty_config_axis_defaults_to_unprotected() {
-        let jobs = SweepSpec::new().workloads(kernels(&["rle"])).jobs();
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].config_tag, "none");
-        assert_eq!(jobs[0].config, ProtectionConfig::new());
-    }
-
-    #[test]
-    fn attack_axis_multiplies_cells() {
-        let spec = SweepSpec::new()
-            .workloads(kernels(&["rle"]))
-            .attack(AttackSpec {
-                attack: Attack::BitFlip,
-                trials: 2,
-                seed: 1,
-            })
-            .attack(AttackSpec {
-                attack: Attack::NopOut,
-                trials: 2,
-                seed: 1,
-            });
-        assert_eq!(spec.jobs().len(), 2);
+    fn guarded(density: f64) -> Job {
+        let rle = flexprot_workloads::by_name("rle").expect("kernel");
+        Job::new(
+            rle,
+            ProtectionConfig::new().with_guards(GuardConfig::with_density(density)),
+        )
     }
 
     #[test]
     fn run_cell_shares_artifacts_across_cells() {
         let engine = Engine::new(2);
-        let spec = SweepSpec::new()
-            .workloads(kernels(&["rle"]))
-            .config(
-                "d=0.25",
-                ProtectionConfig::new().with_guards(GuardConfig::with_density(0.25)),
-            )
-            .config(
-                "d=1.0",
-                ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0)),
-            );
-        let cells = engine.run_jobs(&spec.jobs(), |ctx, job| ctx.run_cell(job));
+        let jobs = [guarded(0.25), guarded(1.0)];
+        let cells = engine.run_jobs(&jobs, |ctx, job| ctx.run_cell(job));
         assert_eq!(cells.len(), 2);
         assert!(Arc::ptr_eq(&cells[0].baseline, &cells[1].baseline));
         assert!(cells[0].overhead_pct() >= 0.0);
@@ -394,18 +226,12 @@ mod tests {
     #[test]
     fn attack_cell_exports_outcome_counters() {
         let engine = Engine::new(1);
-        let spec = SweepSpec::new()
-            .workloads(kernels(&["rle"]))
-            .config(
-                "guards",
-                ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0)),
-            )
-            .attack(AttackSpec {
-                attack: Attack::BitFlip,
-                trials: 4,
-                seed: 7,
-            });
-        let summaries = engine.run_jobs(&spec.jobs(), |ctx, job| ctx.attack_cell(job));
+        let job = guarded(1.0).with_attack(AttackSpec {
+            attack: Attack::BitFlip,
+            trials: 4,
+            seed: 7,
+        });
+        let summaries = engine.run_jobs(&[job], |ctx, job| ctx.attack_cell(job));
         assert_eq!(summaries.len(), 1);
         let m = engine.metrics();
         assert_eq!(

@@ -147,14 +147,6 @@ impl Value {
         }
     }
 
-    /// Object payload, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
     /// Array payload, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {

@@ -40,13 +40,6 @@ pub enum StoreClass {
     MayAlias,
 }
 
-impl StoreClass {
-    /// Whether the store can be ruled out against the interval.
-    pub fn is_no_alias(self) -> bool {
-        matches!(self, StoreClass::NoAlias)
-    }
-}
-
 /// A store instruction with its resolved abstract target.
 #[derive(Debug, Clone)]
 pub struct StoreSite {

@@ -715,21 +715,35 @@ pub(crate) fn check_regions(ctx: &Ctx, sink: &mut Sink) {
     if regions.is_empty() {
         return;
     }
+    // The range's words are `start + 4k` below `end`. A hostile range may
+    // span the whole address space, so coverage is counted from its
+    // overlap with the regions (sorted and disjoint), not word by word.
     for range in &ctx.config.protected {
-        let mut uncovered = 0usize;
-        let mut first = None;
-        let mut addr = range.start;
-        while addr < range.end {
-            if ctx.config.regions.lookup(addr).is_none() {
-                uncovered += 1;
-                first.get_or_insert(addr);
+        let start = u64::from(range.start);
+        let words_below = |addr: u32| u64::from(addr).saturating_sub(start).div_ceil(4);
+        let total = words_below(range.end);
+        let (mut covered, mut next, mut first) = (0, 0, None);
+        let first_overlap = regions.partition_point(|r| r.end <= range.start);
+        for r in regions[first_overlap..]
+            .iter()
+            .take_while(|r| r.start < range.end)
+        {
+            let lo = words_below(r.start).min(total);
+            let hi = words_below(r.end).min(total);
+            covered += hi - lo;
+            if lo > next {
+                first.get_or_insert(next);
             }
-            addr += 4;
+            next = hi;
         }
+        if next < total {
+            first.get_or_insert(next);
+        }
+        let uncovered = total - covered;
         if uncovered > 0 {
             sink.emit(
                 &diag::UNENCRYPTED_PROTECTED,
-                first,
+                first.map(|k| u32::try_from(start + 4 * k).expect("word lies below range.end")),
                 format!(
                     "{uncovered} word(s) of protected range [{:#010x}, {:#010x}) are not encrypted",
                     range.start, range.end

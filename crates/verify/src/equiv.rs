@@ -530,10 +530,20 @@ pub fn validate_with_policy(
     }
 
     // --- Obligation 3: per-region decrypt(encrypt(·)) involution. ---
+    // Only the region's aligned words inside text are checked, so the walk
+    // is bounded by the text even when a hostile region spans the address
+    // space.
     for region in config.regions.regions() {
         stats.cipher_regions += 1;
-        let mut addr = region.start;
-        while addr < region.end {
+        let end = region.end.min(protected.text_end());
+        let Some(first) = region
+            .start
+            .max(protected.text_base)
+            .checked_next_multiple_of(4)
+        else {
+            continue;
+        };
+        for addr in (first..end).step_by(4) {
             if let Some(idx) = protected.text_index_of(addr) {
                 stats.cipher_words += 1;
                 let stored = protected.text[idx];
@@ -551,7 +561,6 @@ pub fn validate_with_policy(
                     );
                 }
             }
-            addr = addr.wrapping_add(4);
         }
     }
     sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "involution failures");

@@ -90,14 +90,6 @@ impl MemVal {
         }
     }
 
-    /// The empty value (no feasible concretisation).
-    pub fn bot() -> MemVal {
-        MemVal {
-            base: Base::Abs,
-            off: AbsVal::Bot,
-        }
-    }
-
     /// A plain scalar.
     pub fn abs(off: AbsVal) -> MemVal {
         MemVal {

@@ -135,3 +135,53 @@ fn hostile_guard_site_length_is_reported_not_overflowed() {
         report.render_human()
     );
 }
+
+#[test]
+fn hostile_protected_range_is_counted_not_walked() {
+    // A protected range from the FPM1 may wrap past the top of the address
+    // space or span nearly all of it. FP404's uncovered-word count must
+    // come from the range's overlap with the region table: a word-by-word
+    // walk overflows on the first and takes seconds on the second.
+    let image = flexprot::asm::assemble(
+        "main:   li   $s0, 10
+                 li   $s1, 0
+         loop:   addu $s1, $s1, $s0
+                 addi $s0, $s0, -1
+                 bgtz $s0, loop
+                 move $a0, $s1
+                 li   $v0, 1
+                 syscall
+                 li   $v0, 10
+                 syscall",
+    )
+    .expect("assemble");
+    let config = ProtectionConfig::new()
+        .with_guards(GuardConfig::with_density(1.0))
+        .with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+    let protected = protect(&image, &config, None).expect("protect");
+    assert_eq!(protected.secmon.protected.len(), 1);
+    for (start, end, message) in [
+        (
+            0xFFFF_FFF0,
+            0xFFFF_FFFF,
+            "4 word(s) of protected range [0xfffffff0, 0xffffffff) are not encrypted",
+        ),
+        (
+            0,
+            0xFFFF_FFFC,
+            "1073741797 word(s) of protected range [0x00000000, 0xfffffffc) are not encrypted",
+        ),
+    ] {
+        let mut hostile = protected.secmon.clone();
+        (hostile.protected[0].start, hostile.protected[0].end) = (start, end);
+        let shipped = SecMonConfig::from_bytes(&hostile.to_bytes()).expect("config container");
+        let report = flexprot::verify::verify(&protected.image, &shipped);
+        let finding = report
+            .findings
+            .iter()
+            .find(|f| f.id == "FP404")
+            .unwrap_or_else(|| panic!("no FP404 finding:\n{}", report.render_human()));
+        assert_eq!(finding.addr, Some(start));
+        assert_eq!(finding.message, message);
+    }
+}
