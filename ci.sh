@@ -12,6 +12,10 @@ cargo build --workspace --release
 echo "== cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace -D warnings =="
+# Broken, private or ambiguous intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "== cargo test --workspace =="
 cargo test --workspace --quiet
 

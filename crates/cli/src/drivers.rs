@@ -599,7 +599,7 @@ pub struct LintSummary {
 /// Reports I/O, format and policy failures. Findings are reported in the
 /// summary, not as errors.
 pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
-    use flexprot_verify::{analyze_with_options, lint_by_id, LintPolicy, LINTS};
+    use flexprot_verify::{lint_by_id, LintPolicy, Shipped, LINTS};
 
     let args = parse(raw_args, &["secmon", "deny", "allow", "format", "equiv"])?;
     if args.has("lints") {
@@ -659,15 +659,16 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
             .collect()
     };
     let policy = LintPolicy::new(&list("deny")?, &list("allow")?).map_err(CliError)?;
+    let shipped = Shipped::new(&image, &config);
     if let Some(base_path) = args.value("equiv") {
         let base = load_image(base_path)?;
-        let equiv = flexprot_verify::equiv::validate_with_policy(&base, &image, &config, &policy);
+        let equiv = shipped.validate(&base, &policy);
         return Ok(LintSummary {
             report: equiv.to_json(),
             exit_code: i32::from(!equiv.is_clean()),
         });
     }
-    let verification = analyze_with_options(&image, &config, &policy, args.has("taint"));
+    let verification = shipped.analyze(&policy, args.has("taint"));
     let report = if args.has("guardnet") {
         verification.guardnet_json()
     } else if args.has("surface") {
@@ -2065,6 +2066,42 @@ mod tests {
         );
         assert!(doc.get("witness").is_some(), "{}", dirty.report);
         assert!(dirty.report.contains("FP803"), "{}", dirty.report);
+        const DIRTY: &str = concat!(
+            r#"{"schema":"flexprot-equiv-v1","verdict":"inequivalent","witness":"0x00400004","#,
+            r#""reason":null,"code":null,"stats":{"base_words":5,"prot_words":13,"#,
+            r#""guard_words":8,"aligned_words":5,"symbols_matched":1,"windows_proven":2,"#,
+            r#""windows_inequivalent":0,"windows_refused":0,"cipher_regions":1,"#,
+            r#""cipher_words":13},"windows":[{"site":"0x00400008","verdict":"proven","#,
+            r#""witness":null,"reason":null,"code":null},{"site":"0x00400020","#,
+            r#""verdict":"proven","witness":null,"reason":null,"code":null}],"#,
+            r#""refusals":[],"findings":[{"id":"FP803","name":"cipher-roundtrip-mismatch","#,
+            r#""severity":"error","addr":"0x00400004","message":"instruction word changed: "#,
+            r#"baseline 0x20020001, protected 0x20020009"}]}"#
+        );
+        assert_eq!(dirty.report, DIRTY);
+
+        // The policy reaches the validator's findings: allowing the one
+        // error lint the tamper trips demotes it to a note, which clears
+        // the exit code and the verdict; denying it as well wins.
+        let lint = |policy: &[&str]| {
+            let mut argv = vec![bad.as_str(), "--secmon", &fpm, "--equiv", &fpx];
+            argv.extend_from_slice(policy);
+            fplint(&strs(&argv)).unwrap()
+        };
+        let allowed = lint(&["--allow", "FP803"]);
+        assert_eq!(allowed.exit_code, 0, "{}", allowed.report);
+        assert_eq!(
+            allowed.report,
+            DIRTY
+                .replace(
+                    r#""verdict":"inequivalent","witness":"0x00400004""#,
+                    r#""verdict":"proven","witness":null"#
+                )
+                .replace(r#""severity":"error""#, r#""severity":"note""#)
+        );
+        let denied = lint(&["--allow", "FP803", "--deny", "cipher-roundtrip-mismatch"]);
+        assert_eq!(denied.exit_code, 1, "{}", denied.report);
+        assert_eq!(denied.report, DIRTY);
 
         // Exit 2 (CliError from the binary): unreadable baseline.
         assert!(fplint(&strs(&[

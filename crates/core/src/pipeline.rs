@@ -321,15 +321,12 @@ pub fn protect_traced(
     // N-version self-check: the independent verifier must be able to prove
     // every invariant this pipeline claims to have established. Refusing to
     // ship an unprovable image turns silent rewriting bugs into build
-    // failures. One analysis serves both this check and the optional
-    // key-flow post-condition; its FP9xx taint findings belong to the
-    // latter only.
-    let verification = flexprot_verify::analyze_with_options(
-        &protected.image,
-        &protected.secmon,
-        &flexprot_verify::LintPolicy::default(),
-        config.key_flow_check,
-    );
+    // failures. One fact base serves this check and both optional
+    // post-conditions, and one analysis serves this check and the key-flow
+    // post-condition; its FP9xx taint findings belong to the latter only.
+    let shipped = flexprot_verify::Shipped::new(&protected.image, &protected.secmon);
+    let policy = flexprot_verify::LintPolicy::default();
+    let verification = shipped.analyze(&policy, config.key_flow_check);
     let errors = |taint: bool| {
         verification.report.findings.iter().filter(move |f| {
             f.severity == flexprot_verify::Severity::Error && f.id.starts_with("FP9") == taint
@@ -359,7 +356,7 @@ pub fn protect_traced(
     // ciphertext round-trips to the baseline stream), not merely that the
     // shipped image satisfies the protection invariants.
     if config.validate_translation {
-        let equiv = protected.validate_against(image);
+        let equiv = shipped.validate(image, &policy);
         match equiv.verdict {
             flexprot_verify::EquivVerdict::Proven => {}
             flexprot_verify::EquivVerdict::Inequivalent { witness_addr } => {

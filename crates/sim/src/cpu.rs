@@ -3,12 +3,12 @@
 //! The core is layered across three modules (the fetch/decode/execute
 //! split):
 //!
-//! * [`crate::fetch`] — the fetch path: I-cache lookup, miss timing, the
+//! * `fetch` — the fetch path: I-cache lookup, miss timing, the
 //!   monitor's fill-path transform, and instruction delivery from either
 //!   engine;
-//! * [`crate::decode_cache`] — the decoded-line store that shadows the
+//! * `decode_cache` — the decoded-line store that shadows the
 //!   I-cache and eliminates per-step `Inst::decode`;
-//! * [`crate::exec`] — the execute stage: ALU/memory/branch semantics,
+//! * `exec` — the execute stage: ALU/memory/branch semantics,
 //!   syscalls and D-cache timing.
 //!
 //! This module owns what ties them together: the machine state, the

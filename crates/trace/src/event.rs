@@ -113,7 +113,7 @@ pub enum TraceEvent {
         /// Payload length in bytes.
         bytes: u32,
     },
-    /// The simulation finished; final counter values from [`flexprot-sim`]'s
+    /// The simulation finished; final counter values from `flexprot-sim`'s
     /// own `Stats`, for reconciliation against the event-derived counters.
     RunEnd {
         /// Total simulated cycles.

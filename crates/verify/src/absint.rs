@@ -1,10 +1,10 @@
 //! Abstract interpretation over the ISA: constant propagation with a
 //! value-set domain, and the symbolic checksum proofs built on it.
 //!
-//! The concrete checks in [`crate::checks`] recompute each guard's window
-//! hash once, over the shipped bytes. This module re-derives the same
-//! conclusion through a different theory: a small abstract interpreter
-//! symbolically executes the program over the lattice
+//! The concrete guard checks of [`crate::Shipped::analyze`] recompute
+//! each guard's window hash once, over the shipped bytes. This module
+//! re-derives the same conclusion through a different theory: a small
+//! abstract interpreter symbolically executes the program over the lattice
 //!
 //! ```text
 //!            Top                (any word)

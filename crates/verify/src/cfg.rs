@@ -111,7 +111,7 @@ impl Cfg {
             succs[b] = outs;
         }
         let preds = dataflow::invert(&succs);
-        let entry = image.text_index_of(image.entry).map(|e| block_of[e]);
+        let entry = flow.entry.map(|e| block_of[e]);
         Cfg {
             blocks,
             block_of,

@@ -21,25 +21,14 @@ use flexprot_isa::{Image, Inst, RelocKind};
 use flexprot_secmon::guard::{
     decode_guard_symbol, is_guard_form, signature_from_symbols, WindowHasher,
 };
-use flexprot_secmon::SecMonConfig;
 
 use crate::coverage::GuardWindow;
 use crate::diag::{self, Severity};
-use crate::flow::{EdgeKind, Flow};
-use crate::Sink;
-
-/// Everything the checks share: the image, the provisioned configuration,
-/// the decrypted text and the recovered flow graph.
-pub(crate) struct Ctx<'a> {
-    pub image: &'a Image,
-    pub config: &'a SecMonConfig,
-    /// Text after undoing the region table — what the core executes.
-    pub text: Vec<u32>,
-    pub flow: Flow,
-}
+use crate::flow::EdgeKind;
+use crate::{Shipped, Sink};
 
 /// Entry point, decodability of reachable text, wild targets, dead text.
-pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
+pub(crate) fn check_flow(ctx: &Shipped, sink: &mut Sink) {
     if ctx.image.text_index_of(ctx.image.entry).is_none() {
         sink.emit(
             &diag::BAD_ENTRY,
@@ -98,7 +87,7 @@ pub(crate) fn check_flow(ctx: &Ctx, sink: &mut Sink) {
 /// recomputed, plus one [`GuardWindow`] record per site whose window
 /// resolved to word indices (sound only when every check passed) — the
 /// raw material of the coverage analysis.
-pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindow>) {
+pub(crate) fn check_guards(ctx: &Shipped, sink: &mut Sink) -> (usize, Vec<GuardWindow>) {
     let config = ctx.config;
     let len = ctx.text.len();
     let mut checked = 0usize;
@@ -251,7 +240,7 @@ pub(crate) fn check_guards(ctx: &Ctx, sink: &mut Sink) -> (usize, Vec<GuardWindo
 /// check are outright coverage gaps, words dominated by a check are
 /// editable only *after* it fires (a residual edit window).
 pub(crate) fn check_coverage(
-    ctx: &Ctx,
+    ctx: &Shipped,
     coverage: &crate::coverage::Coverage,
     live: &crate::liveness::Liveness,
     sink: &mut Sink,
@@ -416,7 +405,7 @@ pub(crate) fn check_network(
 /// [`diag::UNRESET_CALL_RETURN`] flagging any continuation the
 /// configuration fails to register. Returns the bounded maximum, when one
 /// exists.
-pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
+pub(crate) fn check_spacing(ctx: &Shipped, sink: &mut Sink) -> Option<u64> {
     let config = ctx.config;
     if !config.sites.is_empty() && config.spacing_bound.is_none() {
         sink.emit(
@@ -482,13 +471,8 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
     };
 
     // Roots: the entry point and every text symbol, with a zero counter.
-    if let Some(e) = ctx.image.text_index_of(ctx.image.entry) {
-        push_val(e, 0, &mut value, &mut work);
-    }
-    for &addr in ctx.image.symbols.values() {
-        if let Some(i) = ctx.image.text_index_of(addr) {
-            push_val(i, 0, &mut value, &mut work);
-        }
+    for i in ctx.flow.roots() {
+        push_val(i, 0, &mut value, &mut work);
     }
 
     let mut exceeded: Option<u32> = None;
@@ -568,7 +552,7 @@ pub(crate) fn check_spacing(ctx: &Ctx, sink: &mut Sink) -> Option<u64> {
 /// Relocation integrity: every entry must agree with the instruction field
 /// it describes, and targets must land where their kind requires.
 /// Returns the number of in-bounds entries checked.
-pub(crate) fn check_relocs(ctx: &Ctx, sink: &mut Sink) -> usize {
+pub(crate) fn check_relocs(ctx: &Shipped, sink: &mut Sink) -> usize {
     let len = ctx.text.len();
     let mut checked = 0usize;
     let mut relocated: BTreeSet<usize> = BTreeSet::new();
@@ -679,7 +663,7 @@ fn addr_in_image(image: &Image, target: u32) -> bool {
 
 /// Encryption-region checks: well-formedness, non-overlap, containment in
 /// text, and coverage of the protected ranges.
-pub(crate) fn check_regions(ctx: &Ctx, sink: &mut Sink) {
+pub(crate) fn check_regions(ctx: &Shipped, sink: &mut Sink) {
     let image = ctx.image;
     let regions = ctx.config.regions.regions();
     for r in regions {

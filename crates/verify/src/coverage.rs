@@ -292,21 +292,8 @@ pub fn surface_map(
         .collect();
 
     // Minimum flow depth from the entry and every symbol landing pad.
-    let succs: Vec<Vec<usize>> = flow
-        .succs
-        .iter()
-        .map(|es| es.iter().map(|e| e.to).collect())
-        .collect();
-    let mut seeds: Vec<(usize, Option<u32>)> = Vec::new();
-    if let Some(e) = image.text_index_of(image.entry) {
-        seeds.push((e, Some(0)));
-    }
-    for &addr in image.symbols.values() {
-        if let Some(i) = image.text_index_of(addr) {
-            seeds.push((i, Some(0)));
-        }
-    }
-    let depth = dataflow::solve(&MinDepth, &succs, &seeds).input;
+    let seeds: Vec<(usize, Option<u32>)> = flow.roots().map(|i| (i, Some(0))).collect();
+    let depth = dataflow::solve(&MinDepth, &flow.succ_index, &seeds).input;
 
     // Must-execute blocks: post-dominate the entry block.
     let must_execute_block: Vec<bool> = match cfg.entry {

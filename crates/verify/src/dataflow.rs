@@ -88,9 +88,13 @@ pub fn solve<A: Analysis>(
     let n = succs.len();
     // Propagation edges: the output of node `i` joins into the input of
     // every node in `edges[i]`.
-    let edges: Vec<Vec<usize>> = match analysis.direction() {
-        Direction::Forward => succs.to_vec(),
-        Direction::Backward => invert(succs),
+    let preds;
+    let edges: &[Vec<usize>] = match analysis.direction() {
+        Direction::Forward => succs,
+        Direction::Backward => {
+            preds = invert(succs);
+            &preds
+        }
     };
     let mut input: Vec<A::Fact> = (0..n).map(|_| analysis.bottom()).collect();
     for (node, fact) in seeds {

@@ -2,18 +2,20 @@
 //! overrides and rendering.
 //!
 //! Every check in this crate reports through a [`Finding`] carrying one of
-//! the registered [`LintId`]s. IDs are stable across releases — scripts and
+//! the registered [`Lint`] IDs. IDs are stable across releases — scripts and
 //! CI gates may match on them — so new checks take new IDs and retired
 //! checks leave their ID reserved.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+use flexprot_trace::json::escape;
+
 /// How serious a finding is.
 ///
 /// Only [`Severity::Error`] findings make a verification fail (non-zero
 /// `fplint` exit); warnings and notes are informational unless promoted via
-/// [`LintPolicy::deny`].
+/// a [`LintPolicy`] deny list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational; never fails a verification.
@@ -379,7 +381,7 @@ impl Report {
                 f.id,
                 f.name,
                 f.severity,
-                json_escape(&f.message)
+                escape(&f.message)
             ));
         }
         out.push_str("]}");
@@ -399,23 +401,6 @@ impl Report {
         }
         out
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

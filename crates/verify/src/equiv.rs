@@ -50,20 +50,22 @@
 //! prose `Display` for humans) — a refusal is sound (the validator does
 //! not know, and says so) and is surfaced as a warning rather than an
 //! error.
+//!
+//! [`SIG_SYMBOLS`]: flexprot_secmon::SIG_SYMBOLS
 
 use std::collections::BTreeMap;
 
 use flexprot_isa::{Image, Inst, Reg, Reloc, RelocKind};
 use flexprot_secmon::guard::is_guard_form;
 use flexprot_secmon::SecMonConfig;
+use flexprot_trace::json::escape;
 
 use crate::absint::AbsVal;
 use crate::alias::{self, StoreClass};
-use crate::diag::{self, json_escape, Finding, LintPolicy, Severity};
-use crate::flow::Flow;
+use crate::diag::{self, Finding, LintPolicy, Severity};
 use crate::liveness::{self, Liveness};
-use crate::memdom::{self, MemFact};
-use crate::{decrypt_text, Sink};
+use crate::memdom;
+use crate::{Shipped, Sink};
 
 /// Which proof obligation a verdict belongs to (used only for labelling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,7 +240,7 @@ impl EquivReport {
                 ),
                 EquivVerdict::Refused { reason } => (
                     "null".to_owned(),
-                    format!("\"{}\"", json_escape(&reason.to_string())),
+                    format!("\"{}\"", escape(&reason.to_string())),
                     format!("\"{}\"", reason.code()),
                 ),
             };
@@ -285,7 +287,7 @@ impl EquivReport {
             out.push_str(&format!(
                 "{{\"addr\":\"{addr:#010x}\",\"code\":\"{}\",\"reason\":\"{}\"}}",
                 reason.code(),
-                json_escape(&reason.to_string())
+                escape(&reason.to_string())
             ));
         }
         out.push_str("],\"findings\":[");
@@ -302,7 +304,7 @@ impl EquivReport {
                 f.id,
                 f.name,
                 f.severity,
-                json_escape(&f.message)
+                escape(&f.message)
             ));
         }
         out.push_str("]}");
@@ -311,9 +313,10 @@ impl EquivReport {
 }
 
 /// Validates that `protected` preserves the semantics of `base` under the
-/// monitor configuration `config`, with the default lint policy.
+/// monitor configuration `config`, with the default lint policy
+/// ([`Shipped::validate`] on a fresh fact base).
 pub fn validate(base: &Image, protected: &Image, config: &SecMonConfig) -> EquivReport {
-    validate_with_policy(base, protected, config, &LintPolicy::default())
+    Shipped::new(protected, config).validate(base, &LintPolicy::default())
 }
 
 /// How one guard-window word was judged.
@@ -323,265 +326,261 @@ enum WordJudgement {
     Refused(RefusalReason),
 }
 
-/// Validates `protected` against `base`, applying `policy` severity
-/// overrides to every finding.
-pub fn validate_with_policy(
-    base: &Image,
-    protected: &Image,
-    config: &SecMonConfig,
-    policy: &LintPolicy,
-) -> EquivReport {
-    let mut sink = Sink::new(policy);
-    let mut refusals: Vec<(u32, RefusalReason)> = Vec::new();
-    let text = decrypt_text(protected, config);
-    let mut stats = EquivStats {
-        base_words: base.text.len(),
-        prot_words: text.len(),
-        ..EquivStats::default()
-    };
+impl Shipped<'_> {
+    /// Validates the shipped image against `base`, the image it was built
+    /// from, applying `policy` severity overrides to every finding.
+    pub fn validate(&self, base: &Image, policy: &LintPolicy) -> EquivReport {
+        let (protected, config, text, flow) = (self.image, self.config, &self.text, &self.flow);
+        let mut sink = Sink::new(policy);
+        let mut refusals: Vec<(u32, RefusalReason)> = Vec::new();
+        let mut stats = EquivStats {
+            base_words: base.text.len(),
+            prot_words: text.len(),
+            ..EquivStats::default()
+        };
 
-    // --- Obligation 1 groundwork: classify guard words and build the
-    // lockstep index maps between the two texts. ---
-    let mut is_guard = vec![false; text.len()];
-    for (&site_addr, site) in &config.sites {
-        let symbols = site.symbols as usize;
-        match protected.text_index_of(site_addr) {
-            Some(i) if i + symbols <= text.len() => {
-                for slot in &mut is_guard[i..i + symbols] {
-                    *slot = true;
+        // --- Obligation 1 groundwork: classify guard words and build the
+        // lockstep index maps between the two texts. ---
+        let mut is_guard = vec![false; text.len()];
+        for (&site_addr, site) in &config.sites {
+            let symbols = site.symbols as usize;
+            match protected.text_index_of(site_addr) {
+                Some(i) if i + symbols <= text.len() => {
+                    for slot in &mut is_guard[i..i + symbols] {
+                        *slot = true;
+                    }
                 }
+                _ => sink.emit(
+                    &diag::EQUIV_UNALIGNED,
+                    Some(site_addr),
+                    "scheduled guard run extends outside the protected text segment".to_owned(),
+                ),
             }
-            _ => sink.emit(
-                &diag::EQUIV_UNALIGNED,
-                Some(site_addr),
-                "scheduled guard run extends outside the protected text segment".to_owned(),
-            ),
         }
-    }
-    stats.guard_words = is_guard.iter().filter(|&&g| g).count();
+        stats.guard_words = is_guard.iter().filter(|&&g| g).count();
 
-    // Pair every non-guard protected word with the next baseline word.
-    let mut old_of_new: Vec<Option<usize>> = vec![None; text.len()];
-    let mut new_of_old: Vec<usize> = Vec::with_capacity(base.text.len());
-    for (j, &guard) in is_guard.iter().enumerate() {
-        if !guard && new_of_old.len() < base.text.len() {
-            old_of_new[j] = Some(new_of_old.len());
-            new_of_old.push(j);
+        // Pair every non-guard protected word with the next baseline word.
+        let mut old_of_new: Vec<Option<usize>> = vec![None; text.len()];
+        let mut new_of_old: Vec<usize> = Vec::with_capacity(base.text.len());
+        for (j, &guard) in is_guard.iter().enumerate() {
+            if !guard && new_of_old.len() < base.text.len() {
+                old_of_new[j] = Some(new_of_old.len());
+                new_of_old.push(j);
+            }
         }
-    }
-    stats.aligned_words = new_of_old.len();
-    if new_of_old.len() != base.text.len() || text.len() != base.text.len() + stats.guard_words {
-        let witness = protected.addr_of_index(text.len().min(base.text.len()));
-        sink.emit(
-            &diag::EQUIV_UNALIGNED,
-            Some(witness),
-            format!(
-                "text length mismatch: {} baseline + {} guard words != {} protected words",
-                base.text.len(),
-                stats.guard_words,
-                text.len()
-            ),
-        );
-    }
-
-    // Back-translation: protected address -> baseline address, skipping
-    // forward over guard runs (justified by obligation 2: executing a
-    // guard run before the landing word is architecturally a no-op).
-    let back = |addr: u32| -> Option<u32> {
-        let mut j = protected.text_index_of(addr)?;
-        while j < text.len() && is_guard[j] {
-            j += 1;
-        }
-        old_of_new
-            .get(j)
-            .copied()
-            .flatten()
-            .map(|i| base.addr_of_index(i))
-    };
-
-    // --- Obligation 1: lockstep word comparison. ---
-    let base_relocs = relocs_by_index(&base.relocs);
-    let prot_relocs = relocs_by_index(&protected.relocs);
-    let mut misaligned: Vec<(u32, bool, String)> = Vec::new(); // (addr, in_region, detail)
-    for (i, &j) in new_of_old.iter().enumerate() {
-        let (wb, wp) = (base.text[i], text[j]);
-        let addr_b = base.addr_of_index(i);
-        let addr_p = protected.addr_of_index(j);
-        if let Some(detail) = word_mismatch(
-            base,
-            wb,
-            wp,
-            addr_b,
-            addr_p,
-            i,
-            j,
-            &base_relocs,
-            &prot_relocs,
-            &back,
-        ) {
-            misaligned.push((addr_p, config.regions.lookup(addr_p).is_some(), detail));
-        }
-    }
-    for (addr, in_region, detail) in &misaligned {
-        let lint = if *in_region {
-            &diag::EQUIV_CIPHER_MISMATCH
-        } else {
-            &diag::EQUIV_UNALIGNED
-        };
-        sink.emit_capped(lint, *addr, format_args!("{detail}"));
-    }
-    sink.summarise(&diag::EQUIV_UNALIGNED, "mismatched words");
-    sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "mismatched words");
-
-    // Entry point and symbol table must survive the remapping.
-    if base.contains_text_addr(base.entry) && back(protected.entry) != Some(base.entry) {
-        sink.emit(
-            &diag::EQUIV_UNALIGNED,
-            Some(protected.entry),
-            format!(
-                "protected entry point does not map back to the baseline entry {:#010x}",
-                base.entry
-            ),
-        );
-    }
-    for (name, &addr_b) in &base.symbols {
-        let mapped = match protected.symbol(name) {
-            Some(addr_p) if base.contains_text_addr(addr_b) => back(addr_p) == Some(addr_b),
-            Some(addr_p) => addr_p == addr_b,
-            None => false,
-        };
-        if mapped {
-            stats.symbols_matched += 1;
-        } else {
+        stats.aligned_words = new_of_old.len();
+        if new_of_old.len() != base.text.len() || text.len() != base.text.len() + stats.guard_words
+        {
+            let witness = protected.addr_of_index(text.len().min(base.text.len()));
             sink.emit(
                 &diag::EQUIV_UNALIGNED,
-                Some(addr_b),
-                format!("symbol `{name}` is missing or maps to the wrong baseline address"),
+                Some(witness),
+                format!(
+                    "text length mismatch: {} baseline + {} guard words != {} protected words",
+                    base.text.len(),
+                    stats.guard_words,
+                    text.len()
+                ),
             );
         }
-    }
-    if base.data != protected.data || base.data_base != protected.data_base {
-        sink.emit(
-            &diag::EQUIV_UNALIGNED,
-            Some(protected.data_base),
-            "the protected data segment differs from the baseline".to_owned(),
-        );
-    }
 
-    // --- Obligation 2: guard-window transparency on the protected flow. ---
-    let flow = Flow::recover(protected, &text);
-    // Liveness runs on a sanitized flow: inert guard-form words *read*
-    // the registers their operand fields spell, but the result lands in
-    // `$zero`, so those reads must not keep registers alive — otherwise
-    // every register a signature symbol happens to name would count as
-    // clobberable state. Non-guard-form words in a window keep their real
-    // semantics (they are the suspects being judged).
-    let mut sanitized = flow.clone();
-    for (j, &guard) in is_guard.iter().enumerate() {
-        if guard && is_guard_form(text[j]) {
-            sanitized.decoded[j] = Some(Inst::NOP);
-        }
-    }
-    let live = liveness::analyze(&sanitized);
-    let mem = memdom::analyze_memory(protected, &flow);
-    let mut windows: Vec<WindowEquiv> = Vec::new();
-    for (&site_addr, site) in &config.sites {
-        let symbols = site.symbols as usize;
-        let Some(start) = protected.text_index_of(site_addr) else {
-            windows.push(WindowEquiv {
-                site_addr,
-                verdict: EquivVerdict::Inequivalent {
-                    witness_addr: site_addr,
-                },
-            });
-            continue;
-        };
-        let mut verdict = EquivVerdict::Proven;
-        for g in start..(start + symbols).min(text.len()) {
-            if !flow.reachable[g] {
-                continue; // never fetched: vacuously transparent
+        // Back-translation: protected address -> baseline address, skipping
+        // forward over guard runs (justified by obligation 2: executing a
+        // guard run before the landing word is architecturally a no-op).
+        let back = |addr: u32| -> Option<u32> {
+            let mut j = protected.text_index_of(addr)?;
+            while j < text.len() && is_guard[j] {
+                j += 1;
             }
-            let addr_g = protected.addr_of_index(g);
-            match judge_guard_word(g, protected, &text, &flow, &live, &mem) {
-                WordJudgement::Transparent => {}
-                WordJudgement::Clobber(detail) => {
-                    sink.emit(&diag::EQUIV_GUARD_CLOBBER, Some(addr_g), detail);
-                    verdict = EquivVerdict::Inequivalent {
-                        witness_addr: addr_g,
-                    };
-                    break;
-                }
-                WordJudgement::Refused(reason) => {
-                    sink.emit(&diag::EQUIV_REFUSED, Some(addr_g), reason.to_string());
-                    refusals.push((addr_g, reason));
-                    verdict = EquivVerdict::Refused { reason };
-                    break;
-                }
+            old_of_new
+                .get(j)
+                .copied()
+                .flatten()
+                .map(|i| base.addr_of_index(i))
+        };
+
+        // --- Obligation 1: lockstep word comparison. ---
+        let base_relocs = relocs_by_index(&base.relocs);
+        let prot_relocs = relocs_by_index(&protected.relocs);
+        let mut misaligned: Vec<(u32, bool, String)> = Vec::new(); // (addr, in_region, detail)
+        for (i, &j) in new_of_old.iter().enumerate() {
+            let (wb, wp) = (base.text[i], text[j]);
+            let addr_b = base.addr_of_index(i);
+            let addr_p = protected.addr_of_index(j);
+            if let Some(detail) = word_mismatch(
+                base,
+                wb,
+                wp,
+                addr_b,
+                addr_p,
+                i,
+                j,
+                &base_relocs,
+                &prot_relocs,
+                &back,
+            ) {
+                misaligned.push((addr_p, config.regions.lookup(addr_p).is_some(), detail));
             }
         }
-        windows.push(WindowEquiv { site_addr, verdict });
-    }
-    for w in &windows {
-        match w.verdict {
-            EquivVerdict::Proven => stats.windows_proven += 1,
-            EquivVerdict::Inequivalent { .. } => stats.windows_inequivalent += 1,
-            EquivVerdict::Refused { .. } => stats.windows_refused += 1,
+        for (addr, in_region, detail) in &misaligned {
+            let lint = if *in_region {
+                &diag::EQUIV_CIPHER_MISMATCH
+            } else {
+                &diag::EQUIV_UNALIGNED
+            };
+            sink.emit_capped(lint, *addr, format_args!("{detail}"));
         }
-    }
+        sink.summarise(&diag::EQUIV_UNALIGNED, "mismatched words");
+        sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "mismatched words");
 
-    // --- Obligation 3: per-region decrypt(encrypt(·)) involution. ---
-    // Only the region's aligned words inside text are checked, so the walk
-    // is bounded by the text even when a hostile region spans the address
-    // space.
-    for region in config.regions.regions() {
-        stats.cipher_regions += 1;
-        let end = region.end.min(protected.text_end());
-        let Some(first) = region
-            .start
-            .max(protected.text_base)
-            .checked_next_multiple_of(4)
-        else {
-            continue;
-        };
-        for addr in (first..end).step_by(4) {
-            if let Some(idx) = protected.text_index_of(addr) {
-                stats.cipher_words += 1;
-                let stored = protected.text[idx];
-                let round_trip = config
-                    .regions
-                    .apply(addr, config.regions.apply(addr, stored));
-                if round_trip != stored {
-                    sink.emit_capped(
-                        &diag::EQUIV_CIPHER_MISMATCH,
-                        addr,
-                        format_args!(
-                            "keystream is not an involution here: \
+        // Entry point and symbol table must survive the remapping.
+        if base.contains_text_addr(base.entry) && back(protected.entry) != Some(base.entry) {
+            sink.emit(
+                &diag::EQUIV_UNALIGNED,
+                Some(protected.entry),
+                format!(
+                    "protected entry point does not map back to the baseline entry {:#010x}",
+                    base.entry
+                ),
+            );
+        }
+        for (name, &addr_b) in &base.symbols {
+            let mapped = match protected.symbol(name) {
+                Some(addr_p) if base.contains_text_addr(addr_b) => back(addr_p) == Some(addr_b),
+                Some(addr_p) => addr_p == addr_b,
+                None => false,
+            };
+            if mapped {
+                stats.symbols_matched += 1;
+            } else {
+                sink.emit(
+                    &diag::EQUIV_UNALIGNED,
+                    Some(addr_b),
+                    format!("symbol `{name}` is missing or maps to the wrong baseline address"),
+                );
+            }
+        }
+        if base.data != protected.data || base.data_base != protected.data_base {
+            sink.emit(
+                &diag::EQUIV_UNALIGNED,
+                Some(protected.data_base),
+                "the protected data segment differs from the baseline".to_owned(),
+            );
+        }
+
+        // --- Obligation 2: guard-window transparency on the protected flow. ---
+        // Liveness runs on a sanitized flow: inert guard-form words *read*
+        // the registers their operand fields spell, but the result lands in
+        // `$zero`, so those reads must not keep registers alive — otherwise
+        // every register a signature symbol happens to name would count as
+        // clobberable state. Non-guard-form words in a window keep their real
+        // semantics (they are the suspects being judged).
+        let mut sanitized = flow.clone();
+        for (j, &guard) in is_guard.iter().enumerate() {
+            if guard && is_guard_form(text[j]) {
+                sanitized.decoded[j] = Some(Inst::NOP);
+            }
+        }
+        let live = liveness::analyze(&sanitized);
+        let mut windows: Vec<WindowEquiv> = Vec::new();
+        for (&site_addr, site) in &config.sites {
+            let symbols = site.symbols as usize;
+            let Some(start) = protected.text_index_of(site_addr) else {
+                windows.push(WindowEquiv {
+                    site_addr,
+                    verdict: EquivVerdict::Inequivalent {
+                        witness_addr: site_addr,
+                    },
+                });
+                continue;
+            };
+            let mut verdict = EquivVerdict::Proven;
+            for g in start..(start + symbols).min(text.len()) {
+                if !flow.reachable[g] {
+                    continue; // never fetched: vacuously transparent
+                }
+                let addr_g = protected.addr_of_index(g);
+                match judge_guard_word(self, g, &live) {
+                    WordJudgement::Transparent => {}
+                    WordJudgement::Clobber(detail) => {
+                        sink.emit(&diag::EQUIV_GUARD_CLOBBER, Some(addr_g), detail);
+                        verdict = EquivVerdict::Inequivalent {
+                            witness_addr: addr_g,
+                        };
+                        break;
+                    }
+                    WordJudgement::Refused(reason) => {
+                        sink.emit(&diag::EQUIV_REFUSED, Some(addr_g), reason.to_string());
+                        refusals.push((addr_g, reason));
+                        verdict = EquivVerdict::Refused { reason };
+                        break;
+                    }
+                }
+            }
+            windows.push(WindowEquiv { site_addr, verdict });
+        }
+        for w in &windows {
+            match w.verdict {
+                EquivVerdict::Proven => stats.windows_proven += 1,
+                EquivVerdict::Inequivalent { .. } => stats.windows_inequivalent += 1,
+                EquivVerdict::Refused { .. } => stats.windows_refused += 1,
+            }
+        }
+
+        // --- Obligation 3: per-region decrypt(encrypt(·)) involution. ---
+        // Only the region's aligned words inside text are checked, so the walk
+        // is bounded by the text even when a hostile region spans the address
+        // space.
+        for region in config.regions.regions() {
+            stats.cipher_regions += 1;
+            let end = region.end.min(protected.text_end());
+            let Some(first) = region
+                .start
+                .max(protected.text_base)
+                .checked_next_multiple_of(4)
+            else {
+                continue;
+            };
+            for addr in (first..end).step_by(4) {
+                if let Some(idx) = protected.text_index_of(addr) {
+                    stats.cipher_words += 1;
+                    let stored = protected.text[idx];
+                    let round_trip = config
+                        .regions
+                        .apply(addr, config.regions.apply(addr, stored));
+                    if round_trip != stored {
+                        sink.emit_capped(
+                            &diag::EQUIV_CIPHER_MISMATCH,
+                            addr,
+                            format_args!(
+                                "keystream is not an involution here: \
                              {stored:#010x} round-trips to {round_trip:#010x}"
-                        ),
-                    );
+                            ),
+                        );
+                    }
                 }
             }
         }
-    }
-    sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "involution failures");
+        sink.summarise(&diag::EQUIV_CIPHER_MISMATCH, "involution failures");
 
-    // --- Overall verdict: worst obligation wins; errors beat refusals. ---
-    let witness = sink
-        .findings
-        .iter()
-        .find(|f| f.severity == Severity::Error)
-        .map(|f| f.addr.unwrap_or(protected.text_base));
-    let verdict = match (witness, refusals.first()) {
-        (Some(witness_addr), _) => EquivVerdict::Inequivalent { witness_addr },
-        (None, Some((_, reason))) => EquivVerdict::Refused { reason: *reason },
-        (None, None) => EquivVerdict::Proven,
-    };
-    EquivReport {
-        findings: sink.findings,
-        stats,
-        windows,
-        refusals,
-        verdict,
+        // --- Overall verdict: worst obligation wins; errors beat refusals. ---
+        let witness = sink
+            .findings
+            .iter()
+            .find(|f| f.severity == Severity::Error)
+            .map(|f| f.addr.unwrap_or(protected.text_base));
+        let verdict = match (witness, refusals.first()) {
+            (Some(witness_addr), _) => EquivVerdict::Inequivalent { witness_addr },
+            (None, Some((_, reason))) => EquivVerdict::Refused { reason: *reason },
+            (None, None) => EquivVerdict::Proven,
+        };
+        EquivReport {
+            findings: sink.findings,
+            stats,
+            windows,
+            refusals,
+            verdict,
+        }
     }
 }
 
@@ -705,17 +704,11 @@ fn non_control_mismatch(
     None
 }
 
-/// Judges one reachable guard-window word against the transparency
-/// obligation, on the protected flow's liveness and memory-sensitive
-/// value-set facts.
-fn judge_guard_word(
-    g: usize,
-    protected: &Image,
-    text: &[u32],
-    flow: &Flow,
-    live: &Liveness,
-    mem: &[MemFact],
-) -> WordJudgement {
+/// Judges the reachable guard-window word `g` of `shipped` against the
+/// transparency obligation, on the protected flow's liveness and
+/// memory-sensitive value-set facts.
+fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgement {
+    let (protected, text, flow, mem) = (shipped.image, &shipped.text, &shipped.flow, &shipped.mem);
     let word = text[g];
     if is_guard_form(word) {
         return WordJudgement::Transparent; // rd == $zero, no memory, no control

@@ -38,6 +38,15 @@ pub struct Flow {
     pub decoded: Vec<Option<Inst>>,
     /// Successor edges per word.
     pub succs: Vec<Vec<Edge>>,
+    /// Successor word indices per word: `succs` without the edge kinds,
+    /// the graph every dataflow pass solves over.
+    pub succ_index: Vec<Vec<usize>>,
+    /// Word index of the entry point, when it lands in text.
+    pub entry: Option<usize>,
+    /// Word indices of the text symbols other than the entry point, in
+    /// symbol-table order: the potential indirect-jump landing pads. With
+    /// `entry` they are the roots every analysis starts from.
+    pub pads: Vec<usize>,
     /// Whether each word is reachable from the entry or a text symbol.
     pub reachable: Vec<bool>,
     /// Direct control-transfer targets (branch/jump/call) that leave the
@@ -127,29 +136,32 @@ impl Flow {
             succs[i] = edges;
         }
 
-        // Reachability from the entry point and every text symbol (symbols
-        // are the potential indirect-jump landing pads).
+        let succ_index: Vec<Vec<usize>> = succs
+            .iter()
+            .map(|es| es.iter().map(|e| e.to).collect())
+            .collect();
+
+        // Reachability from the entry point and every text symbol.
+        let entry = image.text_index_of(image.entry);
+        let pads: Vec<usize> = image
+            .symbols
+            .values()
+            .filter_map(|&addr| image.text_index_of(addr))
+            .filter(|&i| entry != Some(i))
+            .collect();
         let mut reachable = vec![false; len];
         let mut work: Vec<usize> = Vec::new();
-        let root = |i: usize, work: &mut Vec<usize>, reachable: &mut Vec<bool>| {
+        for &i in entry.iter().chain(&pads) {
             if !reachable[i] {
                 reachable[i] = true;
                 work.push(i);
             }
-        };
-        if let Some(e) = image.text_index_of(image.entry) {
-            root(e, &mut work, &mut reachable);
-        }
-        for &addr in image.symbols.values() {
-            if let Some(i) = image.text_index_of(addr) {
-                root(i, &mut work, &mut reachable);
-            }
         }
         while let Some(i) = work.pop() {
-            for edge in &succs[i] {
-                if !reachable[edge.to] {
-                    reachable[edge.to] = true;
-                    work.push(edge.to);
+            for &to in &succ_index[i] {
+                if !reachable[to] {
+                    reachable[to] = true;
+                    work.push(to);
                 }
             }
         }
@@ -157,9 +169,17 @@ impl Flow {
         Flow {
             decoded,
             succs,
+            succ_index,
+            entry,
+            pads,
             reachable,
             wild_targets,
         }
+    }
+
+    /// The analysis roots: the entry point, then every landing pad.
+    pub fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entry.iter().chain(&self.pads).copied()
     }
 
     /// Number of reachable words.

@@ -600,7 +600,7 @@ fn proof_fields(proofs: &[GuardProof], site_addr: u32) -> (&'static str, String)
                 format!(
                     "{{\"code\": \"{}\", \"reason\": \"{}\"}}",
                     reason.code(),
-                    crate::diag::json_escape(&reason.to_string())
+                    flexprot_trace::json::escape(&reason.to_string())
                 ),
             ),
         },

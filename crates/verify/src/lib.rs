@@ -11,27 +11,35 @@
 //! written from the raw bits up, so a bug on either side of the N-version
 //! pair surfaces as a finding instead of cancelling out.
 //!
-//! [`verify`] runs six analyses (see [`checks`](crate::checks) — flow,
-//! guards, spacing, relocations, regions, coverage) and returns a
-//! [`Report`] of [`Finding`]s with stable lint IDs (`fplint --lints`
-//! enumerates them). An image is *clean* when no finding has
-//! [`Severity::Error`]; policies ([`LintPolicy`]) can promote or demote
-//! individual lints.
+//! Every analysis starts from one fact base per image, [`Shipped`]: the
+//! decrypted text, the recovered [`Flow`] and the [`memdom`] value-set
+//! facts, derived once by [`Shipped::new`]. [`Shipped::analyze`] runs the
+//! lint checks (flow, guards, spacing, relocations, regions, coverage,
+//! guard network and, on request, key-flow [`taint`]) and returns a
+//! [`Verification`]: a [`Report`] of [`Finding`]s with stable lint IDs
+//! (`fplint --lints` enumerates them), the tamper-surface [`SurfaceMap`],
+//! the guard network and the checksum proofs. [`Shipped::validate`]
+//! translation-validates the image against its baseline ([`equiv`]). An
+//! image is *clean* when no finding has [`Severity::Error`]; policies
+//! ([`LintPolicy`]) can promote or demote individual lints. [`verify`],
+//! [`analyze`], [`analyze_with_options`] and [`equiv::validate`] build a
+//! fresh fact base for one consumer.
 //!
-//! The coverage analyses run on a worklist dataflow framework
+//! The iterative analyses run on a worklist dataflow framework
 //! ([`dataflow`]) instantiated for backward register liveness
-//! ([`liveness`]), minimum reachability depth, and basic-block dominators
-//! ([`domtree`] over [`cfg`]). On top of them [`analyze`] also produces a
-//! [`SurfaceMap`] — the ranked list of text words no guard window or
-//! cipher region covers, i.e. the static tamper surface.
+//! ([`liveness`]), minimum reachability depth, the value-set domains and
+//! basic-block dominators ([`domtree`] over [`mod@cfg`]).
 //!
 //! ```
-//! use flexprot_verify::{verify, Severity};
+//! use flexprot_verify::{LintPolicy, Severity, Shipped};
 //! # use flexprot_secmon::SecMonConfig;
 //! let image = flexprot_asm::assemble("main: li $v0, 10\n syscall\n")?;
-//! let report = verify(&image, &SecMonConfig::transparent());
+//! let config = SecMonConfig::transparent();
+//! let shipped = Shipped::new(&image, &config);
+//! let report = shipped.analyze(&LintPolicy::default(), false).report;
 //! assert!(report.is_clean());
 //! assert_eq!(report.count(Severity::Error), 0);
+//! assert!(shipped.validate(&image, &LintPolicy::default()).is_clean());
 //! # Ok::<(), flexprot_asm::AsmError>(())
 //! ```
 
@@ -181,86 +189,119 @@ impl Verification {
     }
 }
 
+/// The facts every analysis of one shipped image reads, derived once:
+/// the decrypted text, its recovered flow graph and the memory-sensitive
+/// value-set facts. The lint checks, the key-flow analysis, the checksum
+/// proofs and translation validation all start from here.
+#[derive(Debug)]
+pub struct Shipped<'a> {
+    /// The shipped image.
+    pub(crate) image: &'a Image,
+    /// The monitor configuration provisioned with it.
+    pub(crate) config: &'a SecMonConfig,
+    /// Text after undoing the region table — what the core executes.
+    pub(crate) text: Vec<u32>,
+    /// The instruction-level flow graph of `text`.
+    pub(crate) flow: Flow,
+    /// The abstract state entering each text word
+    /// ([`memdom::analyze_memory`]).
+    pub(crate) mem: Vec<memdom::MemFact>,
+}
+
+impl<'a> Shipped<'a> {
+    /// Decrypts `image` under `config`, recovers its flow and runs the
+    /// memory-sensitive value-set analysis.
+    pub fn new(image: &'a Image, config: &'a SecMonConfig) -> Shipped<'a> {
+        let text = decrypt_text(image, config);
+        let flow = Flow::recover(image, &text);
+        let mem = memdom::analyze_memory(image, &flow);
+        Shipped {
+            image,
+            config,
+            text,
+            flow,
+            mem,
+        }
+    }
+
+    /// Runs every lint check under `policy`, returning the report, the
+    /// surface map and the rest of the [`Verification`]. With `taint` set
+    /// the key-flow analysis runs too: FP9xx findings land in the report
+    /// and the run counters in [`VerifyStats::taint`].
+    pub fn analyze(&self, policy: &LintPolicy, taint: bool) -> Verification {
+        let (image, config, text, flow) = (self.image, self.config, &self.text, &self.flow);
+        let mut sink = Sink::new(policy);
+        checks::check_flow(self, &mut sink);
+        let (sites_checked, windows) = checks::check_guards(self, &mut sink);
+        let max_spacing = checks::check_spacing(self, &mut sink);
+        let relocs_checked = checks::check_relocs(self, &mut sink);
+        checks::check_regions(self, &mut sink);
+
+        let cfg = Cfg::build(image, flow);
+        let doms = cfg
+            .entry
+            .map(|entry| domtree::dominators(entry, &cfg.succs));
+        let live = liveness::analyze(flow);
+        let cov = coverage::analyze(flow, &cfg, doms.as_ref(), windows);
+        checks::check_coverage(self, &cov, &live, &mut sink);
+        let surface = coverage::surface_map(image, config, flow, &cfg, &cov);
+
+        // Abstract interpretation: the memory-sensitive value-set facts
+        // (pointer provenance + tracked stack frame) feed the per-guard
+        // checksum proofs; the window list feeds the guard network.
+        let proofs = absint::prove_guards(image, config, text, flow, &self.mem, &cov.windows);
+        let net = guardnet::build(&cov.windows);
+        checks::check_network(&net, &proofs, &mut sink);
+        let taint_stats = taint.then(|| taint::check_taint(self, &mut sink));
+
+        let report = Report {
+            stats: VerifyStats {
+                text_words: text.len(),
+                reachable_words: flow.reachable_count(),
+                sites_checked,
+                relocs_checked,
+                max_spacing,
+                sound_windows: surface.sound_windows,
+                covered_words: surface.covered_words(),
+                surface_words: surface.surface_words(),
+                guard_edges: net.edges,
+                proven_constants: proofs
+                    .iter()
+                    .filter(|p| matches!(p.verdict, absint::Verdict::Proven { .. }))
+                    .count(),
+                taint: taint_stats,
+            },
+            findings: sink.findings,
+        };
+        Verification {
+            report,
+            surface,
+            coverage: cov,
+            guardnet: net,
+            proofs,
+        }
+    }
+}
+
 /// Verifies `image` against `config` under the default lint policy.
 pub fn verify(image: &Image, config: &SecMonConfig) -> Report {
     analyze(image, config, &LintPolicy::default()).report
 }
 
-/// Runs every analysis once under `policy`, returning the report, the
-/// surface map and the rest of the [`Verification`] ([`verify`] is the
-/// report under the default policy).
+/// [`Shipped::analyze`] without the key-flow analysis, on a fresh fact
+/// base.
 pub fn analyze(image: &Image, config: &SecMonConfig, policy: &LintPolicy) -> Verification {
     analyze_with_options(image, config, policy, false)
 }
 
-/// [`analyze`] plus, when `taint` is set, the key-flow analysis
-/// ([`taint::check_taint`]): FP9xx findings land in the report and the
-/// run counters in [`VerifyStats::taint`].
+/// [`Shipped::analyze`] on a fresh fact base.
 pub fn analyze_with_options(
     image: &Image,
     config: &SecMonConfig,
     policy: &LintPolicy,
     taint: bool,
 ) -> Verification {
-    let text = decrypt_text(image, config);
-    let flow = Flow::recover(image, &text);
-    let ctx = checks::Ctx {
-        image,
-        config,
-        text,
-        flow,
-    };
-    let mut sink = Sink::new(policy);
-    checks::check_flow(&ctx, &mut sink);
-    let (sites_checked, windows) = checks::check_guards(&ctx, &mut sink);
-    let max_spacing = checks::check_spacing(&ctx, &mut sink);
-    let relocs_checked = checks::check_relocs(&ctx, &mut sink);
-    checks::check_regions(&ctx, &mut sink);
-
-    let cfg = Cfg::build(image, &ctx.flow);
-    let doms = cfg
-        .entry
-        .map(|entry| domtree::dominators(entry, &cfg.succs));
-    let live = liveness::analyze(&ctx.flow);
-    let cov = coverage::analyze(&ctx.flow, &cfg, doms.as_ref(), windows);
-    checks::check_coverage(&ctx, &cov, &live, &mut sink);
-    let surface = coverage::surface_map(image, config, &ctx.flow, &cfg, &cov);
-
-    // Abstract interpretation: the memory-sensitive value-set analysis
-    // (pointer provenance + tracked stack frame) feeds the per-guard
-    // checksum proofs; the window list feeds the guard network.
-    let mem = memdom::analyze_memory(image, &ctx.flow);
-    let proofs = absint::prove_guards(image, config, &ctx.text, &ctx.flow, &mem, &cov.windows);
-    let net = guardnet::build(&cov.windows);
-    checks::check_network(&net, &proofs, &mut sink);
-    let taint_stats = taint.then(|| taint::check_taint(image, config, &ctx.flow, &mem, &mut sink));
-
-    let report = Report {
-        stats: VerifyStats {
-            text_words: ctx.text.len(),
-            reachable_words: ctx.flow.reachable_count(),
-            sites_checked,
-            relocs_checked,
-            max_spacing,
-            sound_windows: surface.sound_windows,
-            covered_words: surface.covered_words(),
-            surface_words: surface.surface_words(),
-            guard_edges: net.edges,
-            proven_constants: proofs
-                .iter()
-                .filter(|p| matches!(p.verdict, absint::Verdict::Proven { .. }))
-                .count(),
-            taint: taint_stats,
-        },
-        findings: sink.findings,
-    };
-    Verification {
-        report,
-        surface,
-        coverage: cov,
-        guardnet: net,
-        proofs,
-    }
+    Shipped::new(image, config).analyze(policy, taint)
 }
 
 #[cfg(test)]

@@ -80,12 +80,7 @@ impl Analysis for LiveAnalysis<'_> {
 
 /// Runs the analysis to fixpoint over `flow`.
 pub fn analyze(flow: &Flow) -> Liveness {
-    let succs: Vec<Vec<usize>> = flow
-        .succs
-        .iter()
-        .map(|es| es.iter().map(|e| e.to).collect())
-        .collect();
-    let solution = dataflow::solve(&LiveAnalysis { flow }, &succs, &[]);
+    let solution = dataflow::solve(&LiveAnalysis { flow }, &flow.succ_index, &[]);
     Liveness {
         live_out: solution.input,
         live_in: solution.output,

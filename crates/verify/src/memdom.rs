@@ -465,25 +465,12 @@ impl Analysis for MemAbs<'_> {
 /// Runs the memory-sensitive analysis, returning the abstract state
 /// *entering* each text word (`None` where no static path arrives).
 pub fn analyze_memory(image: &Image, flow: &Flow) -> Vec<MemFact> {
-    let succs: Vec<Vec<usize>> = flow
-        .succs
-        .iter()
-        .map(|es| es.iter().map(|e| e.to).collect())
+    let seeds: Vec<(usize, MemFact)> = flow
+        .roots()
+        .map(|i| (i, Some(root_state(flow.entry == Some(i)))))
         .collect();
-    let mut seeds: Vec<(usize, MemFact)> = Vec::new();
-    let entry = image.text_index_of(image.entry);
-    if let Some(e) = entry {
-        seeds.push((e, Some(root_state(true))));
-    }
-    for &addr in image.symbols.values() {
-        if let Some(i) = image.text_index_of(addr) {
-            if entry != Some(i) {
-                seeds.push((i, Some(root_state(false))));
-            }
-        }
-    }
     let analysis = MemAbs { flow, image };
-    dataflow::solve(&analysis, &succs, &seeds).input
+    dataflow::solve(&analysis, &flow.succ_index, &seeds).input
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use crate::dataflow::{self, Analysis, Direction};
 use crate::diag;
 use crate::flow::Flow;
 use crate::memdom::{self, Base, MemFact, MemState, MemVal};
-use crate::Sink;
+use crate::{Shipped, Sink};
 
 /// How a memory access relates to the union of encrypted regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,32 +284,20 @@ impl Analysis for TaintAbs<'_> {
 /// Runs the key-flow analysis, returning the taint state *entering* each
 /// text word (`None` where no static path arrives). Roots match
 /// [`crate::memdom::analyze_memory`]: the entry point plus every text
-/// symbol, all starting untainted.
+/// symbol ([`Flow::roots`]), all starting untainted. `_image`, the image
+/// `flow` was recovered from, is not read: the flow carries the roots.
 pub fn analyze_taint(
-    image: &Image,
+    _image: &Image,
     config: &SecMonConfig,
     flow: &Flow,
     mem: &[MemFact],
 ) -> Vec<TaintFact> {
-    let succs: Vec<Vec<usize>> = flow
-        .succs
-        .iter()
-        .map(|es| es.iter().map(|e| e.to).collect())
+    let seeds: Vec<(usize, TaintFact)> = flow
+        .roots()
+        .map(|i| (i, Some(TaintState::default())))
         .collect();
-    let mut seeds: Vec<(usize, TaintFact)> = Vec::new();
-    let entry = image.text_index_of(image.entry);
-    if let Some(e) = entry {
-        seeds.push((e, Some(TaintState::default())));
-    }
-    for &addr in image.symbols.values() {
-        if let Some(i) = image.text_index_of(addr) {
-            if entry != Some(i) {
-                seeds.push((i, Some(TaintState::default())));
-            }
-        }
-    }
     let analysis = TaintAbs { flow, config, mem };
-    dataflow::solve(&analysis, &succs, &seeds).input
+    dataflow::solve(&analysis, &flow.succ_index, &seeds).input
 }
 
 /// Counters of one key-flow run (rendered into the lint JSON under
@@ -328,16 +316,10 @@ pub struct TaintStats {
     pub unresolved_reads: usize,
 }
 
-/// Runs the key-flow analysis and reports every sink hit through `sink`,
-/// returning the run counters. `mem` must be the points-to facts of the
-/// same `flow` (see [`crate::memdom::analyze_memory`]).
-pub(crate) fn check_taint(
-    image: &Image,
-    config: &SecMonConfig,
-    flow: &Flow,
-    mem: &[MemFact],
-    sink: &mut Sink<'_>,
-) -> TaintStats {
+/// Runs the key-flow analysis over `shipped` and reports every sink hit
+/// through `sink`, returning the run counters.
+pub(crate) fn check_taint(shipped: &Shipped, sink: &mut Sink<'_>) -> TaintStats {
+    let (image, config, flow, mem) = (shipped.image, shipped.config, &shipped.flow, &shipped.mem);
     let taints = analyze_taint(image, config, flow, mem);
     let mut stats = TaintStats::default();
 
@@ -471,14 +453,11 @@ mod tests {
         let image = flexprot_asm::assemble_or_panic(src);
         let mut config = SecMonConfig::transparent();
         config.regions = flexprot_secmon::RegionTable::new(regions);
-        // The fetch path decrypts, so flow is recovered on the plaintext
-        // view; the data path reads the stored ciphertext.
-        let text = crate::decrypt_text(&image, &config);
-        let flow = Flow::recover(&image, &text);
-        let mem = crate::memdom::analyze_memory(&image, &flow);
         let policy = LintPolicy::default();
         let mut sink = Sink::new(&policy);
-        let stats = check_taint(&image, &config, &flow, &mem, &mut sink);
+        // The fetch path decrypts, so flow is recovered on the plaintext
+        // view; the data path reads the stored ciphertext.
+        let stats = check_taint(&crate::Shipped::new(&image, &config), &mut sink);
         let report = crate::diag::Report {
             findings: sink.findings,
             stats: crate::diag::VerifyStats::default(),

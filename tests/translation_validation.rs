@@ -64,7 +64,9 @@ fn every_matrix_cell_is_proven_or_carries_a_witness() {
 fn pipeline_matrix_is_fully_proven() {
     // Stronger than the witness-or-proof guarantee: the real protection
     // pipeline emits only inert guard forms and involutive ciphers, so
-    // every cell must in fact be Proven with zero refusals.
+    // every cell must in fact be Proven with zero refusals. protect() with
+    // both post-conditions on must then accept every cell and ship the
+    // very same build.
     let cells = matrix::cells();
     for (name, image) in &matrix::programs() {
         for (cell, config) in &cells {
@@ -77,6 +79,16 @@ fn pipeline_matrix_is_fully_proven() {
                 "{name}/{cell}: {:?} / refusals {:?}",
                 report.findings,
                 report.refusals
+            );
+            let checked = config
+                .clone()
+                .with_key_flow_check()
+                .with_translation_validation();
+            let checked = protect(image, &checked, None)
+                .unwrap_or_else(|e| panic!("{name}/{cell} with post-conditions: {e}"));
+            assert_eq!(
+                checked, protected,
+                "{name}/{cell}: post-conditions changed the build"
             );
         }
     }
