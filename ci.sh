@@ -59,6 +59,31 @@ grep -q '"ev":"run_end"' "$OBS_DIR/smoke.trace.jsonl" || {
 }
 echo "metrics schema OK"
 
+echo "== hostile FPM1: guard site without symbols =="
+# The smoke build's monitor config with its first guard site rewritten to
+# zero symbols and no tail. The FPM1 decoder must refuse it: fprun exits
+# 2 with the typed message, never 101 (a panic) or a hang.
+python3 - "$OBS_DIR/smoke.fpm" "$OBS_DIR/empty_site.fpm" <<'EOF'
+import struct, sys
+data = bytearray(open(sys.argv[1], "rb").read())
+# FPM1: magic, u64 guard key, u32 site count, then (addr, symbols, tail)
+# u32 triples.
+assert data[:4] == b"FPM1" and struct.unpack_from("<I", data, 12)[0] > 0
+struct.pack_into("<II", data, 20, 0, 0)
+open(sys.argv[2], "wb").write(data)
+EOF
+status=0
+timeout 60 cargo run --quiet --release -p flexprot-cli --bin fprun -- \
+    "$OBS_DIR/smoke.prot.fpx" --secmon "$OBS_DIR/empty_site.fpm" \
+    > /dev/null 2> "$OBS_DIR/empty_site.err" || status=$?
+[ "$status" -eq 2 ] || {
+    echo "fprun exited $status on a guard site without symbols (expected 2)"; exit 1;
+}
+grep -q "empty_site.fpm: guard site 0x[0-9a-f]* has no guard symbols" "$OBS_DIR/empty_site.err" || {
+    echo "fprun did not report the empty guard site:"; cat "$OBS_DIR/empty_site.err"; exit 1;
+}
+echo "hostile config refused OK"
+
 echo "== perfbench: correctness smoke =="
 # perfbench is a Cargo package of its own, so the workspace stages above
 # never compile it. One-second runs of each workload build it against the

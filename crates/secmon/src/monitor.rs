@@ -13,17 +13,97 @@
 //!   inside protected ranges, defeating guard stripping;
 //! * fetched words passing through the monitor are decrypted per the region
 //!   table, with latency charged on I-cache fills.
+//!
+//! Like the hardware, which indexes provisioned tables by fetch address,
+//! the monitor compiles its schedule into one attribute byte per text word
+//! when a machine binds it to a text segment
+//! ([`FetchMonitor::bind_text`]): a commit then costs one bounds check and
+//! one load instead of set lookups and a range scan.
 
 use flexprot_sim::{FetchMonitor, TamperCause, TamperEvent};
 use flexprot_trace::{SharedSink, TraceEvent};
 
-use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher};
+use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher, SIG_SYMBOLS};
 use crate::schedule::SecMonConfig;
 
-#[derive(Debug, Clone)]
+/// Attribute bits of one instruction address.
+const WINDOW_START: u8 = 1;
+const RESET_POINT: u8 = 2;
+const PROTECTED: u8 = 4;
+const SITE: u8 = 8;
+
+/// The attribute bits of `pc`, read straight from the schedule: three
+/// tree lookups and a scan of the protected ranges.
+fn attrs_of(config: &SecMonConfig, pc: u32) -> u8 {
+    let bit = |set: bool, flag: u8| if set { flag } else { 0 };
+    bit(config.window_starts.contains(&pc), WINDOW_START)
+        | bit(config.reset_points.contains(&pc), RESET_POINT)
+        | bit(config.in_protected(pc), PROTECTED)
+        | bit(config.sites.contains_key(&pc), SITE)
+}
+
+/// The schedule compiled over a text segment: the attribute bits of every
+/// word-aligned address in `[base, base + 4 * flags.len())`, equal to
+/// [`attrs_of`] at each.
+#[derive(Debug, Clone, Default)]
+struct AttrTable {
+    /// Word-aligned address of `flags[0]`.
+    base: u32,
+    flags: Vec<u8>,
+}
+
+impl AttrTable {
+    /// Compiles `config` over the text segment `[text_base, text_end)`.
+    /// The table never outgrows the text, however far the schedule's keys
+    /// and ranges reach.
+    fn compile(config: &SecMonConfig, text_base: u32, text_end: u32) -> AttrTable {
+        let base = text_base & !3;
+        let len = (text_end.saturating_sub(base) as usize).div_ceil(4);
+        let end = u64::from(base) + 4 * len as u64;
+        let mut flags = vec![0u8; len];
+        // Index of the first word at or after `addr`, clamped to the table.
+        let index = |addr: u32| {
+            let addr = u64::from(addr).clamp(u64::from(base), end);
+            ((addr - u64::from(base)).div_ceil(4)) as usize
+        };
+        let keys = (config
+            .window_starts
+            .iter()
+            .map(|&addr| (addr, WINDOW_START)))
+        .chain(config.reset_points.iter().map(|&addr| (addr, RESET_POINT)))
+        .chain(config.sites.keys().map(|&addr| (addr, SITE)));
+        for (addr, flag) in keys {
+            if addr.is_multiple_of(4) && addr >= base && u64::from(addr) < end {
+                flags[index(addr)] |= flag;
+            }
+        }
+        for range in &config.protected {
+            let (first, last) = (index(range.start), index(range.end));
+            for flag in flags.get_mut(first..last).unwrap_or_default() {
+                *flag |= PROTECTED;
+            }
+        }
+        AttrTable { base, flags }
+    }
+
+    /// The compiled attribute bits of `pc`, if the table covers it.
+    fn get(&self, pc: u32) -> Option<u8> {
+        if !pc.is_multiple_of(4) {
+            return None;
+        }
+        let index = (pc.wrapping_sub(self.base) >> 2) as usize;
+        self.flags.get(index).copied()
+    }
+}
+
+/// A guard sequence in progress.
+#[derive(Debug, Clone, Copy)]
 struct Collect {
     site: u32,
-    symbols: Vec<u8>,
+    /// Guard symbols seen so far.
+    seen: u32,
+    /// The first symbols: all [`signature_from_symbols`] reads of them.
+    head: [u8; SIG_SYMBOLS as usize],
     total: u32,
     tail_remaining: u32,
     next_pc: u32,
@@ -46,6 +126,7 @@ struct Collect {
 #[derive(Debug, Clone)]
 pub struct SecMon {
     config: SecMonConfig,
+    table: AttrTable,
     hasher: WindowHasher,
     collecting: Option<Collect>,
     spacing: u64,
@@ -60,6 +141,7 @@ impl SecMon {
         let hasher = WindowHasher::new(config.guard_key);
         SecMon {
             config,
+            table: AttrTable::default(),
             hasher,
             collecting: None,
             spacing: 0,
@@ -110,8 +192,9 @@ impl SecMon {
 
     /// Compares the embedded signature against the stream hash once a
     /// guard's symbols (and tail words) have all been observed.
-    fn finish_check(&mut self, pc: u32, col: &Collect) -> Option<TamperEvent> {
-        let claimed = signature_from_symbols(&col.symbols);
+    fn finish_check(&mut self, pc: u32, col: Collect) -> Option<TamperEvent> {
+        let seen = (col.seen as usize).min(col.head.len());
+        let claimed = signature_from_symbols(&col.head[..seen]);
         let computed = self.hasher.digest();
         if claimed != computed {
             self.emit(TraceEvent::GuardFail { site: col.site, pc });
@@ -134,7 +217,7 @@ impl SecMon {
     /// Advances an in-progress guard collection by one committed word.
     fn advance_collect(&mut self, mut col: Collect, pc: u32, word: u32) -> Option<TamperEvent> {
         col.next_pc = pc.wrapping_add(4);
-        if (col.symbols.len() as u32) < col.total {
+        if col.seen < col.total {
             // Symbol phase: guard words carry the signature and are NOT
             // hashed themselves — so their shape must be validated, or an
             // attacker could mutate the non-symbol fields freely.
@@ -143,14 +226,19 @@ impl SecMon {
                 self.emit(TraceEvent::GuardFail { site, pc });
                 return self.trip(pc, TamperCause::MalformedGuard { site });
             }
-            col.symbols.push(decode_guard_symbol(word));
+            if let Some(symbol) = col.head.get_mut(col.seen as usize) {
+                *symbol = decode_guard_symbol(word);
+            }
+            col.seen += 1;
         } else {
-            // Tail phase: post-guard words (the terminator) are hashed.
+            // Tail phase: post-guard words (the terminator) are hashed. A
+            // site with no symbols and no tail hashes its own word as the
+            // tail and checks at once.
             self.hasher.absorb(pc, word);
-            col.tail_remaining -= 1;
+            col.tail_remaining = col.tail_remaining.saturating_sub(1);
         }
-        if col.symbols.len() as u32 == col.total && col.tail_remaining == 0 {
-            self.finish_check(pc, &col)
+        if col.seen == col.total && col.tail_remaining == 0 {
+            self.finish_check(pc, col)
         } else {
             self.collecting = Some(col);
             None
@@ -172,23 +260,29 @@ impl SecMon {
             return self.advance_collect(col, pc, word);
         }
 
+        let attrs = self
+            .table
+            .get(pc)
+            .unwrap_or_else(|| attrs_of(&self.config, pc));
         if !sequential {
             self.hasher.reset();
-            if self.config.reset_points.contains(&pc) {
+            if attrs & RESET_POINT != 0 {
                 self.spacing = 0;
             }
-            if self.config.window_starts.contains(&pc) {
+            if attrs & WINDOW_START != 0 {
                 self.emit(TraceEvent::WindowOpen { pc });
             }
-        } else if self.config.window_starts.contains(&pc) {
+        } else if attrs & WINDOW_START != 0 {
             self.hasher.reset();
             self.emit(TraceEvent::WindowOpen { pc });
         }
-        if let Some(site) = self.config.sites.get(&pc).copied() {
+        if attrs & SITE != 0 {
+            let site = self.config.sites[&pc];
             self.emit(TraceEvent::WindowClose { site: pc });
             let col = Collect {
                 site: pc,
-                symbols: Vec::with_capacity(site.symbols as usize),
+                seen: 0,
+                head: [0; SIG_SYMBOLS as usize],
                 total: site.symbols,
                 tail_remaining: site.tail,
                 next_pc: pc,
@@ -198,7 +292,7 @@ impl SecMon {
 
         self.hasher.absorb(pc, word);
         if let Some(bound) = self.config.spacing_bound {
-            if self.config.in_protected(pc) {
+            if attrs & PROTECTED != 0 {
                 self.spacing += 1;
                 self.emit(TraceEvent::SpacingTick {
                     pc,
@@ -245,6 +339,10 @@ impl FetchMonitor for SecMon {
             });
         }
         cycles
+    }
+
+    fn bind_text(&mut self, text_base: u32, text_end: u32) {
+        self.table = AttrTable::compile(&self.config, text_base, text_end);
     }
 
     fn observe_commit(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
@@ -712,5 +810,161 @@ mod tail_tests {
         let mut mon = SecMon::new(config);
         let event = feed(&mut mon, &cut).expect("skipping the tail must be caught");
         assert!(matches!(event.cause, TamperCause::InterruptedGuard { .. }));
+    }
+
+    #[test]
+    fn site_without_symbols_or_tail_checks_at_once() {
+        // The FPM1 decoder refuses such a site; one built in code must
+        // still end in a typed outcome, not a counter underflow.
+        let (mut config, stream) = tailed_stream(&[0x1111, 0x2222], 0x1440_FFFE);
+        let site = stream[2].0;
+        config.sites.insert(
+            site,
+            GuardSite {
+                symbols: 0,
+                tail: 0,
+            },
+        );
+        let event = feed(&mut SecMon::new(config), &stream).expect("empty signature");
+        assert!(
+            matches!(event.cause, TamperCause::SignatureMismatch { site: s, claimed: 0, .. } if s == site)
+        );
+        assert_eq!(event.pc, site);
+    }
+
+    #[test]
+    fn guard_collection_holds_no_buffer() {
+        // A guard check in progress is plain data: even a hostile site of
+        // u32::MAX symbols reserves nothing.
+        fn copy<T: Copy>() {}
+        copy::<Collect>();
+        let (mut config, stream) = tailed_stream(&[0x1111, 0x2222], 0x1440_FFFE);
+        let site = stream[2].0;
+        config.sites.insert(
+            site,
+            GuardSite {
+                symbols: u32::MAX,
+                tail: 0,
+            },
+        );
+        let event = feed(&mut SecMon::new(config), &stream).expect("never completes");
+        assert!(matches!(event.cause, TamperCause::MalformedGuard { site: s } if s == site));
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+    use crate::schedule::{GuardSite, ProtectedRange};
+    use flexprot_isa::Rng64;
+    use flexprot_sim::{Machine, Outcome, RunResult, SimConfig, Stats};
+
+    /// An address near the text segment, inside it, or anywhere; aligned
+    /// or not.
+    fn near(rng: &mut Rng64, text_base: u32, text_end: u32) -> u32 {
+        let span = text_end.wrapping_sub(text_base) as u64 + 64;
+        let addr = match rng.below(4) {
+            0 => rng.next_u32(),
+            1 => text_end.wrapping_add(rng.below(64) as u32),
+            _ => text_base
+                .wrapping_sub(32)
+                .wrapping_add(rng.below(span) as u32),
+        };
+        if rng.chance(0.2) {
+            addr
+        } else {
+            addr & !3
+        }
+    }
+
+    #[test]
+    fn compiled_table_matches_the_schedule_on_every_text_word() {
+        let mut rng = Rng64::new(0x7AB1_E5EC);
+        for case in 0..400 {
+            let words = rng.below(600) as u32;
+            let text_base = match rng.below(4) {
+                0 => 4 * rng.below(64) as u32,
+                1 => 0xFFFF_FFFC - 4 * words - 4 * rng.below(16) as u32,
+                2 => 0x0040_0000 + rng.below(4) as u32,
+                _ => 0x0040_0000,
+            };
+            let text_end = text_base + 4 * words;
+            let mut config = SecMonConfig::transparent();
+            for _ in 0..rng.below(40) {
+                config
+                    .window_starts
+                    .insert(near(&mut rng, text_base, text_end));
+                config
+                    .reset_points
+                    .insert(near(&mut rng, text_base, text_end));
+                let site = GuardSite::default();
+                config
+                    .sites
+                    .insert(near(&mut rng, text_base, text_end), site);
+            }
+            for _ in 0..rng.below(5) {
+                // Overlapping, empty and wrapping (`start > end`) ranges.
+                let start = near(&mut rng, text_base, text_end);
+                let end = near(&mut rng, text_base, text_end);
+                config.protected.push(ProtectedRange { start, end });
+            }
+            let table = AttrTable::compile(&config, text_base, text_end);
+            // One word more than the text when its base is not word-aligned.
+            assert!(table.flags.len() <= words as usize + 1);
+            for i in 0..table.flags.len() as u32 {
+                let pc = table.base + 4 * i;
+                assert_eq!(
+                    table.get(pc),
+                    Some(attrs_of(&config, pc)),
+                    "case {case}: pc {pc:#010x} of text [{text_base:#x}, {text_end:#x})"
+                );
+            }
+            let past = table.base.wrapping_add(4 * table.flags.len() as u32);
+            assert_eq!(table.get(past), None);
+            assert_eq!(table.get(table.base.wrapping_sub(4)), None);
+            assert_eq!(table.get(table.base | 1), None);
+        }
+    }
+
+    #[test]
+    fn hostile_span_compiles_a_text_sized_table() {
+        // Keys at both ends of the address space and a protected range over
+        // nearly all of it: the table covers the text and no more, and the
+        // run is the one the tree-walking monitor produced.
+        let image = flexprot_asm::assemble_or_panic(
+            "main: li $t0, 30\nloop: addi $t0, $t0, -1\n bgtz $t0, loop\n li $v0, 10\n syscall\n",
+        );
+        let mut config = SecMonConfig {
+            guard_key: 7,
+            protected: vec![ProtectedRange {
+                start: 0,
+                end: 0xFFFF_FFFC,
+            }],
+            spacing_bound: Some(40),
+            ..SecMonConfig::transparent()
+        };
+        for addr in [0, 0xFFFF_FFFC] {
+            config.window_starts.insert(addr);
+            config.reset_points.insert(addr);
+            config.sites.insert(addr, GuardSite::default());
+        }
+        let mut machine = Machine::with_monitor(&image, SimConfig::default(), SecMon::new(config));
+        assert_eq!(machine.monitor().table.flags.len(), image.text.len());
+        let pinned = RunResult {
+            outcome: Outcome::TamperDetected(TamperEvent {
+                pc: 0x0040_0008,
+                cause: TamperCause::SpacingBound { bound: 40 },
+            }),
+            stats: Stats {
+                cycles: 75,
+                instructions: 40,
+                icache_accesses: 41,
+                icache_misses: 1,
+                taken_transfers: 19,
+                ..Stats::default()
+            },
+            output: String::new(),
+        };
+        assert_eq!(machine.run(), pinned);
     }
 }

@@ -24,6 +24,9 @@ pub enum ConfigFormatError {
     TrailingBytes,
     /// The region table violates its invariants (overlap/alignment).
     BadRegions,
+    /// A guard site at this address has no guard symbols: there is no
+    /// signature to check.
+    EmptyGuardSite(u32),
 }
 
 impl fmt::Display for ConfigFormatError {
@@ -34,6 +37,9 @@ impl fmt::Display for ConfigFormatError {
             ConfigFormatError::BadLength => f.write_str("implausible length field"),
             ConfigFormatError::TrailingBytes => f.write_str("trailing bytes after config"),
             ConfigFormatError::BadRegions => f.write_str("invalid encrypted-region table"),
+            ConfigFormatError::EmptyGuardSite(addr) => {
+                write!(f, "guard site {addr:#010x} has no guard symbols")
+            }
         }
     }
 }
@@ -137,6 +143,9 @@ impl SecMonConfig {
             let addr = r.u32()?;
             let symbols = r.u32()?;
             let tail = r.u32()?;
+            if symbols == 0 {
+                return Err(ConfigFormatError::EmptyGuardSite(addr));
+            }
             sites.insert(addr, GuardSite { symbols, tail });
         }
         let n_ws = r.count(4)?;
@@ -287,6 +296,24 @@ mod tests {
         assert_eq!(
             SecMonConfig::from_bytes(&bytes),
             Err(ConfigFormatError::TrailingBytes)
+        );
+    }
+
+    #[test]
+    fn site_without_symbols_rejected() {
+        let mut config = sample();
+        config.sites.insert(
+            0x0040_0040,
+            GuardSite {
+                symbols: 0,
+                tail: 3,
+            },
+        );
+        let err = SecMonConfig::from_bytes(&config.to_bytes()).unwrap_err();
+        assert_eq!(err, ConfigFormatError::EmptyGuardSite(0x0040_0040));
+        assert_eq!(
+            err.to_string(),
+            "guard site 0x00400040 has no guard symbols"
         );
     }
 

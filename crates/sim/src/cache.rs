@@ -93,11 +93,6 @@ pub struct Access {
     pub writeback: Option<u32>,
     /// Base address of the accessed line.
     pub line_addr: u32,
-    /// Global way index (`set * ways + way`) holding the line after this
-    /// access. Stable for as long as the line stays resident, which lets
-    /// side structures (the decoded-line store) shadow the cache contents
-    /// without re-deriving placement.
-    pub slot: usize,
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
@@ -116,6 +111,11 @@ pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>,
     tick: u64,
+    /// `log2(line_bytes)`: an address shifted right by this is its line
+    /// number.
+    line_shift: u32,
+    /// `log2(sets)`: the line-number bits that select the set.
+    set_bits: u32,
 }
 
 impl Cache {
@@ -128,10 +128,13 @@ impl Cache {
         if let Err(msg) = config.validate() {
             panic!("invalid cache config: {msg}");
         }
+        // `validate` guarantees both are powers of two.
         Cache {
             config,
             ways: vec![Way::default(); (config.sets() * config.ways) as usize],
             tick: 0,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: config.sets().trailing_zeros(),
         }
     }
 
@@ -141,11 +144,11 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u32) -> usize {
-        ((addr / self.config.line_bytes) & (self.config.sets() - 1)) as usize
+        ((addr >> self.line_shift) & ((1 << self.set_bits) - 1)) as usize
     }
 
     fn tag(&self, addr: u32) -> u32 {
-        addr / self.config.line_bytes / self.config.sets()
+        addr >> (self.line_shift + self.set_bits)
     }
 
     fn line_addr(&self, addr: u32) -> u32 {
@@ -164,30 +167,24 @@ impl Cache {
         let base = set * ways;
         let slots = &mut self.ways[base..base + ways];
 
-        if let Some((way_idx, way)) = slots
-            .iter_mut()
-            .enumerate()
-            .find(|(_, w)| w.valid && w.tag == tag)
-        {
+        if let Some(way) = slots.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.tick;
             way.dirty |= write;
             return Access {
                 hit: true,
                 writeback: None,
                 line_addr: self.line_addr(addr),
-                slot: base + way_idx,
             };
         }
 
         // Miss: pick invalid way, else LRU.
-        let (victim_idx, victim) = slots
+        let victim = slots
             .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru + 1 } else { 0 })
+            .min_by_key(|w| if w.valid { w.lru + 1 } else { 0 })
             .expect("at least one way");
         let writeback = (victim.valid && victim.dirty).then(|| {
             // Reconstruct the victim's base address from its tag and set.
-            (victim.tag * self.config.sets() + set as u32) * self.config.line_bytes
+            ((victim.tag << self.set_bits) | set as u32) << self.line_shift
         });
         *victim = Way {
             valid: true,
@@ -199,7 +196,6 @@ impl Cache {
             hit: false,
             writeback,
             line_addr: self.line_addr(addr),
-            slot: base + victim_idx,
         }
     }
 
@@ -305,21 +301,38 @@ mod tests {
     }
 
     #[test]
-    fn slot_is_stable_while_line_is_resident() {
-        let mut c = tiny();
-        let miss = c.access(0x000, false);
-        assert!(!miss.hit);
-        let hit = c.access(0x004, false);
-        assert!(hit.hit);
-        assert_eq!(hit.slot, miss.slot);
-        // A second line in the same set takes the other way.
-        let other = c.access(0x020, false);
-        assert_ne!(other.slot, miss.slot);
-        assert_eq!(other.slot / 2, miss.slot / 2); // same set, 2 ways
-                                                   // Evicting the LRU line reuses its slot.
-        c.access(0x000, false);
-        let evict = c.access(0x040, false); // evicts 0x020
-        assert_eq!(evict.slot, other.slot);
+    fn shift_indexing_matches_division() {
+        // The precomputed shifts must place every address exactly where
+        // dividing by the line size and the set count does, and a dirty
+        // victim's writeback address must be its line base.
+        let mut rng = flexprot_isa::Rng64::new(0xCAC4E);
+        for (size_bytes, line_bytes, ways) in
+            [(64, 16, 2), (256, 32, 1), (4096, 32, 2), (8192, 4, 8)]
+        {
+            let config = CacheConfig {
+                size_bytes,
+                line_bytes,
+                ways,
+            };
+            let mut c = Cache::new(config);
+            let sets = config.sets();
+            for _ in 0..512 {
+                let addr = rng.next_u32();
+                assert_eq!(c.set_index(addr), ((addr / line_bytes) % sets) as usize);
+                assert_eq!(c.tag(addr), addr / line_bytes / sets);
+                let line = addr & !(line_bytes - 1);
+                let first = c.access(addr, true);
+                assert_eq!(first.line_addr, line);
+                assert!(c.access(line + line_bytes - 1, false).hit);
+                // Fill the set with other lines until `line` is evicted.
+                let stride = line_bytes.wrapping_mul(sets);
+                let evicted = (1..=ways)
+                    .map(|k| c.access(line.wrapping_add(k.wrapping_mul(stride)), false))
+                    .find_map(|a| a.writeback);
+                assert_eq!(evicted, Some(line), "{config:?} at {addr:#010x}");
+                c.reset();
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * `fetch` — the fetch path: I-cache lookup, miss timing, the
 //!   monitor's fill-path transform, and instruction delivery from either
 //!   engine;
-//! * `decode_cache` — the decoded-line store that shadows the
-//!   I-cache and eliminates per-step `Inst::decode`;
+//! * `decode_cache` — the decoded-line store, one entry per text line,
+//!   that eliminates per-step `Inst::decode`;
 //! * `exec` — the execute stage: ALU/memory/branch semantics,
 //!   syscalls and D-cache timing.
 //!
@@ -178,16 +178,14 @@ impl<M: FetchMonitor> Machine<M> {
     /// # Panics
     ///
     /// Panics if a cache geometry in `config` is invalid.
-    pub fn with_monitor(image: &Image, config: SimConfig, monitor: M) -> Machine<M> {
+    pub fn with_monitor(image: &Image, config: SimConfig, mut monitor: M) -> Machine<M> {
         let mut regs = [0u32; 32];
         regs[Reg::SP.index() as usize] = STACK_TOP;
         regs[Reg::FP.index() as usize] = STACK_TOP;
         let icache = Cache::new(config.icache);
-        let decode = DecodeCache::new(
-            config.icache.sets(),
-            config.icache.ways,
-            config.icache.line_bytes,
-        );
+        let mut decode = DecodeCache::new(config.icache.line_bytes);
+        decode.bind(image.text_base, image.text_end());
+        monitor.bind_text(image.text_base, image.text_end());
         Machine {
             regs,
             pc: image.entry,
@@ -228,8 +226,9 @@ impl<M: FetchMonitor> Machine<M> {
 
     /// Restores the architectural state (registers, pc, memory, caches,
     /// stats, output, sink) to match a freshly constructed machine loaded
-    /// with `image`. Shared by [`Machine::reset`] and [`Machine::rearm`],
-    /// which differ only in decoded-line handling.
+    /// with `image`, and binds the decoded-line store and the monitor to
+    /// its text segment. Shared by [`Machine::reset`] and
+    /// [`Machine::rearm`], which differ only in decoded-line handling.
     fn restore(&mut self, image: &Image) {
         self.regs = [0; 32];
         self.regs[Reg::SP.index() as usize] = STACK_TOP;
@@ -243,6 +242,8 @@ impl<M: FetchMonitor> Machine<M> {
         self.output.clear();
         self.text_base = image.text_base;
         self.text_end = image.text_end();
+        self.decode.bind(self.text_base, self.text_end);
+        self.monitor.bind_text(self.text_base, self.text_end);
         self.sink = None;
     }
 
@@ -252,10 +253,11 @@ impl<M: FetchMonitor> Machine<M> {
     /// Registers, pc, caches, stats, captured output and the observability
     /// sink are all restored to their just-constructed state, so a reset
     /// machine produces byte-identical results to a fresh
-    /// [`Machine::with_monitor`] under the same config. The monitor is left
-    /// untouched — stateless monitors (e.g. [`NullMonitor`]) can be reused
-    /// directly; monitors with per-run state must be re-provisioned via
-    /// [`Machine::rearm`].
+    /// [`Machine::with_monitor`] under the same config. The monitor keeps
+    /// its state and is only re-bound to the new text segment
+    /// ([`FetchMonitor::bind_text`]) — stateless monitors (e.g.
+    /// [`NullMonitor`]) can be reused directly; monitors with per-run state
+    /// must be re-provisioned via [`Machine::rearm`].
     pub fn reset(&mut self, image: &Image) {
         self.restore(image);
         self.decode.clear();
@@ -265,17 +267,20 @@ impl<M: FetchMonitor> Machine<M> {
     /// per-run state (the secure monitor's guard windows and tamper log).
     ///
     /// When the new monitor has the same fetch transform as the previous
-    /// one ([`FetchMonitor::same_transform`]) the decoded-line store is
-    /// *retained*: each retained line is revalidated against raw memory at
-    /// its next I-cache fill, so re-running an image that differs in only
-    /// a few lines (the attack harness's tamper trials) re-decrypts and
-    /// re-decodes only those lines. A different transform (re-keying,
-    /// different encryption regions) clears the store, because identical
-    /// ciphertext bytes would otherwise replay a stale decrypt. Either way
-    /// results are byte-identical to a fresh machine: the I-cache itself
-    /// is fully reset, so miss patterns and timing do not change.
+    /// one ([`FetchMonitor::same_transform`]) and the text segment keeps
+    /// its bounds, the decoded-line store is *retained*: each retained
+    /// line is revalidated against raw memory at its next I-cache fill, so
+    /// re-running an image that differs in only a few lines (the attack
+    /// harness's tamper trials) re-decrypts and re-decodes only those
+    /// lines. A different transform (re-keying, different encryption
+    /// regions) clears the store, because identical ciphertext bytes would
+    /// otherwise replay a stale decrypt. Either way results are
+    /// byte-identical to a fresh machine: the I-cache itself is fully
+    /// reset, so miss patterns and timing do not change.
     pub fn rearm(&mut self, image: &Image, monitor: M) {
-        if !self.monitor.same_transform(&monitor) {
+        if self.monitor.same_transform(&monitor) {
+            self.decode.retain();
+        } else {
             self.decode.clear();
         }
         self.monitor = monitor;

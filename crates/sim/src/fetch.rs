@@ -6,8 +6,7 @@
 //! * **Predecoded** — the monitor's transform runs once per I-cache line
 //!   *fill* (via [`FetchMonitor::transform_fill`]), mirroring hardware
 //!   that decrypts on the memory side of the cache; decoded instructions
-//!   are served from the [`crate::decode_cache`] slot that shadows the
-//!   filled way.
+//!   are served from the [`crate::decode_cache`] entry of the text line.
 //! * **Reference** — the original interpreter: re-read memory, re-apply
 //!   [`FetchMonitor::transform_fetch`] and re-run `Inst::decode` on every
 //!   fetch. Kept as the semantic baseline for differential testing.
@@ -59,33 +58,21 @@ impl<M: FetchMonitor> Machine<M> {
                 *self.stats.imiss_counts.entry(access.line_addr).or_insert(0) += 1;
             }
             if self.config.engine == EngineKind::Predecoded {
-                self.decode.fill(
-                    access.slot,
-                    access.line_addr,
-                    line_words as u32,
-                    &self.mem,
-                    &mut self.monitor,
-                );
+                self.decode
+                    .fill(access.line_addr, &self.mem, &mut self.monitor);
             }
         }
         match self.config.engine {
             EngineKind::Predecoded => {
-                let (inst, word) = match self.decode.lookup(access.slot, pc) {
+                let (inst, word) = match self.decode.lookup(pc) {
                     Some(entry) => entry,
                     None => {
                         // I-cache hit on a line whose decode was dropped
                         // (store to text). Functional refill: no timing —
                         // the reference engine charges nothing here either.
-                        self.decode.fill(
-                            access.slot,
-                            access.line_addr,
-                            self.config.icache.line_words(),
-                            &self.mem,
-                            &mut self.monitor,
-                        );
                         self.decode
-                            .lookup(access.slot, pc)
-                            .expect("line was just filled")
+                            .fill(access.line_addr, &self.mem, &mut self.monitor);
+                        self.decode.lookup(pc).expect("line was just filled")
                     }
                 };
                 match inst {

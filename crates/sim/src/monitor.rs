@@ -127,6 +127,17 @@ pub trait FetchMonitor {
         0
     }
 
+    /// Tells the monitor the bounds `[text_base, text_end)` of the text
+    /// segment it guards. The machine calls this whenever it is built or
+    /// re-armed with a monitor, and on every reset, before the first
+    /// commit; every pc it then passes to
+    /// [`FetchMonitor::observe_commit`] lies inside these bounds. A
+    /// monitor can compile per-address state into a table over them. The
+    /// default ignores the bounds.
+    fn bind_text(&mut self, text_base: u32, text_end: u32) {
+        let _ = (text_base, text_end);
+    }
+
     /// Observes one committed instruction.
     ///
     /// `word` is the post-transform (plaintext) instruction word.

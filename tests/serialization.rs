@@ -5,7 +5,7 @@
 use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
 use flexprot::isa::{Image, ImageFormatError, Segment};
 use flexprot::secmon::{GuardSite, SecMon, SecMonConfig};
-use flexprot::sim::{Machine, Outcome, SimConfig};
+use flexprot::sim::{Machine, Outcome, SimConfig, TamperCause, TamperEvent};
 
 #[test]
 fn every_workload_ships_through_the_containers() {
@@ -133,6 +133,59 @@ fn hostile_guard_site_length_is_reported_not_overflowed() {
             .any(|f| f.id == "FP103" && f.addr == Some(site)),
         "{}",
         report.render_human()
+    );
+
+    // At run time the monitor collects the four real guard symbols, then
+    // meets a word that is not a guard: a typed trip, with no symbol
+    // buffer sized by the hostile count.
+    let run = flexprot::core::Protected {
+        secmon: shipped,
+        ..protected
+    }
+    .run(SimConfig::default());
+    let trip = TamperEvent {
+        pc: site + 16,
+        cause: TamperCause::MalformedGuard { site },
+    };
+    assert_eq!(run.outcome, Outcome::TamperDetected(trip));
+}
+
+#[test]
+fn guard_site_without_symbols_is_refused_not_underflowed() {
+    // A site of zero symbols and no tail names no signature. The FPM1
+    // decoder refuses it with a typed error; a config built in code that
+    // still holds one makes the monitor check an empty signature and
+    // trip, instead of underflowing its tail counter.
+    let workload = flexprot::workloads::by_name("rle").expect("kernel");
+    let mut protected = protect(
+        &workload.image(),
+        &ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0)),
+        None,
+    )
+    .expect("protect");
+    let site = *protected.secmon.sites.keys().next().expect("a guard site");
+    let empty = GuardSite {
+        symbols: 0,
+        tail: 0,
+    };
+    protected.secmon.sites.insert(site, empty);
+    let err = SecMonConfig::from_bytes(&protected.secmon.to_bytes())
+        .expect_err("the decoder must refuse a site without symbols");
+    assert_eq!(
+        err.to_string(),
+        format!("guard site {site:#010x} has no guard symbols")
+    );
+    let run = protected.run(SimConfig::default());
+    assert!(
+        matches!(
+            run.outcome,
+            Outcome::TamperDetected(TamperEvent {
+                pc,
+                cause: TamperCause::SignatureMismatch { site: s, claimed: 0, .. },
+            }) if pc == site && s == site
+        ),
+        "{:?}",
+        run.outcome
     );
 }
 
