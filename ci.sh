@@ -180,22 +180,23 @@ for f in "$EXEC_DIR"/full/*.csv; do
 done
 echo "results baselines OK (wall times -> results/timings.csv, non-gating)"
 
-echo "== experiments: attack counter baseline =="
-# Every attack_* counter and histogram of the full run, the detection-cause
-# tallies (attack_cause_*) included, as sorted `key value` lines.
-python3 - "$EXEC_DIR/full.metrics.json" > "$EXEC_DIR/attack_metrics.txt" <<'EOF'
+echo "== experiments: run metrics baseline =="
+# Every counter and histogram of the full run's metrics document, as
+# sorted `key value` lines: the run counters (simulator and monitor), the
+# attack_* outcome and detection-cause tallies and the exec_* engine
+# counters.
+python3 - "$EXEC_DIR/full.metrics.json" > "$EXEC_DIR/metrics.txt" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-lines = [f"{k} {v}" for k, v in doc["counters"].items() if k.startswith("attack_")]
+lines = [f"{k} {v}" for k, v in doc["counters"].items()]
 for name, hist in doc["histograms"].items():
-    if name.startswith("attack_"):
-        for field, v in hist.items():
-            v = ",".join(map(str, v)) if isinstance(v, list) else v
-            lines.append(f"{name}.{field} {v}")
+    for field, v in hist.items():
+        v = ",".join(map(str, v)) if isinstance(v, list) else v
+        lines.append(f"{name}.{field} {v}")
 print("\n".join(sorted(lines)))
 EOF
-check_baseline results/attack_metrics_baseline.txt "$EXEC_DIR/attack_metrics.txt" experiments
-echo "attack counter baseline OK"
+check_baseline results/metrics_baseline.txt "$EXEC_DIR/metrics.txt" experiments
+echo "run metrics baseline OK"
 
 # matrix_baseline <driver> <baseline.csv> [<ledger-option> <ledger-baseline.csv>]
 #

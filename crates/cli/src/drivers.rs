@@ -1448,6 +1448,111 @@ mod tests {
         );
     }
 
+    /// The `ci.sh` smoke program: sums 10..1 in a loop and prints 55.
+    const SMOKE_SOURCE: &str = "main:   li   $s0, 10
+        li   $s1, 0
+loop:   addu $s1, $s1, $s0
+        addi $s0, $s0, -1
+        bgtz $s0, loop
+        move $a0, $s1
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+";
+
+    /// Assembles the smoke program as `<name>.fpx` and protects it with
+    /// guards at density 1.0 plus `protect_args` into `<name>.prot.fpx`
+    /// and `<name>.fpm`. Returns the three paths.
+    fn smoke_build(name: &str, protect_args: &[&str]) -> (String, String, String) {
+        let src = tmp(&format!("{name}.s"));
+        std::fs::write(&src, SMOKE_SOURCE).unwrap();
+        let (fpx, prot, fpm) = (
+            tmp(&format!("{name}.fpx")),
+            tmp(&format!("{name}.prot.fpx")),
+            tmp(&format!("{name}.fpm")),
+        );
+        fpasm(&strs(&[&src, "--o", &fpx])).unwrap();
+        let mut args = strs(&[&fpx, "--o", &prot, "--secmon", &fpm, "--density", "1.0"]);
+        args.extend(strs(protect_args));
+        fpprotect(&args).unwrap();
+        (fpx, prot, fpm)
+    }
+
+    /// Runs `fprun <run_args> --metrics <name>.metrics.json`, checks the
+    /// exit code and returns the metrics document.
+    fn fprun_metrics(name: &str, run_args: &[&str], exit_code: i32) -> String {
+        let metrics = tmp(&format!("{name}.metrics.json"));
+        let mut args = strs(run_args);
+        args.extend(strs(&["--metrics", &metrics]));
+        let run = fprun(&args).unwrap();
+        assert_eq!(run.exit_code, exit_code, "{run:?}");
+        std::fs::read_to_string(&metrics).unwrap()
+    }
+
+    #[test]
+    fn fprun_metrics_document_of_the_guarded_encrypted_smoke_build() {
+        let (_, prot, fpm) = smoke_build("gold_prot", &["--encrypt", "program"]);
+        let doc = fprun_metrics("gold_prot", &[&prot, "--secmon", &fpm], 0);
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"schema":"flexprot-metrics-v1","counters":{"decrypt_fills":4,"#,
+                r#""decrypt_stall_cycles":24,"decrypt_unit_cycles":24,"decrypted_words":26,"#,
+                r#""guard_checks_passed":13,"guard_sites_passed":4,"guard_windows_closed":13,"#,
+                r#""guard_windows_opened":13,"icache_accesses":89,"icache_misses":4,"#,
+                r#""instructions_committed":89,"miss_fill_cycles":136,"sim_cycles":249,"#,
+                r#""sim_dcache_misses":0,"sim_icache_misses":4,"sim_instructions":89,"#,
+                r#""sim_monitor_fill_cycles":24,"spacing_ticks":25},"histograms":{"#,
+                r#""decrypt_stall_cycles":{"count":4,"sum":24,"max":6,"log2_buckets":[0,0,4]},"#,
+                r#""icache_fill_cycles":{"count":4,"sum":136,"max":34,"#,
+                r#""log2_buckets":[0,0,0,0,0,4]}}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn fprun_metrics_document_of_an_unprotected_run() {
+        // No monitor work, yet the fill and stall counters are present at
+        // zero once the I-cache has missed.
+        let (fpx, _, _) = smoke_build("gold_plain", &[]);
+        let doc = fprun_metrics("gold_plain", &[&fpx], 0);
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"schema":"flexprot-metrics-v1","counters":{"decrypt_stall_cycles":0,"#,
+                r#""icache_accesses":37,"icache_misses":2,"instructions_committed":37,"#,
+                r#""miss_fill_cycles":68,"sim_cycles":105,"sim_dcache_misses":0,"#,
+                r#""sim_icache_misses":2,"sim_instructions":37,"sim_monitor_fill_cycles":0},"#,
+                r#""histograms":{"icache_fill_cycles":{"count":2,"sum":68,"max":34,"#,
+                r#""log2_buckets":[0,0,0,0,0,2]}}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn fprun_metrics_document_of_a_tampered_run() {
+        // `li $s0, 10` becomes `li $s0, 11`: the first guard window's
+        // signature no longer matches.
+        let (_, prot, fpm) = smoke_build("gold_tamper", &[]);
+        let mut image = Image::from_bytes(&std::fs::read(&prot).unwrap()).unwrap();
+        image.text[0] ^= 1;
+        std::fs::write(&prot, image.to_bytes()).unwrap();
+        let doc = fprun_metrics("gold_tamper", &[&prot, "--secmon", &fpm], 101);
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"schema":"flexprot-metrics-v1","counters":{"decrypt_stall_cycles":0,"#,
+                r#""guard_checks_failed":1,"guard_windows_closed":1,"guard_windows_opened":1,"#,
+                r#""icache_accesses":6,"icache_misses":1,"instructions_committed":5,"#,
+                r#""miss_fill_cycles":34,"sim_cycles":40,"sim_dcache_misses":0,"#,
+                r#""sim_icache_misses":1,"sim_instructions":5,"sim_monitor_fill_cycles":0,"#,
+                r#""spacing_ticks":2},"histograms":{"icache_fill_cycles":{"count":1,"sum":34,"#,
+                r#""max":34,"log2_buckets":[0,0,0,0,0,1]}}}"#
+            )
+        );
+    }
+
     #[test]
     fn fprun_without_observability_flags_writes_nothing() {
         let src = write_sample_source("noobs.s");
