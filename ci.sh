@@ -84,6 +84,31 @@ grep -q "empty_site.fpm: guard site 0x[0-9a-f]* has no guard symbols" "$OBS_DIR/
 }
 echo "hostile config refused OK"
 
+echo "== hostile FPM1: decrypt latency beyond the ceiling =="
+# The smoke build's monitor config with both decrypt latencies (the two
+# u64s before the last two bytes) set to u64::MAX, which used to wrap the
+# fill penalty. fprun and fplint must refuse it with exit code 2.
+python3 - "$OBS_DIR/smoke.fpm" "$OBS_DIR/slow_decrypt.fpm" <<'EOF'
+import sys
+data = bytearray(open(sys.argv[1], "rb").read())
+data[-18:-2] = b"\xff" * 16
+open(sys.argv[2], "wb").write(data)
+EOF
+for driver in fprun fplint; do
+    status=0
+    timeout 60 cargo run --quiet --release -p flexprot-cli --bin "$driver" -- \
+        "$OBS_DIR/smoke.prot.fpx" --secmon "$OBS_DIR/slow_decrypt.fpm" \
+        > /dev/null 2> "$OBS_DIR/slow_decrypt.err" || status=$?
+    [ "$status" -eq 2 ] || {
+        echo "$driver exited $status on a hostile decrypt latency (expected 2)"; exit 1;
+    }
+    grep -q "slow_decrypt.fpm: decrypt cycles_per_word of 18446744073709551615 cycles exceeds" \
+        "$OBS_DIR/slow_decrypt.err" || {
+        echo "$driver did not report the decrypt latency:"; cat "$OBS_DIR/slow_decrypt.err"; exit 1;
+    }
+done
+echo "hostile decrypt latency refused OK"
+
 echo "== perfbench: correctness smoke =="
 # perfbench is a Cargo package of its own, so the workspace stages above
 # never compile it. One-second runs of each workload build it against the

@@ -1,9 +1,10 @@
 //! T7 bench: cost of the observability layer.
 //!
-//! Compares the protected-run simulation wall clock with the event sink
-//! detached (the shipping configuration — must be indistinguishable from
-//! the pre-trace simulator, <2% regression) and attached (full metric
-//! aggregation, then JSONL trace capture), so the price of `--metrics` is
+//! Compares the protected-run simulation wall clock in three modes: with
+//! no sink attached (the shipping configuration), the same run followed
+//! by `Machine::metrics` (the price of `--metrics`, built from the
+//! counters the run keeps anyway), and a run with a JSONL trace capture
+//! attached (the price of `--trace`). So the cost of observability is
 //! measured, not guessed.
 //!
 //! Not part of the `experiments` tables: wall time is machine-dependent
@@ -48,29 +49,29 @@ fn main() {
         assert_eq!(r.outcome, Outcome::Exit(0));
         r.stats.cycles
     });
-    let attached = median(|| {
-        let (sink, recorder) = Recorder::new().shared();
-        let r = protected.run_traced(SimConfig::default(), &sink);
+    let metrics = median(|| {
+        let mut machine = protected.machine(SimConfig::default());
+        let r = machine.run();
         assert_eq!(r.outcome, Outcome::Exit(0));
-        let committed = recorder
-            .borrow()
-            .metrics()
-            .counter("instructions_committed");
+        let committed = machine.metrics().counter("instructions_committed");
         (r.stats.cycles, committed)
     });
     let jsonl = median(|| {
         let (sink, recorder) = Recorder::with_trace().shared();
-        let r = protected.run_traced(SimConfig::default(), &sink);
+        let mut machine = protected.machine(SimConfig::default());
+        machine.monitor_mut().attach_sink(sink.clone());
+        machine.attach_sink(sink);
+        let r = machine.run();
         assert_eq!(r.outcome, Outcome::Exit(0));
         let lines = recorder.borrow().trace_lines().len();
         (r.stats.cycles, lines)
     });
 
-    println!("{:<16} {:>12} {:>9}", "sink", "median", "vs off");
+    println!("{:<16} {:>12} {:>9}", "mode", "median", "vs off");
     for (name, time) in [
         ("detached", detached),
-        ("attached", attached),
-        ("attached_jsonl", jsonl),
+        ("metrics", metrics),
+        ("jsonl_capture", jsonl),
     ] {
         println!(
             "{name:<16} {:>9.1} µs {:>8.2}x",

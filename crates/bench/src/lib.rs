@@ -44,12 +44,12 @@ use flexprot_attack::{
 use flexprot_core::{
     optimize, EncryptConfig, GuardConfig, OptimizerConfig, Placement, ProtectionConfig, Selection,
 };
-use flexprot_exec::{AttackSpec, Engine, Job, JobCtx};
+use flexprot_exec::{AttackSpec, CellResult, Engine, Job, JobCtx};
 use flexprot_secmon::DecryptModel;
 use flexprot_sim::{CacheConfig, SimConfig};
 use flexprot_workloads::Workload;
 
-pub use flexprot_exec::{Baseline, CycleBreakdown};
+pub use flexprot_exec::Baseline;
 pub use table::Table;
 
 /// Master keys used across experiments (fixed for reproducibility).
@@ -225,6 +225,19 @@ pub fn t2_size_overhead(params: &Params, engine: &Engine) -> Table {
     table
 }
 
+/// The breakdown columns of F2 and F3: the protected run's decrypt-unit
+/// stall and its I-cache fill cycles (memory latency and burst, one fill
+/// per miss), each as a share of the baseline run's cycles.
+fn stall_and_fill_pct(cell: &CellResult, sim: &SimConfig) -> [String; 2] {
+    let stats = &cell.run.stats;
+    let base = cell.baseline.run.stats.cycles as f64;
+    let fill = sim.icache_fill_cycles() * stats.icache_misses;
+    [
+        fmt_pct(stats.monitor_fill_cycles as f64 / base * 100.0),
+        fmt_pct(fill as f64 / base * 100.0),
+    ]
+}
+
 /// F1 — runtime overhead vs guard density.
 pub fn f1_guard_density(params: &Params, engine: &Engine) -> Table {
     let densities = params.densities();
@@ -271,7 +284,7 @@ pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
         headers.push(format!("serial@{c}"));
         headers.push(format!("pipe@{c}"));
     }
-    // Trace-derived breakdown columns are appended AFTER the overhead block
+    // The breakdown columns are appended AFTER the overhead block
     // so the established column positions stay stable.
     for &c in cpws {
         for mode in ["ser", "pipe"] {
@@ -302,12 +315,8 @@ pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
         },
         |ctx, job| {
             let cell = ctx.run_cell(job);
-            let base = cell.baseline.run.stats.cycles as f64;
-            [
-                fmt_pct(cell.overhead_pct()),
-                fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
-                fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
-            ]
+            let [stall, fill] = stall_and_fill_pct(&cell, &job.sim);
+            [fmt_pct(cell.overhead_pct()), stall, fill]
         },
     );
     for (w, cells) in grid {
@@ -328,7 +337,7 @@ pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
         headers.push(format!("+%@{s}B"));
         headers.push(format!("miss%@{s}B"));
     }
-    // Trace-derived breakdown columns, appended at the row end (see F2).
+    // The breakdown columns, appended at the row end (see F2).
     for &s in sizes {
         headers.push(format!("dstall%@{s}B"));
         headers.push(format!("fill%@{s}B"));
@@ -356,12 +365,12 @@ pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
         },
         |ctx, job| {
             let cell = ctx.run_cell(job);
-            let base = cell.baseline.run.stats.cycles as f64;
+            let [stall, fill] = stall_and_fill_pct(&cell, &job.sim);
             [
                 fmt_pct(cell.overhead_pct()),
                 format!("{:.3}", cell.baseline.run.stats.icache_miss_rate() * 100.0),
-                fmt_pct(cell.breakdown.decrypt_stall_cycles as f64 / base * 100.0),
-                fmt_pct(cell.breakdown.miss_fill_cycles as f64 / base * 100.0),
+                stall,
+                fill,
             ]
         },
     );
@@ -1049,7 +1058,7 @@ mod tests {
             let dstall8: f64 = row[9].parse().unwrap();
             let miss8: f64 = row[10].parse().unwrap();
             // Whole-program encryption changes no layout, so the entire
-            // overhead is decrypt stall — the trace must reconcile.
+            // overhead is decrypt stall — the breakdown must reconcile.
             assert!((serial8 - dstall8).abs() < 0.02, "row {row:?}");
             assert!(miss8 > 0.0, "row {row:?}");
         }

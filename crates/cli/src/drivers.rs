@@ -287,11 +287,18 @@ pub fn fpprotect(raw_args: &[String]) -> Result<String, CliError> {
             "block" => Granularity::Block,
             other => return Err(CliError(format!("unknown granularity `{other}`"))),
         };
+        let cycles_per_word = args.parse_or("cycles-per-word", 2u64)?;
+        if cycles_per_word > DecryptModel::MAX_CYCLES {
+            return Err(CliError(format!(
+                "--cycles-per-word must be at most {}",
+                DecryptModel::MAX_CYCLES
+            )));
+        }
         config.encryption = Some(EncryptConfig {
             master_key: args.parse_or("enc-key", 0x5EED_5EED_5EED_5EEDu64)?,
             granularity,
             model: DecryptModel {
-                cycles_per_word: args.parse_or("cycles-per-word", 2u64)?,
+                cycles_per_word,
                 startup: 4,
                 pipelined: !args.has("serial"),
             },
@@ -401,10 +408,12 @@ fn outcome_code(outcome: &Outcome) -> (String, i32) {
 /// `--max-instr` fuel limit was exhausted, and `2` for usage or I/O
 /// errors.
 ///
-/// `--metrics` writes the `flexprot-metrics-v1` counter/histogram document
-/// aggregated from the run's event stream; `--trace` writes every event as
-/// one JSONL line. Either flag attaches the observability sink to both the
-/// CPU and the secure monitor; without them the run is uninstrumented.
+/// `--metrics` writes the run's `flexprot-metrics-v1` counter/histogram
+/// document, built at run end from the counters the simulator and the
+/// secure monitor keep for themselves (`Machine::metrics`); it attaches
+/// no sink. `--trace` attaches a JSONL capture to both the CPU and the
+/// monitor and writes every event as one line; without it the run is
+/// uninstrumented.
 ///
 /// With several images the runs are batched over an execution-engine
 /// worker pool (`--jobs N`, default `FLEXPROT_JOBS`/CPU count); every
@@ -440,39 +449,22 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
     let input = &args.positional[0];
     let image = load_image(input)?;
     let sim = fprun_sim(&args)?;
-    let mut monitor = SecMon::new(fprun_secmon(&args)?);
-    let metrics_path = args.value("metrics").map(str::to_owned);
-    let trace_path = args.value("trace").map(str::to_owned);
-    let observed = (metrics_path.is_some() || trace_path.is_some()).then(|| {
-        let recorder = if trace_path.is_some() {
-            Recorder::with_trace()
-        } else {
-            Recorder::new()
-        };
-        recorder.shared()
+    let mut machine = Machine::with_monitor(&image, sim, SecMon::new(fprun_secmon(&args)?));
+    let traced = args.value("trace").map(|path| {
+        let (sink, recorder) = Recorder::with_trace().shared();
+        machine.monitor_mut().attach_sink(sink.clone());
+        machine.attach_sink(sink);
+        (path, recorder)
     });
-    if let Some((sink, _)) = &observed {
-        monitor.attach_sink(sink.clone());
-    }
-    let mut machine = Machine::with_monitor(&image, sim, monitor);
-    if let Some((sink, _)) = &observed {
-        machine.attach_sink(sink.clone());
-    }
     let result = machine.run();
-    if let Some((_, recorder)) = &observed {
-        let recorder = recorder.borrow();
-        if let Some(path) = &metrics_path {
-            write(path, recorder.metrics().to_json().as_bytes())?;
-        }
-        if let Some(path) = &trace_path {
-            let mut body =
-                String::with_capacity(recorder.trace_lines().iter().map(|l| l.len() + 1).sum());
-            for line in recorder.trace_lines() {
-                body.push_str(line);
-                body.push('\n');
-            }
-            write(path, body.as_bytes())?;
-        }
+    if let Some(path) = args.value("metrics") {
+        write(path, machine.metrics().to_json().as_bytes())?;
+    }
+    if let Some((path, recorder)) = traced {
+        // The trace is never empty: it ends with the run_end record.
+        let mut body = recorder.borrow().trace_lines().join("\n");
+        body.push('\n');
+        write(path, body.as_bytes())?;
     }
 
     let (outcome_text, exit_code) = outcome_code(&result.outcome);
@@ -512,18 +504,10 @@ fn fprun_batch(args: &Args) -> Result<RunSummary, CliError> {
     let engine = Engine::new(batch.workers);
     let results = engine.run_jobs(&args.positional, |ctx, path| {
         let image = load_image(path)?;
-        let mut monitor = SecMon::new(secmon.clone());
-        let observed = want_metrics.then(|| Recorder::new().shared());
-        if let Some((sink, _)) = &observed {
-            monitor.attach_sink(sink.clone());
-        }
-        let mut machine = Machine::with_monitor(&image, sim.clone(), monitor);
-        if let Some((sink, _)) = &observed {
-            machine.attach_sink(sink.clone());
-        }
+        let mut machine = Machine::with_monitor(&image, sim.clone(), SecMon::new(secmon.clone()));
         let result = machine.run();
-        if let Some((_, recorder)) = &observed {
-            ctx.merge_metrics(recorder.borrow().metrics());
+        if want_metrics {
+            ctx.merge_metrics(&machine.metrics());
         }
         let (text, code) = outcome_code(&result.outcome);
         let mut line = format!("{path}: {text}");
@@ -2227,7 +2211,32 @@ loop:   addu $s1, $s1, $s0
         assert!(fpprotect(&strs(&[&fpx, "--density", "abc"])).is_err());
         assert!(fpprotect(&strs(&[&fpx, "--density", "0.5", "--placement", "bogus"])).is_err());
         assert!(fpprotect(&strs(&[&fpx, "--encrypt", "bogus"])).is_err());
+        let slow = ["--encrypt", "program", "--cycles-per-word", "1048577"];
+        let err = fpprotect(&strs(&[&[fpx.as_str()][..], &slow[..]].concat())).unwrap_err();
+        assert_eq!(err.to_string(), "--cycles-per-word must be at most 1048576");
         assert!(fprun(&strs(&[&fpx, "--icache", "999"])).is_err());
+    }
+
+    #[test]
+    fn hostile_decrypt_latency_is_a_config_error() {
+        // FPM1 ends with the decrypt model (two u64 latencies, the
+        // pipelined byte) and the halt byte. Both latencies at u64::MAX
+        // once wrapped the fill penalty; fprun and fplint now refuse the
+        // config, which their binaries report with exit code 2.
+        let (_, prot, fpm) = smoke_build("slowdec", &["--encrypt", "program"]);
+        let mut bytes = std::fs::read(&fpm).unwrap();
+        let at = bytes.len() - 18;
+        bytes[at..at + 16].fill(0xFF);
+        let hostile = tmp("slowdec.hostile.fpm");
+        std::fs::write(&hostile, bytes).unwrap();
+        let expected = format!(
+            "{hostile}: decrypt cycles_per_word of 18446744073709551615 cycles exceeds \
+             the ceiling of 1048576 cycles"
+        );
+        let err = fprun(&strs(&[&prot, "--secmon", &hostile, "--stats"])).unwrap_err();
+        assert_eq!(err.to_string(), expected);
+        let err = fplint(&strs(&[&prot, "--secmon", &hostile])).unwrap_err();
+        assert_eq!(err.to_string(), expected);
     }
 
     #[test]

@@ -58,6 +58,6 @@ pub use error::ProtectError;
 pub use estimate::{estimate, OverheadEstimate};
 pub use guards::{insert_guards, select_guard_blocks, GuardConfig, GuardOutcome, Selection};
 pub use optimize::{optimize, FunctionPlan, OptimizerConfig, Plan};
-pub use pipeline::{protect, protect_traced, ProtectReport, Protected, ProtectionConfig};
+pub use pipeline::{protect, ProtectReport, Protected, ProtectionConfig};
 pub use place::Placement;
 pub use profile::Profile;

@@ -7,7 +7,6 @@
 use flexprot_isa::Image;
 use flexprot_secmon::{SecMon, SecMonConfig};
 use flexprot_sim::{Machine, RunResult, SimConfig};
-use flexprot_trace::{SharedSink, TraceEvent};
 
 use crate::encrypt::{encrypt_text, EncryptConfig};
 use crate::error::ProtectError;
@@ -173,21 +172,6 @@ impl Protected {
         Machine::with_monitor(&self.image, config, SecMon::new(self.secmon.clone()))
     }
 
-    /// Like [`Protected::machine`] but with the observability sink
-    /// attached to both the CPU and the secure monitor, so one recorder
-    /// sees the full fetch/decrypt/guard event stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache geometry in `config` is invalid.
-    pub fn machine_traced(&self, config: SimConfig, sink: &SharedSink) -> Machine<SecMon> {
-        let mut monitor = SecMon::new(self.secmon.clone());
-        monitor.attach_sink(sink.clone());
-        let mut machine = Machine::with_monitor(&self.image, config, monitor);
-        machine.attach_sink(sink.clone());
-        machine
-    }
-
     /// Re-arms an existing machine to run this protected program, reusing
     /// its cache and memory allocations instead of building a new machine.
     ///
@@ -217,11 +201,6 @@ impl Protected {
         self.machine(config).run()
     }
 
-    /// Runs to completion with the observability sink attached.
-    pub fn run_traced(&self, config: SimConfig, sink: &SharedSink) -> RunResult {
-        self.machine_traced(config, sink).run()
-    }
-
     /// Recovers a watermark of `payload_len` bytes from the shipped image
     /// (decrypting the text through the monitor's region table first).
     ///
@@ -245,21 +224,6 @@ pub fn protect(
     config: &ProtectionConfig,
     profile: Option<&Profile>,
 ) -> Result<Protected, ProtectError> {
-    protect_traced(image, config, profile, None)
-}
-
-/// [`protect`] with an observability sink: each inserted guard site and
-/// each embedded watermark payload is reported as a build-time event.
-///
-/// # Errors
-///
-/// Same failure modes as [`protect`].
-pub fn protect_traced(
-    image: &Image,
-    config: &ProtectionConfig,
-    profile: Option<&Profile>,
-    sink: Option<&SharedSink>,
-) -> Result<Protected, ProtectError> {
     let text_words_before = image.text.len();
     let mut secmon = SecMonConfig::transparent();
     secmon.halt_on_tamper = config.halt_on_tamper;
@@ -276,11 +240,6 @@ pub fn protect_traced(
         secmon.reset_points = outcome.reset_points;
         secmon.spacing_bound = outcome.spacing_bound;
         current = outcome.image;
-        if let Some(sink) = sink {
-            for site in secmon.sites.keys() {
-                sink.emit(&TraceEvent::GuardInsert { site: *site });
-            }
-        }
     }
     if let Some(payload) = &config.watermark {
         if config.guards.is_none() {
@@ -289,11 +248,6 @@ pub fn protect_traced(
             ));
         }
         watermark::embed(&mut current, &secmon, payload)?;
-        if let Some(sink) = sink {
-            sink.emit(&TraceEvent::Watermark {
-                bytes: payload.len() as u32,
-            });
-        }
     }
 
     let mut encrypted_regions = 0;
@@ -523,33 +477,22 @@ fold:   mul  $t1, $t0, $t0
     }
 
     #[test]
-    fn traced_pipeline_reports_build_and_run_events() {
+    fn protected_run_metrics_carry_the_monitor_counters() {
         let (image, base) = baseline();
         let config = ProtectionConfig::new()
             .with_guards(GuardConfig::with_density(1.0))
             .with_encryption(EncryptConfig::whole_program(0xFACE))
             .with_watermark(*b"WM");
-        let (sink, recorder) = flexprot_trace::Recorder::new().shared();
-        let protected = protect_traced(&image, &config, None, Some(&sink)).unwrap();
-        {
-            let recorder = recorder.borrow();
-            let m = recorder.metrics();
-            assert_eq!(
-                m.counter("guard_sites_inserted"),
-                protected.report.guards_inserted as u64
-            );
-            assert_eq!(m.counter("watermark_bytes"), 2);
-        }
-
-        let r = protected.run_traced(SimConfig::default(), &sink);
+        let protected = protect(&image, &config, None).unwrap();
+        let mut machine = protected.machine(SimConfig::default());
+        let r = machine.run();
         assert_eq!(r.outcome, Outcome::Exit(0));
         assert_eq!(r.output, base.output);
-        let recorder = recorder.borrow();
-        let m = recorder.metrics();
-        // One recorder saw the whole story: build events, guard checks and
-        // the simulator's authoritative end-of-run counters.
+        // One registry tells the whole run: guard checks from the
+        // monitor, the simulator's totals and the decrypt unit's work.
+        let m = machine.metrics();
         assert!(m.counter("guard_checks_passed") > 0);
-        assert!(m.counter("guard_sites_passed") <= m.counter("guard_sites_inserted"));
+        assert!(m.counter("guard_sites_passed") <= protected.report.guards_inserted as u64);
         assert_eq!(m.counter("sim_cycles"), r.stats.cycles);
         assert_eq!(m.counter("instructions_committed"), r.stats.instructions);
         assert!(m.counter("decrypt_unit_cycles") > 0);
@@ -557,18 +500,6 @@ fold:   mul  $t1, $t0, $t0
             m.counter("decrypt_stall_cycles"),
             r.stats.monitor_fill_cycles
         );
-    }
-
-    #[test]
-    fn untraced_protect_matches_traced_protect() {
-        let (image, _) = baseline();
-        let config = ProtectionConfig::new()
-            .with_guards(GuardConfig::with_density(0.5))
-            .with_encryption(EncryptConfig::whole_program(0xBEEF));
-        let (sink, _recorder) = flexprot_trace::Recorder::new().shared();
-        let plain = protect(&image, &config, None).unwrap();
-        let traced = protect_traced(&image, &config, None, Some(&sink)).unwrap();
-        assert_eq!(plain, traced);
     }
 
     #[test]

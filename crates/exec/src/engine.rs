@@ -178,8 +178,8 @@ impl JobCtx<'_> {
         &mut self.metrics
     }
 
-    /// Merges an already-aggregated registry (e.g. a run recorder's) into
-    /// this job's metrics.
+    /// Merges an already-aggregated registry (e.g. a run's
+    /// `Machine::metrics`) into this job's metrics.
     pub fn merge_metrics(&mut self, metrics: &Metrics) {
         self.metrics.merge(metrics);
     }

@@ -14,9 +14,10 @@
 //! * an [`ArtifactCache`] memoizes compiled images, profiled baselines and
 //!   protected binaries behind content-addressed keys, shared via `Arc`
 //!   across every cell that needs them;
-//! * per-job [`flexprot_trace`] recorders merge into one aggregate
-//!   [`Metrics`] document (commutative counter/histogram merges), so the
-//!   aggregate too is independent of scheduling;
+//! * each run's [`Metrics`] (built by the simulator and monitor from
+//!   their own counters) merge into one aggregate document (commutative
+//!   counter/histogram merges), so the aggregate too is independent of
+//!   scheduling;
 //! * [`matrix`] defines the golden protection matrix (programs × cells)
 //!   that the matrix sweeps, acceptance tests and CI baselines share.
 //!
@@ -40,7 +41,7 @@ mod sweep;
 
 pub use cache::{fingerprint, ArtifactCache, Baseline, CacheStats};
 pub use engine::{default_jobs, Engine, JobCtx};
-pub use sweep::{AttackSpec, CellResult, CycleBreakdown, Job};
+pub use sweep::{AttackSpec, CellResult, Job};
 
 // Re-exported so engine users can build jobs without extra imports.
 pub use flexprot_core::ProtectionConfig;

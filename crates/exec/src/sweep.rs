@@ -5,7 +5,6 @@ use std::sync::Arc;
 use flexprot_attack::{campaign_sim, evaluate, Attack, AttackSummary};
 use flexprot_core::{Protected, ProtectionConfig};
 use flexprot_sim::{Outcome, RunResult, SimConfig};
-use flexprot_trace::Recorder;
 use flexprot_workloads::Workload;
 
 use crate::cache::Baseline;
@@ -70,17 +69,6 @@ impl Job {
     }
 }
 
-/// Cycle components of one run, read from the trace histograms: the pure
-/// memory miss path versus the stall attributable to the decrypt unit.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleBreakdown {
-    /// Cycles spent on I-cache line fills (memory latency + burst), before
-    /// any monitor penalty.
-    pub miss_fill_cycles: u64,
-    /// Extra fill cycles charged by the secure monitor's decrypt unit.
-    pub decrypt_stall_cycles: u64,
-}
-
 /// Everything a standard protected-run cell produced.
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -90,8 +78,6 @@ pub struct CellResult {
     pub protected: Arc<Protected>,
     /// The protected run.
     pub run: RunResult,
-    /// Trace-derived cycle split of the protected run.
-    pub breakdown: CycleBreakdown,
 }
 
 impl CellResult {
@@ -103,9 +89,9 @@ impl CellResult {
 }
 
 impl JobCtx<'_> {
-    /// Runs a protected binary under `sim` with a recorder attached,
-    /// asserting semantic preservation, and merges the run's metrics into
-    /// this job's registry.
+    /// Runs a protected binary under `sim`, asserting semantic
+    /// preservation, and merges the run's metrics
+    /// ([`flexprot_sim::Machine::metrics`]) into this job's registry.
     ///
     /// # Panics
     ///
@@ -116,9 +102,9 @@ impl JobCtx<'_> {
         workload: &Workload,
         protected: &Protected,
         sim: &SimConfig,
-    ) -> (RunResult, CycleBreakdown) {
-        let (sink, recorder) = Recorder::new().shared();
-        let run = protected.run_traced(sim.clone(), &sink);
+    ) -> RunResult {
+        let mut machine = protected.machine(sim.clone());
+        let run = machine.run();
         assert_eq!(
             run.outcome,
             Outcome::Exit(0),
@@ -131,22 +117,12 @@ impl JobCtx<'_> {
             "{} output corrupted by protection",
             workload.name
         );
-        let recorder = recorder.borrow();
-        let metrics = recorder.metrics();
-        let breakdown = CycleBreakdown {
-            miss_fill_cycles: metrics
-                .histogram("icache_fill_cycles")
-                .map_or(0, |h| h.sum()),
-            decrypt_stall_cycles: metrics
-                .histogram("decrypt_stall_cycles")
-                .map_or(0, |h| h.sum()),
-        };
-        self.merge_metrics(metrics);
-        (run, breakdown)
+        self.merge_metrics(&machine.metrics());
+        run
     }
 
     /// Evaluates one standard cell: cached baseline, cached protected
-    /// build, one traced protected run with semantic assertions.
+    /// build, one protected run with semantic assertions.
     ///
     /// # Panics
     ///
@@ -156,12 +132,11 @@ impl JobCtx<'_> {
         let protected = self
             .protected(job)
             .unwrap_or_else(|e| panic!("{}: protect failed: {e}", job.workload.name));
-        let (run, breakdown) = self.run_protected(&job.workload, &protected, &job.sim);
+        let run = self.run_protected(&job.workload, &protected, &job.sim);
         CellResult {
             baseline,
             protected,
             run,
-            breakdown,
         }
     }
 

@@ -20,6 +20,12 @@ pub struct DecryptModel {
 }
 
 impl DecryptModel {
+    /// The largest `cycles_per_word` or `startup` an `FPM1` config may
+    /// carry: 2^20 cycles, far beyond any modelled unit. Under it the
+    /// penalty of one fill stays below 2^53 cycles for any line, so a
+    /// hostile config cannot wrap it.
+    pub const MAX_CYCLES: u64 = 1 << 20;
+
     /// A zero-cost model (decryption disabled or free).
     pub fn free() -> DecryptModel {
         DecryptModel {

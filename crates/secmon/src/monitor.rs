@@ -19,9 +19,11 @@
 //! when a machine binds it to a text segment
 //! ([`FetchMonitor::bind_text`]): a commit then costs one bounds check and
 //! one load instead of set lookups and a range scan.
+//! The monitor also keeps its own run counters, as hardware status
+//! registers would ([`FetchMonitor::export_metrics`] reports them).
 
 use flexprot_sim::{FetchMonitor, TamperCause, TamperEvent};
-use flexprot_trace::{SharedSink, TraceEvent};
+use flexprot_trace::{Histogram, Metrics, SharedSink, TraceEvent};
 
 use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher, SIG_SYMBOLS};
 use crate::schedule::SecMonConfig;
@@ -31,6 +33,9 @@ const WINDOW_START: u8 = 1;
 const RESET_POINT: u8 = 2;
 const PROTECTED: u8 = 4;
 const SITE: u8 = 8;
+/// Set at run time, never compiled: the guard check at this site has
+/// passed at least once.
+const PASSED: u8 = 16;
 
 /// The attribute bits of `pc`, read straight from the schedule: three
 /// tree lookups and a scan of the protected ranges.
@@ -94,6 +99,37 @@ impl AttrTable {
         let index = (pc.wrapping_sub(self.base) >> 2) as usize;
         self.flags.get(index).copied()
     }
+
+    /// Marks `site` passed, if the table covers it.
+    fn mark_passed(&mut self, site: u32) {
+        let index = (site.wrapping_sub(self.base) >> 2) as usize;
+        if let Some(flag) = self.flags.get_mut(index) {
+            *flag |= PASSED;
+        }
+    }
+
+    /// Number of distinct guard sites marked passed.
+    fn sites_passed(&self) -> u64 {
+        self.flags
+            .iter()
+            .filter(|&&flag| flag & PASSED != 0)
+            .count() as u64
+    }
+}
+
+/// The monitor's run counters.
+#[derive(Debug, Clone, Default)]
+struct Counters {
+    windows_opened: u64,
+    windows_closed: u64,
+    checks_passed: u64,
+    /// Spacing ticks before the last spacing reset.
+    spacing_ticks: u64,
+    /// Line fills with at least one encrypted word.
+    decrypt_fills: u64,
+    decrypted_words: u64,
+    /// Decrypt-unit stall cycles of each fill that charged any.
+    decrypt_stall: Histogram,
 }
 
 /// A guard sequence in progress.
@@ -130,7 +166,7 @@ pub struct SecMon {
     hasher: WindowHasher,
     collecting: Option<Collect>,
     spacing: u64,
-    checks_passed: u64,
+    counters: Counters,
     tamper_log: Vec<TamperEvent>,
     sink: Option<SharedSink>,
 }
@@ -145,7 +181,7 @@ impl SecMon {
             hasher,
             collecting: None,
             spacing: 0,
-            checks_passed: 0,
+            counters: Counters::default(),
             tamper_log: Vec::new(),
             sink: None,
         }
@@ -153,8 +189,8 @@ impl SecMon {
 
     /// Attaches an observability sink; guard window transitions, check
     /// outcomes, spacing-counter activity and decryption-unit work are
-    /// reported to it. With no sink attached (the default) the monitor's
-    /// behaviour and cost are unchanged.
+    /// reported to it as trace events. With no sink attached (the default)
+    /// the monitor's behaviour and cost are unchanged.
     pub fn attach_sink(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
     }
@@ -172,12 +208,20 @@ impl SecMon {
 
     /// Number of guard checks that passed.
     pub fn checks_passed(&self) -> u64 {
-        self.checks_passed
+        self.counters.checks_passed
     }
 
     /// Tamper events seen so far (useful with `halt_on_tamper = false`).
     pub fn tamper_log(&self) -> &[TamperEvent] {
         &self.tamper_log
+    }
+
+    /// Zeroes the spacing counter. Every tick adds one to it and only this
+    /// takes it back, so the ticks it held move to the run total here,
+    /// off the per-commit path.
+    fn reset_spacing(&mut self) {
+        self.counters.spacing_ticks += self.spacing;
+        self.spacing = 0;
     }
 
     fn trip(&mut self, pc: u32, cause: TamperCause) -> Option<TamperEvent> {
@@ -186,7 +230,7 @@ impl SecMon {
         // Recover to a clean state so non-halting mode can continue.
         self.collecting = None;
         self.hasher.reset();
-        self.spacing = 0;
+        self.reset_spacing();
         self.config.halt_on_tamper.then_some(event)
     }
 
@@ -208,8 +252,9 @@ impl SecMon {
             );
         }
         self.emit(TraceEvent::GuardPass { site: col.site });
-        self.checks_passed += 1;
-        self.spacing = 0;
+        self.counters.checks_passed += 1;
+        self.table.mark_passed(col.site);
+        self.reset_spacing();
         self.hasher.reset();
         None
     }
@@ -264,20 +309,19 @@ impl SecMon {
             .table
             .get(pc)
             .unwrap_or_else(|| attrs_of(&self.config, pc));
-        if !sequential {
+        if !sequential || attrs & WINDOW_START != 0 {
             self.hasher.reset();
-            if attrs & RESET_POINT != 0 {
-                self.spacing = 0;
+            if !sequential && attrs & RESET_POINT != 0 {
+                self.reset_spacing();
             }
             if attrs & WINDOW_START != 0 {
+                self.counters.windows_opened += 1;
                 self.emit(TraceEvent::WindowOpen { pc });
             }
-        } else if attrs & WINDOW_START != 0 {
-            self.hasher.reset();
-            self.emit(TraceEvent::WindowOpen { pc });
         }
         if attrs & SITE != 0 {
             let site = self.config.sites[&pc];
+            self.counters.windows_closed += 1;
             self.emit(TraceEvent::WindowClose { site: pc });
             let col = Collect {
                 site: pc,
@@ -332,6 +376,11 @@ impl FetchMonitor for SecMon {
             .encrypted_words_in_line(line_addr, line_words);
         let cycles = self.config.decrypt.fill_penalty(encrypted);
         if encrypted > 0 {
+            self.counters.decrypt_fills += 1;
+            self.counters.decrypted_words += u64::from(encrypted);
+            if cycles > 0 {
+                self.counters.decrypt_stall.record(cycles);
+            }
             self.emit(TraceEvent::Decrypt {
                 line_addr,
                 encrypted_words: encrypted,
@@ -347,6 +396,35 @@ impl FetchMonitor for SecMon {
 
     fn observe_commit(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
         self.observe(pc, word, sequential)
+    }
+
+    /// The `guard_*` and `spacing_*` counters once their event has
+    /// happened (failures and spacing trips from the tamper log), and once
+    /// a fill needed decryption the `decrypt_*` counters and the
+    /// `decrypt_stall_cycles` histogram.
+    fn export_metrics(&self, metrics: &mut Metrics) {
+        let c = &self.counters;
+        let spacing_trips = self
+            .tamper_log
+            .iter()
+            .filter(|event| matches!(event.cause, TamperCause::SpacingBound { .. }))
+            .count() as u64;
+        metrics.tally("guard_windows_opened", c.windows_opened);
+        metrics.tally("guard_windows_closed", c.windows_closed);
+        metrics.tally("guard_checks_passed", c.checks_passed);
+        metrics.tally("guard_sites_passed", self.table.sites_passed());
+        metrics.tally(
+            "guard_checks_failed",
+            self.tamper_log.len() as u64 - spacing_trips,
+        );
+        metrics.tally("spacing_ticks", c.spacing_ticks + self.spacing);
+        metrics.tally("spacing_exceeded", spacing_trips);
+        if c.decrypt_fills > 0 {
+            metrics.add("decrypt_fills", c.decrypt_fills);
+            metrics.add("decrypted_words", c.decrypted_words);
+            metrics.add("decrypt_unit_cycles", c.decrypt_stall.sum());
+        }
+        metrics.merge_histogram("decrypt_stall_cycles", &c.decrypt_stall);
     }
 }
 
@@ -500,37 +578,60 @@ mod tests {
         assert_eq!(mon.checks_passed(), 1);
     }
 
+    /// The monitor's exported counters.
+    fn metrics_of(mon: &SecMon) -> Metrics {
+        let mut metrics = Metrics::new();
+        mon.export_metrics(&mut metrics);
+        metrics
+    }
+
     #[test]
-    fn sink_observes_window_and_check_events() {
+    fn monitor_counts_windows_checks_and_distinct_sites() {
         let (config, stream) = guarded_stream(&[0x1111_2222, 0x3333_4444, 0x5555_6666]);
-        let (sink, recorder) = flexprot_trace::Recorder::new().shared();
         let mut mon = SecMon::new(config);
-        mon.attach_sink(sink);
+        mon.bind_text(BASE, BASE + 4 * stream.len() as u32);
         assert_eq!(feed(&mut mon, &stream), None);
-        let recorder = recorder.borrow();
-        let m = recorder.metrics();
-        assert_eq!(m.counter("guard_windows_opened"), 1);
-        assert_eq!(m.counter("guard_windows_closed"), 1);
+        assert_eq!(feed(&mut mon, &stream), None);
+        let m = metrics_of(&mon);
+        assert_eq!(m.counter("guard_windows_opened"), 2);
+        assert_eq!(m.counter("guard_windows_closed"), 2);
         assert_eq!(m.counter("guard_checks_passed"), mon.checks_passed());
-        assert_eq!(m.counter("guard_checks_failed"), 0);
-        assert!(mon.tamper_log().is_empty());
+        assert_eq!(m.counter("guard_sites_passed"), 1, "one site, passed twice");
+        // Nothing failed and nothing was decrypted: those counters are
+        // absent, not zero.
+        let names: Vec<&str> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "guard_checks_passed",
+                "guard_sites_passed",
+                "guard_windows_closed",
+                "guard_windows_opened"
+            ]
+        );
     }
 
     #[test]
-    fn sink_attributes_guard_failure() {
-        let (config, mut stream) = guarded_stream(&[0x1111_2222, 0x3333_4444]);
+    fn monitor_counts_failures_and_spacing_trips_from_its_log() {
+        let (mut config, mut stream) = guarded_stream(&[0x1111_2222, 0x3333_4444]);
+        config.halt_on_tamper = false;
+        config.protected = vec![ProtectedRange {
+            start: BASE,
+            end: BASE + 0x1000,
+        }];
+        config.spacing_bound = Some(1);
         stream[0].1 ^= 1 << 9;
-        let (sink, recorder) = flexprot_trace::Recorder::new().shared();
         let mut mon = SecMon::new(config);
-        mon.attach_sink(sink);
-        let event = feed(&mut mon, &stream).expect("must detect");
-        assert!(matches!(event.cause, TamperCause::SignatureMismatch { .. }));
-        let failed = recorder.borrow().metrics().counter("guard_checks_failed");
-        assert_eq!(failed, 1);
+        assert_eq!(feed(&mut mon, &stream), None);
+        let m = metrics_of(&mon);
+        assert_eq!(m.counter("spacing_exceeded"), 1);
+        assert_eq!(m.counter("guard_checks_failed"), 1);
+        assert_eq!(mon.tamper_log().len(), 2);
+        assert_eq!(m.counter("spacing_ticks"), 2);
     }
 
     #[test]
-    fn sink_observes_decrypt_work() {
+    fn monitor_counts_decrypt_work() {
         let regions = RegionTable::new(vec![EncRegion {
             start: BASE,
             end: BASE + 32,
@@ -545,16 +646,27 @@ mod tests {
             },
             ..SecMonConfig::transparent()
         };
-        let (sink, recorder) = flexprot_trace::Recorder::new().shared();
         let mut mon = SecMon::new(config);
-        mon.attach_sink(sink);
         let charged = mon.fill_penalty(BASE, 8);
         assert_eq!(mon.fill_penalty(BASE + 32, 8), 0);
-        let recorder = recorder.borrow();
-        let m = recorder.metrics();
+        let m = metrics_of(&mon);
         assert_eq!(m.counter("decrypt_fills"), 1);
         assert_eq!(m.counter("decrypted_words"), 8);
         assert_eq!(m.counter("decrypt_unit_cycles"), charged);
+        let stalls = m.histogram("decrypt_stall_cycles").unwrap();
+        assert_eq!((stalls.count(), stalls.sum()), (1, charged));
+
+        // A free decrypt unit still counts its fills, at zero cycles, and
+        // records no stall.
+        let mut free = SecMon::new(SecMonConfig {
+            decrypt: DecryptModel::free(),
+            ..mon.config().clone()
+        });
+        assert_eq!(free.fill_penalty(BASE, 8), 0);
+        let m = metrics_of(&free);
+        assert_eq!(m.counter("decrypt_fills"), 1);
+        assert!(m.counters().any(|(name, _)| name == "decrypt_unit_cycles"));
+        assert!(m.histogram("decrypt_stall_cycles").is_none());
     }
 
     #[test]

@@ -27,6 +27,14 @@ pub enum ConfigFormatError {
     /// A guard site at this address has no guard symbols: there is no
     /// signature to check.
     EmptyGuardSite(u32),
+    /// A decrypt-unit latency field (`cycles_per_word` or `startup`)
+    /// exceeds [`DecryptModel::MAX_CYCLES`].
+    DecryptLatency {
+        /// The field's name.
+        field: &'static str,
+        /// The refused value.
+        cycles: u64,
+    },
 }
 
 impl fmt::Display for ConfigFormatError {
@@ -40,6 +48,11 @@ impl fmt::Display for ConfigFormatError {
             ConfigFormatError::EmptyGuardSite(addr) => {
                 write!(f, "guard site {addr:#010x} has no guard symbols")
             }
+            ConfigFormatError::DecryptLatency { field, cycles } => write!(
+                f,
+                "decrypt {field} of {cycles} cycles exceeds the ceiling of {} cycles",
+                DecryptModel::MAX_CYCLES
+            ),
         }
     }
 }
@@ -177,9 +190,16 @@ impl SecMonConfig {
                 key: r.u64()?,
             });
         }
+        let mut latency = |field| {
+            let cycles = r.u64()?;
+            if cycles > DecryptModel::MAX_CYCLES {
+                return Err(ConfigFormatError::DecryptLatency { field, cycles });
+            }
+            Ok(cycles)
+        };
         let decrypt = DecryptModel {
-            cycles_per_word: r.u64()?,
-            startup: r.u64()?,
+            cycles_per_word: latency("cycles_per_word")?,
+            startup: latency("startup")?,
             pipelined: r.u8()? != 0,
         };
         let halt_on_tamper = r.u8()? != 0;

@@ -16,7 +16,7 @@
 //! lifecycle.
 
 use flexprot_isa::{Image, Reg, STACK_TOP};
-use flexprot_trace::{SharedSink, TraceEvent};
+use flexprot_trace::{Metrics, SharedSink, TraceEvent};
 
 use crate::cache::{Cache, CacheConfig};
 use crate::decode_cache::DecodeCache;
@@ -104,6 +104,13 @@ impl SimConfig {
     pub fn with_engine(mut self, engine: EngineKind) -> SimConfig {
         self.engine = engine;
         self
+    }
+
+    /// Memory cycles of one I-cache line fill: the miss latency plus the
+    /// burst of the line's remaining words, before any monitor penalty.
+    pub fn icache_fill_cycles(&self) -> u64 {
+        let line_words = u64::from(self.icache.line_words());
+        self.mem_latency + self.burst_word_cycles * (line_words - 1)
     }
 }
 
@@ -206,11 +213,43 @@ impl<M: FetchMonitor> Machine<M> {
 
     /// Attaches an observability sink; every fetch, cache fill, data
     /// access and commit is reported to it, plus a final
-    /// [`TraceEvent::RunEnd`] carrying the authoritative [`Stats`]
-    /// counters. With no sink attached (the default) the hot path pays
-    /// one branch and timing is unchanged.
+    /// [`TraceEvent::RunEnd`] carrying the [`Stats`] totals. With no sink
+    /// attached (the default) the hot path pays one branch and timing is
+    /// unchanged. A sink is for tracing only: [`Machine::metrics`] needs
+    /// none.
     pub fn attach_sink(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
+    }
+
+    /// The `flexprot-metrics-v1` registry of the run so far, built from
+    /// [`Stats`] and the monitor's own counters
+    /// ([`FetchMonitor::export_metrics`]). An event counter appears once
+    /// its event has happened; the first I-cache miss adds
+    /// `miss_fill_cycles`, `decrypt_stall_cycles` (zero without
+    /// encryption) and the `icache_fill_cycles` histogram; the `sim_*`
+    /// totals are always present.
+    pub fn metrics(&self) -> Metrics {
+        let stats = &self.stats;
+        let mut m = Metrics::new();
+        m.tally("icache_accesses", stats.icache_accesses);
+        m.tally("icache_misses", stats.icache_misses);
+        m.tally("dcache_accesses", stats.dcache_accesses);
+        m.tally("dcache_misses", stats.dcache_misses);
+        m.tally("dcache_writebacks", stats.dcache_writebacks);
+        m.tally("instructions_committed", stats.instructions);
+        if stats.icache_misses > 0 {
+            let fill = self.config.icache_fill_cycles();
+            m.add("miss_fill_cycles", fill * stats.icache_misses);
+            m.add("decrypt_stall_cycles", stats.monitor_fill_cycles);
+            m.observe_n("icache_fill_cycles", fill, stats.icache_misses);
+        }
+        m.set("sim_cycles", stats.cycles);
+        m.set("sim_instructions", stats.instructions);
+        m.set("sim_icache_misses", stats.icache_misses);
+        m.set("sim_dcache_misses", stats.dcache_misses);
+        m.set("sim_monitor_fill_cycles", stats.monitor_fill_cycles);
+        self.monitor.export_metrics(&mut m);
+        m
     }
 
     /// Read access to the monitor (e.g. to inspect verification counters).
@@ -820,7 +859,7 @@ skip:   nop
     }
 
     #[test]
-    fn attached_sink_reconciles_with_stats() {
+    fn metrics_come_from_stats_and_a_sink_perturbs_nothing() {
         let image = flexprot_asm::assemble_or_panic(
             r#"
         .data
@@ -842,38 +881,44 @@ loop:   lw   $t2, 0($t1)
         syscall
 "#,
         );
-        let baseline = Machine::new(&image, SimConfig::default()).run();
-
-        let (sink, recorder) = flexprot_trace::Recorder::new().shared();
         let mut machine = Machine::new(&image, SimConfig::default());
-        machine.attach_sink(sink);
-        let traced = machine.run();
+        let baseline = machine.run();
+        let m = machine.metrics();
 
-        // Attaching a sink must not perturb timing or behaviour.
-        assert_eq!(traced.outcome, baseline.outcome);
-        assert_eq!(traced.output, baseline.output);
-        assert_eq!(traced.stats, baseline.stats);
+        let (sink, recorder) = flexprot_trace::Recorder::with_trace().shared();
+        let mut traced = Machine::new(&image, SimConfig::default());
+        traced.attach_sink(sink);
+        // Attaching a sink must not perturb timing, behaviour or metrics.
+        assert_eq!(traced.run(), baseline);
+        assert_eq!(traced.metrics(), m);
 
-        // Event-derived counters agree exactly with the Stats counters.
-        let recorder = recorder.borrow();
-        let m = recorder.metrics();
-        assert_eq!(m.counter("icache_accesses"), traced.stats.icache_accesses);
-        assert_eq!(m.counter("icache_misses"), traced.stats.icache_misses);
-        assert_eq!(m.counter("dcache_accesses"), traced.stats.dcache_accesses);
-        assert_eq!(m.counter("dcache_misses"), traced.stats.dcache_misses);
-        assert_eq!(
-            m.counter("dcache_writebacks"),
-            traced.stats.dcache_writebacks
-        );
-        assert_eq!(
-            m.counter("instructions_committed"),
-            traced.stats.instructions
-        );
-        assert_eq!(m.counter("sim_cycles"), traced.stats.cycles);
-        assert_eq!(m.counter("sim_instructions"), traced.stats.instructions);
-        assert_eq!(m.counter("sim_icache_misses"), traced.stats.icache_misses);
+        let stats = &baseline.stats;
+        assert_eq!(m.counter("icache_accesses"), stats.icache_accesses);
+        assert_eq!(m.counter("icache_misses"), stats.icache_misses);
+        assert_eq!(m.counter("dcache_accesses"), stats.dcache_accesses);
+        assert_eq!(m.counter("dcache_misses"), stats.dcache_misses);
+        assert_eq!(m.counter("instructions_committed"), stats.instructions);
+        assert_eq!(m.counter("sim_cycles"), stats.cycles);
+        assert_eq!(m.counter("sim_icache_misses"), stats.icache_misses);
         let fills = m.histogram("icache_fill_cycles").unwrap();
-        assert_eq!(fills.count(), traced.stats.icache_misses);
+        assert_eq!(fills.count(), stats.icache_misses);
+        assert_eq!(fills.sum(), m.counter("miss_fill_cycles"));
+        // No writeback happened, so its counter is absent, not zero.
+        assert!(m.counters().all(|(name, _)| name != "dcache_writebacks"));
+
+        // The trace carries one event per fetch and per commit.
+        let recorder = recorder.borrow();
+        let count = |kind: &str| {
+            let tag = format!("\"ev\":\"{kind}\"");
+            recorder
+                .trace_lines()
+                .iter()
+                .filter(|line| line.contains(&tag))
+                .count() as u64
+        };
+        assert_eq!(count("fetch"), stats.icache_accesses);
+        assert_eq!(count("commit"), stats.instructions);
+        assert_eq!(count("data_access"), stats.dcache_accesses);
     }
 
     #[test]

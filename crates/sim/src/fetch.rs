@@ -38,18 +38,16 @@ impl<M: FetchMonitor> Machine<M> {
         }
         if !access.hit {
             self.stats.icache_misses += 1;
-            let line_words = u64::from(self.config.icache.line_words());
-            let fill = self.config.mem_latency + self.config.burst_word_cycles * (line_words - 1);
+            let line_words = self.config.icache.line_words();
+            let fill = self.config.icache_fill_cycles();
             self.stats.cycles += fill;
-            let penalty = self
-                .monitor
-                .fill_penalty(access.line_addr, line_words as u32);
+            let penalty = self.monitor.fill_penalty(access.line_addr, line_words);
             self.stats.monitor_fill_cycles += penalty;
             self.stats.cycles += penalty;
             if let Some(sink) = &self.sink {
                 sink.emit(&TraceEvent::IcacheFill {
                     line_addr: access.line_addr,
-                    words: line_words as u32,
+                    words: line_words,
                     fill_cycles: fill,
                     decrypt_cycles: penalty,
                 });

@@ -12,9 +12,13 @@
 //!   latency is charged when the I-cache fills a line;
 //! * [`FetchMonitor::observe_commit`] — the verification view: the monitor
 //!   sees each retired instruction (post-decrypt) and may raise a tamper
-//!   event.
+//!   event;
+//! * [`FetchMonitor::export_metrics`] — the accounting view: the monitor
+//!   reports the counters it keeps into the run's metrics registry.
 
 use std::fmt;
+
+use flexprot_trace::Metrics;
 
 /// Raised by a monitor when it detects tampering; aborts simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +153,13 @@ pub trait FetchMonitor {
     fn observe_commit(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
         let _ = (pc, word, sequential);
         None
+    }
+
+    /// Adds the monitor's own run counters to `metrics` at run end
+    /// ([`Machine::metrics`](crate::Machine::metrics)). The default adds
+    /// nothing.
+    fn export_metrics(&self, metrics: &mut Metrics) {
+        let _ = metrics;
     }
 
     /// Whether `other`'s [`FetchMonitor::transform_fetch`] is the same

@@ -2,10 +2,9 @@
 //!
 //! Each variant is one observation point of the codesign architecture:
 //! the fetch path and caches (from `flexprot-sim`), the secure monitor's
-//! guard machinery and decryption unit (from `flexprot-secmon`), and the
-//! protection toolchain itself (from `flexprot-core`). Events are small
-//! `Copy` values so the enabled path stays cheap and the disabled path
-//! (no sink attached) costs one branch.
+//! guard machinery and decryption unit (from `flexprot-secmon`). Events
+//! are small `Copy` values so the enabled path stays cheap and the
+//! disabled path (no sink attached) costs one branch.
 
 use crate::json::JsonObject;
 
@@ -102,19 +101,8 @@ pub enum TraceEvent {
         /// The provisioned bound.
         bound: u64,
     },
-    /// The toolchain inserted a guard sequence (protection pipeline).
-    GuardInsert {
-        /// Guard site address in the rewritten image.
-        site: u32,
-    },
-    /// The toolchain embedded a watermark payload in the guard salt
-    /// channel (protection pipeline).
-    Watermark {
-        /// Payload length in bytes.
-        bytes: u32,
-    },
     /// The simulation finished; final counter values from `flexprot-sim`'s
-    /// own `Stats`, for reconciliation against the event-derived counters.
+    /// own `Stats`, so a trace carries the run's totals.
     RunEnd {
         /// Total simulated cycles.
         cycles: u64,
@@ -144,8 +132,6 @@ impl TraceEvent {
             TraceEvent::GuardFail { .. } => "guard_fail",
             TraceEvent::SpacingTick { .. } => "spacing_tick",
             TraceEvent::SpacingExceeded { .. } => "spacing_exceeded",
-            TraceEvent::GuardInsert { .. } => "guard_insert",
-            TraceEvent::Watermark { .. } => "watermark",
             TraceEvent::RunEnd { .. } => "run_end",
         }
     }
@@ -210,12 +196,6 @@ impl TraceEvent {
             TraceEvent::SpacingExceeded { pc, bound } => {
                 obj.hex("pc", pc).num("bound", bound);
             }
-            TraceEvent::GuardInsert { site } => {
-                obj.hex("site", site);
-            }
-            TraceEvent::Watermark { bytes } => {
-                obj.num("bytes", u64::from(bytes));
-            }
             TraceEvent::RunEnd {
                 cycles,
                 instructions,
@@ -266,8 +246,6 @@ mod tests {
             TraceEvent::GuardFail { site: 0, pc: 0 },
             TraceEvent::SpacingTick { pc: 0, count: 1 },
             TraceEvent::SpacingExceeded { pc: 0, bound: 64 },
-            TraceEvent::GuardInsert { site: 0 },
-            TraceEvent::Watermark { bytes: 2 },
             TraceEvent::RunEnd {
                 cycles: 1,
                 instructions: 1,

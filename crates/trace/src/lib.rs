@@ -3,31 +3,31 @@
 //! The DATE-2004 protection model attributes runtime cost to three
 //! mechanisms — guard checking, line-fill decryption and the I-cache miss
 //! path — and this crate makes those mechanisms observable event by
-//! event instead of only as end-of-run aggregates. Three pieces:
+//! event as well as in end-of-run aggregates. Three pieces:
 //!
 //! * [`TraceEvent`] — the taxonomy of observation points reported by the
 //!   simulator ([`Fetch`](TraceEvent::Fetch),
 //!   [`IcacheFill`](TraceEvent::IcacheFill),
 //!   [`DataAccess`](TraceEvent::DataAccess),
-//!   [`Commit`](TraceEvent::Commit), [`RunEnd`](TraceEvent::RunEnd)),
+//!   [`Commit`](TraceEvent::Commit), [`RunEnd`](TraceEvent::RunEnd)) and
 //!   the secure monitor ([`WindowOpen`](TraceEvent::WindowOpen),
 //!   [`WindowClose`](TraceEvent::WindowClose),
 //!   [`GuardPass`](TraceEvent::GuardPass),
 //!   [`GuardFail`](TraceEvent::GuardFail),
 //!   [`SpacingTick`](TraceEvent::SpacingTick),
 //!   [`SpacingExceeded`](TraceEvent::SpacingExceeded),
-//!   [`Decrypt`](TraceEvent::Decrypt)) and the protection toolchain
-//!   ([`GuardInsert`](TraceEvent::GuardInsert),
-//!   [`Watermark`](TraceEvent::Watermark)).
-//! * [`EventSink`] / [`SharedSink`] — the consumer trait and the
-//!   cloneable handle producers hold. Producers store an
-//!   `Option<SharedSink>`: with `None` (the default everywhere) the hot
-//!   path pays one branch and allocates nothing, so timing results are
-//!   bit-identical to an uninstrumented build.
-//! * [`Metrics`] / [`Recorder`] — a registry of named counters and
-//!   log2-bucketed latency [`Histogram`]s, plus the standard sink that
-//!   aggregates every event into it (and optionally keeps raw JSONL
-//!   lines for `fprun --trace`).
+//!   [`Decrypt`](TraceEvent::Decrypt)).
+//! * [`EventSink`] / [`SharedSink`] / [`Recorder`] — the consumer trait,
+//!   the cloneable handle producers hold, and the standard sink that
+//!   captures every event as a JSONL line for `fprun --trace`. Producers
+//!   store an `Option<SharedSink>`: with `None` (the default everywhere)
+//!   the hot path pays one branch and allocates nothing, so timing
+//!   results are bit-identical to an uninstrumented build.
+//! * [`Metrics`] — a registry of named counters and log2-bucketed latency
+//!   [`Histogram`]s. A run's registry is built at run end from the
+//!   counters the simulator and the monitor keep for themselves
+//!   (`flexprot_sim::Machine::metrics`), not from the event stream, so it
+//!   needs no sink.
 //!
 //! Emission formats are plain JSON written and parsed by the in-crate
 //! [`json`] module — the workspace builds offline, so no serde. The

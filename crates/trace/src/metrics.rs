@@ -3,8 +3,11 @@
 //! The registry is deliberately schema-free: producers bump counters by
 //! name and record latencies into named histograms, and the JSON emission
 //! (`flexprot-metrics-v1`) lists whatever was recorded. Consumers that
-//! need stability assert on the counter *names*, which are fixed by the
-//! [`crate::Recorder`] aggregation rules.
+//! need stability assert on the counter *names*. A run's names are fixed
+//! by `flexprot_sim::Machine::metrics`, which builds them from the
+//! simulator's `Stats` and the monitor's own counters
+//! (`FetchMonitor::export_metrics`); the attack harness and the execution
+//! engine add their `attack_*` and `exec_*` counters.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +32,14 @@ pub struct Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same value (nothing when `n` is 0).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let bucket = if value <= 1 {
             0
         } else {
@@ -37,9 +48,9 @@ impl Histogram {
         if self.buckets.len() <= bucket {
             self.buckets.resize(bucket + 1, 0);
         }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
+        self.buckets[bucket] += n;
+        self.count += n;
+        self.sum += value * n;
         self.max = self.max.max(value);
     }
 
@@ -119,9 +130,13 @@ impl Metrics {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Increments the named counter by one.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
+    /// Adds `n` occurrences of the named event. Unlike [`Metrics::add`],
+    /// a zero `n` leaves the counter absent: an event counter appears in
+    /// the document once its event has happened.
+    pub fn tally(&mut self, name: &'static str, n: u64) {
+        if n > 0 {
+            self.add(name, n);
+        }
     }
 
     /// Sets the named counter to an absolute value.
@@ -136,7 +151,23 @@ impl Metrics {
 
     /// Records one latency sample into the named histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+        self.observe_n(name, value, 1);
+    }
+
+    /// Records `n` samples of one value into the named histogram; with
+    /// `n` of 0 the histogram stays absent, like a [`Metrics::tally`].
+    pub fn observe_n(&mut self, name: &'static str, value: u64, n: u64) {
+        if n > 0 {
+            self.histograms.entry(name).or_default().record_n(value, n);
+        }
+    }
+
+    /// Merges `histogram` into the named one; an empty `histogram` adds
+    /// nothing, not even the name.
+    pub fn merge_histogram(&mut self, name: &'static str, histogram: &Histogram) {
+        if histogram.count() > 0 {
+            self.histograms.entry(name).or_default().merge(histogram);
+        }
     }
 
     /// The named histogram, if any samples were recorded.
@@ -155,14 +186,14 @@ impl Metrics {
     /// Addition is commutative, so folding N per-job registries into one
     /// aggregate yields the same document whatever order the jobs finished
     /// in. Note that `set`-style absolute counters (the `sim_*`
-    /// reconciliation set) become sums under merge, which is the intended
+    /// totals) become sums under merge, which is the intended
     /// aggregate reading (total cycles, total instructions, …).
     pub fn merge(&mut self, other: &Metrics) {
         for (name, value) in &other.counters {
             *self.counters.entry(name).or_insert(0) += value;
         }
         for (name, histogram) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(histogram);
+            self.merge_histogram(name, histogram);
         }
     }
 
@@ -205,17 +236,30 @@ mod tests {
         assert_eq!(h.buckets()[3], 1);
         assert_eq!(h.buckets()[10], 1);
         assert!((h.mean() - 1049.0 / 8.0).abs() < 1e-9);
+
+        let mut repeated = Histogram::default();
+        repeated.record_n(34, 3);
+        repeated.record_n(1024, 0);
+        let mut one_by_one = Histogram::default();
+        for _ in 0..3 {
+            one_by_one.record(34);
+        }
+        assert_eq!(repeated, one_by_one);
     }
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
         let mut m = Metrics::new();
-        m.incr("a");
+        m.add("a", 1);
         m.add("a", 4);
         m.set("b", 7);
+        m.tally("c", 0);
+        m.tally("d", 2);
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.counter("b"), 7);
         assert_eq!(m.counter("missing"), 0);
+        let names: Vec<&str> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "b", "d"], "a zero tally adds no counter");
     }
 
     #[test]
@@ -250,7 +294,7 @@ mod tests {
         a.observe("lat", 4);
         let mut b = Metrics::new();
         b.add("cycles", 5);
-        b.incr("jobs");
+        b.add("jobs", 1);
         b.observe("lat", 16);
         a.merge(&b);
         assert_eq!(a.counter("cycles"), 15);

@@ -190,6 +190,62 @@ fn guard_site_without_symbols_is_refused_not_underflowed() {
 }
 
 #[test]
+fn hostile_decrypt_latency_is_refused_not_wrapped() {
+    // The FPM1 decrypt model carries two raw u64 latencies. Near u64::MAX
+    // (or 2^62 each) the fill penalty used to wrap, reporting a run
+    // faster than the unencrypted one (or a free decrypt unit); a debug
+    // build panicked. The decoder refuses either field above the ceiling.
+    let image = flexprot::asm::assemble(
+        "main:   li   $s0, 10
+                 li   $s1, 0
+         loop:   addu $s1, $s1, $s0
+                 addi $s0, $s0, -1
+                 bgtz $s0, loop
+                 move $a0, $s1
+                 li   $v0, 1
+                 syscall
+                 li   $v0, 10
+                 syscall",
+    )
+    .expect("assemble");
+    let config = ProtectionConfig::new()
+        .with_guards(GuardConfig::with_density(1.0))
+        .with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+    let protected = protect(&image, &config, None).expect("protect");
+    let ceiling = 1u64 << 20;
+    for (cycles_per_word, startup, field, cycles) in [
+        (u64::MAX, u64::MAX, "cycles_per_word", u64::MAX),
+        (1 << 62, 1 << 62, "cycles_per_word", 1 << 62),
+        (2, ceiling + 1, "startup", ceiling + 1),
+    ] {
+        let mut hostile = protected.secmon.clone();
+        hostile.decrypt.cycles_per_word = cycles_per_word;
+        hostile.decrypt.startup = startup;
+        let err = SecMonConfig::from_bytes(&hostile.to_bytes())
+            .expect_err("the decoder must refuse an implausible decrypt latency");
+        assert_eq!(
+            err.to_string(),
+            format!("decrypt {field} of {cycles} cycles exceeds the ceiling of 1048576 cycles")
+        );
+    }
+
+    // At the ceiling the config ships and every fill is charged in full.
+    let mut slow = protected.secmon.clone();
+    slow.decrypt.cycles_per_word = ceiling;
+    slow.decrypt.startup = ceiling;
+    assert!(slow.decrypt.pipelined);
+    let shipped = SecMonConfig::from_bytes(&slow.to_bytes()).expect("config container");
+    let run =
+        Machine::with_monitor(&protected.image, SimConfig::default(), SecMon::new(shipped)).run();
+    assert_eq!(run.outcome, Outcome::Exit(0));
+    assert_eq!(
+        run.stats.monitor_fill_cycles,
+        run.stats.icache_misses * 2 * ceiling
+    );
+    assert!(run.stats.cycles > run.stats.monitor_fill_cycles);
+}
+
+#[test]
 fn hostile_protected_range_is_counted_not_walked() {
     // A protected range from the FPM1 may wrap past the top of the address
     // space or span nearly all of it. FP404's uncovered-word count must
