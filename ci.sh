@@ -59,6 +59,32 @@ grep -q '"ev":"run_end"' "$OBS_DIR/smoke.trace.jsonl" || {
 }
 echo "metrics schema OK"
 
+echo "== fprun --trace: bounded memory =="
+# A traced run streams its events to the trace file, so its peak RSS must
+# stay near the untraced run's whatever the trace length: bitcount under
+# guards d=1.0 plus program encryption writes a 27 MB trace. fprun runs
+# directly, not through cargo run, each run as the only child of its own
+# python process, so the reading is fprun's own peak.
+BIN=${CARGO_TARGET_DIR:-target}/release
+"$BIN/fpasm" crates/workloads/asm/bitcount.s --o "$OBS_DIR/bitcount.fpx" > /dev/null
+"$BIN/fpprotect" "$OBS_DIR/bitcount.fpx" --o "$OBS_DIR/bitcount.prot.fpx" \
+    --secmon "$OBS_DIR/bitcount.fpm" --density 1.0 --encrypt program > /dev/null
+peak_rss_kib() {
+    python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' "$BIN/fprun" "$OBS_DIR/bitcount.prot.fpx" --secmon "$OBS_DIR/bitcount.fpm" "$@"
+}
+plain=$(peak_rss_kib)
+traced=$(peak_rss_kib --trace "$OBS_DIR/bitcount.trace.jsonl")
+rm -f "$OBS_DIR/bitcount.trace.jsonl"
+echo "bitcount peak RSS: $plain KiB untraced, $traced KiB with --trace"
+[ $((traced * 4)) -le $((plain * 5)) ] || {
+    echo "the traced run exceeds 1.25x the untraced peak RSS"; exit 1;
+}
+echo "trace memory bounded OK"
+
 echo "== hostile FPM1: guard site without symbols =="
 # The smoke build's monitor config with its first guard site rewritten to
 # zero symbols and no tail. The FPM1 decoder must refuse it: fprun exits
@@ -193,17 +219,19 @@ echo "== experiments: results/ baselines under the predecoded engine =="
 # CSVs: the predecoded fetch path must keep all recorded numbers
 # byte-identical (a diff means either a stats regression or a deliberate
 # experiment change — regenerate results/ and commit). Wall-clock per
-# table is logged to results/timings.csv as a perf smoke; the file is
-# machine-dependent and NOT diffed (non-gating).
+# table is printed as a perf smoke; it is machine-dependent, so it goes
+# to a scratch file rather than the tracked results/timings.csv and is
+# NOT diffed (non-gating).
 cargo run --quiet --release -p flexprot-bench --bin experiments -- \
-    --csv "$EXEC_DIR/full" --timings results/timings.csv \
+    --csv "$EXEC_DIR/full" --timings "$EXEC_DIR/timings.csv" \
     --metrics "$EXEC_DIR/full.metrics.json" > /dev/null 2> /dev/null
 for f in "$EXEC_DIR"/full/*.csv; do
     diff -u "results/$(basename "$f")" "$f" || {
         echo "results baseline diverged: $(basename "$f")"; exit 1;
     }
 done
-echo "results baselines OK (wall times -> results/timings.csv, non-gating)"
+cat "$EXEC_DIR/timings.csv"
+echo "results baselines OK (wall times above, non-gating)"
 
 echo "== experiments: run metrics baseline =="
 # Every counter and histogram of the full run's metrics document, as

@@ -3,14 +3,15 @@
 //! Compares the protected-run simulation wall clock in three modes: with
 //! no sink attached (the shipping configuration), the same run followed
 //! by `Machine::metrics` (the price of `--metrics`, built from the
-//! counters the run keeps anyway), and a run with a JSONL trace capture
-//! attached (the price of `--trace`). So the cost of observability is
-//! measured, not guessed.
+//! counters the run keeps anyway), and a run that streams its JSONL trace
+//! into a discarding writer (the price of `--trace`, less the disk). So
+//! the cost of observability is measured, not guessed.
 //!
 //! Not part of the `experiments` tables: wall time is machine-dependent
 //! and must stay out of the deterministic CSV output that CI diffs.
 
 use std::hint::black_box;
+use std::io;
 use std::time::{Duration, Instant};
 
 use flexprot_bench::{ENC_KEY, GUARD_KEY};
@@ -57,21 +58,21 @@ fn main() {
         (r.stats.cycles, committed)
     });
     let jsonl = median(|| {
-        let (sink, recorder) = Recorder::with_trace().shared();
+        let (sink, recorder) = Recorder::with_writer(io::sink()).shared();
         let mut machine = protected.machine(SimConfig::default());
         machine.monitor_mut().attach_sink(sink.clone());
         machine.attach_sink(sink);
         let r = machine.run();
         assert_eq!(r.outcome, Outcome::Exit(0));
-        let lines = recorder.borrow().trace_lines().len();
-        (r.stats.cycles, lines)
+        recorder.borrow_mut().finish().expect("trace stream");
+        r.stats.cycles
     });
 
     println!("{:<16} {:>12} {:>9}", "mode", "median", "vs off");
     for (name, time) in [
         ("detached", detached),
         ("metrics", metrics),
-        ("jsonl_capture", jsonl),
+        ("jsonl_stream", jsonl),
     ] {
         println!(
             "{name:<16} {:>9.1} µs {:>8.2}x",

@@ -6,14 +6,15 @@
 //! Options:
 //!   --quick           reduced workloads/trials (CI smoke run)
 //!   --only <ID>       print and write a single table (T1..T6, T9, T10, T12, T13, F1..F6)
-//!   --jobs <N>        worker threads (default: FLEXPROT_JOBS or CPU count)
+//!   --jobs <N>        worker threads, at least 1 (default: FLEXPROT_JOBS or CPU count)
 //!   --csv <DIR>       write one CSV per table into DIR (default: results)
 //!   --no-csv          skip CSV output
 //!   --metrics <PATH>  write the engine's aggregate metrics JSON to PATH
 //!   --timings <PATH>  write per-runner wall time (CSV: table,seconds) to PATH
 //! ```
 //!
-//! The experiments come from the [`flexprot_bench::EXPERIMENTS`] registry.
+//! The experiments come from the [`flexprot_bench::EXPERIMENTS`] registry;
+//! an `--only` id outside it, like `--jobs 0`, is a usage error (exit 2).
 //! Tables projected from one campaign share a runner (T3 and T9 read one
 //! attack campaign, T12 and T13 one cross-check campaign), so `--only T9`
 //! runs the whole T3 campaign but prints and writes only T9, and
@@ -33,15 +34,18 @@ use std::str::FromStr;
 use flexprot_bench::{Params, EXPERIMENTS};
 use flexprot_exec::Engine;
 
+/// Reports a usage error and exits with code 2.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 /// Parses the value following `option`; a missing or malformed value is a
-/// usage error (exit 2).
+/// usage error.
 fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, option: &str, what: &str) -> T {
     match args.next().map(|v| v.parse()) {
         Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{option} requires {what}");
-            std::process::exit(2);
-        }
+        _ => usage(&format!("{option} requires {what}")),
     }
 }
 
@@ -62,10 +66,20 @@ fn main() {
             "--no-csv" => csv_dir = None,
             "--metrics" => metrics_path = Some(value(&mut args, &arg, "a path")),
             "--timings" => timings_path = Some(value(&mut args, &arg, "a path")),
-            other => {
-                eprintln!("unknown option `{other}`");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown option `{other}`")),
+        }
+    }
+    if jobs == Some(0) {
+        usage("--jobs must be at least 1 (omit it for the default)");
+    }
+    let known = || EXPERIMENTS.iter().flat_map(|(ids, _)| ids.iter().copied());
+    if let Some(filter) = &only {
+        if !known().any(|id| id.eq_ignore_ascii_case(filter)) {
+            let ids: Vec<&str> = known().collect();
+            usage(&format!(
+                "--only: unknown experiment `{filter}` (known: {})",
+                ids.join(", ")
+            ));
         }
     }
 

@@ -1,6 +1,8 @@
 //! The four tool drivers.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use flexprot_core::{
@@ -37,18 +39,37 @@ fn read(path: &str) -> Result<Vec<u8>, CliError> {
     std::fs::read(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))
 }
 
-fn write(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+fn cannot_write(path: &str) -> impl FnOnce(std::io::Error) -> CliError + '_ {
+    move |e| CliError(format!("cannot write {path}: {e}"))
+}
+
+/// Creates (or truncates) the output file `path` and its parent directories.
+fn create(path: &str) -> Result<File, CliError> {
     if let Some(dir) = Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
                 .map_err(|e| CliError(format!("cannot create {}: {e}", dir.display())))?;
         }
     }
-    std::fs::write(path, bytes).map_err(|e| CliError(format!("cannot write {path}: {e}")))
+    File::create(path).map_err(cannot_write(path))
+}
+
+fn write(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+    create(path)?.write_all(bytes).map_err(cannot_write(path))
 }
 
 fn load_image(path: &str) -> Result<Image, CliError> {
     Image::from_bytes(&read(path)?).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+fn load_secmon(path: &str) -> Result<SecMonConfig, CliError> {
+    SecMonConfig::from_bytes(&read(path)?).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+/// The `--secmon` config, or the transparent monitor without one.
+fn secmon_arg(args: &Args) -> Result<SecMonConfig, CliError> {
+    args.value("secmon")
+        .map_or_else(|| Ok(SecMonConfig::transparent()), load_secmon)
 }
 
 /// RFC-4180 escaping for one CSV field: a value containing a comma, a
@@ -193,8 +214,7 @@ pub fn fpobjdump(raw_args: &[String]) -> Result<String, CliError> {
         ));
     }
     if let Some(path) = args.value("secmon") {
-        let config =
-            SecMonConfig::from_bytes(&read(path)?).map_err(|e| CliError(format!("{path}: {e}")))?;
+        let config = load_secmon(path)?;
         out.push_str(&format!(
             "\nMONITOR CONFIG ({path})\n  guard sites: {}\n  window starts: {}\n  protected ranges: {}\n  reset points: {}\n  spacing bound: {}\n  encrypted regions: {}\n  decrypt: {} cyc/word, startup {}, {}\n  halt on tamper: {}\n",
             config.sites.len(),
@@ -377,15 +397,6 @@ fn fprun_sim(args: &Args) -> Result<SimConfig, CliError> {
     Ok(sim)
 }
 
-fn fprun_secmon(args: &Args) -> Result<SecMonConfig, CliError> {
-    match args.value("secmon") {
-        Some(path) => {
-            SecMonConfig::from_bytes(&read(path)?).map_err(|e| CliError(format!("{path}: {e}")))
-        }
-        None => Ok(SecMonConfig::transparent()),
-    }
-}
-
 fn outcome_code(outcome: &Outcome) -> (String, i32) {
     match outcome {
         Outcome::Exit(code) => (format!("exit {code}"), *code),
@@ -411,9 +422,9 @@ fn outcome_code(outcome: &Outcome) -> (String, i32) {
 /// `--metrics` writes the run's `flexprot-metrics-v1` counter/histogram
 /// document, built at run end from the counters the simulator and the
 /// secure monitor keep for themselves (`Machine::metrics`); it attaches
-/// no sink. `--trace` attaches a JSONL capture to both the CPU and the
-/// monitor and writes every event as one line; without it the run is
-/// uninstrumented.
+/// no sink. `--trace` attaches a [`Recorder`] to both the CPU and the
+/// monitor, which streams every event as one line to a buffered file
+/// opened before the run; without it the run is uninstrumented.
 ///
 /// With several images the runs are batched over an execution-engine
 /// worker pool (`--jobs N`, default `FLEXPROT_JOBS`/CPU count); every
@@ -449,22 +460,22 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
     let input = &args.positional[0];
     let image = load_image(input)?;
     let sim = fprun_sim(&args)?;
-    let mut machine = Machine::with_monitor(&image, sim, SecMon::new(fprun_secmon(&args)?));
-    let traced = args.value("trace").map(|path| {
-        let (sink, recorder) = Recorder::with_trace().shared();
-        machine.monitor_mut().attach_sink(sink.clone());
-        machine.attach_sink(sink);
-        (path, recorder)
-    });
+    let mut machine = Machine::with_monitor(&image, sim, SecMon::new(secmon_arg(&args)?));
+    let trace = match args.value("trace") {
+        Some(path) => {
+            let (sink, recorder) = Recorder::with_writer(BufWriter::new(create(path)?)).shared();
+            machine.monitor_mut().attach_sink(sink.clone());
+            machine.attach_sink(sink);
+            Some((path, recorder))
+        }
+        None => None,
+    };
     let result = machine.run();
+    if let Some((path, recorder)) = trace {
+        recorder.borrow_mut().finish().map_err(cannot_write(path))?;
+    }
     if let Some(path) = args.value("metrics") {
         write(path, machine.metrics().to_json().as_bytes())?;
-    }
-    if let Some((path, recorder)) = traced {
-        // The trace is never empty: it ends with the run_end record.
-        let mut body = recorder.borrow().trace_lines().join("\n");
-        body.push('\n');
-        write(path, body.as_bytes())?;
     }
 
     let (outcome_text, exit_code) = outcome_code(&result.outcome);
@@ -497,7 +508,7 @@ fn fprun_batch(args: &Args) -> Result<RunSummary, CliError> {
         ));
     }
     let sim = fprun_sim(args)?;
-    let secmon = fprun_secmon(args)?;
+    let secmon = secmon_arg(args)?;
     let batch = BatchOpts::from_args(args)?;
     let want_metrics = batch.metrics.is_some();
     let want_stats = args.has("stats");
@@ -621,12 +632,7 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
         }
     };
     let image = load_image(input)?;
-    let config = match args.value("secmon") {
-        Some(path) => {
-            SecMonConfig::from_bytes(&read(path)?).map_err(|e| CliError(format!("{path}: {e}")))?
-        }
-        None => SecMonConfig::transparent(),
-    };
+    let config = secmon_arg(&args)?;
     let list = |name: &str| -> Result<Vec<String>, CliError> {
         let Some(value) = args.value(name) else {
             return Ok(Vec::new());
@@ -1535,6 +1541,28 @@ loop:   addu $s1, $s1, $s0
                 r#""max":34,"log2_buckets":[0,0,0,0,0,1]}}}"#
             )
         );
+    }
+
+    #[test]
+    fn fprun_trace_of_the_guarded_encrypted_smoke_build() {
+        // Every event of the run, byte for byte: 251 JSONL lines.
+        let (_, prot, fpm) = smoke_build("gold_trace", &["--encrypt", "program"]);
+        let trace = tmp("gold_trace.trace.jsonl");
+        let run = fprun(&strs(&[&prot, "--secmon", &fpm, "--trace", &trace])).unwrap();
+        assert_eq!(run.exit_code, 0, "{run:?}");
+        assert_eq!(
+            std::fs::read_to_string(&trace).unwrap(),
+            include_str!("../tests/golden/smoke.trace.jsonl")
+        );
+    }
+
+    #[test]
+    fn fprun_trace_into_a_directory_is_an_io_error() {
+        let (fpx, _, _) = smoke_build("trace_dir", &[]);
+        let dir = tmp("trace_dir.d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = fprun(&strs(&[&fpx, "--trace", &dir])).unwrap_err();
+        assert!(err.0.starts_with(&format!("cannot write {dir}: ")), "{err}");
     }
 
     #[test]

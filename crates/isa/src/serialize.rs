@@ -55,37 +55,95 @@ impl fmt::Display for ImageFormatError {
 
 impl std::error::Error for ImageFormatError {}
 
-struct Reader<'a> {
+impl From<ReadError> for ImageFormatError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => ImageFormatError::Truncated,
+            ReadError::BadLength => ImageFormatError::BadLength,
+        }
+    }
+}
+
+/// Why a [`Reader`] refused a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The input ended before the field.
+    Truncated,
+    /// A declared count cannot fit in the remaining input.
+    BadLength,
+}
+
+/// A bounds-checked little-endian cursor over an untrusted container,
+/// shared by the `FPX1` and `FPM1` decoders. No read panics or allocates.
+#[derive(Debug)]
+pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageFormatError> {
+    /// A cursor at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { data, pos: 0 }
+    }
+
+    /// Whether every byte has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.data.len()
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
         if self.data.len() - self.pos < n {
-            return Err(ImageFormatError::Truncated);
+            return Err(ReadError::Truncated);
         }
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, ImageFormatError> {
+    /// One byte.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] at the end of the input.
+    pub fn u8(&mut self) -> Result<u8, ReadError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, ImageFormatError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+    /// A little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when fewer than 4 bytes remain.
+    pub fn u32(&mut self) -> Result<u32, ReadError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    /// A count that must plausibly fit in the remaining bytes, with each
-    /// element at least `min_elem_size` bytes.
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, ImageFormatError> {
+    /// A little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when fewer than 8 bytes remain.
+    pub fn u64(&mut self) -> Result<u64, ReadError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// A `u32` element count that must plausibly fit in the remaining
+    /// bytes, with each element at least `min_elem_size` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when the count itself is cut off,
+    /// [`ReadError::BadLength`] when the elements cannot fit.
+    pub fn count(&mut self, min_elem_size: usize) -> Result<usize, ReadError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(min_elem_size) > self.data.len() - self.pos {
-            return Err(ImageFormatError::BadLength);
+            return Err(ReadError::BadLength);
         }
         Ok(n)
     }
@@ -146,10 +204,7 @@ impl Image {
     /// Returns an [`ImageFormatError`] for malformed input; never panics on
     /// untrusted bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Image, ImageFormatError> {
-        let mut r = Reader {
-            data: bytes,
-            pos: 0,
-        };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(ImageFormatError::BadMagic);
         }
@@ -185,7 +240,7 @@ impl Image {
                 target,
             });
         }
-        if r.pos != bytes.len() {
+        if !r.at_end() {
             return Err(ImageFormatError::TrailingBytes);
         }
         for (segment, base, bytes) in [

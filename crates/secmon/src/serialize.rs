@@ -5,6 +5,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use flexprot_isa::serialize::{ReadError, Reader};
+
 use crate::cipher::{EncRegion, RegionTable};
 use crate::decrypt::DecryptModel;
 use crate::schedule::{GuardSite, ProtectedRange, SecMonConfig};
@@ -59,39 +61,12 @@ impl fmt::Display for ConfigFormatError {
 
 impl std::error::Error for ConfigFormatError {}
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], ConfigFormatError> {
-        if self.data.len() - self.pos < n {
-            return Err(ConfigFormatError::Truncated);
+impl From<ReadError> for ConfigFormatError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => ConfigFormatError::Truncated,
+            ReadError::BadLength => ConfigFormatError::BadLength,
         }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ConfigFormatError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ConfigFormatError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ConfigFormatError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, ConfigFormatError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_size) > self.data.len() - self.pos {
-            return Err(ConfigFormatError::BadLength);
-        }
-        Ok(n)
     }
 }
 
@@ -142,10 +117,7 @@ impl SecMonConfig {
     /// Returns a [`ConfigFormatError`] on malformed input; never panics on
     /// untrusted bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<SecMonConfig, ConfigFormatError> {
-        let mut r = Reader {
-            data: bytes,
-            pos: 0,
-        };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(ConfigFormatError::BadMagic);
         }
@@ -203,7 +175,7 @@ impl SecMonConfig {
             pipelined: r.u8()? != 0,
         };
         let halt_on_tamper = r.u8()? != 0;
-        if r.pos != bytes.len() {
+        if !r.at_end() {
             return Err(ConfigFormatError::TrailingBytes);
         }
         let regions = RegionTable::try_new(regions).map_err(|_| ConfigFormatError::BadRegions)?;

@@ -399,6 +399,21 @@ mod tests {
     use crate::cache::CacheConfig;
     use crate::monitor::TamperCause;
 
+    /// An in-memory trace writer the test reads back after the run.
+    #[derive(Clone, Default)]
+    struct Buffer(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+    impl std::io::Write for Buffer {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn run(src: &str) -> RunResult {
         let image = flexprot_asm::assemble_or_panic(src);
         Machine::new(&image, SimConfig::default()).run()
@@ -885,7 +900,8 @@ loop:   lw   $t2, 0($t1)
         let baseline = machine.run();
         let m = machine.metrics();
 
-        let (sink, recorder) = flexprot_trace::Recorder::with_trace().shared();
+        let buffer = Buffer::default();
+        let (sink, recorder) = flexprot_trace::Recorder::with_writer(buffer.clone()).shared();
         let mut traced = Machine::new(&image, SimConfig::default());
         traced.attach_sink(sink);
         // Attaching a sink must not perturb timing, behaviour or metrics.
@@ -907,14 +923,11 @@ loop:   lw   $t2, 0($t1)
         assert!(m.counters().all(|(name, _)| name != "dcache_writebacks"));
 
         // The trace carries one event per fetch and per commit.
-        let recorder = recorder.borrow();
+        recorder.borrow_mut().finish().unwrap();
+        let trace = String::from_utf8(buffer.0.take()).unwrap();
         let count = |kind: &str| {
             let tag = format!("\"ev\":\"{kind}\"");
-            recorder
-                .trace_lines()
-                .iter()
-                .filter(|line| line.contains(&tag))
-                .count() as u64
+            trace.lines().filter(|line| line.contains(&tag)).count() as u64
         };
         assert_eq!(count("fetch"), stats.icache_accesses);
         assert_eq!(count("commit"), stats.instructions);

@@ -139,14 +139,6 @@ impl Value {
         }
     }
 
-    /// Float payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Array payload, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -351,7 +343,7 @@ mod tests {
         let inner = value.get("a").and_then(|a| a.get("b")).unwrap();
         let items = inner.as_array().unwrap();
         assert_eq!(items[0].as_u64(), Some(1));
-        assert_eq!(items[1].as_f64(), Some(-2.5));
+        assert_eq!(items[1], Value::Number(-2.5));
         assert_eq!(items[2], Value::Null);
         assert_eq!(items[3], Value::Bool(false));
     }

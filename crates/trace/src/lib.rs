@@ -17,12 +17,13 @@
 //!   [`SpacingTick`](TraceEvent::SpacingTick),
 //!   [`SpacingExceeded`](TraceEvent::SpacingExceeded),
 //!   [`Decrypt`](TraceEvent::Decrypt)).
-//! * [`EventSink`] / [`SharedSink`] / [`Recorder`] — the consumer trait,
-//!   the cloneable handle producers hold, and the standard sink that
-//!   captures every event as a JSONL line for `fprun --trace`. Producers
-//!   store an `Option<SharedSink>`: with `None` (the default everywhere)
-//!   the hot path pays one branch and allocates nothing, so timing
-//!   results are bit-identical to an uninstrumented build.
+//! * [`Recorder`] / [`SharedSink`] — the sink that streams every event
+//!   as one JSONL line to a writer (`fprun --trace` hands it a buffered
+//!   file, so a trace never accumulates in memory), and the cloneable
+//!   handle producers hold. Producers store an `Option<SharedSink>`: with
+//!   `None` (the default everywhere) the hot path pays one branch and
+//!   allocates nothing, so timing results are bit-identical to an
+//!   uninstrumented build.
 //! * [`Metrics`] — a registry of named counters and log2-bucketed latency
 //!   [`Histogram`]s. A run's registry is built at run end from the
 //!   counters the simulator and the monitor keep for themselves
@@ -43,4 +44,4 @@ pub mod sink;
 
 pub use event::TraceEvent;
 pub use metrics::{Histogram, Metrics, METRICS_SCHEMA};
-pub use sink::{EventSink, Recorder, SharedSink};
+pub use sink::{Recorder, SharedSink};

@@ -69,15 +69,6 @@ impl Histogram {
         self.max
     }
 
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Bucket counts, index `i` covering `[2^i, 2^(i+1))` (bucket 0 also
     /// holds zeros and ones).
     pub fn buckets(&self) -> &[u64] {
@@ -235,7 +226,6 @@ mod tests {
         assert_eq!(h.buckets()[2], 2);
         assert_eq!(h.buckets()[3], 1);
         assert_eq!(h.buckets()[10], 1);
-        assert!((h.mean() - 1049.0 / 8.0).abs() < 1e-9);
 
         let mut repeated = Histogram::default();
         repeated.record_n(34, 3);

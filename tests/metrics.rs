@@ -4,7 +4,10 @@
 //! run, with the simulator's `Stats`, and with the protection
 //! toolchain's static story.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::io::{self, Write};
+use std::rc::Rc;
 
 use flexprot::core::{protect, EncryptConfig, GuardConfig, Protected, ProtectionConfig};
 use flexprot::sim::{Outcome, RunResult, SimConfig};
@@ -45,10 +48,10 @@ loop:   addu $s1, $s1, $s0
 /// Counts a JSONL trace into a metrics registry, event kind by event
 /// kind: what each event says happened, independently of the counters
 /// the run kept.
-fn metrics_from_trace(lines: &[String]) -> Metrics {
+fn metrics_from_trace(trace: &str) -> Metrics {
     let mut m = Metrics::new();
     let mut sites_passed = BTreeSet::new();
-    for line in lines {
+    for line in trace.lines() {
         let event = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         let num = |key: &str| event.get(key).and_then(Value::as_u64).unwrap();
         let flag = |key: &str| matches!(event.get(key), Some(Value::Bool(true)));
@@ -106,7 +109,22 @@ fn metrics_from_trace(lines: &[String]) -> Metrics {
     m
 }
 
-/// Runs `protected` twice, detached and with a JSONL capture attached.
+/// An in-memory trace writer the test reads back after the run.
+#[derive(Clone, Default)]
+struct Buffer(Rc<RefCell<Vec<u8>>>);
+
+impl Write for Buffer {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `protected` twice, detached and with a JSONL trace attached.
 /// Both runs must agree, and the document the detached run's machine
 /// builds must equal the one counted from the trace, key for key.
 fn reconciled_run(protected: &Protected) -> (RunResult, Metrics) {
@@ -114,17 +132,18 @@ fn reconciled_run(protected: &Protected) -> (RunResult, Metrics) {
     let run = detached.run();
     let metrics = detached.metrics();
 
-    let (sink, recorder) = Recorder::with_trace().shared();
+    let buffer = Buffer::default();
+    let (sink, recorder) = Recorder::with_writer(buffer.clone()).shared();
     let mut traced = protected.machine(SimConfig::default());
     traced.monitor_mut().attach_sink(sink.clone());
     traced.attach_sink(sink);
     assert_eq!(traced.run(), run, "a sink must not perturb the run");
     assert_eq!(traced.metrics(), metrics);
 
-    let recorder = recorder.borrow();
-    let lines = recorder.trace_lines();
-    assert!(lines.last().unwrap().contains("\"ev\":\"run_end\""));
-    assert_eq!(metrics_from_trace(lines).to_json(), metrics.to_json());
+    recorder.borrow_mut().finish().unwrap();
+    let trace = String::from_utf8(buffer.0.take()).unwrap();
+    assert!(trace.lines().last().unwrap().contains("\"ev\":\"run_end\""));
+    assert_eq!(metrics_from_trace(&trace).to_json(), metrics.to_json());
     (run, metrics)
 }
 
