@@ -1556,6 +1556,92 @@ loop:   addu $s1, $s1, $s0
         );
     }
 
+    /// Compares `actual` byte for byte with `tests/golden/<name>`; under
+    /// `UPDATE_GOLDEN=1` rewrites the file instead.
+    fn assert_golden(name: &str, actual: &str) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, actual).unwrap();
+            return;
+        }
+        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden file {} ({e})", path.display());
+        });
+        assert_eq!(
+            actual,
+            expected,
+            "document drifted from {}; if intentional, regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        );
+    }
+
+    /// Runs `fplint <prot> --secmon <fpm> <extra>` and checks its exit code.
+    fn fplint_report(prot: &str, fpm: &str, extra: &[&str], exit_code: i32) -> String {
+        let mut args = strs(&[prot, "--secmon", fpm]);
+        args.extend(strs(extra));
+        let lint = fplint(&args).unwrap();
+        assert_eq!(lint.exit_code, exit_code, "{}", lint.report);
+        lint.report
+    }
+
+    #[test]
+    fn fplint_documents_of_the_guarded_encrypted_smoke_build() {
+        let (_, prot, fpm) = smoke_build("gold_lint", &["--encrypt", "program"]);
+        for (name, extra) in [
+            ("smoke.lint.json", &["--format", "json"][..]),
+            (
+                "smoke.taint.lint.json",
+                &["--format", "json", "--taint"][..],
+            ),
+            ("smoke.surface.json", &["--surface"][..]),
+            ("smoke.guardnet.json", &["--guardnet"][..]),
+        ] {
+            assert_golden(name, &fplint_report(&prot, &fpm, extra, 0));
+        }
+    }
+
+    #[test]
+    fn fplint_documents_of_a_tampered_build() {
+        // The tampered build of `fprun_metrics_document_of_a_tampered_run`:
+        // findings, a mismatch proof for the first guard and a tamper
+        // surface.
+        let (_, prot, fpm) = smoke_build("gold_lint_tamper", &[]);
+        let mut image = Image::from_bytes(&std::fs::read(&prot).unwrap()).unwrap();
+        image.text[0] ^= 1;
+        std::fs::write(&prot, image.to_bytes()).unwrap();
+        let lint = fplint_report(&prot, &fpm, &["--format", "json"], 1);
+        assert_golden("tampered.lint.json", &lint);
+        let guardnet = fplint_report(&prot, &fpm, &["--guardnet"], 1);
+        assert_golden("tampered.guardnet.json", &guardnet);
+        // The uncovered words make a non-empty tamper surface.
+        let surface = fplint_report(&prot, &fpm, &["--surface"], 1);
+        assert_golden("tampered.surface.json", &surface);
+    }
+
+    #[test]
+    fn guardnet_document_with_an_unproven_window() {
+        // queens under guards-1.0 has one window the checksum prover
+        // refuses (store_may_alias_window), so its node carries a
+        // `detail` object.
+        let (_, image) = matrix::programs()
+            .into_iter()
+            .find(|(name, _)| name == "queens")
+            .unwrap();
+        let (_, config) = matrix::cells()
+            .into_iter()
+            .find(|(cell, _)| *cell == "guards-1.0")
+            .unwrap();
+        let protected = protect(&image, &config, None).unwrap();
+        let v = flexprot_verify::analyze(
+            &protected.image,
+            &protected.secmon,
+            &flexprot_verify::LintPolicy::default(),
+        );
+        assert_golden("queens.guards-1.0.guardnet.json", &v.guardnet_json());
+    }
+
     #[test]
     fn fprun_trace_into_a_directory_is_an_io_error() {
         let (fpx, _, _) = smoke_build("trace_dir", &[]);
