@@ -349,4 +349,31 @@ grep -q '"taint":null' "$OBS_DIR/notaint.json" || {
 }
 echo "key-flow taint schema OK"
 
+echo "== emitted documents parse as JSON =="
+# The stages above grep the documents for their keys; this one parses
+# them. Every metrics, guardnet, equiv and lint document must load as
+# JSON, and so must every line of the smoke trace. The first that does
+# not fails the gate.
+python3 - "$OBS_DIR" "$EXEC_DIR" <<'EOF'
+import json, os, sys
+obs, exe = sys.argv[1], sys.argv[2]
+documents = [os.path.join(obs, name) for name in (
+    "smoke.metrics.json", "guardnet.json", "equiv.json", "taint.json",
+    "notaint.json")] + [os.path.join(exe, "full.metrics.json")]
+for path in documents:
+    with open(path) as f:
+        try:
+            json.load(f)
+        except ValueError as e:
+            sys.exit(f"{path} does not parse as JSON: {e}")
+trace = os.path.join(obs, "smoke.trace.jsonl")
+with open(trace) as f:
+    for number, line in enumerate(f, 1):
+        try:
+            json.loads(line)
+        except ValueError as e:
+            sys.exit(f"{trace}:{number} does not parse as JSON: {e}")
+EOF
+echo "emitted documents parse OK"
+
 echo "CI OK"

@@ -27,8 +27,16 @@
 //! deliberately takes its own path rather than landing in the `--csv`
 //! directory: wall times are machine-dependent and must never leak into
 //! the deterministic table output that CI diffs.
+//!
+//! The CSV directory is created and the `--metrics` and `--timings`
+//! files are opened before the first experiment runs, so an unwritable
+//! output path costs no run. Any write failure, then or later, is
+//! reported as `cannot write <path>: …` with exit code 2.
 
-use std::io::Write;
+use std::fmt::Display;
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
 use std::str::FromStr;
 
 use flexprot_bench::{Params, EXPERIMENTS};
@@ -38,6 +46,29 @@ use flexprot_exec::Engine;
 fn usage(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
+}
+
+/// Reports an output that cannot be written and exits with code 2.
+fn cannot_write(path: impl Display, error: io::Error) -> ! {
+    usage(&format!("cannot write {path}: {error}"))
+}
+
+/// Creates the file at `path`, if one was asked for.
+fn open_output(path: Option<String>) -> Option<(String, File)> {
+    path.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => cannot_write(path, e),
+    })
+}
+
+/// Writes `text` to an output opened by [`open_output`].
+fn write_output(output: Option<(String, File)>, text: impl FnOnce() -> String) {
+    if let Some((path, mut file)) = output {
+        if let Err(e) = file.write_all(text().as_bytes()) {
+            cannot_write(path, e);
+        }
+        eprintln!("wrote {path}");
+    }
 }
 
 /// Parses the value following `option`; a missing or malformed value is a
@@ -83,6 +114,14 @@ fn main() {
         }
     }
 
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            cannot_write(dir, e);
+        }
+    }
+    let timings_file = open_output(timings_path);
+    let metrics_file = open_output(metrics_path);
+
     let params = Params { quick };
     let engine = match jobs {
         Some(n) => Engine::new(n),
@@ -105,9 +144,11 @@ fn main() {
         let label = ids.join("+");
         for table in tables.iter().filter(|table| wanted(table.id)) {
             println!("{table}");
-            if let Some(ref dir) = csv_dir {
-                let path = table.save_csv(dir).expect("write csv");
-                eprintln!("wrote {}", path.display());
+            if let Some(dir) = csv_dir.as_deref().map(Path::new) {
+                match table.save_csv(dir) {
+                    Ok(path) => eprintln!("wrote {}", path.display()),
+                    Err(e) => cannot_write(table.csv_path(dir).display(), e),
+                }
             }
         }
         eprintln!("({label} finished in {secs:.1}s)");
@@ -123,20 +164,13 @@ fn main() {
         stats.misses,
         wall.elapsed().as_secs_f64()
     );
-    if let Some(path) = timings_path {
+    write_output(timings_file, || {
         let mut out = String::from("table,seconds\n");
         for (id, secs) in &timings {
             out.push_str(&format!("{id},{secs:.3}\n"));
         }
         out.push_str(&format!("total,{:.3}\n", wall.elapsed().as_secs_f64()));
-        std::fs::write(&path, out).expect("write timings file");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = metrics_path {
-        let mut file = std::fs::File::create(&path).expect("create metrics file");
-        file.write_all(engine.metrics().to_json().as_bytes())
-            .expect("write metrics");
-        file.write_all(b"\n").expect("write metrics");
-        eprintln!("wrote {path}");
-    }
+        out
+    });
+    write_output(metrics_file, || engine.metrics().to_json() + "\n");
 }

@@ -64,9 +64,14 @@ impl Table {
     pub fn save_csv(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.id.to_lowercase()));
+        let path = self.csv_path(dir);
         std::fs::write(&path, self.to_csv())?;
         Ok(path)
+    }
+
+    /// The file [`save_csv`](Table::save_csv) writes in `dir`.
+    pub fn csv_path(&self, dir: impl AsRef<Path>) -> PathBuf {
+        dir.as_ref().join(format!("{}.csv", self.id.to_lowercase()))
     }
 }
 

@@ -38,7 +38,9 @@ const SITE: u8 = 8;
 const PASSED: u8 = 16;
 
 /// The attribute bits of `pc`, read straight from the schedule: three
-/// tree lookups and a scan of the protected ranges.
+/// tree lookups and a scan of the protected ranges. The reference the
+/// compiled [`AttrTable`] is tested against.
+#[cfg(test)]
 fn attrs_of(config: &SecMonConfig, pc: u32) -> u8 {
     let bit = |set: bool, flag: u8| if set { flag } else { 0 };
     bit(config.window_starts.contains(&pc), WINDOW_START)
@@ -48,8 +50,8 @@ fn attrs_of(config: &SecMonConfig, pc: u32) -> u8 {
 }
 
 /// The schedule compiled over a text segment: the attribute bits of every
-/// word-aligned address in `[base, base + 4 * flags.len())`, equal to
-/// [`attrs_of`] at each.
+/// word-aligned address in `[base, base + 4 * flags.len())`, the only
+/// place the monitor reads them at run time.
 #[derive(Debug, Clone, Default)]
 struct AttrTable {
     /// Word-aligned address of `flags[0]`.
@@ -305,10 +307,9 @@ impl SecMon {
             return self.advance_collect(col, pc, word);
         }
 
-        let attrs = self
-            .table
-            .get(pc)
-            .unwrap_or_else(|| attrs_of(&self.config, pc));
+        // A pc outside the bound text has no attributes (see
+        // `FetchMonitor::bind_text`).
+        let attrs = self.table.get(pc).unwrap_or(0);
         if !sequential || attrs & WINDOW_START != 0 {
             self.hasher.reset();
             if !sequential && attrs & RESET_POINT != 0 {
@@ -467,7 +468,13 @@ mod tests {
         (config, stream)
     }
 
-    fn feed(mon: &mut SecMon, stream: &[(u32, u32, bool)]) -> Option<TamperEvent> {
+    /// Binds the monitor to the text the stream covers, as a machine
+    /// would, then commits the stream until the monitor trips.
+    pub(super) fn feed(mon: &mut SecMon, stream: &[(u32, u32, bool)]) -> Option<TamperEvent> {
+        let pcs = stream.iter().map(|&(pc, _, _)| pc);
+        if let (Some(first), Some(last)) = (pcs.clone().min(), pcs.max()) {
+            mon.bind_text(first, last + 4);
+        }
         for &(pc, word, seq) in stream {
             if let Some(e) = mon.observe_commit(pc, word, seq) {
                 return Some(e);
@@ -573,6 +580,7 @@ mod tests {
         // window_start must reset the hash, so the prefix must not matter.
         stream[0].2 = true; // sequential entry into window start
         let mut mon = SecMon::new(config);
+        mon.bind_text(BASE - 4, BASE);
         mon.observe_commit(BASE - 4, 0x7777_7777, false);
         assert_eq!(feed(&mut mon, &stream), None);
         assert_eq!(mon.checks_passed(), 1);
@@ -589,9 +597,9 @@ mod tests {
     fn monitor_counts_windows_checks_and_distinct_sites() {
         let (config, stream) = guarded_stream(&[0x1111_2222, 0x3333_4444, 0x5555_6666]);
         let mut mon = SecMon::new(config);
-        mon.bind_text(BASE, BASE + 4 * stream.len() as u32);
-        assert_eq!(feed(&mut mon, &stream), None);
-        assert_eq!(feed(&mut mon, &stream), None);
+        // The stream twice over one binding: its first commit is not
+        // sequential, so the window opens again.
+        assert_eq!(feed(&mut mon, &[stream.clone(), stream].concat()), None);
         let m = metrics_of(&mon);
         assert_eq!(m.counter("guard_windows_opened"), 2);
         assert_eq!(m.counter("guard_windows_closed"), 2);
@@ -682,6 +690,7 @@ mod tests {
             ..SecMonConfig::transparent()
         };
         let mut mon = SecMon::new(config);
+        mon.bind_text(BASE, BASE + 0x1000);
         let mut tripped = None;
         for i in 0..20u32 {
             tripped = mon.observe_commit(BASE + 4 * i, 0x0000_0000, i != 0);
@@ -710,6 +719,7 @@ mod tests {
             ..SecMonConfig::transparent()
         };
         let mut mon = SecMon::new(config);
+        mon.bind_text(BASE, BASE + 400);
         for i in 0..100u32 {
             assert_eq!(mon.observe_commit(BASE + 4 * i, 0, i != 0), None);
         }
@@ -791,6 +801,7 @@ mod reset_point_tests {
             ..SecMonConfig::transparent()
         };
         let mut mon = SecMon::new(config);
+        mon.bind_text(BASE, BASE + 0x1000);
         // 6 protected instructions, then a call lands on the entry,
         // then 6 more: never exceeds the bound of 8.
         for i in 0..6u32 {
@@ -821,6 +832,7 @@ mod reset_point_tests {
             ..SecMonConfig::transparent()
         };
         let mut mon = SecMon::new(config);
+        mon.bind_text(BASE, BASE + 0x1000);
         // Straight-line execution through the entry must keep counting: an
         // attacker cannot launder the counter by falling through.
         let mut tripped = false;
@@ -836,6 +848,7 @@ mod reset_point_tests {
 
 #[cfg(test)]
 mod tail_tests {
+    use super::tests::feed;
     use super::*;
     use crate::guard::{encode_guard_inst, signature_symbols, WindowHasher};
     use crate::schedule::GuardSite;
@@ -884,15 +897,6 @@ mod tail_tests {
             ..SecMonConfig::transparent()
         };
         (config, stream)
-    }
-
-    fn feed(mon: &mut SecMon, stream: &[(u32, u32, bool)]) -> Option<TamperEvent> {
-        for &(pc, word, seq) in stream {
-            if let Some(e) = mon.observe_commit(pc, word, seq) {
-                return Some(e);
-            }
-        }
-        None
     }
 
     #[test]

@@ -138,6 +138,9 @@ pub trait FetchMonitor {
     /// [`FetchMonitor::observe_commit`] lies inside these bounds. A
     /// monitor can compile per-address state into a table over them. The
     /// default ignores the bounds.
+    ///
+    /// `observe_commit` is defined only for pcs inside the bound text: a
+    /// monitor may treat any other pc as carrying no per-address state.
     fn bind_text(&mut self, text_base: u32, text_end: u32) {
         let _ = (text_base, text_end);
     }

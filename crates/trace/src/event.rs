@@ -6,7 +6,7 @@
 //! are small `Copy` values so the enabled path stays cheap and the
 //! disabled path (no sink attached) costs one branch.
 
-use crate::json::JsonObject;
+use crate::json::JsonWriter;
 
 /// One observability event.
 ///
@@ -136,87 +136,78 @@ impl TraceEvent {
         }
     }
 
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.str("ev", self.kind());
-        match *self {
-            TraceEvent::Fetch { pc, hit } => {
-                obj.hex("pc", pc).bool("hit", hit);
-            }
-            TraceEvent::IcacheFill {
-                line_addr,
-                words,
-                fill_cycles,
-                decrypt_cycles,
-            } => {
-                obj.hex("line", line_addr)
-                    .num("words", u64::from(words))
-                    .num("fill_cycles", fill_cycles)
-                    .num("decrypt_cycles", decrypt_cycles);
-            }
-            TraceEvent::Decrypt {
-                line_addr,
-                encrypted_words,
-                cycles,
-            } => {
-                obj.hex("line", line_addr)
-                    .num("encrypted_words", u64::from(encrypted_words))
-                    .num("cycles", cycles);
-            }
-            TraceEvent::DataAccess {
-                addr,
-                write,
-                hit,
-                writeback,
-            } => {
-                obj.hex("addr", addr)
-                    .bool("write", write)
-                    .bool("hit", hit)
-                    .bool("writeback", writeback);
-            }
-            TraceEvent::Commit { pc } => {
-                obj.hex("pc", pc);
-            }
-            TraceEvent::WindowOpen { pc } => {
-                obj.hex("pc", pc);
-            }
-            TraceEvent::WindowClose { site } => {
-                obj.hex("site", site);
-            }
-            TraceEvent::GuardPass { site } => {
-                obj.hex("site", site);
-            }
-            TraceEvent::GuardFail { site, pc } => {
-                obj.hex("site", site).hex("pc", pc);
-            }
-            TraceEvent::SpacingTick { pc, count } => {
-                obj.hex("pc", pc).num("count", count);
-            }
-            TraceEvent::SpacingExceeded { pc, bound } => {
-                obj.hex("pc", pc).num("bound", bound);
-            }
-            TraceEvent::RunEnd {
-                cycles,
-                instructions,
-                icache_misses,
-                dcache_misses,
-                monitor_fill_cycles,
-            } => {
-                obj.num("cycles", cycles)
-                    .num("instructions", instructions)
-                    .num("icache_misses", icache_misses)
-                    .num("dcache_misses", dcache_misses)
-                    .num("monitor_fill_cycles", monitor_fill_cycles);
-            }
-        }
-        obj.finish()
+    /// Writes the event as one JSON object: a line of the JSONL trace.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("ev").str(self.kind());
+            match *self {
+                TraceEvent::Fetch { pc, hit } => w.key("pc").hex(pc).key("hit").bool(hit),
+                TraceEvent::IcacheFill {
+                    line_addr,
+                    words,
+                    fill_cycles,
+                    decrypt_cycles,
+                } => {
+                    w.key("line").hex(line_addr).key("words").num(words);
+                    w.key("fill_cycles").num(fill_cycles);
+                    w.key("decrypt_cycles").num(decrypt_cycles)
+                }
+                TraceEvent::Decrypt {
+                    line_addr,
+                    encrypted_words,
+                    cycles,
+                } => {
+                    w.key("line").hex(line_addr);
+                    w.key("encrypted_words").num(encrypted_words);
+                    w.key("cycles").num(cycles)
+                }
+                TraceEvent::DataAccess {
+                    addr,
+                    write,
+                    hit,
+                    writeback,
+                } => {
+                    w.key("addr").hex(addr).key("write").bool(write);
+                    w.key("hit").bool(hit).key("writeback").bool(writeback)
+                }
+                TraceEvent::Commit { pc } | TraceEvent::WindowOpen { pc } => w.key("pc").hex(pc),
+                TraceEvent::WindowClose { site } | TraceEvent::GuardPass { site } => {
+                    w.key("site").hex(site)
+                }
+                TraceEvent::GuardFail { site, pc } => w.key("site").hex(site).key("pc").hex(pc),
+                TraceEvent::SpacingTick { pc, count } => {
+                    w.key("pc").hex(pc).key("count").num(count)
+                }
+                TraceEvent::SpacingExceeded { pc, bound } => {
+                    w.key("pc").hex(pc).key("bound").num(bound)
+                }
+                TraceEvent::RunEnd {
+                    cycles,
+                    instructions,
+                    icache_misses,
+                    dcache_misses,
+                    monitor_fill_cycles,
+                } => {
+                    w.key("cycles").num(cycles);
+                    w.key("instructions").num(instructions);
+                    w.key("icache_misses").num(icache_misses);
+                    w.key("dcache_misses").num(dcache_misses);
+                    w.key("monitor_fill_cycles").num(monitor_fill_cycles)
+                }
+            };
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line(event: &TraceEvent) -> String {
+        let mut line = String::new();
+        event.write_json(&mut JsonWriter::new(&mut line));
+        line
+    }
 
     #[test]
     fn kinds_are_unique_and_stable() {
@@ -267,8 +258,7 @@ mod tests {
             site: 0x0040_0010,
             pc: 0x0040_0014,
         };
-        let line = event.to_jsonl();
-        let value = crate::json::parse(&line).expect("valid JSON");
+        let value = crate::json::parse(&line(&event)).expect("valid JSON");
         assert_eq!(value.get("ev").and_then(|v| v.as_str()), Some("guard_fail"));
         assert_eq!(
             value.get("site").and_then(|v| v.as_str()),
@@ -278,15 +268,14 @@ mod tests {
 
     #[test]
     fn run_end_jsonl_has_numeric_counters() {
-        let line = TraceEvent::RunEnd {
+        let value = crate::json::parse(&line(&TraceEvent::RunEnd {
             cycles: 1234,
             instructions: 567,
             icache_misses: 8,
             dcache_misses: 9,
             monitor_fill_cycles: 20,
-        }
-        .to_jsonl();
-        let value = crate::json::parse(&line).unwrap();
+        }))
+        .unwrap();
         assert_eq!(value.get("cycles").and_then(|v| v.as_u64()), Some(1234));
         assert_eq!(
             value.get("instructions").and_then(|v| v.as_u64()),

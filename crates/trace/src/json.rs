@@ -1,97 +1,162 @@
-//! Minimal JSON emission and parsing.
+//! The workspace's one JSON writer, and a small parser.
 //!
-//! The workspace builds offline with no external crates, so the metrics
-//! and trace files are produced by a small hand-rolled writer and checked
-//! (in CI and tests) by an equally small recursive-descent parser. Only
-//! the subset of JSON the emitters produce is exercised, but the parser
-//! accepts any well-formed document.
+//! Every JSON document the workspace emits is written by [`JsonWriter`]:
+//! the `fprun --trace` JSONL lines ([`TraceEvent`](crate::TraceEvent)),
+//! the `flexprot-metrics-v1` document ([`Metrics`](crate::Metrics)) and
+//! the verifier's `flexprot-lint-v1`, `-surface-v1`, `-guardnet-v1` and
+//! `-equiv-v1` documents. The writer alone decides commas, string
+//! escaping, `null` and the `"0x%08x"` address form, so the documents
+//! agree on them. The workspace builds offline with no external crates,
+//! so the documents are checked (in CI and tests) by an equally small
+//! recursive-descent [`parse`]r, which accepts any well-formed document.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// Escapes a string for embedding in a JSON document (adds no quotes).
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// Streaming JSON writer that appends to a `String`.
+///
+/// Keys are `&'static str` names, written verbatim; string values are
+/// escaped in place. Objects and arrays are written by the closure passed
+/// to [`object`](JsonWriter::object) or [`array`](JsonWriter::array),
+/// so every container is closed, and the writer puts the commas between
+/// members and elements. Each method returns the writer, so a key and
+/// its value chain: `w.key("pc").hex(pc);`.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether the next key or array element follows a sibling.
+    comma: bool,
+}
+
+/// An unsigned integer [`JsonWriter::num`] writes in decimal.
+pub trait Number: fmt::Display + sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+impl sealed::Sealed for u32 {}
+impl sealed::Sealed for u64 {}
+impl sealed::Sealed for usize {}
+impl Number for u32 {}
+impl Number for u64 {}
+impl Number for usize {}
+
+/// Renders one JSON object whose members `body` writes.
+pub fn object(body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(body);
     out
 }
 
-/// Incremental writer for one flat JSON object.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    buf: String,
-    any: bool,
-}
+impl<'a> JsonWriter<'a> {
+    /// A writer that appends one JSON value to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
 
-impl JsonObject {
-    /// Starts an empty object.
-    pub fn new() -> Self {
-        JsonObject {
-            buf: String::from("{"),
-            any: false,
+    /// Starts an object member named `key`; its value comes next.
+    pub fn key(&mut self, key: &'static str) -> &mut Self {
+        debug_assert!(
+            !key.contains(|c: char| c < ' ' || c == '"' || c == '\\'),
+            "JSON key `{key}` needs escaping"
+        );
+        self.separate();
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.separate();
+        self.out.push('"');
+        for ch in value.chars() {
+            match ch {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if c < ' ' => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
         }
-    }
-
-    fn key(&mut self, name: &str) {
-        if self.any {
-            self.buf.push(',');
-        }
-        self.any = true;
-        let _ = write!(self.buf, "\"{}\":", escape(name));
-    }
-
-    /// Adds a string field.
-    pub fn str(&mut self, name: &str, value: &str) -> &mut Self {
-        self.key(name);
-        let _ = write!(self.buf, "\"{}\"", escape(value));
+        self.out.push('"');
         self
     }
 
-    /// Adds an unsigned integer field.
-    pub fn num(&mut self, name: &str, value: u64) -> &mut Self {
-        self.key(name);
-        let _ = write!(self.buf, "{value}");
-        self
+    /// Writes an unsigned integer.
+    pub fn num(&mut self, value: impl Number) -> &mut Self {
+        self.value(format_args!("{value}"))
     }
 
-    /// Adds a boolean field.
-    pub fn bool(&mut self, name: &str, value: bool) -> &mut Self {
-        self.key(name);
-        let _ = write!(self.buf, "{value}");
-        self
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.value(format_args!("{value}"))
     }
 
-    /// Adds an address rendered as a `0x%08x` string (stable across JSON
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.value(format_args!("null"))
+    }
+
+    /// Writes an address as a `"0x%08x"` string (stable across JSON
     /// integer-width quirks in downstream tooling).
-    pub fn hex(&mut self, name: &str, value: u32) -> &mut Self {
-        self.key(name);
-        let _ = write!(self.buf, "\"0x{value:08x}\"");
+    pub fn hex(&mut self, addr: u32) -> &mut Self {
+        self.value(format_args!("\"0x{addr:08x}\""))
+    }
+
+    /// Writes `value` with `some`, or `null` when there is none.
+    pub fn opt<T>(
+        &mut self,
+        value: Option<T>,
+        some: impl FnOnce(&mut Self, T) -> &mut Self,
+    ) -> &mut Self {
+        match value {
+            Some(value) => some(self, value),
+            None => self.null(),
+        }
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', body, '}')
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', body, ']')
+    }
+
+    fn container(&mut self, open: char, body: impl FnOnce(&mut Self), close: char) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
         self
     }
 
-    /// Adds a pre-rendered JSON value verbatim.
-    pub fn raw(&mut self, name: &str, value: &str) -> &mut Self {
-        self.key(name);
-        self.buf.push_str(value);
+    /// Writes one scalar token.
+    fn value(&mut self, token: fmt::Arguments) -> &mut Self {
+        self.separate();
+        let _ = self.out.write_fmt(token);
         self
     }
 
-    /// Closes the object and returns the document.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    /// Puts the comma before a value that follows a sibling; the value
+    /// then becomes the sibling of whatever comes next.
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
     }
 }
 
@@ -316,24 +381,35 @@ mod tests {
 
     #[test]
     fn object_writer_roundtrips_through_parser() {
-        let mut obj = JsonObject::new();
-        obj.str("name", "guard \"x\"\n")
-            .num("count", 42)
-            .bool("ok", true)
-            .hex("pc", 0x400010)
-            .raw("list", "[1,2,3]");
-        let doc = obj.finish();
+        let doc = object(|w| {
+            w.key("name").str("guard \"x\"\n\u{1}");
+            w.key("count").num(42u64).key("ok").bool(true);
+            w.key("pc")
+                .hex(0x40_0010)
+                .key("none")
+                .opt(None::<u32>, JsonWriter::num);
+            w.key("list").array(|w| {
+                w.num(1u32).opt(Some(2u32), JsonWriter::num);
+                w.object(|_| {}).array(|_| {});
+            });
+        });
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"name":"guard \"x\"\n\u0001","count":42,"ok":true,"#,
+                r#""pc":"0x00400010","none":null,"list":[1,2,{},[]]}"#
+            )
+        );
         let value = parse(&doc).unwrap();
         assert_eq!(
             value.get("name").and_then(Value::as_str),
-            Some("guard \"x\"\n")
+            Some("guard \"x\"\n\u{1}")
         );
         assert_eq!(value.get("count").and_then(Value::as_u64), Some(42));
-        assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(value.get("pc").and_then(Value::as_str), Some("0x00400010"));
         assert_eq!(
             value.get("list").and_then(Value::as_array).map(<[_]>::len),
-            Some(3)
+            Some(4)
         );
     }
 

@@ -30,9 +30,11 @@
 //!   (`flexprot_sim::Machine::metrics`), not from the event stream, so it
 //!   needs no sink.
 //!
-//! Emission formats are plain JSON written and parsed by the in-crate
-//! [`json`] module — the workspace builds offline, so no serde. The
-//! metrics document is tagged [`METRICS_SCHEMA`] (`flexprot-metrics-v1`).
+//! Emission formats are plain JSON written by the in-crate
+//! [`json::JsonWriter`] — the workspace builds offline, so no serde. It
+//! is the workspace's one JSON writer: the verifier's documents go
+//! through it too. The metrics document is tagged [`METRICS_SCHEMA`]
+//! (`flexprot-metrics-v1`).
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

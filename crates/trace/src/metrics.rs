@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::JsonObject;
+use crate::json;
 
 /// Schema tag stamped into every metrics document.
 pub const METRICS_SCHEMA: &str = "flexprot-metrics-v1";
@@ -90,16 +90,6 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.num("count", self.count)
-            .num("sum", self.sum)
-            .num("max", self.max);
-        let buckets: Vec<String> = self.buckets.iter().map(u64::to_string).collect();
-        obj.raw("log2_buckets", &format!("[{}]", buckets.join(",")));
-        obj.finish()
     }
 }
 
@@ -190,26 +180,34 @@ impl Metrics {
 
     /// Renders the `flexprot-metrics-v1` document.
     pub fn to_json(&self) -> String {
-        let mut counters = JsonObject::new();
-        for (name, value) in &self.counters {
-            counters.num(name, *value);
-        }
-        let mut histograms = JsonObject::new();
-        for (name, histogram) in &self.histograms {
-            histograms.raw(name, &histogram.to_json());
-        }
-        let mut root = JsonObject::new();
-        root.str("schema", METRICS_SCHEMA)
-            .raw("counters", &counters.finish())
-            .raw("histograms", &histograms.finish());
-        root.finish()
+        json::object(|w| {
+            w.key("schema").str(METRICS_SCHEMA);
+            w.key("counters").object(|w| {
+                for (&name, &value) in &self.counters {
+                    w.key(name).num(value);
+                }
+            });
+            w.key("histograms").object(|w| {
+                for (&name, h) in &self.histograms {
+                    w.key(name).object(|w| {
+                        w.key("count").num(h.count);
+                        w.key("sum").num(h.sum);
+                        w.key("max").num(h.max);
+                        w.key("log2_buckets").array(|w| {
+                            for &bucket in &h.buckets {
+                                w.num(bucket);
+                            }
+                        });
+                    });
+                }
+            });
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn histogram_buckets_by_log2() {

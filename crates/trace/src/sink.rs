@@ -7,6 +7,7 @@ use std::io::{self, Write};
 use std::rc::Rc;
 
 use crate::event::TraceEvent;
+use crate::json::JsonWriter;
 
 /// A cloneable handle to one shared [`Recorder`].
 ///
@@ -32,8 +33,9 @@ impl fmt::Debug for SharedSink {
 }
 
 /// The trace sink: renders each event as one JSONL line and writes it as
-/// the event arrives, the body of `fprun --trace`. A trace of any length
-/// costs the writer's buffer and no more.
+/// the event arrives, the body of `fprun --trace`. The line is rendered
+/// into one buffer the recorder clears and reuses, so a trace of any
+/// length costs two buffers and no allocation per event.
 ///
 /// A run's [`Metrics`](crate::Metrics) do not come from here: the
 /// simulator and the monitor keep their own counters, and
@@ -47,6 +49,8 @@ impl fmt::Debug for SharedSink {
 pub struct Recorder {
     out: Option<Box<dyn Write>>,
     error: Option<io::Error>,
+    /// The line being written, cleared and reused for every event.
+    line: String,
 }
 
 impl Recorder {
@@ -59,7 +63,7 @@ impl Recorder {
     pub fn with_writer(out: impl Write + 'static) -> Self {
         Recorder {
             out: Some(Box::new(out)),
-            error: None,
+            ..Recorder::default()
         }
     }
 
@@ -86,9 +90,10 @@ impl Recorder {
 
     fn event(&mut self, event: &TraceEvent) {
         if let Some(out) = &mut self.out {
-            let mut line = event.to_jsonl();
-            line.push('\n');
-            if let Err(e) = out.write_all(line.as_bytes()) {
+            self.line.clear();
+            event.write_json(&mut JsonWriter::new(&mut self.line));
+            self.line.push('\n');
+            if let Err(e) = out.write_all(self.line.as_bytes()) {
                 self.error = Some(e);
                 self.out = None;
             }

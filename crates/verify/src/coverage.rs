@@ -20,6 +20,7 @@
 
 use flexprot_isa::Image;
 use flexprot_secmon::SecMonConfig;
+use flexprot_trace::json::{self, JsonWriter};
 
 use crate::cfg::Cfg;
 use crate::dataflow::{self, Analysis, Direction};
@@ -212,26 +213,24 @@ impl SurfaceMap {
 
     /// Renders the map as a stable JSON document (`flexprot-surface-v1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"schema\":\"flexprot-surface-v1\"");
-        out.push_str(&format!(",\"text_words\":{}", self.text_words));
-        out.push_str(&format!(",\"sound_windows\":{}", self.sound_windows));
-        out.push_str(&format!(",\"covered_words\":{}", self.covered_words()));
-        out.push_str(&format!(",\"encrypted_words\":{}", self.encrypted_words()));
-        out.push_str(&format!(",\"surface_words\":{}", self.surface_words()));
-        out.push_str(",\"entries\":[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let depth = e.depth.map_or_else(|| "null".to_owned(), |d| d.to_string());
-            out.push_str(&format!(
-                "{{\"addr\":\"{:#010x}\",\"reachable\":{},\"depth\":{},\"must_execute\":{}}}",
-                e.addr, e.reachable, depth, e.must_execute
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|w| {
+            w.key("schema").str("flexprot-surface-v1");
+            w.key("text_words").num(self.text_words);
+            w.key("sound_windows").num(self.sound_windows);
+            w.key("covered_words").num(self.covered_words());
+            w.key("encrypted_words").num(self.encrypted_words());
+            w.key("surface_words").num(self.surface_words());
+            w.key("entries").array(|w| {
+                for e in &self.entries {
+                    w.object(|w| {
+                        w.key("addr").hex(e.addr);
+                        w.key("reachable").bool(e.reachable);
+                        w.key("depth").opt(e.depth, JsonWriter::num);
+                        w.key("must_execute").bool(e.must_execute);
+                    });
+                }
+            });
+        })
     }
 }
 

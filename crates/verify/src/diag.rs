@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use flexprot_trace::json::escape;
+use flexprot_trace::json::{self, JsonWriter};
 
 /// How serious a finding is.
 ///
@@ -158,6 +158,20 @@ pub struct Finding {
     pub addr: Option<u32>,
     /// Human-readable detail.
     pub message: String,
+}
+
+/// Writes `findings` as the `{"id","name","severity","addr","message"}`
+/// array elements shared by the lint and equiv documents.
+pub(crate) fn write_findings(w: &mut JsonWriter, findings: &[Finding]) {
+    for f in findings {
+        w.object(|w| {
+            w.key("id").str(f.id);
+            w.key("name").str(f.name);
+            w.key("severity").str(&f.severity.to_string());
+            w.key("addr").opt(f.addr, JsonWriter::hex);
+            w.key("message").str(&f.message);
+        });
+    }
 }
 
 impl fmt::Display for Finding {
@@ -333,59 +347,34 @@ impl Report {
     /// `"taint":{"sources","tainted_stores","tainted_syscalls",
     /// "key_dependent","unresolved_reads"}` (`"taint":null` otherwise).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"flexprot-lint-v1\"");
-        out.push_str(&format!(",\"clean\":{}", self.is_clean()));
         let s = &self.stats;
-        let taint = s.taint.map_or_else(
-            || "null".to_owned(),
-            |t| {
-                format!(
-                    "{{\"sources\":{},\"tainted_stores\":{},\"tainted_syscalls\":{},\
-                     \"key_dependent\":{},\"unresolved_reads\":{}}}",
-                    t.sources,
-                    t.tainted_stores,
-                    t.tainted_syscalls,
-                    t.key_dependent,
-                    t.unresolved_reads,
-                )
-            },
-        );
-        out.push_str(&format!(
-            ",\"stats\":{{\"text_words\":{},\"reachable_words\":{},\"sites_checked\":{},\
-             \"relocs_checked\":{},\"max_spacing\":{},\"sound_windows\":{},\
-             \"covered_words\":{},\"surface_words\":{},\"guard_edges\":{},\
-             \"proven_constants\":{},\"taint\":{taint}}}",
-            s.text_words,
-            s.reachable_words,
-            s.sites_checked,
-            s.relocs_checked,
-            s.max_spacing
-                .map_or_else(|| "null".to_owned(), |m| m.to_string()),
-            s.sound_windows,
-            s.covered_words,
-            s.surface_words,
-            s.guard_edges,
-            s.proven_constants,
-        ));
-        out.push_str(",\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let addr = f
-                .addr
-                .map_or_else(|| "null".to_owned(), |a| format!("\"{a:#010x}\""));
-            out.push_str(&format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"addr\":{addr},\
-                 \"message\":\"{}\"}}",
-                f.id,
-                f.name,
-                f.severity,
-                escape(&f.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|w| {
+            w.key("schema").str("flexprot-lint-v1");
+            w.key("clean").bool(self.is_clean());
+            w.key("stats").object(|w| {
+                w.key("text_words").num(s.text_words);
+                w.key("reachable_words").num(s.reachable_words);
+                w.key("sites_checked").num(s.sites_checked);
+                w.key("relocs_checked").num(s.relocs_checked);
+                w.key("max_spacing").opt(s.max_spacing, JsonWriter::num);
+                w.key("sound_windows").num(s.sound_windows);
+                w.key("covered_words").num(s.covered_words);
+                w.key("surface_words").num(s.surface_words);
+                w.key("guard_edges").num(s.guard_edges);
+                w.key("proven_constants").num(s.proven_constants);
+                w.key("taint").opt(s.taint, |w, t| {
+                    w.object(|w| {
+                        w.key("sources").num(t.sources);
+                        w.key("tainted_stores").num(t.tainted_stores);
+                        w.key("tainted_syscalls").num(t.tainted_syscalls);
+                        w.key("key_dependent").num(t.key_dependent);
+                        w.key("unresolved_reads").num(t.unresolved_reads);
+                    })
+                });
+            });
+            w.key("findings")
+                .array(|w| write_findings(w, &self.findings));
+        })
     }
 
     /// Renders the findings as CSV (`id,name,severity,addr,message`).

@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use flexprot_isa::{Image, Inst, Reg, Reloc, RelocKind};
 use flexprot_secmon::guard::is_guard_form;
 use flexprot_secmon::SecMonConfig;
-use flexprot_trace::json::escape;
+use flexprot_trace::json::{self, JsonWriter};
 
 use crate::absint::AbsVal;
 use crate::alias::{self, StoreClass};
@@ -230,85 +230,54 @@ impl EquivReport {
     /// [`RefusalReason::code`] (or `null` when the verdict is not a
     /// refusal).
     pub fn to_json(&self) -> String {
-        fn verdict_fields(v: &EquivVerdict) -> String {
-            let (witness, reason, code) = match v {
-                EquivVerdict::Proven => ("null".to_owned(), "null".to_owned(), "null".to_owned()),
-                EquivVerdict::Inequivalent { witness_addr } => (
-                    format!("\"{witness_addr:#010x}\""),
-                    "null".to_owned(),
-                    "null".to_owned(),
-                ),
-                EquivVerdict::Refused { reason } => (
-                    "null".to_owned(),
-                    format!("\"{}\"", escape(&reason.to_string())),
-                    format!("\"{}\"", reason.code()),
-                ),
+        /// The `verdict`, `witness`, `reason` and `code` members of `v`.
+        fn verdict_fields(w: &mut JsonWriter, v: &EquivVerdict) {
+            let (witness, reason) = match v {
+                EquivVerdict::Proven => (None, None),
+                EquivVerdict::Inequivalent { witness_addr } => (Some(*witness_addr), None),
+                EquivVerdict::Refused { reason } => (None, Some(reason)),
             };
-            format!(
-                "\"verdict\":\"{}\",\"witness\":{witness},\"reason\":{reason},\"code\":{code}",
-                v.label()
-            )
+            w.key("verdict").str(v.label());
+            w.key("witness").opt(witness, JsonWriter::hex);
+            w.key("reason").opt(reason, |w, r| w.str(&r.to_string()));
+            w.key("code").opt(reason, |w, r| w.str(r.code()));
         }
-        let mut out = String::from("{\"schema\":\"flexprot-equiv-v1\",");
-        out.push_str(&verdict_fields(&self.verdict));
         let s = &self.stats;
-        out.push_str(&format!(
-            ",\"stats\":{{\"base_words\":{},\"prot_words\":{},\"guard_words\":{},\
-             \"aligned_words\":{},\"symbols_matched\":{},\"windows_proven\":{},\
-             \"windows_inequivalent\":{},\"windows_refused\":{},\
-             \"cipher_regions\":{},\"cipher_words\":{}}}",
-            s.base_words,
-            s.prot_words,
-            s.guard_words,
-            s.aligned_words,
-            s.symbols_matched,
-            s.windows_proven,
-            s.windows_inequivalent,
-            s.windows_refused,
-            s.cipher_regions,
-            s.cipher_words,
-        ));
-        out.push_str(",\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"site\":\"{:#010x}\",{}}}",
-                w.site_addr,
-                verdict_fields(&w.verdict)
-            ));
-        }
-        out.push_str("],\"refusals\":[");
-        for (i, (addr, reason)) in self.refusals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"addr\":\"{addr:#010x}\",\"code\":\"{}\",\"reason\":\"{}\"}}",
-                reason.code(),
-                escape(&reason.to_string())
-            ));
-        }
-        out.push_str("],\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let addr = f
-                .addr
-                .map_or_else(|| "null".to_owned(), |a| format!("\"{a:#010x}\""));
-            out.push_str(&format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"addr\":{addr},\
-                 \"message\":\"{}\"}}",
-                f.id,
-                f.name,
-                f.severity,
-                escape(&f.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|w| {
+            w.key("schema").str("flexprot-equiv-v1");
+            verdict_fields(w, &self.verdict);
+            w.key("stats").object(|w| {
+                w.key("base_words").num(s.base_words);
+                w.key("prot_words").num(s.prot_words);
+                w.key("guard_words").num(s.guard_words);
+                w.key("aligned_words").num(s.aligned_words);
+                w.key("symbols_matched").num(s.symbols_matched);
+                w.key("windows_proven").num(s.windows_proven);
+                w.key("windows_inequivalent").num(s.windows_inequivalent);
+                w.key("windows_refused").num(s.windows_refused);
+                w.key("cipher_regions").num(s.cipher_regions);
+                w.key("cipher_words").num(s.cipher_words);
+            });
+            w.key("windows").array(|w| {
+                for win in &self.windows {
+                    w.object(|w| {
+                        w.key("site").hex(win.site_addr);
+                        verdict_fields(w, &win.verdict);
+                    });
+                }
+            });
+            w.key("refusals").array(|w| {
+                for (addr, reason) in &self.refusals {
+                    w.object(|w| {
+                        w.key("addr").hex(*addr);
+                        w.key("code").str(reason.code());
+                        w.key("reason").str(&reason.to_string());
+                    });
+                }
+            });
+            w.key("findings")
+                .array(|w| diag::write_findings(w, &self.findings));
+        })
     }
 }
 

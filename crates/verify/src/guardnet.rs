@@ -22,6 +22,8 @@
 //! the stable `flexprot-guardnet-v1` document that `fplint --guardnet`
 //! and `fpnetmap` surface.
 
+use flexprot_trace::json::{self, JsonWriter};
+
 use crate::absint::{GuardProof, Verdict};
 use crate::coverage::GuardWindow;
 
@@ -518,93 +520,70 @@ pub fn to_json(net: &GuardNet, proofs: &[GuardProof]) -> String {
         .iter()
         .filter(|p| matches!(p.verdict, Verdict::Proven { .. }))
         .count();
-    let mut out = String::from("{\"schema\":\"flexprot-guardnet-v1\"");
-    out.push_str(&format!(",\"guards\":{}", net.nodes.len()));
-    out.push_str(&format!(",\"sound\":{}", net.sound_count()));
-    out.push_str(&format!(",\"edges\":{}", net.edges));
-    out.push_str(&format!(",\"sccs\":{}", net.scc_count));
-    out.push_str(&format!(",\"unchecked\":{}", net.unchecked_count()));
-    out.push_str(&format!(",\"acyclic\":{}", net.acyclic_count()));
-    out.push_str(&format!(",\"proven\":{proven}"));
-    match &net.min_cut {
-        None => out.push_str(",\"min_cut\":null"),
-        Some(cut) => {
-            out.push_str(",\"min_cut\":[");
-            for (i, &v) in cut.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{:#010x}\"", net.nodes[v].site_addr));
+    let sites = |w: &mut JsonWriter, ids: &[usize]| {
+        for &id in ids {
+            w.hex(net.nodes[id].site_addr);
+        }
+    };
+    json::object(|w| {
+        w.key("schema").str("flexprot-guardnet-v1");
+        w.key("guards").num(net.nodes.len());
+        w.key("sound").num(net.sound_count());
+        w.key("edges").num(net.edges);
+        w.key("sccs").num(net.scc_count);
+        w.key("unchecked").num(net.unchecked_count());
+        w.key("acyclic").num(net.acyclic_count());
+        w.key("proven").num(proven);
+        w.key("min_cut")
+            .opt(net.min_cut.as_deref(), |w, cut| w.array(|w| sites(w, cut)));
+        w.key("nodes").array(|w| {
+            for node in &net.nodes {
+                w.object(|w| {
+                    w.key("site").hex(node.site_addr);
+                    w.key("sound").bool(node.sound);
+                    w.key("checks").array(|w| sites(w, &node.checks));
+                    w.key("checked_by").array(|w| sites(w, &node.checked_by));
+                    w.key("scc").opt(node.scc, JsonWriter::num);
+                    w.key("unchecked").bool(node.unchecked);
+                    w.key("acyclic").bool(node.acyclic);
+                    w.key("in_cut").bool(node.in_cut);
+                    w.key("articulation").bool(node.articulation);
+                    proof_fields(w, proofs, node.site_addr);
+                });
             }
-            out.push(']');
-        }
-    }
-    out.push_str(",\"nodes\":[");
-    for (i, node) in net.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let sites = |ids: &[usize]| -> String {
-            let mut s = String::from("[");
-            for (k, &j) in ids.iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{:#010x}\"", net.nodes[j].site_addr));
+        });
+        w.key("weak_links").array(|w| {
+            for l in &net.weak_links {
+                w.object(|w| {
+                    w.key("site").hex(l.site_addr);
+                    w.key("score").num(l.score);
+                });
             }
-            s.push(']');
-            s
-        };
-        let (proof, detail) = proof_fields(proofs, node.site_addr);
-        out.push_str(&format!(
-            "{{\"site\":\"{:#010x}\",\"sound\":{},\"checks\":{},\"checked_by\":{},\
-             \"scc\":{},\"unchecked\":{},\"acyclic\":{},\"in_cut\":{},\
-             \"articulation\":{},\"proof\":\"{proof}\",\"detail\":{detail}}}",
-            node.site_addr,
-            node.sound,
-            sites(&node.checks),
-            sites(&node.checked_by),
-            node.scc
-                .map_or_else(|| "null".to_owned(), |c| c.to_string()),
-            node.unchecked,
-            node.acyclic,
-            node.in_cut,
-            node.articulation,
-        ));
-    }
-    out.push_str("],\"weak_links\":[");
-    for (i, l) in net.weak_links.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"site\":\"{:#010x}\",\"score\":{}}}",
-            l.site_addr, l.score
-        ));
-    }
-    out.push_str("]}");
-    out
+        });
+    })
 }
 
-/// The `proof`/`detail` JSON fields for the guard at `site_addr`.
-fn proof_fields(proofs: &[GuardProof], site_addr: u32) -> (&'static str, String) {
-    match proofs.iter().find(|p| p.site_addr == site_addr) {
-        None => ("unproven", "null".to_owned()),
-        Some(p) => match &p.verdict {
-            Verdict::Proven { digest } => ("proven", format!("\"{digest:#010x}\"")),
-            Verdict::Mismatch { witness_addr, .. } => {
-                ("mismatch", format!("\"{witness_addr:#010x}\""))
-            }
-            Verdict::Unproven { reason } => (
-                "unproven",
-                format!(
-                    "{{\"code\": \"{}\", \"reason\": \"{}\"}}",
-                    reason.code(),
-                    flexprot_trace::json::escape(&reason.to_string())
-                ),
-            ),
-        },
-    }
+/// Writes the `proof` and `detail` members for the guard at `site_addr`.
+fn proof_fields(w: &mut JsonWriter, proofs: &[GuardProof], site_addr: u32) {
+    match proofs
+        .iter()
+        .find(|p| p.site_addr == site_addr)
+        .map(|p| &p.verdict)
+    {
+        None => w.key("proof").str("unproven").key("detail").null(),
+        Some(Verdict::Proven { digest }) => w.key("proof").str("proven").key("detail").hex(*digest),
+        Some(Verdict::Mismatch { witness_addr, .. }) => w
+            .key("proof")
+            .str("mismatch")
+            .key("detail")
+            .hex(*witness_addr),
+        Some(Verdict::Unproven { reason }) => {
+            w.key("proof").str("unproven").key("detail").object(|w| {
+                w.key("code").str(reason.code());
+                w.key("reason").str(&reason.to_string());
+            })
+        }
+    };
 }
 
 #[cfg(test)]
