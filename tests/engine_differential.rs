@@ -10,13 +10,15 @@
 //! default I-cache and once under a 256-byte direct-mapped one, where
 //! lines are evicted and refilled all the time. A third case re-arms one
 //! machine across a sequence of single-word mutants, the attack
-//! harness's use of the decoded-line store.
+//! harness's use of the decoded-line store. A fourth case profiles every
+//! matrix program on both engines: the execution profiles must agree, and
+//! the profile's I-cache fills must add up to the run's miss count.
 //!
 //! Generated programs may loop past the fuel limit; that is fine — the
 //! engines must then agree on `OutOfFuel` at the same instruction count.
 
 use flexprot::cc::kernels::random_minic;
-use flexprot::core::protect;
+use flexprot::core::{protect, Profile};
 use flexprot::isa::{Inst, Reg, Rng64};
 use flexprot::sim::{CacheConfig, EngineKind, Machine, Outcome, SimConfig};
 use flexprot_exec::matrix;
@@ -165,6 +167,35 @@ fn rearmed_machine_matches_fresh_reference_runs_across_mutants() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn profiles_agree_across_engines_and_count_every_icache_miss() {
+    for (name, image) in matrix::programs() {
+        for icache in [CacheConfig::default_icache(), TINY_ICACHE] {
+            let sim = SimConfig {
+                icache,
+                ..SimConfig::default()
+            };
+            let (fast, run) =
+                Profile::collect(&image, &sim.clone().with_engine(EngineKind::Predecoded));
+            let (reference, _) = Profile::collect(&image, &sim.with_engine(EngineKind::Reference));
+            assert_eq!(
+                run.outcome,
+                Outcome::Exit(0),
+                "{name}/{icache:?}: baseline run failed"
+            );
+            assert!(
+                fast == reference,
+                "{name}/{icache:?}: engines profiled differently"
+            );
+            assert_eq!(
+                fast.miss_fills_in(0, u32::MAX),
+                run.stats.icache_misses,
+                "{name}/{icache:?}: profiled fills disagree with the miss count"
+            );
         }
     }
 }
