@@ -230,6 +230,14 @@ for f in "$EXEC_DIR"/full/*.csv; do
         echo "results baseline diverged: $(basename "$f")"; exit 1;
     }
 done
+# The table set must match both ways: a table the run no longer writes
+# fails as surely as one whose numbers moved.
+committed=$(cd results && ls [tf][0-9]*.csv)
+produced=$(cd "$EXEC_DIR/full" && ls *.csv)
+[ "$committed" = "$produced" ] || {
+    echo "results table set differs: committed [$(echo $committed)], produced [$(echo $produced)]"
+    exit 1
+}
 cat "$EXEC_DIR/timings.csv"
 echo "results baselines OK (wall times above, non-gating)"
 

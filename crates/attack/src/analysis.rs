@@ -5,8 +5,6 @@
 //! *diversity* (how different two protections of the same program look),
 //! feeding experiments T5 and T6.
 
-use std::collections::BTreeSet;
-
 use flexprot_isa::{Image, Inst, Reg};
 
 /// Number of runs of ≥ `min_run` consecutive decodable instructions that
@@ -86,12 +84,6 @@ pub fn word_diversity(a: &Image, b: &Image) -> f64 {
     }
     let differing = a.text.iter().zip(&b.text).filter(|(x, y)| x != y).count() + (longer - common);
     differing as f64 / longer as f64
-}
-
-/// Set of distinct instruction words — how much byte-pattern reuse a
-/// pattern-matching attacker could lean on.
-pub fn distinct_words(image: &Image) -> usize {
-    image.text.iter().copied().collect::<BTreeSet<u32>>().len()
 }
 
 #[cfg(test)]
@@ -179,11 +171,5 @@ mod tests {
             protect(&image, &config, None).unwrap().image
         };
         assert!(word_diversity(&enc(1), &enc(2)) > 0.95);
-    }
-
-    #[test]
-    fn distinct_words_counts() {
-        let image = Image::from_text(vec![1, 1, 2, 3, 3, 3]);
-        assert_eq!(distinct_words(&image), 3);
     }
 }

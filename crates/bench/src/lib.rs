@@ -533,7 +533,7 @@ pub fn f4_pareto(params: &Params, engine: &Engine) -> Table {
             budget_fraction: budget,
             ..OptimizerConfig::default()
         };
-        let plan = optimize(&b.image, &cfg, &b.profile, &opt);
+        let plan = optimize(&cfg, &b.profile, &opt);
         // The optimizer costs exactly the policy selection, so the
         // spacing-enforcement extras (which it cannot see) are disabled
         // here; signature checks alone carry the integrity story.
@@ -630,8 +630,9 @@ pub fn f5_estimator(params: &Params, engine: &Engine) -> Table {
         // Estimate on the baseline layout, mirroring the pass's actual
         // selection (including loop-header enforcement).
         let selected = match &config.guards {
-            Some(g) => flexprot_core::select_guard_blocks(&b.image, &cfg, g, Some(&b.profile))
-                .expect("selection"),
+            Some(g) => {
+                flexprot_core::select_guard_blocks(&cfg, g, Some(&b.profile)).expect("selection")
+            }
             None => Default::default(),
         };
         let ranges: Vec<(u32, u32)> = if config.encryption.is_some() {
@@ -640,7 +641,6 @@ pub fn f5_estimator(params: &Params, engine: &Engine) -> Table {
             vec![]
         };
         let est = flexprot_core::estimate(
-            &b.image,
             &cfg,
             &selected,
             &ranges,

@@ -11,10 +11,11 @@ pub struct Args {
     pub options: BTreeMap<String, Option<String>>,
 }
 
-/// Option names that take a value; everything else `--…` is a bare flag.
-/// A single-dash spelling (`-o value`) is accepted as an alias for a
-/// *declared* valued option; any other `-…` token stays positional.
-pub fn parse(args: &[String], valued: &[&str]) -> Result<Args, String> {
+/// Parses `args` against a driver's options: the `valued` names take a
+/// value, the `flags` are bare switches, and any other `--…` is a usage
+/// error. A single-dash spelling (`-o value`) is accepted as an alias for
+/// a *declared* valued option; any other `-…` token stays positional.
+pub fn parse(args: &[String], valued: &[&str], flags: &[&str]) -> Result<Args, String> {
     let mut out = Args::default();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -27,8 +28,10 @@ pub fn parse(args: &[String], valued: &[&str]) -> Result<Args, String> {
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
                 out.options.insert(name.to_owned(), Some(value.clone()));
-            } else {
+            } else if flags.contains(&name) {
                 out.options.insert(name.to_owned(), None);
+            } else {
+                return Err(format!("unknown option --{name}"));
             }
         } else {
             out.positional.push(arg.clone());
@@ -72,6 +75,7 @@ mod tests {
         let args = parse(
             &split("in.s -x --density 0.5 --stats out.fpx"),
             &["density"],
+            &["stats"],
         )
         .unwrap();
         assert_eq!(args.positional, vec!["in.s", "-x", "out.fpx"]);
@@ -84,22 +88,29 @@ mod tests {
     fn short_alias_for_valued_options() {
         // `fpasm in.s -o out.fpx` — the usage strings advertise the short
         // spelling, so a declared valued option must accept it.
-        let args = parse(&split("in.s -o out.fpx"), &["o"]).unwrap();
+        let args = parse(&split("in.s -o out.fpx"), &["o"], &[]).unwrap();
         assert_eq!(args.positional, vec!["in.s"]);
         assert_eq!(args.value("o"), Some("out.fpx"));
     }
 
     #[test]
     fn missing_value_is_error() {
-        assert!(parse(&split("--density"), &["density"]).is_err());
+        assert!(parse(&split("--density"), &["density"], &[]).is_err());
+    }
+
+    #[test]
+    fn undeclared_option_is_error() {
+        let err = parse(&split("in.s --stat"), &["density"], &["stats"]).unwrap_err();
+        assert_eq!(err, "unknown option --stat");
+        assert!(parse(&split("--density 1 --stats"), &["density"], &[]).is_err());
     }
 
     #[test]
     fn parse_or_defaults_and_parses() {
-        let args = parse(&split("--n 7"), &["n"]).unwrap();
+        let args = parse(&split("--n 7"), &["n"], &[]).unwrap();
         assert_eq!(args.parse_or("n", 0u32).unwrap(), 7);
         assert_eq!(args.parse_or("m", 3u32).unwrap(), 3);
-        let bad = parse(&split("--n x"), &["n"]).unwrap();
+        let bad = parse(&split("--n x"), &["n"], &[]).unwrap();
         assert!(bad.parse_or("n", 0u32).is_err());
     }
 }

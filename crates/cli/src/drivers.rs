@@ -159,7 +159,7 @@ impl BatchOpts {
 ///
 /// Reports I/O, parse and assembly failures.
 pub fn fpasm(raw_args: &[String]) -> Result<String, CliError> {
-    let args = parse(raw_args, &["o"])?;
+    let args = parse(raw_args, &["o"], &[])?;
     let [input] = args.positional.as_slice() else {
         return Err(CliError(
             "usage: fpasm <input.s> [-o|--o <output.fpx>]".to_owned(),
@@ -186,7 +186,7 @@ pub fn fpasm(raw_args: &[String]) -> Result<String, CliError> {
 ///
 /// Reports I/O and container-format failures.
 pub fn fpobjdump(raw_args: &[String]) -> Result<String, CliError> {
-    let args = parse(raw_args, &["secmon"])?;
+    let args = parse(raw_args, &["secmon"], &[])?;
     let [input] = args.positional.as_slice() else {
         return Err(CliError(
             "usage: fpobjdump <image.fpx> [--secmon <cfg.fpm>]".to_owned(),
@@ -274,6 +274,7 @@ pub fn fpprotect(raw_args: &[String]) -> Result<String, CliError> {
             "cycles-per-word",
             "watermark",
         ],
+        &["no-spacing", "serial", "profile"],
     )?;
     let [input] = args.positional.as_slice() else {
         return Err(CliError(
@@ -448,6 +449,7 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
             "trace",
             "jobs",
         ],
+        &["stats"],
     )?;
     if args.positional.is_empty() {
         return Err(CliError(
@@ -596,7 +598,11 @@ pub struct LintSummary {
 pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
     use flexprot_verify::{lint_by_id, LintPolicy, Shipped, LINTS};
 
-    let args = parse(raw_args, &["secmon", "deny", "allow", "format", "equiv"])?;
+    let args = parse(
+        raw_args,
+        &["secmon", "deny", "allow", "format", "equiv"],
+        &["csv", "taint", "surface", "guardnet", "lints"],
+    )?;
     if args.has("lints") {
         let mut out = String::new();
         for lint in LINTS {
@@ -709,7 +715,7 @@ fn matrix_sweep(
     let mut valued = vec!["programs"];
     valued.extend(ledger.as_ref().map(|l| l.option));
     valued.extend(BatchOpts::VALUED);
-    let args = parse(raw_args, &valued)?;
+    let args = parse(raw_args, &valued, &[])?;
     if !args.positional.is_empty() {
         return Err(CliError(usage.to_owned()));
     }
@@ -1038,7 +1044,7 @@ fn equiv_cell(name: &str, cell: &str, base: &Image, protected: &Protected) -> Ce
 ///
 /// Reports I/O and compilation failures.
 pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
-    let args = parse(raw_args, &["o"])?;
+    let args = parse(raw_args, &["o"], &["emit-asm"])?;
     let [input] = args.positional.as_slice() else {
         return Err(CliError(
             "usage: fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]".to_owned(),
@@ -1086,7 +1092,7 @@ pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
 pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     let mut valued = vec!["workloads", "densities"];
     valued.extend(BatchOpts::VALUED);
-    let args = parse(raw_args, &valued)?;
+    let args = parse(raw_args, &valued, &["encrypt"])?;
     if !args.positional.is_empty() {
         return Err(CliError(
             "usage: fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] \
@@ -2518,6 +2524,76 @@ loop:   addu $s1, $s1, $s0
         let run = fprun(&strs(&[&prot, "--secmon", &fpm])).unwrap();
         assert_eq!(run.exit_code, 0);
         assert_eq!(run.output, "1");
+    }
+
+    #[test]
+    fn misspelled_flags_are_usage_errors() {
+        // Each driver gets one misspelling of a flag it knows (or, for the
+        // drivers without bare flags, a flag it does not have). A driver
+        // that ran anyway would silently drop what the user asked for.
+        fn unknown<T: fmt::Debug>(result: Result<T, CliError>) -> Option<String> {
+            result.err().map(|err| err.to_string())
+        }
+        let src = write_sample_source("typo.s");
+        let fpx = tmp("typo.fpx");
+        let c_path = tmp("typo.c");
+        std::fs::write(&c_path, "int main() { print(1); return 0; }").unwrap();
+        fpasm(&strs(&[&src, "--o", &fpx])).unwrap();
+        let out = tmp("typo.out");
+        let fpm = tmp("typo.fpm");
+        let fast = ["--programs", "rle"];
+        let cases = [
+            (
+                "verbose",
+                unknown(fpasm(&strs(&[&src, "--o", &out, "--verbose"]))),
+            ),
+            ("disasm", unknown(fpobjdump(&strs(&[&fpx, "--disasm"])))),
+            (
+                "no-spaceing",
+                unknown(fpprotect(&strs(&[
+                    &fpx,
+                    "--o",
+                    &out,
+                    "--secmon",
+                    &fpm,
+                    "--no-spaceing",
+                ]))),
+            ),
+            ("stat", unknown(fprun(&strs(&[&fpx, "--stat"])))),
+            ("tiant", unknown(fplint(&strs(&[&fpx, "--tiant"])))),
+            (
+                "emit-asn",
+                unknown(fpcc(&strs(&[&c_path, "--o", &out, "--emit-asn"]))),
+            ),
+            (
+                "encrpyt",
+                unknown(fpsweep(&strs(&[
+                    "--workloads",
+                    "rle",
+                    "--densities",
+                    "1.0",
+                    "--encrpyt",
+                ]))),
+            ),
+            (
+                "bogus",
+                unknown(fpsurface(&strs(&[&fast[..], &["--bogus"]].concat()))),
+            ),
+            (
+                "refusal",
+                unknown(fpnetmap(&strs(&[&fast[..], &["--refusal"]].concat()))),
+            ),
+            (
+                "verbose",
+                unknown(fpequiv(&strs(&[&fast[..], &["--verbose"]].concat()))),
+            ),
+        ];
+        let wrong: Vec<String> = cases
+            .iter()
+            .filter(|(flag, err)| err.as_deref() != Some(&format!("unknown option --{flag}")))
+            .map(|(flag, err)| format!("--{flag}: {err:?}"))
+            .collect();
+        assert!(wrong.is_empty(), "accepted or misreported: {wrong:#?}");
     }
 
     #[test]

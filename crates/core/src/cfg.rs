@@ -111,20 +111,6 @@ impl Cfg {
         Ok(cfg)
     }
 
-    /// The block whose range contains `addr`, if any.
-    pub fn block_at(&self, image: &Image, addr: u32) -> Option<&Block> {
-        let index = image.text_index_of(addr)?;
-        let pos = self.blocks.partition_point(|b| b.start + b.len <= index);
-        self.blocks
-            .get(pos)
-            .filter(|b| b.start <= index && index < b.start + b.len)
-    }
-
-    /// Total number of instructions across all blocks.
-    pub fn instruction_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.len).sum()
-    }
-
     fn assign_functions(&mut self, image: &Image) {
         for (bi, block) in self.blocks.iter_mut().enumerate() {
             let addr = image.addr_of_index(block.start);
@@ -431,14 +417,6 @@ main:   li $t0, 1
     }
 
     #[test]
-    fn block_at_looks_up_by_address() {
-        let (image, cfg) = cfg_of("main: li $t0, 1\n b main\n");
-        let b = cfg.block_at(&image, image.text_base + 4).unwrap();
-        assert_eq!(b.start, 0);
-        assert!(cfg.block_at(&image, image.text_end()).is_none());
-    }
-
-    #[test]
     fn undecodable_text_is_rejected() {
         let mut image = flexprot_asm::assemble_or_panic("main: nop\n");
         image.text.push(0xFFFF_FFFF);
@@ -464,20 +442,5 @@ main:   li $t0, 1
             Cfg::recover(&image),
             Err(ProtectError::BadControlTarget { .. })
         ));
-    }
-
-    #[test]
-    fn instruction_count_matches_text() {
-        let (image, cfg) = cfg_of(
-            r#"
-main:   jal f
-        syscall
-f:      li $t0, 3
-loop:   addi $t0, $t0, -1
-        bgtz $t0, loop
-        jr $ra
-"#,
-        );
-        assert_eq!(cfg.instruction_count(), image.text.len());
     }
 }

@@ -13,7 +13,6 @@
 
 use std::collections::BTreeSet;
 
-use flexprot_isa::Image;
 use flexprot_secmon::decrypt::DecryptModel;
 use flexprot_secmon::guard::SIG_SYMBOLS;
 
@@ -32,11 +31,6 @@ pub struct OverheadEstimate {
 }
 
 impl OverheadEstimate {
-    /// Predicted protected-run cycle count.
-    pub fn total_cycles(&self) -> u64 {
-        self.baseline_cycles + self.guard_extra + self.decrypt_extra
-    }
-
     /// Predicted relative overhead, e.g. `0.07` for +7%.
     pub fn overhead_fraction(&self) -> f64 {
         if self.baseline_cycles == 0 {
@@ -48,15 +42,10 @@ impl OverheadEstimate {
 }
 
 /// Predicted extra cycles from guarding `selected` blocks.
-pub fn guard_extra_cycles(
-    image: &Image,
-    cfg: &Cfg,
-    selected: &BTreeSet<usize>,
-    profile: &Profile,
-) -> u64 {
+pub fn guard_extra_cycles(cfg: &Cfg, selected: &BTreeSet<usize>, profile: &Profile) -> u64 {
     selected
         .iter()
-        .map(|&bi| profile.block_entries(image, &cfg.blocks[bi]) * u64::from(SIG_SYMBOLS))
+        .map(|&bi| profile.block_entries(&cfg.blocks[bi]) * u64::from(SIG_SYMBOLS))
         .sum()
 }
 
@@ -76,7 +65,6 @@ pub fn decrypt_extra_cycles(
 
 /// Combines both cost terms into a full estimate.
 pub fn estimate(
-    image: &Image,
     cfg: &Cfg,
     selected: &BTreeSet<usize>,
     enc_ranges: &[(u32, u32)],
@@ -86,7 +74,7 @@ pub fn estimate(
 ) -> OverheadEstimate {
     OverheadEstimate {
         baseline_cycles: profile.cycles,
-        guard_extra: guard_extra_cycles(image, cfg, selected, profile),
+        guard_extra: guard_extra_cycles(cfg, selected, profile),
         decrypt_extra: decrypt_extra_cycles(profile, enc_ranges, model, line_words),
     }
 }
@@ -94,6 +82,7 @@ pub fn estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexprot_isa::Image;
     use flexprot_sim::SimConfig;
 
     fn sample() -> (Image, Cfg, Profile) {
@@ -113,14 +102,14 @@ loop:   addi $t0, $t0, -1
 
     #[test]
     fn guard_cost_scales_with_entries() {
-        let (image, cfg, profile) = sample();
+        let (_, cfg, profile) = sample();
         // Block 1 is the loop body (100 entries); block 0 runs once.
         let mut hot = BTreeSet::new();
         hot.insert(1usize);
         let mut cold = BTreeSet::new();
         cold.insert(0usize);
-        let hot_cost = guard_extra_cycles(&image, &cfg, &hot, &profile);
-        let cold_cost = guard_extra_cycles(&image, &cfg, &cold, &profile);
+        let hot_cost = guard_extra_cycles(&cfg, &hot, &profile);
+        let cold_cost = guard_extra_cycles(&cfg, &cold, &profile);
         assert_eq!(hot_cost, 100 * u64::from(SIG_SYMBOLS));
         assert_eq!(cold_cost, u64::from(SIG_SYMBOLS));
     }
@@ -145,7 +134,6 @@ loop:   addi $t0, $t0, -1
         let mut selected = BTreeSet::new();
         selected.insert(1usize);
         let est = estimate(
-            &image,
             &cfg,
             &selected,
             &[(image.text_base, image.text_end())],
@@ -154,10 +142,6 @@ loop:   addi $t0, $t0, -1
             &profile,
         );
         assert_eq!(est.baseline_cycles, profile.cycles);
-        assert_eq!(
-            est.total_cycles(),
-            est.baseline_cycles + est.guard_extra + est.decrypt_extra
-        );
         assert!(est.overhead_fraction() > 0.0);
     }
 
@@ -165,6 +149,5 @@ loop:   addi $t0, $t0, -1
     fn empty_estimate_is_zero_overhead() {
         let est = OverheadEstimate::default();
         assert_eq!(est.overhead_fraction(), 0.0);
-        assert_eq!(est.total_cycles(), 0);
     }
 }

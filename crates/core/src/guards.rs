@@ -109,7 +109,6 @@ impl GuardOutcome {
 ///
 /// Fails on invalid densities.
 pub fn select_guard_blocks(
-    image: &Image,
     cfg: &Cfg,
     config: &GuardConfig,
     profile: Option<&Profile>,
@@ -122,15 +121,7 @@ pub fn select_guard_blocks(
                 )));
             }
             let all: Vec<usize> = (0..cfg.blocks.len()).collect();
-            place::select_in(
-                cfg,
-                image,
-                &all,
-                *density,
-                config.placement,
-                profile,
-                config.seed,
-            )
+            place::select_in(cfg, &all, *density, config.placement, profile, config.seed)
         }
         Selection::PerFunction(densities) => {
             let mut sel = BTreeSet::new();
@@ -143,7 +134,6 @@ pub fn select_guard_blocks(
                 };
                 sel.extend(place::select_in(
                     cfg,
-                    image,
                     &func.blocks,
                     density,
                     config.placement,
@@ -182,7 +172,7 @@ pub fn insert_guards(
 ) -> Result<GuardOutcome, ProtectError> {
     let cfg = Cfg::recover(image)?;
     validate_relocatable(image)?;
-    let selected = select_guard_blocks(image, &cfg, config, profile)?;
+    let selected = select_guard_blocks(&cfg, config, profile)?;
 
     // --- layout ---
     let sig_len = SIG_SYMBOLS as usize;

@@ -13,7 +13,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use flexprot_isa::Image;
 use flexprot_secmon::decrypt::DecryptModel;
 
 use crate::cfg::Cfg;
@@ -108,7 +107,7 @@ struct Upgrade {
 /// Functions without symbol names are skipped (a plan is expressed by
 /// name). The returned plan's `est_extra_cycles` respects
 /// `budget_fraction × profile.cycles`.
-pub fn optimize(image: &Image, cfg: &Cfg, profile: &Profile, config: &OptimizerConfig) -> Plan {
+pub fn optimize(cfg: &Cfg, profile: &Profile, config: &OptimizerConfig) -> Plan {
     let budget = (profile.cycles as f64 * config.budget_fraction) as u64;
     let mut plan = Plan::default();
     let mut spent = 0u64;
@@ -135,14 +134,13 @@ pub fn optimize(image: &Image, cfg: &Cfg, profile: &Profile, config: &OptimizerC
             .map(|&density| {
                 let selected: BTreeSet<usize> = place::select_in(
                     cfg,
-                    image,
                     &func.blocks,
                     density,
                     config.placement,
                     Some(profile),
                     config.seed ^ fi as u64,
                 );
-                estimate::guard_extra_cycles(image, cfg, &selected, profile)
+                estimate::guard_extra_cycles(cfg, &selected, profile)
             })
             .collect();
         let enc_cost = estimate::decrypt_extra_cycles(
@@ -249,7 +247,7 @@ mod tests {
     use super::*;
     use flexprot_sim::SimConfig;
 
-    fn sample() -> (Image, Cfg, Profile) {
+    fn sample() -> (Cfg, Profile) {
         // A hot loop in `hot`, a cold helper `cold`.
         let image = flexprot_asm::assemble_or_panic(
             r#"
@@ -268,17 +266,17 @@ cold:   li   $t1, 1
         );
         let cfg = Cfg::recover(&image).unwrap();
         let profile = Profile::collect_clean(&image, &SimConfig::default());
-        (image, cfg, profile)
+        (cfg, profile)
     }
 
     #[test]
     fn zero_budget_yields_empty_plan() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         let config = OptimizerConfig {
             budget_fraction: 0.0,
             ..OptimizerConfig::default()
         };
-        let plan = optimize(&image, &cfg, &profile, &config);
+        let plan = optimize(&cfg, &profile, &config);
         // Everything costs at least a few cycles; nothing fits in zero.
         assert_eq!(plan.est_extra_cycles, 0);
         assert!(plan.functions.values().all(|f| f.guard_density == 0.0));
@@ -286,12 +284,12 @@ cold:   li   $t1, 1
 
     #[test]
     fn generous_budget_protects_everything() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         let config = OptimizerConfig {
             budget_fraction: 10.0,
             ..OptimizerConfig::default()
         };
-        let plan = optimize(&image, &cfg, &profile, &config);
+        let plan = optimize(&cfg, &profile, &config);
         for name in ["main", "hot", "cold"] {
             let fp = plan
                 .functions
@@ -305,13 +303,13 @@ cold:   li   $t1, 1
 
     #[test]
     fn tight_budget_prefers_cold_code() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         let config = OptimizerConfig {
             budget_fraction: 0.002,
             density_levels: vec![1.0],
             ..OptimizerConfig::default()
         };
-        let plan = optimize(&image, &cfg, &profile, &config);
+        let plan = optimize(&cfg, &profile, &config);
         let hot = plan.functions.get("hot").copied().unwrap_or_default();
         let cold = plan.functions.get("cold").copied().unwrap_or_default();
         // The hot loop is unaffordable at a 0.2% budget; the cold helper is
@@ -322,13 +320,13 @@ cold:   li   $t1, 1
 
     #[test]
     fn budget_is_respected() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         for budget in [0.001, 0.01, 0.1, 1.0] {
             let config = OptimizerConfig {
                 budget_fraction: budget,
                 ..OptimizerConfig::default()
             };
-            let plan = optimize(&image, &cfg, &profile, &config);
+            let plan = optimize(&cfg, &profile, &config);
             let allowed = (profile.cycles as f64 * budget) as u64;
             assert!(
                 plan.est_extra_cycles <= allowed,
@@ -340,14 +338,14 @@ cold:   li   $t1, 1
 
     #[test]
     fn coverage_is_monotone_in_budget() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         let mut last = -1.0f64;
         for budget in [0.0, 0.005, 0.05, 0.5, 5.0] {
             let config = OptimizerConfig {
                 budget_fraction: budget,
                 ..OptimizerConfig::default()
             };
-            let plan = optimize(&image, &cfg, &profile, &config);
+            let plan = optimize(&cfg, &profile, &config);
             assert!(
                 plan.coverage >= last - 1e-9,
                 "coverage dropped at budget {budget}"

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use flexprot_isa::{Image, Rng64};
+use flexprot_isa::Rng64;
 
 use crate::cfg::Cfg;
 use crate::profile::Profile;
@@ -47,7 +47,6 @@ pub fn is_eligible(cfg: &Cfg, block_index: usize) -> bool {
 /// so any positive density selects at least one block when one is eligible.
 pub fn select_in(
     cfg: &Cfg,
-    image: &Image,
     function_blocks: &[usize],
     density: f64,
     policy: Placement,
@@ -85,7 +84,7 @@ pub fn select_in(
         Placement::ColdestFirst => {
             let mut pool = eligible.clone();
             if let Some(profile) = profile {
-                pool.sort_by_key(|&b| profile.block_entries(image, &cfg.blocks[b]));
+                pool.sort_by_key(|&b| profile.block_entries(&cfg.blocks[b]));
             }
             pool.truncate(want);
             pool
@@ -114,7 +113,7 @@ mod tests {
     use super::*;
     use flexprot_sim::SimConfig;
 
-    fn sample() -> (Image, Cfg, Profile) {
+    fn sample() -> (Cfg, Profile) {
         let image = flexprot_asm::assemble_or_panic(
             r#"
 main:   li   $t0, 50
@@ -133,7 +132,7 @@ rare:   li   $t4, 9
         );
         let cfg = Cfg::recover(&image).unwrap();
         let profile = Profile::collect_clean(&image, &SimConfig::default());
-        (image, cfg, profile)
+        (cfg, profile)
     }
 
     fn all_blocks(cfg: &Cfg) -> Vec<usize> {
@@ -142,16 +141,8 @@ rare:   li   $t4, 9
 
     #[test]
     fn density_one_selects_all_eligible() {
-        let (image, cfg, _) = sample();
-        let sel = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            1.0,
-            Placement::Uniform,
-            None,
-            0,
-        );
+        let (cfg, _) = sample();
+        let sel = select_in(&cfg, &all_blocks(&cfg), 1.0, Placement::Uniform, None, 0);
         let eligible = all_blocks(&cfg)
             .into_iter()
             .filter(|&b| is_eligible(&cfg, b))
@@ -161,64 +152,24 @@ rare:   li   $t4, 9
 
     #[test]
     fn density_zero_selects_none() {
-        let (image, cfg, _) = sample();
-        let sel = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            0.0,
-            Placement::Random,
-            None,
-            0,
-        );
+        let (cfg, _) = sample();
+        let sel = select_in(&cfg, &all_blocks(&cfg), 0.0, Placement::Random, None, 0);
         assert!(sel.is_empty());
     }
 
     #[test]
     fn positive_density_selects_at_least_one() {
-        let (image, cfg, _) = sample();
-        let sel = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            0.01,
-            Placement::Uniform,
-            None,
-            0,
-        );
+        let (cfg, _) = sample();
+        let sel = select_in(&cfg, &all_blocks(&cfg), 0.01, Placement::Uniform, None, 0);
         assert_eq!(sel.len(), 1);
     }
 
     #[test]
     fn random_is_seed_deterministic() {
-        let (image, cfg, _) = sample();
-        let a = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            0.5,
-            Placement::Random,
-            None,
-            7,
-        );
-        let b = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            0.5,
-            Placement::Random,
-            None,
-            7,
-        );
-        let c = select_in(
-            &cfg,
-            &image,
-            &all_blocks(&cfg),
-            0.5,
-            Placement::Random,
-            None,
-            8,
-        );
+        let (cfg, _) = sample();
+        let a = select_in(&cfg, &all_blocks(&cfg), 0.5, Placement::Random, None, 7);
+        let b = select_in(&cfg, &all_blocks(&cfg), 0.5, Placement::Random, None, 7);
+        let c = select_in(&cfg, &all_blocks(&cfg), 0.5, Placement::Random, None, 8);
         assert_eq!(a, b);
         // Different seeds usually differ; with few blocks allow equality
         // but the call must still succeed.
@@ -227,10 +178,9 @@ rare:   li   $t4, 9
 
     #[test]
     fn coldest_first_avoids_the_loop() {
-        let (image, cfg, profile) = sample();
+        let (cfg, profile) = sample();
         let sel = select_in(
             &cfg,
-            &image,
             &all_blocks(&cfg),
             0.25,
             Placement::ColdestFirst,
@@ -239,7 +189,7 @@ rare:   li   $t4, 9
         );
         for &b in &sel {
             assert!(
-                profile.block_entries(&image, &cfg.blocks[b]) <= 1,
+                profile.block_entries(&cfg.blocks[b]) <= 1,
                 "cold-first picked a hot block {b}"
             );
         }
@@ -247,7 +197,7 @@ rare:   li   $t4, 9
 
     #[test]
     fn loop_headers_policy_prioritises_headers() {
-        let (image, cfg, _) = sample();
+        let (cfg, _) = sample();
         let headers: Vec<usize> = (0..cfg.blocks.len())
             .filter(|&b| cfg.blocks[b].is_loop_header && is_eligible(&cfg, b))
             .collect();
@@ -256,7 +206,6 @@ rare:   li   $t4, 9
         // jumps also count as headers, so use a density that fits them all.
         let sel = select_in(
             &cfg,
-            &image,
             &all_blocks(&cfg),
             0.5,
             Placement::LoopHeaders,
@@ -270,9 +219,9 @@ rare:   li   $t4, 9
 
     #[test]
     fn selection_respects_function_subset() {
-        let (image, cfg, _) = sample();
+        let (cfg, _) = sample();
         let subset = vec![0usize, 1];
-        let sel = select_in(&cfg, &image, &subset, 1.0, Placement::Uniform, None, 0);
+        let sel = select_in(&cfg, &subset, 1.0, Placement::Uniform, None, 0);
         assert!(sel.iter().all(|b| subset.contains(b)));
     }
 }

@@ -107,7 +107,7 @@ impl ArtifactCache {
     fn image_entry(&self, workload: &Workload) -> (u64, Arc<Image>) {
         let slot = self.slot(&self.images, workload.name);
         slot.get_or_init(|| {
-            let image = workload.image_cached();
+            let image = Arc::new(workload.image());
             (image_fingerprint(&image), image)
         })
         .clone()

@@ -206,11 +206,6 @@ impl Image {
         }
         out
     }
-
-    /// Total static size in bytes (text + data).
-    pub fn static_size(&self) -> usize {
-        self.text.len() * WORD_BYTES as usize + self.data.len()
-    }
 }
 
 #[cfg(test)]
@@ -264,12 +259,5 @@ mod tests {
         let mut img = tiny_image();
         img.text.push(0xFFFF_FFFF);
         assert!(img.disassemble().contains(".word 0xffffffff"));
-    }
-
-    #[test]
-    fn static_size_counts_both_segments() {
-        let mut img = tiny_image();
-        img.data = vec![0; 10];
-        assert_eq!(img.static_size(), 2 * 4 + 10);
     }
 }

@@ -490,16 +490,6 @@ impl Inst {
             || matches!(self, Inst::Syscall | Inst::Break)
     }
 
-    /// Whether control can fall through to the next sequential instruction.
-    ///
-    /// False only for unconditional transfers (`j`, `jr`) — `jal`/`jalr`
-    /// return eventually, but for *intra-procedural* control-flow purposes the
-    /// next word is still reachable after the call returns, so they report
-    /// `true`.
-    pub fn falls_through(self) -> bool {
-        !matches!(self, Inst::J { .. } | Inst::Jr { .. })
-    }
-
     /// The branch target address, if this is a conditional branch at `pc`.
     pub fn branch_target(self, pc: u32) -> Option<u32> {
         let off = match self {
@@ -520,18 +510,6 @@ impl Inst {
             Inst::J { target } | Inst::Jal { target } => Some(target << 2),
             _ => None,
         }
-    }
-
-    /// Whether the instruction reads memory.
-    pub fn is_load(self) -> bool {
-        matches!(
-            self,
-            Inst::Lb { .. }
-                | Inst::Lh { .. }
-                | Inst::Lw { .. }
-                | Inst::Lbu { .. }
-                | Inst::Lhu { .. }
-        )
     }
 
     /// Whether the instruction writes memory.
@@ -1006,28 +984,23 @@ mod tests {
         };
         assert!(beq.is_branch());
         assert!(beq.is_control_transfer());
-        assert!(beq.falls_through());
         let j = Inst::J { target: 0 };
         assert!(j.is_direct_jump());
-        assert!(!j.falls_through());
-        let jal = Inst::Jal { target: 0 };
-        assert!(jal.falls_through());
         let jr = Inst::Jr { rs: Reg::RA };
         assert!(jr.is_indirect_jump());
-        assert!(!jr.falls_through());
         assert!(Inst::Syscall.is_control_transfer());
         let lw = Inst::Lw {
             rt: Reg::T0,
             off: 0,
             base: Reg::SP,
         };
-        assert!(lw.is_load() && !lw.is_store());
+        assert!(!lw.is_store());
         let sw = Inst::Sw {
             rt: Reg::T0,
             off: 0,
             base: Reg::SP,
         };
-        assert!(sw.is_store() && !sw.is_load());
+        assert!(sw.is_store());
     }
 
     #[test]

@@ -71,8 +71,6 @@ pub struct SimConfig {
     pub div_extra: u64,
     /// Instruction budget; exceeding it yields [`Outcome::OutOfFuel`].
     pub max_instructions: u64,
-    /// Record per-pc execution counts and per-line miss counts.
-    pub profile: bool,
     /// Fetch/decode engine selection (timing-neutral).
     pub engine: EngineKind,
 }
@@ -87,19 +85,12 @@ impl Default for SimConfig {
             mul_extra: 3,
             div_extra: 15,
             max_instructions: 200_000_000,
-            profile: false,
             engine: EngineKind::default(),
         }
     }
 }
 
 impl SimConfig {
-    /// Returns a copy with profiling enabled.
-    pub fn with_profile(mut self) -> SimConfig {
-        self.profile = true;
-        self
-    }
-
     /// Returns a copy driven by the given engine.
     pub fn with_engine(mut self, engine: EngineKind) -> SimConfig {
         self.engine = engine;
@@ -125,13 +116,6 @@ pub enum Outcome {
     Fault(Fault),
     /// The instruction budget was exhausted.
     OutOfFuel,
-}
-
-impl Outcome {
-    /// True for a clean `Exit(0)`.
-    pub fn is_success(&self) -> bool {
-        matches!(self, Outcome::Exit(0))
-    }
 }
 
 /// Everything a finished simulation produced.
@@ -345,7 +329,7 @@ impl<M: FetchMonitor> Machine<M> {
         }
         RunResult {
             outcome,
-            stats: self.stats.clone(),
+            stats: self.stats,
             output: self.output.clone(),
         }
     }
@@ -374,9 +358,6 @@ impl<M: FetchMonitor> Machine<M> {
             self.stats.instructions += 1;
             if let Some(sink) = &self.sink {
                 sink.emit(&TraceEvent::Commit { pc });
-            }
-            if self.config.profile {
-                *self.stats.exec_counts.entry(pc).or_insert(0) += 1;
             }
             self.prev_pc = Some(pc);
 
@@ -563,7 +544,6 @@ patch:  li   $a0, 222
     fn exit_code_propagates() {
         let r = run("main: li $a0, 3\n li $v0, 17\n syscall\n");
         assert_eq!(r.outcome, Outcome::Exit(3));
-        assert!(!r.outcome.is_success());
     }
 
     #[test]
@@ -764,26 +744,6 @@ main:   li   $t0, 5
         // All three words share one line: exactly one cold miss.
         assert_eq!(r.stats.icache_misses, 1);
         assert!(r.stats.cycles > 3);
-    }
-
-    #[test]
-    fn profiling_collects_exec_counts() {
-        let image = flexprot_asm::assemble_or_panic(
-            r#"
-main:   li   $t0, 3
-loop:   addi $t0, $t0, -1
-        bgtz $t0, loop
-        li   $v0, 10
-        li   $a0, 0
-        syscall
-"#,
-        );
-        let r = Machine::new(&image, SimConfig::default().with_profile()).run();
-        assert_eq!(r.outcome, Outcome::Exit(0));
-        let loop_pc = image.symbol("loop").unwrap();
-        assert_eq!(r.stats.exec_counts.get(&loop_pc), Some(&3));
-        assert_eq!(r.stats.exec_counts.get(&image.entry), Some(&1));
-        assert!(!r.stats.imiss_counts.is_empty());
     }
 
     #[test]

@@ -52,9 +52,6 @@ impl<M: FetchMonitor> Machine<M> {
                     decrypt_cycles: penalty,
                 });
             }
-            if self.config.profile {
-                *self.stats.imiss_counts.entry(access.line_addr).or_insert(0) += 1;
-            }
             if self.config.engine == EngineKind::Predecoded {
                 self.decode
                     .fill(access.line_addr, &self.mem, &mut self.monitor);

@@ -10,9 +10,10 @@
 //! * a flat little-endian sparse memory ([`mem::Memory`]),
 //! * console syscalls (print/exit) with captured output,
 //! * a [`FetchMonitor`] hook on the fetch path, where the FPGA secure
-//!   monitor from `flexprot-secmon` plugs in. The hook sees every committed
-//!   instruction and every I-cache line fill, exactly like hardware placed
-//!   between the processor and instruction memory.
+//!   monitor from `flexprot-secmon` plugs in, and where `flexprot-core`
+//!   attaches its profiler. The hook sees every committed instruction and
+//!   every I-cache line fill, exactly like hardware placed between the
+//!   processor and instruction memory.
 //!
 //! The timing model is deliberately simple — base CPI 1, extra latency for
 //! multiply/divide, cache misses and monitor fill penalties — because the

@@ -86,8 +86,8 @@ impl fmt::Display for TamperCause {
 
 /// Hardware model attached to the instruction fetch path.
 ///
-/// Implementations must be deterministic: the simulator may be re-run for
-/// profiling and expects identical behaviour.
+/// Implementations must be deterministic: the differential tests and the
+/// attack harness re-run the same image and expect identical behaviour.
 ///
 /// [`FetchMonitor::transform_fetch`] must additionally be a *pure function
 /// of `(addr, word)`*: the predecoded engine decrypts whole lines at

@@ -1,6 +1,5 @@
 //! Execution statistics and fault classification.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why execution aborted abnormally.
@@ -50,7 +49,7 @@ impl fmt::Display for Fault {
 }
 
 /// Counters gathered while simulating.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Total simulated cycles.
     pub cycles: u64,
@@ -72,11 +71,6 @@ pub struct Stats {
     pub taken_transfers: u64,
     /// Syscalls executed.
     pub syscalls: u64,
-    /// Per-pc execution counts; populated only when profiling is enabled.
-    pub exec_counts: HashMap<u32, u64>,
-    /// Per-line-address I-cache miss counts; populated only when profiling
-    /// is enabled.
-    pub imiss_counts: HashMap<u32, u64>,
 }
 
 impl Stats {

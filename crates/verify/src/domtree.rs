@@ -45,11 +45,6 @@ impl DomTree {
             }
         }
     }
-
-    /// Whether `a` dominates `b` and `a != b`.
-    pub fn strictly_dominates(&self, a: usize, b: usize) -> bool {
-        a != b && self.dominates(a, b)
-    }
 }
 
 /// Reverse post-order from `root`; returns the order and per-node RPO
@@ -174,8 +169,8 @@ mod tests {
         // 0 -> 1 -> 2 -> 1, 2 -> 3
         let succs = vec![vec![1], vec![2], vec![1, 3], vec![]];
         let t = dominators(0, &succs);
-        assert!(t.strictly_dominates(1, 2));
-        assert!(t.strictly_dominates(1, 3));
+        assert!(t.dominates(1, 2));
+        assert!(t.dominates(1, 3));
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //! assert_eq!(result.output, workload.expected_output());
 //! ```
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use flexprot_isa::Image;
 
 /// How a kernel's assembly source is obtained.
@@ -69,32 +66,6 @@ impl Workload {
     /// Rust reference implementation.
     pub fn expected_output(&self) -> String {
         (self.expected)()
-    }
-
-    /// The assembled kernel from a process-wide cache, compiled at most
-    /// once and shared via `Arc` — the cache-friendly entry point the batch
-    /// execution engine builds on. Kernel sources are fixed per name (the
-    /// generated ones are deterministic), so the cache key is the name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embedded source fails to assemble (a build bug).
-    pub fn image_cached(&self) -> Arc<Image> {
-        static CACHE: OnceLock<Mutex<HashMap<&'static str, Arc<Image>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(image) = cache.lock().expect("workload image cache").get(self.name) {
-            return Arc::clone(image);
-        }
-        // Assemble outside the lock; a racing double-compile is harmless
-        // (deterministic result) and the first insertion wins.
-        let image = Arc::new(self.image());
-        Arc::clone(
-            cache
-                .lock()
-                .expect("workload image cache")
-                .entry(self.name)
-                .or_insert(image),
-        )
     }
 }
 
@@ -731,15 +702,6 @@ mod tests {
     #[test]
     fn collatz_matches_reference() {
         check("collatz");
-    }
-
-    #[test]
-    fn image_cached_shares_one_compilation() {
-        let w = by_name("rle").unwrap();
-        let a = w.image_cached();
-        let b = w.image_cached();
-        assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
-        assert_eq!(*a, w.image(), "cached image matches a fresh assembly");
     }
 
     #[test]

@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for budget in [0.01, 0.05, 0.1, 0.25, 0.5, 1.0] {
         let plan = optimize(
-            &image,
             &cfg,
             &profile,
             &OptimizerConfig {

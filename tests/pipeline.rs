@@ -129,7 +129,6 @@ fn profile_guided_protection_matches_oracle() {
     let profile = Profile::collect_clean(&image, &SimConfig::default());
     let cfg = Cfg::recover(&image).expect("cfg");
     let plan = optimize(
-        &image,
         &cfg,
         &profile,
         &OptimizerConfig {
