@@ -259,51 +259,41 @@ EOF
 check_baseline results/metrics_baseline.txt "$EXEC_DIR/metrics.txt" experiments
 echo "run metrics baseline OK"
 
-# matrix_baseline <driver> <baseline.csv> [<ledger-option> <ledger-baseline.csv>]
-#
-# Sweeps the golden protection matrix (flexprot_exec::matrix) with one of
-# the matrix drivers. Both runs, --jobs 1 and --jobs 4, must exit 0 (no
-# error-severity finding in any cell) and write byte-identical output.
-# The report, and the side ledger if the driver writes one, must then
-# match the checked-in baseline (check_baseline): a diff means the
-# analysis changed.
-matrix_baseline() {
-    driver=$1 baseline=$2 ledger_opt=${3:-} ledger=${4:-}
-    echo "== $driver: protection-matrix baseline =="
-    out="$EXEC_DIR/$driver"
-    for jobs in 1 4; do
-        set -- --jobs "$jobs" --csv "$out/jobs$jobs/report.csv"
-        if [ -n "$ledger_opt" ]; then
-            set -- "$@" "--$ledger_opt" "$out/jobs$jobs/ledger.csv"
-        fi
-        cargo run --quiet --release -p flexprot-cli --bin "$driver" -- "$@" > /dev/null || {
-            echo "$driver --jobs $jobs reported error-severity findings"; exit 1;
-        }
-    done
-    diff -ru "$out/jobs1" "$out/jobs4" || {
-        echo "$driver output differs between --jobs 1 and --jobs 4"; exit 1;
+echo "== fpmatrix: protection-matrix baselines =="
+# One sweep of the golden protection matrix (flexprot_exec::matrix) writes
+# four tables. Both runs, --jobs 1 and --jobs 4, must exit 0 (no
+# error-severity finding in any cell) and write byte-identical
+# directories. Each table must then match its checked-in baseline
+# (check_baseline): a diff means the analysis changed.
+#   surface.csv  - static tamper surface per cell: coverage, encryption
+#                  and surface counts.
+#   guardnet.csv - guard network and checksum proofs per cell. A mismatch
+#                  column going non-zero means the emitter and the
+#                  verifier disagree about a checksum constant.
+#   refusals.csv - every unproven window with its typed reason code, so a
+#                  window sliding back from proven shows up as a new row.
+#   equiv.csv    - translation validation per cell: the verdict column
+#                  must read `proven` everywhere (an error-severity FP8xx
+#                  finding makes fpmatrix exit 1).
+MATRIX_DIR="$EXEC_DIR/matrix"
+for jobs in 1 4; do
+    cargo run --quiet --release -p flexprot-cli --bin fpmatrix -- \
+        --jobs "$jobs" --csv "$MATRIX_DIR/jobs$jobs" > /dev/null || {
+        echo "fpmatrix --jobs $jobs reported error-severity findings"; exit 1;
     }
-    set -- "$baseline" report.csv
-    if [ -n "$ledger_opt" ]; then
-        set -- "$@" "$ledger" ledger.csv
-    fi
-    while [ $# -gt 0 ]; do
-        check_baseline "$1" "$out/jobs1/$2" "$driver"
-        shift 2
-    done
-    echo "$driver baseline OK"
+done
+diff -ru "$MATRIX_DIR/jobs1" "$MATRIX_DIR/jobs4" || {
+    echo "fpmatrix output differs between --jobs 1 and --jobs 4"; exit 1;
 }
-
-# Static tamper surface per cell: coverage, encryption and surface counts.
-matrix_baseline fpsurface results/surface_baseline.csv
-
-# Guard network and checksum proofs per cell. A mismatch column going
-# non-zero means the emitter and the verifier disagree about a checksum
-# constant. The --refusals ledger lists every unproven window with its
-# typed reason code, so a window sliding back from proven shows up as a
-# new ledger row.
-matrix_baseline fpnetmap results/guardnet_baseline.csv \
-    refusals results/refusals_baseline.csv
+# The table set must be exactly the four pinned tables.
+produced=$(cd "$MATRIX_DIR/jobs1" && ls)
+[ "$(echo $produced)" = "equiv.csv guardnet.csv refusals.csv surface.csv" ] || {
+    echo "fpmatrix table set differs: produced [$(echo $produced)]"; exit 1;
+}
+for table in surface guardnet refusals equiv; do
+    check_baseline "results/${table}_baseline.csv" "$MATRIX_DIR/jobs1/$table.csv" fpmatrix
+done
+echo "fpmatrix baselines OK"
 
 echo "== fplint --guardnet schema =="
 # The machine-readable guard-network report keeps its stable schema keys.
@@ -317,10 +307,6 @@ for key in '"schema":"flexprot-guardnet-v1"' '"guards"' '"nodes"' '"edges"' \
     }
 done
 echo "guard network schema OK"
-
-# Translation validation per cell: the verdict column must read `proven`
-# everywhere (fpequiv exits 1 on any error-severity FP8xx finding).
-matrix_baseline fpequiv results/equiv_baseline.csv
 
 echo "== fplint --equiv schema =="
 # The machine-readable verdict document keeps its stable schema keys.

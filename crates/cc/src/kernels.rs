@@ -1,7 +1,7 @@
 //! Reference MiniC benchmark kernels, and the random-program generator.
 //!
-//! Shared by the protection-matrix differential tests, the `fpsurface`
-//! scanner and documentation examples, so every consumer lints and runs
+//! Shared by the protection-matrix differential tests, the `fpmatrix`
+//! sweep and documentation examples, so every consumer lints and runs
 //! the *same* golden programs.  Each kernel prints a small deterministic
 //! result via the `print`/`printc` intrinsics and exits 0.
 //! [`random_minic`] gives the property tests and fuzzers one shared

@@ -1,14 +1,14 @@
-//! Thin wrapper over [`flexprot_cli::fpnetmap`].
+//! Thin wrapper over [`flexprot_cli::fpmatrix`].
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match flexprot_cli::fpnetmap(&args) {
+    match flexprot_cli::fpmatrix(&args) {
         Ok(summary) => {
             print!("{}", summary.report);
             std::process::exit(summary.exit_code);
         }
         Err(err) => {
-            eprintln!("fpnetmap: {err}");
+            eprintln!("fpmatrix: {err}");
             std::process::exit(2);
         }
     }

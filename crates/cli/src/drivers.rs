@@ -1,4 +1,4 @@
-//! The four tool drivers.
+//! The tool drivers.
 
 use std::fmt;
 use std::fs::File;
@@ -6,14 +6,14 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use flexprot_core::{
-    protect, EncryptConfig, Granularity, GuardConfig, Placement, Protected, ProtectionConfig,
-    Selection,
+    protect, EncryptConfig, Granularity, GuardConfig, Placement, ProtectionConfig, Selection,
 };
 use flexprot_exec::{default_jobs, matrix, Engine, Job};
 use flexprot_isa::Image;
 use flexprot_secmon::{DecryptModel, SecMon, SecMonConfig};
 use flexprot_sim::{CacheConfig, Machine, Outcome, SimConfig};
 use flexprot_trace::Recorder;
+use flexprot_verify::{EquivReport, Verification};
 
 use crate::args::{parse, Args};
 
@@ -97,8 +97,8 @@ pub(crate) fn csv_row(cells: &[String]) -> String {
 }
 
 /// The shared option block of every batch driver (`fprun`'s multi-image
-/// mode, `fpsurface`, `fpsweep`, `fpnetmap`): worker count plus the CSV
-/// and metrics export paths. Parsing it in one place keeps `--jobs`
+/// mode, `fpsweep`, `fpmatrix`): worker count plus the CSV and metrics
+/// export paths. Parsing it in one place keeps `--jobs`
 /// semantics identical everywhere — explicit `--jobs 0` is a usage error
 /// (it used to clamp to one worker in some drivers while
 /// `FLEXPROT_JOBS=0` silently fell back to the CPU count).
@@ -107,7 +107,8 @@ pub(crate) struct BatchOpts {
     /// Worker threads; defaults to [`default_jobs`] (`FLEXPROT_JOBS` or
     /// the CPU count).
     pub workers: usize,
-    /// `--csv <path>`: write the tabular report here.
+    /// `--csv <path>`: write the tabular report here (`fpmatrix`: the
+    /// directory for its tables).
     pub csv: Option<String>,
     /// `--metrics <path>`: write the engine's aggregate
     /// `flexprot-metrics-v1` document here.
@@ -682,42 +683,87 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
     })
 }
 
-/// One protection-matrix cell as a matrix sweep reports it.
+/// The four tables [`fpmatrix`] writes, in output order: file name and
+/// header line.
+const MATRIX_TABLES: [(&str, &str); 4] = [
+    (
+        "surface.csv",
+        "program,cell,text_words,reachable,windows,covered,encrypted,surface,\
+         errors,warnings,full_coverage",
+    ),
+    (
+        "guardnet.csv",
+        "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,\
+         min_cut,proven,mismatch,unproven,errors",
+    ),
+    ("refusals.csv", "program,cell,site,verdict,code"),
+    (
+        "equiv.csv",
+        "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
+         windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
+         fp801,fp802,fp803,fp804,errors",
+    ),
+];
+
+/// One protection-matrix cell as [`fpmatrix`] reports it.
 struct CellReport {
-    /// The CSV row, starting with the program and cell names.
-    row: Vec<String>,
-    /// Error-severity findings in the cell; any one makes the exit code 1.
-    errors: usize,
-    /// Rows for the sweep's side ledger, if it writes one.
-    ledger: Vec<Vec<String>>,
+    /// The cell's rows in each of the [`MATRIX_TABLES`], in their order.
+    rows: [Vec<Vec<String>>; 4],
+    /// Whether neither report has an error-severity finding.
+    clean: bool,
 }
 
-/// A CSV file a sweep writes next to its main report: the valued option
-/// that names its path, and its header line.
-struct Ledger {
-    option: &'static str,
-    header: &'static str,
-}
+/// `fpmatrix [--programs a,b,..] [--jobs N] [--csv <dir>]
+/// [--metrics <out.json>]` — verify every cell of the golden protection
+/// matrix and tabulate the results.
+///
+/// The grid is [`flexprot_exec::matrix`]: the reference MiniC kernels and
+/// three assembly workloads crossed with the seven protection cells (no
+/// protection, guards at two densities, encryption at three
+/// granularities, guards+encryption). Each cell protects the program
+/// once, builds one [`flexprot_verify::Shipped`] fact base on the shipped
+/// image, runs the full static analysis ([`Shipped::analyze`]) and the
+/// translation validator against the unprotected baseline
+/// ([`Shipped::validate`]) on it once each, and formats four tables:
+///
+/// * `surface.csv` — the static tamper surface;
+/// * `guardnet.csv` — the guard network and checksum proofs;
+/// * `refusals.csv` — one row per guard window the checksum prover did
+///   *not* prove, keyed by the stable [`flexprot_verify::UnprovenReason`]
+///   codes, so a window sliding back from proven shows up as a new row;
+/// * `equiv.csv` — the translation-validation verdict.
+///
+/// `--csv <dir>` creates the directory and writes the four files there;
+/// without it the tables go to the report in that order, each under a
+/// `# <name>.csv` line. Cells fan out over `--jobs` workers through the
+/// batched execution engine and every table is identical whatever the
+/// worker count.
+///
+/// [`Shipped::analyze`]: flexprot_verify::Shipped::analyze
+/// [`Shipped::validate`]: flexprot_verify::Shipped::validate
+///
+/// # Exit codes
+///
+/// Same contract as [`fplint`]: `0` when no cell has an error-severity
+/// finding in either report, `1` when any cell has one (a guard-network
+/// `mismatch` implies one via FP703, an `inequivalent` verdict via the
+/// FP8xx family), `2` (from the binary) on usage or I/O errors.
+///
+/// # Errors
+///
+/// Reports unknown program names and I/O failures.
+pub fn fpmatrix(raw_args: &[String]) -> Result<LintSummary, CliError> {
+    use flexprot_verify::{LintPolicy, Shipped};
 
-/// The skeleton of every protection-matrix sweep: parses `--programs`,
-/// the ledger option and the [`BatchOpts`] block, protects each cell of
-/// the golden [`matrix`] on `--jobs` workers, assembles the `cell_report`
-/// rows in matrix order (identical whatever the worker count), writes the
-/// requested files, and suggests exit code 1 when any cell has
-/// error-severity findings. Unknown `--programs` names are usage errors.
-fn matrix_sweep(
-    raw_args: &[String],
-    usage: &str,
-    header: &str,
-    ledger: Option<Ledger>,
-    cell_report: fn(&str, &str, &Image, &Protected) -> CellReport,
-) -> Result<LintSummary, CliError> {
     let mut valued = vec!["programs"];
-    valued.extend(ledger.as_ref().map(|l| l.option));
     valued.extend(BatchOpts::VALUED);
     let args = parse(raw_args, &valued, &[])?;
     if !args.positional.is_empty() {
-        return Err(CliError(usage.to_owned()));
+        return Err(CliError(
+            "usage: fpmatrix [--programs a,b,..] [--jobs N] [--csv <dir>] \
+             [--metrics <out.json>]"
+                .to_owned(),
+        ));
     }
     let batch = BatchOpts::from_args(&args)?;
     let mut programs = matrix::programs();
@@ -750,143 +796,86 @@ fn matrix_sweep(
     let results = engine.run_jobs(&jobs, |_ctx, &(name, image, cell, config)| {
         let protected = protect(image, config, None)
             .map_err(|e| CliError(format!("{name}/{cell}: protect failed: {e}")))?;
-        Ok::<_, CliError>(cell_report(name, cell, image, &protected))
+        let shipped = Shipped::new(&protected.image, &protected.secmon);
+        let verification = shipped.analyze(&LintPolicy::default(), false);
+        let equiv = shipped.validate(image, &LintPolicy::default());
+        let (guardnet, refusals) = netmap_cell(name, cell, &verification);
+        Ok::<_, CliError>(CellReport {
+            rows: [
+                vec![surface_cell(name, cell, &verification)],
+                vec![guardnet],
+                refusals,
+                vec![equiv_cell(name, cell, &equiv)],
+            ],
+            clean: verification.report.is_clean() && equiv.is_clean(),
+        })
     });
 
-    let mut csv = format!("{header}\n");
-    let mut side = ledger
-        .as_ref()
-        .map(|l| format!("{}\n", l.header))
-        .unwrap_or_default();
-    let mut errors = 0usize;
+    let mut tables = MATRIX_TABLES.map(|(_, header)| format!("{header}\n"));
+    let mut clean = true;
     for result in results {
         let cell = result?;
-        errors += cell.errors;
-        csv.push_str(&csv_row(&cell.row));
-        csv.push('\n');
-        for row in &cell.ledger {
-            side.push_str(&csv_row(row));
-            side.push('\n');
+        clean &= cell.clean;
+        for (table, rows) in tables.iter_mut().zip(&cell.rows) {
+            for row in rows {
+                table.push_str(&csv_row(row));
+                table.push('\n');
+            }
         }
     }
-    batch.write_csv(&csv)?;
-    if let Some(path) = ledger.and_then(|l| args.value(l.option)) {
-        write(path, side.as_bytes())?;
+    let mut report = String::new();
+    for ((file, _), table) in MATRIX_TABLES.iter().zip(&tables) {
+        match &batch.csv {
+            Some(dir) => write(
+                &Path::new(dir).join(file).to_string_lossy(),
+                table.as_bytes(),
+            )?,
+            None => report.push_str(&format!("# {file}\n{table}")),
+        }
     }
     batch.write_metrics(&engine)?;
     Ok(LintSummary {
-        report: csv,
-        exit_code: i32::from(errors > 0),
+        report,
+        exit_code: i32::from(!clean),
     })
 }
 
-/// `fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>]` — lint
-/// every golden program of the protection matrix and tabulate its static
-/// tamper surface.
-///
-/// The grid is [`flexprot_exec::matrix`]: the reference MiniC kernels and
-/// three assembly workloads crossed with the seven protection cells (no
-/// protection, guards at two densities, encryption at three
-/// granularities, guards+encryption). Each cell protects the program,
-/// runs the full static analysis ([`flexprot_verify::analyze`]) on the
-/// shipped image, and reports one CSV row; cells fan out over `--jobs`
-/// workers through the batched execution engine and the rows are
-/// identical whatever the worker count. The suggested exit code is 1
-/// when any cell has error-severity findings, which is how CI gates on
-/// it.
-///
-/// # Errors
-///
-/// Reports unknown program names and I/O failures.
-pub fn fpsurface(raw_args: &[String]) -> Result<LintSummary, CliError> {
-    matrix_sweep(
-        raw_args,
-        "usage: fpsurface [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-         [--metrics <out.json>]",
-        "program,cell,text_words,reachable,windows,covered,encrypted,surface,\
-         errors,warnings,full_coverage",
-        None,
-        surface_cell,
-    )
-}
+/// One `surface.csv` row: the static tamper surface of a protected cell.
+fn surface_cell(name: &str, cell: &str, verification: &Verification) -> Vec<String> {
+    use flexprot_verify::Severity;
 
-/// One `fpsurface` row: the static tamper surface of a protected cell.
-fn surface_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> CellReport {
-    use flexprot_verify::{LintPolicy, Severity};
-
-    let verification =
-        flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
     let map = &verification.surface;
-    let errors = verification.report.count(Severity::Error);
-    CellReport {
-        row: vec![
-            name.to_owned(),
-            cell.to_owned(),
-            map.text_words.to_string(),
-            map.reachable.iter().filter(|&&r| r).count().to_string(),
-            map.sound_windows.to_string(),
-            map.covered_words().to_string(),
-            map.encrypted_words().to_string(),
-            map.surface_words().to_string(),
-            errors.to_string(),
-            verification.report.count(Severity::Warning).to_string(),
-            map.full_reachable_coverage().to_string(),
-        ],
-        errors,
-        ledger: Vec::new(),
-    }
+    vec![
+        name.to_owned(),
+        cell.to_owned(),
+        map.text_words.to_string(),
+        map.reachable.iter().filter(|&&r| r).count().to_string(),
+        map.sound_windows.to_string(),
+        map.covered_words().to_string(),
+        map.encrypted_words().to_string(),
+        map.surface_words().to_string(),
+        verification.report.count(Severity::Error).to_string(),
+        verification.report.count(Severity::Warning).to_string(),
+        map.full_reachable_coverage().to_string(),
+    ]
 }
 
-/// `fpnetmap [--programs a,b,..] [--jobs N] [--csv <out.csv>]
-/// [--refusals <out.csv>] [--metrics <out.json>]` — tabulate the guard
-/// network and checksum proofs of every protection-matrix cell.
-///
-/// Each cell of [`flexprot_exec::matrix`] protects the program, builds
-/// the who-checks-whom guard digraph and the abstract-interpretation
-/// checksum proofs ([`flexprot_verify::analyze`]), and reports one CSV
-/// row: guard/sound counts, edge and SCC counts,
+/// One `guardnet.csv` row — guard/sound counts, edge and SCC counts,
 /// unchecked/acyclic/articulation tallies, the minimum-cut size (`none`
-/// when no cut disconnects the network), and the proof verdict tally
-/// (proven/mismatch/unproven). Cells fan out over `--jobs` workers and
-/// the rows are identical whatever the worker count. The suggested exit
-/// code is 1 when any cell has an error-severity finding (a `mismatch`
-/// implies one via FP703).
-///
-/// `--refusals` writes the per-window refusal ledger alongside: one
-/// `program,cell,site,verdict,code` row per guard window the prover
-/// could *not* prove, keyed by the stable
-/// [`flexprot_verify::UnprovenReason`] codes. CI pins this file as
-/// `results/refusals_baseline.csv`, so any precision regression (a
-/// window sliding back from proven) shows up as a new row in the diff.
-///
-/// # Errors
-///
-/// Reports unknown program names and I/O failures.
-pub fn fpnetmap(raw_args: &[String]) -> Result<LintSummary, CliError> {
-    matrix_sweep(
-        raw_args,
-        "usage: fpnetmap [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-         [--refusals <out.csv>] [--metrics <out.json>]",
-        "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,\
-         min_cut,proven,mismatch,unproven,errors",
-        Some(Ledger {
-            option: "refusals",
-            header: "program,cell,site,verdict,code",
-        }),
-        netmap_cell,
-    )
-}
+/// when no cut disconnects the network) and the proof verdict tally —
+/// plus a `refusals.csv` row per window the checksum prover did not
+/// prove.
+fn netmap_cell(
+    name: &str,
+    cell: &str,
+    verification: &Verification,
+) -> (Vec<String>, Vec<Vec<String>>) {
+    use flexprot_verify::{Severity, Verdict};
 
-/// One `fpnetmap` row, plus a refusal-ledger row per window the checksum
-/// prover did not prove.
-fn netmap_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> CellReport {
-    use flexprot_verify::{LintPolicy, Severity, Verdict};
-
-    let v = flexprot_verify::analyze(&protected.image, &protected.secmon, &LintPolicy::default());
-    let net = &v.guardnet;
+    let net = &verification.guardnet;
     let (mut proven, mut mismatch, mut unproven) = (0usize, 0usize, 0usize);
-    let mut ledger: Vec<Vec<String>> = Vec::new();
-    for proof in &v.proofs {
+    let mut refusals: Vec<Vec<String>> = Vec::new();
+    for proof in &verification.proofs {
         let (verdict, code) = match &proof.verdict {
             Verdict::Proven { .. } => {
                 proven += 1;
@@ -901,7 +890,7 @@ fn netmap_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> 
                 ("unproven", reason.code())
             }
         };
-        ledger.push(vec![
+        refusals.push(vec![
             name.to_owned(),
             cell.to_owned(),
             format!("{:#010x}", proof.site_addr),
@@ -913,81 +902,40 @@ fn netmap_cell(name: &str, cell: &str, _base: &Image, protected: &Protected) -> 
         None => "none".to_owned(),
         Some(cut) => cut.len().to_string(),
     };
-    let errors = v.report.count(Severity::Error);
-    CellReport {
-        row: vec![
-            name.to_owned(),
-            cell.to_owned(),
-            net.nodes.len().to_string(),
-            net.sound_count().to_string(),
-            net.edges.to_string(),
-            net.scc_count.to_string(),
-            net.unchecked_count().to_string(),
-            net.acyclic_count().to_string(),
-            net.nodes
-                .iter()
-                .filter(|n| n.articulation)
-                .count()
-                .to_string(),
-            min_cut,
-            proven.to_string(),
-            mismatch.to_string(),
-            unproven.to_string(),
-            errors.to_string(),
-        ],
-        errors,
-        ledger,
-    }
+    let row = vec![
+        name.to_owned(),
+        cell.to_owned(),
+        net.nodes.len().to_string(),
+        net.sound_count().to_string(),
+        net.edges.to_string(),
+        net.scc_count.to_string(),
+        net.unchecked_count().to_string(),
+        net.acyclic_count().to_string(),
+        net.nodes
+            .iter()
+            .filter(|n| n.articulation)
+            .count()
+            .to_string(),
+        min_cut,
+        proven.to_string(),
+        mismatch.to_string(),
+        unproven.to_string(),
+        verification.report.count(Severity::Error).to_string(),
+    ];
+    (row, refusals)
 }
 
-/// `fpequiv [--programs a,b,..] [--jobs N] [--csv <out.csv>]
-/// [--metrics <out.json>]` — translation-validate every cell of the
-/// protection matrix.
-///
-/// Each cell of [`flexprot_exec::matrix`] protects the program and runs
-/// the translation validator ([`flexprot_verify::equiv`]) against the
-/// unprotected baseline: CFG alignment modulo inserted guard runs,
-/// guard-window transparency (no live architectural state written), and
-/// cipher round-trip identity. One CSV row per cell carries the
-/// three-valued verdict (`proven` / `inequivalent` / `refused`), the
-/// witness address when one exists, the alignment and window tallies,
-/// the per-window refusal reasons as a `code:count` tally keyed by the
-/// stable [`flexprot_verify::RefusalReason`] codes (`none` when every
-/// window is proven), and the FP801–FP804 finding counts. Cells fan out
-/// over `--jobs` workers through the batched execution engine and the
-/// rows are identical whatever the worker count.
-///
-/// # Exit codes
-///
-/// Same contract as [`fplint`]: `0` when every cell is proven (or
-/// soundly refused with only warning-severity findings), `1` when any
-/// cell has an error-severity finding, `2` (from the binary) on usage
-/// or I/O errors.
-///
-/// # Errors
-///
-/// Reports unknown program names and I/O failures.
-pub fn fpequiv(raw_args: &[String]) -> Result<LintSummary, CliError> {
-    matrix_sweep(
-        raw_args,
-        "usage: fpequiv [--programs a,b,..] [--jobs N] [--csv <out.csv>] \
-         [--metrics <out.json>]",
-        "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
-         windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
-         fp801,fp802,fp803,fp804,errors",
-        None,
-        equiv_cell,
-    )
-}
+/// One `equiv.csv` row: the three-valued verdict (`proven` /
+/// `inequivalent` / `refused`), the witness address when one exists, the
+/// alignment and window tallies, the per-window refusal reasons as a
+/// `code:count` tally keyed by the stable
+/// [`flexprot_verify::RefusalReason`] codes (`none` when every window is
+/// proven), and the FP801–FP804 finding counts.
+fn equiv_cell(name: &str, cell: &str, report: &EquivReport) -> Vec<String> {
+    use flexprot_verify::{EquivVerdict, Severity};
 
-/// One `fpequiv` row: the translation-validation verdict of a protected
-/// cell against its unprotected `base`.
-fn equiv_cell(name: &str, cell: &str, base: &Image, protected: &Protected) -> CellReport {
-    use flexprot_verify::{equiv, Severity};
-
-    let report = equiv::validate(base, &protected.image, &protected.secmon);
     let witness = match report.verdict {
-        equiv::EquivVerdict::Inequivalent { witness_addr } => format!("{witness_addr:#010x}"),
+        EquivVerdict::Inequivalent { witness_addr } => format!("{witness_addr:#010x}"),
         _ => "none".to_owned(),
     };
     let errors = report
@@ -1009,30 +957,26 @@ fn equiv_cell(name: &str, cell: &str, base: &Image, protected: &Protected) -> Ce
             .collect::<Vec<_>>()
             .join(";")
     };
-    CellReport {
-        row: vec![
-            name.to_owned(),
-            cell.to_owned(),
-            report.verdict.label().to_owned(),
-            witness,
-            report.stats.base_words.to_string(),
-            report.stats.prot_words.to_string(),
-            report.stats.guard_words.to_string(),
-            report.stats.aligned_words.to_string(),
-            report.stats.windows_proven.to_string(),
-            report.stats.windows_refused.to_string(),
-            refusal_codes,
-            report.stats.cipher_regions.to_string(),
-            report.stats.cipher_words.to_string(),
-            report.count_id("FP801").to_string(),
-            report.count_id("FP802").to_string(),
-            report.count_id("FP803").to_string(),
-            report.count_id("FP804").to_string(),
-            errors.to_string(),
-        ],
-        errors,
-        ledger: Vec::new(),
-    }
+    vec![
+        name.to_owned(),
+        cell.to_owned(),
+        report.verdict.label().to_owned(),
+        witness,
+        report.stats.base_words.to_string(),
+        report.stats.prot_words.to_string(),
+        report.stats.guard_words.to_string(),
+        report.stats.aligned_words.to_string(),
+        report.stats.windows_proven.to_string(),
+        report.stats.windows_refused.to_string(),
+        refusal_codes,
+        report.stats.cipher_regions.to_string(),
+        report.stats.cipher_words.to_string(),
+        report.count_id("FP801").to_string(),
+        report.count_id("FP802").to_string(),
+        report.count_id("FP803").to_string(),
+        report.count_id("FP804").to_string(),
+        errors.to_string(),
+    ]
 }
 
 /// `fpcc <input.c> [-o|--o <output.fpx>] [--emit-asm]` — compile MiniC.
@@ -1955,50 +1899,6 @@ loop:   addu $s1, $s1, $s0
     }
 
     #[test]
-    fn fpnetmap_grid_is_deterministic_and_reports_the_disconnection() {
-        let serial = fpnetmap(&strs(&["--programs", "collatz,rle", "--jobs", "1"])).unwrap();
-        assert_eq!(serial.exit_code, 0, "{}", serial.report);
-        let lines: Vec<&str> = serial.report.lines().collect();
-        assert_eq!(
-            lines[0],
-            "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,\
-             min_cut,proven,mismatch,unproven,errors"
-        );
-        // 2 programs x 7 cells, plus the header.
-        assert_eq!(lines.len(), 15, "{}", serial.report);
-        for line in &lines[1..] {
-            let cols: Vec<&str> = line.split(',').collect();
-            assert_eq!(cols.len(), 14, "{line}");
-            // No mismatches and no errors on untampered builds.
-            assert_eq!(cols[11], "0", "{line}");
-            assert_eq!(cols[13], "0", "{line}");
-            // The emitter's disjoint windows mean an edgeless digraph:
-            // every guard cell reports zero edges and (with >= 2 guards)
-            // an already-disconnected network (min_cut 0).
-            if cols[1].starts_with("guards") {
-                assert_eq!(cols[4], "0", "{line}");
-                let sound: usize = cols[3].parse().unwrap();
-                if sound >= 2 {
-                    assert_eq!(cols[9], "0", "{line}");
-                }
-                // Every guard gets a verdict: proven or (conservatively,
-                // when a store with an unknown address sits inside the
-                // window) unproven — never a mismatch on a clean build.
-                let proven: usize = cols[10].parse().unwrap();
-                let unproven: usize = cols[12].parse().unwrap();
-                let guards: usize = cols[2].parse().unwrap();
-                assert_eq!(proven + unproven, guards, "{line}");
-            }
-        }
-
-        let parallel = fpnetmap(&strs(&["--programs", "collatz,rle", "--jobs", "4"])).unwrap();
-        assert_eq!(serial, parallel);
-
-        assert!(fpnetmap(&strs(&["--programs", "bogus"])).is_err());
-        assert!(fpnetmap(&strs(&["stray-positional"])).is_err());
-    }
-
-    #[test]
     fn csv_fields_with_commas_and_quotes_are_escaped() {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
@@ -2095,24 +1995,92 @@ loop:   addu $s1, $s1, $s0
     }
 
     #[test]
-    fn fpnetmap_writes_the_per_window_refusal_ledger() {
-        let refusals = tmp("netmap.refusals.csv");
-        let run = fpnetmap(&strs(&[
-            "--programs",
-            "collatz,rle",
-            "--jobs",
-            "2",
-            "--refusals",
-            &refusals,
-        ]))
-        .unwrap();
-        assert_eq!(run.exit_code, 0, "{}", run.report);
-        let ledger = std::fs::read_to_string(&refusals).unwrap();
-        let lines: Vec<&str> = ledger.lines().collect();
-        assert_eq!(lines[0], "program,cell,site,verdict,code");
+    fn batch_drivers_reject_zero_jobs() {
+        for err in [
+            fpmatrix(&strs(&["--jobs", "0"])).unwrap_err(),
+            fpsweep(&strs(&["--jobs", "0"])).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("--jobs"), "{err}");
+        }
+    }
+
+    /// Splits an [`fpmatrix`] report into its tables, each checked to sit
+    /// under its `# <name>.csv` line in [`MATRIX_TABLES`] order.
+    fn matrix_tables(report: &str) -> Vec<Vec<&str>> {
+        let mut tables: Vec<Vec<&str>> = Vec::new();
+        for line in report.lines() {
+            if let Some(file) = line.strip_prefix("# ") {
+                assert_eq!(file, MATRIX_TABLES[tables.len()].0, "{report}");
+                tables.push(Vec::new());
+            } else {
+                tables
+                    .last_mut()
+                    .expect("a table line before any # name")
+                    .push(line);
+            }
+        }
+        assert_eq!(tables.len(), MATRIX_TABLES.len(), "{report}");
+        for (lines, (_, header)) in tables.iter().zip(MATRIX_TABLES) {
+            assert_eq!(lines[0], header);
+        }
+        tables
+    }
+
+    #[test]
+    fn fpmatrix_grid_is_deterministic_clean_and_proven() {
+        // A trimmed grid (one kernel, one workload) keeps the test fast;
+        // the full six-program grid runs in CI against the checked-in
+        // baselines.
+        let serial = fpmatrix(&strs(&["--programs", "collatz,rle", "--jobs", "1"])).unwrap();
+        assert_eq!(serial.exit_code, 0, "{}", serial.report);
+        let parallel = fpmatrix(&strs(&["--programs", "collatz,rle", "--jobs", "4"])).unwrap();
+        assert_eq!(serial, parallel);
+        let [surface, guardnet, refusals, equiv] =
+            <[Vec<&str>; 4]>::try_from(matrix_tables(&serial.report)).unwrap();
+
+        // 2 programs x 7 cells, plus the header.
+        assert_eq!(surface.len(), 15, "{}", serial.report);
+        assert!(
+            surface.iter().any(|l| l.starts_with("collatz,guards-1.0,")),
+            "{}",
+            serial.report
+        );
+        // Full-density cells prove full reachable coverage.
+        for line in &surface[1..] {
+            if line.contains(",guards-1.0,") || line.contains(",guards-enc,") {
+                assert!(line.ends_with(",true"), "{line}");
+            }
+        }
+
+        assert_eq!(guardnet.len(), 15, "{}", serial.report);
+        for line in &guardnet[1..] {
+            let cols: Vec<&str> = line.split(',').collect();
+            assert_eq!(cols.len(), 14, "{line}");
+            // No mismatches and no errors on untampered builds.
+            assert_eq!(cols[11], "0", "{line}");
+            assert_eq!(cols[13], "0", "{line}");
+            // The emitter's disjoint windows mean an edgeless digraph:
+            // every guard cell reports zero edges and (with >= 2 guards)
+            // an already-disconnected network (min_cut 0).
+            if cols[1].starts_with("guards") {
+                assert_eq!(cols[4], "0", "{line}");
+                let sound: usize = cols[3].parse().unwrap();
+                if sound >= 2 {
+                    assert_eq!(cols[9], "0", "{line}");
+                }
+                // Every guard gets a verdict: proven or (conservatively,
+                // when a store with an unknown address sits inside the
+                // window) unproven — never a mismatch on a clean build.
+                let proven: usize = cols[10].parse().unwrap();
+                let unproven: usize = cols[12].parse().unwrap();
+                let guards: usize = cols[2].parse().unwrap();
+                assert_eq!(proven + unproven, guards, "{line}");
+            }
+        }
+
         // Every non-proven window carries a stable snake_case code and a
         // concrete site address; clean builds never report a mismatch.
-        for line in &lines[1..] {
+        for line in &refusals[1..] {
             let cols: Vec<&str> = line.split(',').collect();
             assert_eq!(cols.len(), 5, "{line}");
             assert!(cols[2].starts_with("0x"), "{line}");
@@ -2122,79 +2090,15 @@ loop:   addu $s1, $s1, $s0
                 "{line}"
             );
         }
-        // The ledger row count is exactly the grid's unproven tally.
-        let unproven: usize = run
-            .report
-            .lines()
-            .skip(1)
+        // The refusal row count is exactly the grid's unproven tally.
+        let unproven: usize = guardnet[1..]
+            .iter()
             .map(|l| l.split(',').nth(12).unwrap().parse::<usize>().unwrap())
             .sum();
-        assert_eq!(lines.len() - 1, unproven, "{ledger}\n{}", run.report);
-    }
+        assert_eq!(refusals.len() - 1, unproven, "{}", serial.report);
 
-    #[test]
-    fn batch_drivers_reject_zero_jobs() {
-        for err in [
-            fpsurface(&strs(&["--jobs", "0"])).unwrap_err(),
-            fpnetmap(&strs(&["--jobs", "0"])).unwrap_err(),
-            fpequiv(&strs(&["--jobs", "0"])).unwrap_err(),
-            fpsweep(&strs(&["--jobs", "0"])).unwrap_err(),
-        ] {
-            assert!(err.to_string().contains("--jobs"), "{err}");
-        }
-    }
-
-    #[test]
-    fn fpsurface_grid_is_deterministic_and_clean() {
-        // A trimmed grid (one kernel, one workload) keeps the test fast;
-        // the full six-program grid runs in CI against the checked-in
-        // baseline.
-        let serial = fpsurface(&strs(&["--programs", "collatz,rle", "--jobs", "1"])).unwrap();
-        assert_eq!(serial.exit_code, 0, "{}", serial.report);
-        let lines: Vec<&str> = serial.report.lines().collect();
-        assert_eq!(
-            lines[0],
-            "program,cell,text_words,reachable,windows,covered,encrypted,surface,\
-             errors,warnings,full_coverage"
-        );
-        // 2 programs x 7 cells, plus the header.
-        assert_eq!(lines.len(), 15, "{}", serial.report);
-        assert!(
-            lines.iter().any(|l| l.starts_with("collatz,guards-1.0,")),
-            "{}",
-            serial.report
-        );
-        // Full-density cells prove full reachable coverage.
-        for line in &lines[1..] {
-            if line.contains(",guards-1.0,") || line.contains(",guards-enc,") {
-                assert!(line.ends_with(",true"), "{line}");
-            }
-        }
-
-        let parallel = fpsurface(&strs(&["--programs", "collatz,rle", "--jobs", "4"])).unwrap();
-        assert_eq!(serial, parallel);
-
-        assert!(fpsurface(&strs(&["--programs", "bogus"])).is_err());
-        assert!(fpsurface(&strs(&["stray-positional"])).is_err());
-    }
-
-    #[test]
-    fn fpequiv_grid_is_deterministic_and_proven() {
-        // A trimmed grid (one kernel, one workload) keeps the test fast;
-        // the full six-program grid runs in CI against the checked-in
-        // baseline.
-        let serial = fpequiv(&strs(&["--programs", "collatz,rle", "--jobs", "1"])).unwrap();
-        assert_eq!(serial.exit_code, 0, "{}", serial.report);
-        let lines: Vec<&str> = serial.report.lines().collect();
-        assert_eq!(
-            lines[0],
-            "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
-             windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
-             fp801,fp802,fp803,fp804,errors"
-        );
-        // 2 programs x 7 cells, plus the header.
-        assert_eq!(lines.len(), 15, "{}", serial.report);
-        for line in &lines[1..] {
+        assert_eq!(equiv.len(), 15, "{}", serial.report);
+        for line in &equiv[1..] {
             let cols: Vec<&str> = line.split(',').collect();
             assert_eq!(cols.len(), 18, "{line}");
             // Untampered pipeline output is fully proven: no witnesses,
@@ -2217,11 +2121,50 @@ loop:   addu $s1, $s1, $s0
             }
         }
 
-        let parallel = fpequiv(&strs(&["--programs", "collatz,rle", "--jobs", "4"])).unwrap();
-        assert_eq!(serial, parallel);
+        assert!(fpmatrix(&strs(&["--programs", "bogus"])).is_err());
+        assert!(fpmatrix(&strs(&["stray-positional"])).is_err());
+    }
 
-        assert!(fpequiv(&strs(&["--programs", "bogus"])).is_err());
-        assert!(fpequiv(&strs(&["stray-positional"])).is_err());
+    #[test]
+    fn fpmatrix_csv_files_are_the_committed_baseline_rows() {
+        // Each file is the header plus the chosen programs' rows of the
+        // baseline CI pins for the full grid, in grid order.
+        let dir = tmp("matrix.csv.d");
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = fpmatrix(&strs(&[
+            "--programs",
+            "collatz,rle",
+            "--jobs",
+            "2",
+            "--csv",
+            &dir,
+        ]))
+        .unwrap();
+        assert_eq!(run.exit_code, 0);
+        assert_eq!(run.report, "", "--csv writes the tables, not the report");
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        written.sort();
+        assert_eq!(
+            written,
+            ["equiv.csv", "guardnet.csv", "refusals.csv", "surface.csv"]
+        );
+        for (file, _) in MATRIX_TABLES {
+            let baseline = results.join(file.replace(".csv", "_baseline.csv"));
+            let baseline = std::fs::read_to_string(&baseline).unwrap();
+            let mut want = String::new();
+            for (i, line) in baseline.lines().enumerate() {
+                if i == 0 || line.starts_with("collatz,") || line.starts_with("rle,") {
+                    want.push_str(line);
+                    want.push('\n');
+                }
+            }
+            let got = std::fs::read_to_string(Path::new(&dir).join(file)).unwrap();
+            assert_eq!(got, want, "{file}");
+        }
     }
 
     #[test]
@@ -2577,15 +2520,19 @@ loop:   addu $s1, $s1, $s0
             ),
             (
                 "bogus",
-                unknown(fpsurface(&strs(&[&fast[..], &["--bogus"]].concat()))),
+                unknown(fpmatrix(&strs(&[&fast[..], &["--bogus"]].concat()))),
             ),
             (
                 "refusal",
-                unknown(fpnetmap(&strs(&[&fast[..], &["--refusal"]].concat()))),
+                unknown(fpmatrix(&strs(&[&fast[..], &["--refusal"]].concat()))),
+            ),
+            (
+                "refusals",
+                unknown(fpmatrix(&strs(&[&fast[..], &["--refusals"]].concat()))),
             ),
             (
                 "verbose",
-                unknown(fpequiv(&strs(&[&fast[..], &["--verbose"]].concat()))),
+                unknown(fpmatrix(&strs(&[&fast[..], &["--verbose"]].concat()))),
             ),
         ];
         let wrong: Vec<String> = cases

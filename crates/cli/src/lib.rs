@@ -1,8 +1,8 @@
 //! Driver logic for the command-line toolchain.
 //!
-//! Each binary (`fpasm`, `fpobjdump`, `fpprotect`, `fprun`, `fplint`,
-//! `fpsweep`, `fpsurface`, `fpnetmap`, `fpequiv`) is a thin wrapper
-//! around a driver function here,
+//! Each binary (`fpcc`, `fpasm`, `fpobjdump`, `fpprotect`, `fprun`,
+//! `fplint`, `fpsweep`, `fpmatrix`) is a thin wrapper around a driver
+//! function here,
 //! so the full argument-parsing and I/O logic is unit-testable without
 //! spawning processes.
 //!
@@ -16,11 +16,19 @@
 //! fprun program.prot.fpx --secmon program.fpm --stats
 //! fpobjdump program.prot.fpx          # ciphertext: mostly .word noise
 //! ```
+//!
+//! `fpmatrix` runs the same static self-check over every cell of the
+//! golden protection matrix in one pass and writes the surface, guard
+//! network, refusal and translation-validation tables that CI pins:
+//!
+//! ```text
+//! fpmatrix --jobs 4 --csv matrix/   # surface, guardnet, refusals, equiv .csv
+//! ```
 
 pub mod args;
 pub mod drivers;
 
 pub use drivers::{
-    fpasm, fpcc, fpequiv, fplint, fpnetmap, fpobjdump, fpprotect, fprun, fpsurface, fpsweep,
-    CliError, LintSummary, RunSummary,
+    fpasm, fpcc, fplint, fpmatrix, fpobjdump, fpprotect, fprun, fpsweep, CliError, LintSummary,
+    RunSummary,
 };

@@ -25,9 +25,6 @@ pub struct ProtectionConfig {
     /// Covert payload embedded in the guard salt channel (requires the
     /// guard layer; applied before encryption).
     pub watermark: Option<Vec<u8>>,
-    /// Forwarded to the monitor: abort on first tamper event (default
-    /// true via [`ProtectionConfig::new`]).
-    pub halt_on_tamper: bool,
     /// Run the translation validator (`flexprot-verify`'s `equiv`) as a
     /// mandatory self-check: refuse to ship unless the protected image is
     /// *proven* semantically equivalent to the baseline (default false —
@@ -43,14 +40,7 @@ pub struct ProtectionConfig {
 impl ProtectionConfig {
     /// Both layers off; enable via the builder-style helpers.
     pub fn new() -> ProtectionConfig {
-        ProtectionConfig {
-            guards: None,
-            encryption: None,
-            watermark: None,
-            halt_on_tamper: true,
-            validate_translation: false,
-            key_flow_check: false,
-        }
+        Self::default()
     }
 
     /// Enables the guard layer.
@@ -226,7 +216,6 @@ pub fn protect(
 ) -> Result<Protected, ProtectError> {
     let text_words_before = image.text.len();
     let mut secmon = SecMonConfig::transparent();
-    secmon.halt_on_tamper = config.halt_on_tamper;
 
     let mut current = image.clone();
     let mut guards_inserted = 0;
@@ -380,6 +369,17 @@ fold:   mul  $t1, $t0, $t0
         assert_eq!(r.output, base.output);
         assert_eq!(r.stats.cycles, base.stats.cycles);
         assert_eq!(protected.report.size_overhead_fraction(), 0.0);
+    }
+
+    #[test]
+    fn default_config_ships_a_halting_monitor() {
+        // `default()` and `new()` are one configuration: a tamper event
+        // stops the run.
+        let (image, _) = baseline();
+        assert_eq!(ProtectionConfig::default(), ProtectionConfig::new());
+        let config = ProtectionConfig::default().with_guards(GuardConfig::with_density(1.0));
+        let protected = protect(&image, &config, None).unwrap();
+        assert!(protected.secmon.halt_on_tamper);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The content-addressed in-memory artifact cache.
+//! The in-memory artifact cache.
 //!
 //! Three artifact kinds are memoized: assembled kernel images, profiled
 //! baseline runs, and protected binaries. Keys are canonical renderings of
-//! every input that determines the artifact (image content fingerprint,
-//! the full `Debug` form of the protection config, the simulator config
-//! that provenance-determines a profile), so two cells asking for the same
+//! every input that determines the artifact (the workload name, the full
+//! `Debug` form of the protection config, the simulator config that
+//! provenance-determines a profile), so two cells asking for the same
 //! thing always share one `Arc`.
 //!
 //! Hit/miss accounting is deterministic under any thread count: each slot
@@ -21,28 +21,6 @@ use flexprot_isa::Image;
 use flexprot_sim::{Outcome, RunResult, SimConfig};
 use flexprot_workloads::Workload;
 
-/// FNV-1a 64-bit over a byte string — the content-addressing hash.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn image_fingerprint(image: &Image) -> u64 {
-    let mut bytes = Vec::with_capacity(12 + image.text.len() * 4 + image.data.len());
-    bytes.extend_from_slice(&image.entry.to_le_bytes());
-    bytes.extend_from_slice(&image.text_base.to_le_bytes());
-    for word in &image.text {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    bytes.extend_from_slice(&image.data_base.to_le_bytes());
-    bytes.extend_from_slice(&image.data);
-    fingerprint(&bytes)
-}
-
 /// A workload's baseline artifacts: the unprotected image, its clean
 /// profiled run, and the execution profile — shared by every cell that
 /// compares against or optimizes for the baseline.
@@ -50,8 +28,6 @@ fn image_fingerprint(image: &Image) -> u64 {
 pub struct Baseline {
     /// The unprotected image.
     pub image: Arc<Image>,
-    /// Its content fingerprint (key material for derived artifacts).
-    pub image_fp: u64,
     /// Its clean run under the keyed [`SimConfig`].
     pub run: RunResult,
     /// Its execution profile.
@@ -76,7 +52,7 @@ type SlotMap<V> = Mutex<HashMap<String, Slot<V>>>;
 /// for every cell that asks for it.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
-    images: SlotMap<(u64, Arc<Image>)>,
+    images: SlotMap<Arc<Image>>,
     baselines: SlotMap<Arc<Baseline>>,
     protecteds: SlotMap<Result<Arc<Protected>, String>>,
     hits: AtomicU64,
@@ -104,18 +80,10 @@ impl ArtifactCache {
         }
     }
 
-    fn image_entry(&self, workload: &Workload) -> (u64, Arc<Image>) {
-        let slot = self.slot(&self.images, workload.name);
-        slot.get_or_init(|| {
-            let image = Arc::new(workload.image());
-            (image_fingerprint(&image), image)
-        })
-        .clone()
-    }
-
     /// The workload's assembled image, compiled at most once.
     pub fn image(&self, workload: &Workload) -> Arc<Image> {
-        self.image_entry(workload).1
+        let slot = self.slot(&self.images, workload.name);
+        Arc::clone(slot.get_or_init(|| Arc::new(workload.image())))
     }
 
     /// The workload's baseline under `sim`: one profiled clean run, shared
@@ -129,7 +97,7 @@ impl ArtifactCache {
         let key = format!("{}|{sim:?}", workload.name);
         let slot = self.slot(&self.baselines, &key);
         Arc::clone(slot.get_or_init(|| {
-            let (image_fp, image) = self.image_entry(workload);
+            let image = self.image(workload);
             let (profile, run) = Profile::collect(&image, sim);
             assert_eq!(run.outcome, Outcome::Exit(0), "{} crashed", workload.name);
             assert_eq!(
@@ -140,7 +108,6 @@ impl ArtifactCache {
             );
             Arc::new(Baseline {
                 image,
-                image_fp,
                 run,
                 profile,
             })
@@ -148,7 +115,7 @@ impl ArtifactCache {
     }
 
     /// The workload protected under `config`, built at most once per
-    /// (image content, config, profile provenance) triple.
+    /// (workload, config, profile provenance) triple.
     ///
     /// `profile_sim` selects profile-guided protection: the profile is the
     /// baseline profile collected under that simulator config (profiles
@@ -165,12 +132,12 @@ impl ArtifactCache {
         config: &ProtectionConfig,
         profile_sim: Option<&SimConfig>,
     ) -> Result<Arc<Protected>, String> {
-        let (image_fp, image) = self.image_entry(workload);
+        let image = self.image(workload);
         let provenance = match profile_sim {
             Some(sim) => format!("profile@{sim:?}"),
             None => "unprofiled".to_owned(),
         };
-        let key = format!("{image_fp:016x}|{config:?}|{provenance}");
+        let key = format!("{}|{config:?}|{provenance}", workload.name);
         let slot = self.slot(&self.protecteds, &key);
         slot.get_or_init(|| {
             let profile = profile_sim.map(|sim| self.baseline(workload, sim));
@@ -197,13 +164,6 @@ mod tests {
 
     fn rle() -> Workload {
         flexprot_workloads::by_name("rle").expect("rle kernel")
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_input_sensitive() {
-        assert_eq!(fingerprint(b"abc"), fingerprint(b"abc"));
-        assert_ne!(fingerprint(b"abc"), fingerprint(b"abd"));
-        assert_ne!(fingerprint(b""), fingerprint(b"\0"));
     }
 
     #[test]

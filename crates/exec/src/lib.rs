@@ -12,7 +12,7 @@
 //!   `--jobs N` or `FLEXPROT_JOBS`), collecting results in *job order* so
 //!   output is deterministic whatever the thread count;
 //! * an [`ArtifactCache`] memoizes compiled images, profiled baselines and
-//!   protected binaries behind content-addressed keys, shared via `Arc`
+//!   protected binaries behind keys naming every input, shared via `Arc`
 //!   across every cell that needs them;
 //! * each run's [`Metrics`] (built by the simulator and monitor from
 //!   their own counters) merge into one aggregate document (commutative
@@ -39,7 +39,7 @@ mod engine;
 pub mod matrix;
 mod sweep;
 
-pub use cache::{fingerprint, ArtifactCache, Baseline, CacheStats};
+pub use cache::{ArtifactCache, Baseline, CacheStats};
 pub use engine::{default_jobs, Engine, JobCtx};
 pub use sweep::{AttackSpec, CellResult, Job};
 

@@ -1,13 +1,14 @@
-//! The golden protection matrix: the programs and protection cells every
-//! matrix sweep (`fpsurface`, `fpnetmap`, `fpequiv`), acceptance test and
-//! CI baseline is pinned to.
+//! The golden protection matrix: the programs and protection cells the
+//! `fpmatrix` sweep, the acceptance tests and the CI baselines are pinned
+//! to.
 //!
 //! Six programs — the reference MiniC kernels ([`flexprot_cc::kernels`])
 //! plus the `rle`, `bitcount` and `fir` assembly workloads — crossed with
 //! seven cells: no protection, guards at densities 0.25 and 1.0,
 //! encryption keyed per program, function and block, and guards plus
-//! encryption. The cell names are the `cell` column of the committed
-//! `results/*_baseline.csv` files, so renaming one moves every baseline.
+//! encryption. The cell names are the `cell` column of the four tables
+//! `fpmatrix` writes, pinned as the committed `results/*_baseline.csv`
+//! files, so renaming one moves every baseline.
 
 use flexprot_core::{EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
 use flexprot_isa::Image;

@@ -247,47 +247,16 @@ impl<M: FetchMonitor> Machine<M> {
         &mut self.monitor
     }
 
-    /// Restores the architectural state (registers, pc, memory, caches,
-    /// stats, output, sink) to match a freshly constructed machine loaded
-    /// with `image`, and binds the decoded-line store and the monitor to
-    /// its text segment. Shared by [`Machine::reset`] and
-    /// [`Machine::rearm`], which differ only in decoded-line handling.
-    fn restore(&mut self, image: &Image) {
-        self.regs = [0; 32];
-        self.regs[Reg::SP.index() as usize] = STACK_TOP;
-        self.regs[Reg::FP.index() as usize] = STACK_TOP;
-        self.pc = image.entry;
-        self.prev_pc = None;
-        self.mem.reset(image);
-        self.icache.reset();
-        self.dcache.reset();
-        self.stats = Stats::default();
-        self.output.clear();
-        self.text_base = image.text_base;
-        self.text_end = image.text_end();
-        self.decode.bind(self.text_base, self.text_end);
-        self.monitor.bind_text(self.text_base, self.text_end);
-        self.sink = None;
-    }
-
-    /// Re-arms the machine to run `image` from scratch, reusing the cache
-    /// and memory allocations of the previous run instead of reallocating.
+    /// Re-arms the machine to run `image` from scratch under a fresh
+    /// monitor, reusing the cache and memory allocations of the previous
+    /// run instead of reallocating.
     ///
-    /// Registers, pc, caches, stats, captured output and the observability
-    /// sink are all restored to their just-constructed state, so a reset
-    /// machine produces byte-identical results to a fresh
-    /// [`Machine::with_monitor`] under the same config. The monitor keeps
-    /// its state and is only re-bound to the new text segment
-    /// ([`FetchMonitor::bind_text`]) — stateless monitors (e.g.
-    /// [`NullMonitor`]) can be reused directly; monitors with per-run state
-    /// must be re-provisioned via [`Machine::rearm`].
-    pub fn reset(&mut self, image: &Image) {
-        self.restore(image);
-        self.decode.clear();
-    }
-
-    /// [`Machine::reset`] plus a fresh monitor, for monitors that carry
-    /// per-run state (the secure monitor's guard windows and tamper log).
+    /// Registers, pc, memory, caches, stats, captured output and the
+    /// observability sink are all restored to their just-constructed
+    /// state, and the decoded-line store and the new monitor are bound to
+    /// the image's text segment ([`FetchMonitor::bind_text`]), so a
+    /// re-armed machine produces byte-identical results to a fresh
+    /// [`Machine::with_monitor`] under the same config.
     ///
     /// When the new monitor has the same fetch transform as the previous
     /// one ([`FetchMonitor::same_transform`]) and the text segment keeps
@@ -307,7 +276,21 @@ impl<M: FetchMonitor> Machine<M> {
             self.decode.clear();
         }
         self.monitor = monitor;
-        self.restore(image);
+        self.regs = [0; 32];
+        self.regs[Reg::SP.index() as usize] = STACK_TOP;
+        self.regs[Reg::FP.index() as usize] = STACK_TOP;
+        self.pc = image.entry;
+        self.prev_pc = None;
+        self.mem.reset(image);
+        self.icache.reset();
+        self.dcache.reset();
+        self.stats = Stats::default();
+        self.output.clear();
+        self.text_base = image.text_base;
+        self.text_end = image.text_end();
+        self.decode.bind(self.text_base, self.text_end);
+        self.monitor.bind_text(self.text_base, self.text_end);
+        self.sink = None;
     }
 
     /// Runs until exit, fault, tamper detection or fuel exhaustion.
@@ -416,7 +399,17 @@ main:   li  $t0, 21
     }
 
     #[test]
-    fn reset_run_is_byte_identical_to_fresh_run() {
+    fn rearm_run_is_byte_identical_to_fresh_run() {
+        // Rearm retains decoded lines; with an identity transform it must
+        // still match a fresh machine exactly, whether the image changed
+        // (content revalidation re-decodes mutated lines) or not, and
+        // whatever the previous run left in registers, stack and caches.
+        let a = flexprot_asm::assemble_or_panic(
+            "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
+        );
+        let b = flexprot_asm::assemble_or_panic(
+            "main: li $a0, 9\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
+        );
         let sum = flexprot_asm::assemble_or_panic(
             r#"
 main:   li   $t0, 0
@@ -433,34 +426,9 @@ loop:   addu $t0, $t0, $t1
         syscall
 "#,
         );
-        let other = flexprot_asm::assemble_or_panic(
-            "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
-        );
-        let fresh_sum = Machine::new(&sum, SimConfig::default()).run();
-        let fresh_other = Machine::new(&other, SimConfig::default()).run();
-        // One machine, reset across images: results (stats included) must
-        // match fresh machines exactly.
-        let mut machine = Machine::new(&other, SimConfig::default());
-        machine.run();
-        machine.reset(&sum);
-        assert_eq!(machine.run(), fresh_sum);
-        machine.reset(&other);
-        assert_eq!(machine.run(), fresh_other);
-    }
-
-    #[test]
-    fn rearm_run_is_byte_identical_to_fresh_run() {
-        // Rearm retains decoded lines; with an identity transform it must
-        // still match a fresh machine exactly, whether the image changed
-        // (content revalidation re-decodes mutated lines) or not.
-        let a = flexprot_asm::assemble_or_panic(
-            "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
-        );
-        let b = flexprot_asm::assemble_or_panic(
-            "main: li $a0, 9\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
-        );
         let fresh_a = Machine::new(&a, SimConfig::default()).run();
         let fresh_b = Machine::new(&b, SimConfig::default()).run();
+        let fresh_sum = Machine::new(&sum, SimConfig::default()).run();
         let mut machine = Machine::new(&a, SimConfig::default());
         machine.run();
         machine.rearm(&b, NullMonitor);
@@ -468,6 +436,14 @@ loop:   addu $t0, $t0, $t1
         machine.rearm(&a, NullMonitor);
         assert_eq!(machine.run(), fresh_a);
         // Rearm onto the same unchanged image: pure revalidation path.
+        machine.rearm(&a, NullMonitor);
+        assert_eq!(machine.run(), fresh_a);
+        // A run that writes the stack, twice (a D-cache or memory left
+        // warm would change its stats), then one that must not see it.
+        for _ in 0..2 {
+            machine.rearm(&sum, NullMonitor);
+            assert_eq!(machine.run(), fresh_sum);
+        }
         machine.rearm(&a, NullMonitor);
         assert_eq!(machine.run(), fresh_a);
     }

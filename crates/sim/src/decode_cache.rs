@@ -16,13 +16,13 @@
 //! * **eviction** — keeps the entry; refilling the line within the same
 //!   run costs nothing, because memory under a line only changes through a
 //!   store to text, which drops the entry;
-//! * **reset** — [`DecodeCache::clear`] drops everything, keeping a reset
-//!   machine byte-identical to a fresh one;
 //! * **rearm** — [`DecodeCache::retain`] keeps decoded lines but marks
 //!   them unchecked: each is revalidated against the raw memory contents
 //!   at its next fill, so re-running a mutated image re-decodes only the
-//!   mutated lines; a monitor with a different fetch transform, or a text
-//!   segment at other bounds, clears them instead;
+//!   mutated lines; a monitor with a different fetch transform clears
+//!   them instead ([`DecodeCache::clear`]) and a text segment at other
+//!   bounds rebinds an empty store, so a re-armed machine stays
+//!   byte-identical to a fresh one;
 //! * **tamper response** — the machine clears the store when a run ends in
 //!   tamper detection, so re-keyed monitors never see stale plaintext;
 //! * **store to text** — [`DecodeCache::invalidate`] drops the line a
@@ -170,7 +170,8 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every decoded line (machine reset, tamper response).
+    /// Drops every decoded line (machine rearm onto a new transform,
+    /// tamper response).
     pub(crate) fn clear(&mut self) {
         self.checked.fill(0);
         self.epoch = 1;

@@ -20,7 +20,8 @@
 //!
 //! [`build`] packages all of it, ranks weak links, and [`to_json`] emits
 //! the stable `flexprot-guardnet-v1` document that `fplint --guardnet`
-//! and `fpnetmap` surface.
+//! prints; `fpmatrix` tabulates the same network for every protection-matrix
+//! cell.
 
 use flexprot_trace::json::{self, JsonWriter};
 

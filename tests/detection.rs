@@ -256,9 +256,9 @@ fn ciphertext_tampering_is_attributed_to_decrypt_garble() {
 fn non_halting_monitor_logs_all_events() {
     let workload = flexprot::workloads::by_name("qsort").expect("kernel");
     let image = workload.image();
-    let mut config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
-    config.halt_on_tamper = false;
+    let config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
     let mut protected = protect(&image, &config, None).unwrap();
+    protected.secmon.halt_on_tamper = false;
     // Flip a register-field bit of a covered body word (the first word of
     // `fill`, which executes and is hashed by fill's guard). Register-field
     // flips keep the word decodable, so the signature check — not a decode
