@@ -295,6 +295,25 @@ for table in surface guardnet refusals equiv; do
 done
 echo "fpmatrix baselines OK"
 
+echo "== fpsweep: --csv directory across worker counts =="
+# --csv names a directory for every batch driver; fpsweep saves its one
+# table there as sweep.csv. The --jobs 1 and --jobs 4 directories must be
+# byte-identical and hold exactly that file.
+SWEEP_DIR="$EXEC_DIR/sweep"
+for jobs in 1 4; do
+    cargo run --quiet --release -p flexprot-cli --bin fpsweep -- \
+        --workloads rle,qsort --densities 0.25,1.0 --jobs "$jobs" \
+        --csv "$SWEEP_DIR/jobs$jobs" > /dev/null
+done
+diff -ru "$SWEEP_DIR/jobs1" "$SWEEP_DIR/jobs4" || {
+    echo "fpsweep output differs between --jobs 1 and --jobs 4"; exit 1;
+}
+produced=$(cd "$SWEEP_DIR/jobs1" && ls)
+[ "$(echo $produced)" = "sweep.csv" ] || {
+    echo "fpsweep table set differs: produced [$(echo $produced)]"; exit 1;
+}
+echo "fpsweep csv OK"
+
 echo "== fplint --guardnet schema =="
 # The machine-readable guard-network report keeps its stable schema keys.
 cargo run --quiet --release -p flexprot-cli --bin fplint -- \

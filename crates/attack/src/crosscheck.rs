@@ -212,7 +212,7 @@ pub fn cross_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
+    use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_GUARD_KEY};
 
     fn baseline() -> Image {
         flexprot_asm::assemble_or_panic(
@@ -236,7 +236,7 @@ loop:   add  $t1, $t1, $t0
         let base = baseline();
         let config = ProtectionConfig::new()
             .with_guards(GuardConfig {
-                key: 0x0BAD_C0DE_CAFE_F00D,
+                key: DEFAULT_GUARD_KEY,
                 ..GuardConfig::with_density(1.0)
             })
             .with_encryption(EncryptConfig::whole_program(0x5EED));
@@ -274,7 +274,7 @@ loop:   add  $t1, $t1, $t0
         use flexprot_secmon::encode_guard_inst;
         let base = baseline();
         let config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(1.0)
         });
         let protected = protect(&base, &config, None).unwrap();

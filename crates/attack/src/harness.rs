@@ -455,7 +455,7 @@ fn campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
+    use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_GUARD_KEY};
     use flexprot_sim::Machine;
 
     fn sample() -> (flexprot_isa::Image, String) {
@@ -700,7 +700,7 @@ loop:   addu $s0, $s0, $t0
         // who-checks-whom graph is weakly connected, so the plan's
         // zero-cost words are real attack surface.
         let config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(0.25)
         });
         let protected = protect(&image, &config, None).unwrap();

@@ -120,7 +120,7 @@ impl StaticOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexprot_core::{protect, GuardConfig, ProtectionConfig};
+    use flexprot_core::{protect, GuardConfig, ProtectionConfig, DEFAULT_GUARD_KEY};
 
     fn guarded_image() -> (Image, flexprot_core::Protected) {
         let image = flexprot_asm::assemble_or_panic(
@@ -138,7 +138,7 @@ loop:   add  $t1, $t1, $t0
 "#,
         );
         let config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(1.0)
         });
         let protected = protect(&image, &config, None).expect("protect");
@@ -231,7 +231,7 @@ loop:   add  $t1, $t1, $t0
 "#,
         );
         let config = ProtectionConfig::new().with_guards(GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(0.25)
         });
         let sparse_p = protect(&image, &config, None).expect("protect");

@@ -14,11 +14,12 @@
 
 use std::time::{Duration, Instant};
 
-use flexprot_core::{protect, EncryptConfig, GuardConfig, Protected, ProtectionConfig};
+use flexprot_core::{
+    protect, EncryptConfig, GuardConfig, Protected, ProtectionConfig, DEFAULT_ENC_KEY,
+    DEFAULT_GUARD_KEY,
+};
 use flexprot_sim::{EngineKind, Outcome, SimConfig};
 
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 const SAMPLES: usize = 7;
 
 /// Median wall time of a full run under `engine`, and the instruction
@@ -44,10 +45,10 @@ fn measure(protected: &Protected, engine: EngineKind) -> (Duration, u64) {
 fn main() {
     let config = ProtectionConfig::new()
         .with_guards(GuardConfig {
-            key: GUARD_KEY,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(1.0)
         })
-        .with_encryption(EncryptConfig::whole_program(ENC_KEY));
+        .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
     println!(
         "{:<10} {:>12} {:>16} {:>16} {:>9}",
         "program", "insts", "reference i/s", "predecoded i/s", "speedup"

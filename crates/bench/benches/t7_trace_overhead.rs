@@ -14,8 +14,9 @@ use std::hint::black_box;
 use std::io;
 use std::time::{Duration, Instant};
 
-use flexprot_bench::{ENC_KEY, GUARD_KEY};
-use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
+use flexprot_core::{
+    protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY, DEFAULT_GUARD_KEY,
+};
 use flexprot_sim::{Outcome, SimConfig};
 use flexprot_trace::Recorder;
 
@@ -39,10 +40,10 @@ fn main() {
     let workload = flexprot_workloads::by_name("rle").expect("kernel");
     let config = ProtectionConfig::new()
         .with_guards(GuardConfig {
-            key: GUARD_KEY,
+            key: DEFAULT_GUARD_KEY,
             ..GuardConfig::with_density(1.0)
         })
-        .with_encryption(EncryptConfig::whole_program(ENC_KEY));
+        .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
     let protected = protect(&workload.image(), &config, None).expect("protect");
 
     let detached = median(|| {

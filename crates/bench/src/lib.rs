@@ -36,26 +36,19 @@
 //! experiments` (add `--quick` for a fast subset, `--jobs N` to size the
 //! worker pool).
 
-pub mod table;
-
 use flexprot_attack::{
     evaluate_random_nop, evaluate_targeted, Attack, AttackSummary, StaticOracle,
 };
 use flexprot_core::{
     optimize, EncryptConfig, GuardConfig, OptimizerConfig, Placement, ProtectionConfig, Selection,
+    DEFAULT_ENC_KEY, DEFAULT_GUARD_KEY,
 };
 use flexprot_exec::{AttackSpec, CellResult, Engine, Job, JobCtx};
 use flexprot_secmon::DecryptModel;
 use flexprot_sim::{CacheConfig, SimConfig};
 use flexprot_workloads::Workload;
 
-pub use flexprot_exec::Baseline;
-pub use table::Table;
-
-/// Master keys used across experiments (fixed for reproducibility).
-pub const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-/// Encryption master key.
-pub const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
+pub use flexprot_exec::{Baseline, Table};
 
 /// Global experiment parameters.
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +113,7 @@ fn fmt_pct(v: f64) -> String {
 
 fn guard_config(density: f64, placement: Placement) -> GuardConfig {
     GuardConfig {
-        key: GUARD_KEY,
+        key: DEFAULT_GUARD_KEY,
         seed: 7,
         placement,
         selection: Selection::Density(density),
@@ -309,7 +302,7 @@ pub fn f2_decrypt_latency(params: &Params, engine: &Engine) -> Table {
             };
             let enc = EncryptConfig {
                 model,
-                ..EncryptConfig::whole_program(ENC_KEY)
+                ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
             };
             Job::new(w, ProtectionConfig::new().with_encryption(enc))
         },
@@ -347,7 +340,8 @@ pub fn f3_icache_sweep(params: &Params, engine: &Engine) -> Table {
         "Encryption overhead (%) and baseline miss rate vs I-cache size",
         headers,
     );
-    let config = ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(ENC_KEY));
+    let config =
+        ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
     let grid = workload_grid(
         params,
         engine,
@@ -390,13 +384,13 @@ pub fn t3_configs() -> Vec<(&'static str, ProtectionConfig)> {
         ),
         (
             "enc",
-            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(ENC_KEY)),
+            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY)),
         ),
         (
             "guards+enc",
             ProtectionConfig::new()
                 .with_guards(guard_config(1.0, Placement::Uniform))
-                .with_encryption(EncryptConfig::whole_program(ENC_KEY)),
+                .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY)),
         ),
     ]
 }
@@ -543,7 +537,7 @@ pub fn f4_pareto(params: &Params, engine: &Engine) -> Table {
                 enforce_spacing: false,
                 ..guard_config(0.0, Placement::ColdestFirst)
             },
-            EncryptConfig::whole_program(ENC_KEY),
+            EncryptConfig::whole_program(DEFAULT_ENC_KEY),
         );
         let cell = ctx.run_cell(&Job::new(w, config).profiled());
         let enc_fns = plan.functions.values().filter(|f| f.encrypt).count();
@@ -615,7 +609,7 @@ pub fn f5_estimator(params: &Params, engine: &Engine) -> Table {
         ),
         (
             "enc program",
-            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(ENC_KEY)),
+            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY)),
         ),
     ];
     let mut cells = Vec::new();
@@ -676,7 +670,7 @@ pub fn t5_diversity(params: &Params, engine: &Engine) -> Table {
         let guarded = |seed: u64| {
             let config = ProtectionConfig::new().with_guards(GuardConfig {
                 seed,
-                key: GUARD_KEY ^ seed,
+                key: DEFAULT_GUARD_KEY ^ seed,
                 ..guard_config(0.5, Placement::Uniform)
             });
             cache.protected(w, &config, None).expect("protect")
@@ -689,10 +683,10 @@ pub fn t5_diversity(params: &Params, engine: &Engine) -> Table {
             let config = ProtectionConfig::new()
                 .with_guards(GuardConfig {
                     seed,
-                    key: GUARD_KEY ^ seed,
+                    key: DEFAULT_GUARD_KEY ^ seed,
                     ..guard_config(0.5, Placement::Uniform)
                 })
-                .with_encryption(EncryptConfig::whole_program(ENC_KEY ^ seed));
+                .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY ^ seed));
             cache.protected(w, &config, None).expect("protect")
         };
         let diversity = flexprot_attack::analysis::word_diversity;
@@ -730,7 +724,7 @@ pub fn t6_stealth(params: &Params, engine: &Engine) -> Table {
         let guards_cfg = ProtectionConfig::new().with_guards(guard_config(1.0, Placement::Uniform));
         let both_cfg = guards_cfg
             .clone()
-            .with_encryption(EncryptConfig::whole_program(ENC_KEY));
+            .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
         let guarded = cache.protected(w, &guards_cfg, None).expect("protect");
         let both = cache.protected(w, &both_cfg, None).expect("protect");
         let cases = [
@@ -970,44 +964,28 @@ pub fn t12_t13_crosscheck(params: &Params, engine: &Engine) -> [Table; 2] {
     [t12, t13]
 }
 
-/// How a registry entry builds its tables.
-#[derive(Debug, Clone, Copy)]
-pub enum Runner {
-    /// One table from its own grid.
-    One(fn(&Params, &Engine) -> Table),
-    /// Two tables projected from one shared campaign.
-    Two(fn(&Params, &Engine) -> [Table; 2]),
-}
+/// One registry entry: the ids of the tables its runner builds, and the
+/// runner, which returns them in that order.
+pub type Experiment = (&'static [&'static str], fn(&Params, &Engine) -> Vec<Table>);
 
-impl Runner {
-    /// Runs the experiment and returns its tables in registry-id order.
-    pub fn run(self, params: &Params, engine: &Engine) -> Vec<Table> {
-        match self {
-            Runner::One(run) => vec![run(params, engine)],
-            Runner::Two(run) => run(params, engine).into(),
-        }
-    }
-}
-
-/// Every experiment in print order, tagged with the ids of the tables its
-/// runner returns. Tables projected from one campaign share an entry, so
-/// the campaign runs once; all runners share one engine, so artifacts
-/// built by one experiment are reused by the next.
-pub const EXPERIMENTS: [(&[&str], Runner); 14] = [
-    (&["T1"], Runner::One(t1_characterize)),
-    (&["T2"], Runner::One(t2_size_overhead)),
-    (&["F1"], Runner::One(f1_guard_density)),
-    (&["F2"], Runner::One(f2_decrypt_latency)),
-    (&["F3"], Runner::One(f3_icache_sweep)),
-    (&["T3", "T9"], Runner::Two(t3_t9_attack_matrix)),
-    (&["F4"], Runner::One(f4_pareto)),
-    (&["T4"], Runner::One(t4_placement)),
-    (&["F5"], Runner::One(f5_estimator)),
-    (&["T5"], Runner::One(t5_diversity)),
-    (&["T6"], Runner::One(t6_stealth)),
-    (&["F6"], Runner::One(f6_latency)),
-    (&["T10"], Runner::One(t10_guardnet)),
-    (&["T12", "T13"], Runner::Two(t12_t13_crosscheck)),
+/// Every experiment in print order. Tables projected from one campaign
+/// share an entry, so the campaign runs once; all runners share one
+/// engine, so artifacts built by one experiment are reused by the next.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    (&["T1"], |p, e| vec![t1_characterize(p, e)]),
+    (&["T2"], |p, e| vec![t2_size_overhead(p, e)]),
+    (&["F1"], |p, e| vec![f1_guard_density(p, e)]),
+    (&["F2"], |p, e| vec![f2_decrypt_latency(p, e)]),
+    (&["F3"], |p, e| vec![f3_icache_sweep(p, e)]),
+    (&["T3", "T9"], |p, e| t3_t9_attack_matrix(p, e).into()),
+    (&["F4"], |p, e| vec![f4_pareto(p, e)]),
+    (&["T4"], |p, e| vec![t4_placement(p, e)]),
+    (&["F5"], |p, e| vec![f5_estimator(p, e)]),
+    (&["T5"], |p, e| vec![t5_diversity(p, e)]),
+    (&["T6"], |p, e| vec![t6_stealth(p, e)]),
+    (&["F6"], |p, e| vec![f6_latency(p, e)]),
+    (&["T10"], |p, e| vec![t10_guardnet(p, e)]),
+    (&["T12", "T13"], |p, e| t12_t13_crosscheck(p, e).into()),
 ];
 
 #[cfg(test)]

@@ -16,14 +16,14 @@ fn refused(args: &[&str]) -> String {
 
 #[test]
 fn unknown_only_id_is_a_usage_error_naming_the_known_ids() {
-    let err = refused(&["--only", "T99", "--no-csv"]);
+    let err = refused(&["--only", "T99"]);
     assert!(err.contains("unknown experiment `T99`"), "{err}");
     assert!(err.contains("T1, T2, F1"), "{err}");
 }
 
 #[test]
 fn zero_jobs_is_a_usage_error() {
-    let err = refused(&["--jobs", "0", "--no-csv"]);
+    let err = refused(&["--jobs", "0"]);
     assert!(err.contains("--jobs must be at least 1"), "{err}");
 }
 
@@ -38,7 +38,7 @@ fn scratch() -> PathBuf {
 fn metrics_into_a_directory_cannot_be_written() {
     let dir = scratch();
     let dir = dir.to_str().unwrap();
-    let err = refused(&["--quick", "--no-csv", "--metrics", dir]);
+    let err = refused(&["--quick", "--metrics", dir]);
     assert!(err.starts_with(&format!("cannot write {dir}: ")), "{err}");
 }
 
@@ -46,7 +46,7 @@ fn metrics_into_a_directory_cannot_be_written() {
 fn timings_into_a_directory_cannot_be_written() {
     let dir = scratch();
     let dir = dir.to_str().unwrap();
-    let err = refused(&["--quick", "--no-csv", "--timings", dir]);
+    let err = refused(&["--quick", "--timings", dir]);
     assert!(err.starts_with(&format!("cannot write {dir}: ")), "{err}");
 }
 

@@ -3,12 +3,13 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use flexprot_core::{
     protect, EncryptConfig, Granularity, GuardConfig, Placement, ProtectionConfig, Selection,
+    DEFAULT_ENC_KEY, DEFAULT_GUARD_KEY,
 };
-use flexprot_exec::{default_jobs, matrix, Engine, Job};
+use flexprot_exec::{default_jobs, matrix, Engine, Job, Table};
 use flexprot_isa::Image;
 use flexprot_secmon::{DecryptModel, SecMon, SecMonConfig};
 use flexprot_sim::{CacheConfig, Machine, Outcome, SimConfig};
@@ -72,47 +73,49 @@ fn secmon_arg(args: &Args) -> Result<SecMonConfig, CliError> {
         .map_or_else(|| Ok(SecMonConfig::transparent()), load_secmon)
 }
 
-/// RFC-4180 escaping for one CSV field: a value containing a comma, a
-/// double quote or a newline is quoted, with embedded quotes doubled.
-/// Plain values (the overwhelming majority) pass through unchanged, so
-/// existing baselines keep their bytes.
-pub(crate) fn csv_field(value: &str) -> String {
-    if value.contains([',', '"', '\n']) {
-        format!("\"{}\"", value.replace('"', "\"\""))
-    } else {
-        value.to_owned()
+/// An output file opened before any work, so an unwritable path costs no
+/// run. Every failure reads `cannot write <path>: …`.
+#[derive(Debug)]
+pub struct Output {
+    path: String,
+    file: File,
+}
+
+impl Output {
+    /// Creates (or truncates) the file `path` and its parent directories.
+    pub fn create(path: &str) -> Result<Output, CliError> {
+        Ok(Output {
+            path: path.to_owned(),
+            file: create(path)?,
+        })
+    }
+
+    /// Writes `text` to the file.
+    pub fn write(&self, text: &str) -> Result<(), CliError> {
+        (&self.file)
+            .write_all(text.as_bytes())
+            .map_err(cannot_write(&self.path))
     }
 }
 
-/// Joins one row with [`csv_field`] escaping applied to every cell.
-pub(crate) fn csv_row(cells: &[String]) -> String {
-    let mut line = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&csv_field(cell));
-    }
-    line
-}
-
-/// The shared option block of every batch driver (`fprun`'s multi-image
-/// mode, `fpsweep`, `fpmatrix`): worker count plus the CSV and metrics
-/// export paths. Parsing it in one place keeps `--jobs`
-/// semantics identical everywhere — explicit `--jobs 0` is a usage error
-/// (it used to clamp to one worker in some drivers while
-/// `FLEXPROT_JOBS=0` silently fell back to the CPU count).
-#[derive(Debug, Clone)]
-pub(crate) struct BatchOpts {
+/// The shared option block of every batch driver (`experiments`,
+/// `fprun`'s multi-image mode, `fpsweep`, `fpmatrix`): worker count plus
+/// the CSV directory and the metrics file. Parsing it in one place keeps
+/// the options identical everywhere: explicit `--jobs 0` is a usage error,
+/// `--csv <dir>` names the directory each result [`Table`] is saved into
+/// as `<dir>/<id>.csv`, and both outputs are created by
+/// [`BatchOpts::from_args`], before the driver does any work, so an
+/// unwritable path costs no run (`cannot write <path>: …`).
+#[derive(Debug)]
+pub struct BatchOpts {
     /// Worker threads; defaults to [`default_jobs`] (`FLEXPROT_JOBS` or
     /// the CPU count).
     pub workers: usize,
-    /// `--csv <path>`: write the tabular report here (`fpmatrix`: the
-    /// directory for its tables).
-    pub csv: Option<String>,
-    /// `--metrics <path>`: write the engine's aggregate
-    /// `flexprot-metrics-v1` document here.
-    pub metrics: Option<String>,
+    /// `--csv <dir>`: the directory every table is saved into.
+    csv: Option<String>,
+    /// `--metrics <path>`: the file the engine's aggregate
+    /// `flexprot-metrics-v1` document is written to.
+    metrics: Option<Output>,
 }
 
 impl BatchOpts {
@@ -120,6 +123,8 @@ impl BatchOpts {
     /// driver's `parse` list.
     pub const VALUED: [&'static str; 3] = ["jobs", "csv", "metrics"];
 
+    /// Reads the block from parsed arguments, creates the `--csv`
+    /// directory and opens the `--metrics` file.
     pub fn from_args(args: &Args) -> Result<BatchOpts, CliError> {
         let workers: usize = args.parse_or("jobs", default_jobs())?;
         if workers == 0 {
@@ -128,25 +133,35 @@ impl BatchOpts {
                     .to_owned(),
             ));
         }
+        let csv = args.value("csv");
+        if let Some(dir) = csv {
+            std::fs::create_dir_all(dir).map_err(cannot_write(dir))?;
+        }
         Ok(BatchOpts {
             workers,
-            csv: args.value("csv").map(str::to_owned),
-            metrics: args.value("metrics").map(str::to_owned),
+            csv: csv.map(str::to_owned),
+            metrics: args.value("metrics").map(Output::create).transpose()?,
         })
     }
 
-    /// Writes the CSV report if `--csv` was given.
-    pub fn write_csv(&self, csv: &str) -> Result<(), CliError> {
-        match &self.csv {
-            Some(path) => write(path, csv.as_bytes()),
-            None => Ok(()),
-        }
+    /// Saves `table` into the `--csv` directory and returns the written
+    /// path; `None` without `--csv`.
+    pub fn save_csv(&self, table: &Table) -> Result<Option<PathBuf>, CliError> {
+        let Some(dir) = &self.csv else {
+            return Ok(None);
+        };
+        table.save_csv(dir).map(Some).map_err(|e| {
+            CliError(format!(
+                "cannot write {}: {e}",
+                table.csv_path(dir).display()
+            ))
+        })
     }
 
     /// Writes the engine's aggregate metrics if `--metrics` was given.
     pub fn write_metrics(&self, engine: &Engine) -> Result<(), CliError> {
         match &self.metrics {
-            Some(path) => write(path, engine.metrics().to_json().as_bytes()),
+            Some(output) => output.write(&engine.metrics().to_json()),
             None => Ok(()),
         }
     }
@@ -295,7 +310,7 @@ pub fn fpprotect(raw_args: &[String]) -> Result<String, CliError> {
             other => return Err(CliError(format!("unknown placement `{other}`"))),
         };
         config.guards = Some(GuardConfig {
-            key: args.parse_or("guard-key", 0x0BAD_C0DE_CAFE_F00Du64)?,
+            key: args.parse_or("guard-key", DEFAULT_GUARD_KEY)?,
             seed: args.parse_or("seed", 1u64)?,
             placement,
             selection: Selection::Density(density),
@@ -317,7 +332,7 @@ pub fn fpprotect(raw_args: &[String]) -> Result<String, CliError> {
             )));
         }
         config.encryption = Some(EncryptConfig {
-            master_key: args.parse_or("enc-key", 0x5EED_5EED_5EED_5EEDu64)?,
+            master_key: args.parse_or("enc-key", DEFAULT_ENC_KEY)?,
             granularity,
             model: DecryptModel {
                 cycles_per_word,
@@ -564,14 +579,14 @@ pub struct LintSummary {
 }
 
 /// `fplint <image.fpx> [--secmon <cfg.fpm>] [--deny L,..] [--allow L,..]
-/// [--format human|csv|json] [--csv] [--taint] [--surface] [--guardnet]
+/// [--format human|csv|json] [--taint] [--surface] [--guardnet]
 /// [--equiv <baseline.fpx>] [--lints]`.
 ///
 /// Statically verifies the protection contract of an image against its
 /// monitor configuration (transparent configuration if `--secmon` is
 /// omitted). `--deny`/`--allow` take comma-separated lint IDs or names;
-/// `--format` selects the report rendering (`--csv` is a shorthand for
-/// `--format csv`; `json` emits the stable `flexprot-lint-v1` document);
+/// `--format` selects the report rendering (`json` emits the stable
+/// `flexprot-lint-v1` document);
 /// `--taint` additionally runs the key-flow taint analysis (FP901–FP904
 /// findings; the JSON document's `stats.taint` object carries the run
 /// counters); `--surface` prints the static tamper-surface map
@@ -602,7 +617,7 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
     let args = parse(
         raw_args,
         &["secmon", "deny", "allow", "format", "equiv"],
-        &["csv", "taint", "surface", "guardnet", "lints"],
+        &["taint", "surface", "guardnet", "lints"],
     )?;
     if args.has("lints") {
         let mut out = String::new();
@@ -623,13 +638,12 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
     let [input] = args.positional.as_slice() else {
         return Err(CliError(
             "usage: fplint <image.fpx> [--secmon <cfg.fpm>] [--deny L,..] \
-             [--allow L,..] [--format human|csv|json] [--csv] [--taint] \
+             [--allow L,..] [--format human|csv|json] [--taint] \
              [--surface] [--guardnet] [--equiv <baseline.fpx>] [--lints]"
                 .to_owned(),
         ));
     };
     let format = match args.value("format") {
-        None if args.has("csv") => "csv",
         None => "human",
         Some(f @ ("human" | "csv" | "json")) => f,
         Some(other) => {
@@ -681,36 +695,6 @@ pub fn fplint(raw_args: &[String]) -> Result<LintSummary, CliError> {
         report,
         exit_code: i32::from(!verification.report.is_clean()),
     })
-}
-
-/// The four tables [`fpmatrix`] writes, in output order: file name and
-/// header line.
-const MATRIX_TABLES: [(&str, &str); 4] = [
-    (
-        "surface.csv",
-        "program,cell,text_words,reachable,windows,covered,encrypted,surface,\
-         errors,warnings,full_coverage",
-    ),
-    (
-        "guardnet.csv",
-        "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,\
-         min_cut,proven,mismatch,unproven,errors",
-    ),
-    ("refusals.csv", "program,cell,site,verdict,code"),
-    (
-        "equiv.csv",
-        "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
-         windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
-         fp801,fp802,fp803,fp804,errors",
-    ),
-];
-
-/// One protection-matrix cell as [`fpmatrix`] reports it.
-struct CellReport {
-    /// The cell's rows in each of the [`MATRIX_TABLES`], in their order.
-    rows: [Vec<Vec<String>>; 4],
-    /// Whether neither report has an error-severity finding.
-    clean: bool,
 }
 
 /// `fpmatrix [--programs a,b,..] [--jobs N] [--csv <dir>]
@@ -800,37 +784,56 @@ pub fn fpmatrix(raw_args: &[String]) -> Result<LintSummary, CliError> {
         let verification = shipped.analyze(&LintPolicy::default(), false);
         let equiv = shipped.validate(image, &LintPolicy::default());
         let (guardnet, refusals) = netmap_cell(name, cell, &verification);
-        Ok::<_, CliError>(CellReport {
-            rows: [
-                vec![surface_cell(name, cell, &verification)],
-                vec![guardnet],
-                refusals,
-                vec![equiv_cell(name, cell, &equiv)],
-            ],
-            clean: verification.report.is_clean() && equiv.is_clean(),
-        })
+        let rows = [
+            vec![surface_cell(name, cell, &verification)],
+            vec![guardnet],
+            refusals,
+            vec![equiv_cell(name, cell, &equiv)],
+        ];
+        Ok::<_, CliError>((rows, verification.report.is_clean() && equiv.is_clean()))
     });
 
-    let mut tables = MATRIX_TABLES.map(|(_, header)| format!("{header}\n"));
+    let table = |id, title, header: &str| {
+        Table::with_headers(id, title, header.split(',').map(str::to_owned).collect())
+    };
+    let mut tables = [
+        table(
+            "surface",
+            "static tamper surface",
+            "program,cell,text_words,reachable,windows,covered,encrypted,surface,errors,\
+             warnings,full_coverage",
+        ),
+        table(
+            "guardnet",
+            "guard network and checksum proofs",
+            "program,cell,guards,sound,edges,sccs,unchecked,acyclic,articulation,min_cut,\
+             proven,mismatch,unproven,errors",
+        ),
+        table(
+            "refusals",
+            "guard windows the checksum prover did not prove",
+            "program,cell,site,verdict,code",
+        ),
+        table(
+            "equiv",
+            "translation validation",
+            "program,cell,verdict,witness,base_words,prot_words,guard_words,aligned,\
+             windows_proven,windows_refused,refusal_codes,cipher_regions,cipher_words,\
+             fp801,fp802,fp803,fp804,errors",
+        ),
+    ];
     let mut clean = true;
     for result in results {
-        let cell = result?;
-        clean &= cell.clean;
-        for (table, rows) in tables.iter_mut().zip(&cell.rows) {
-            for row in rows {
-                table.push_str(&csv_row(row));
-                table.push('\n');
-            }
+        let (rows, cell_clean) = result?;
+        clean &= cell_clean;
+        for (table, rows) in tables.iter_mut().zip(rows) {
+            table.extend(rows);
         }
     }
     let mut report = String::new();
-    for ((file, _), table) in MATRIX_TABLES.iter().zip(&tables) {
-        match &batch.csv {
-            Some(dir) => write(
-                &Path::new(dir).join(file).to_string_lossy(),
-                table.as_bytes(),
-            )?,
-            None => report.push_str(&format!("# {file}\n{table}")),
+    for table in &tables {
+        if batch.save_csv(table)?.is_none() {
+            report.push_str(&format!("# {}.csv\n{}", table.id, table.to_csv()));
         }
     }
     batch.write_metrics(&engine)?;
@@ -1019,7 +1022,7 @@ pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
 }
 
 /// `fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] [--encrypt]
-/// [--jobs N] [--csv <out.csv>] [--metrics <out.json>]` — run a guard
+/// [--jobs N] [--csv <dir>] [--metrics <out.json>]` — run a guard
 /// density sweep over built-in workloads on the batched execution engine.
 ///
 /// Each (workload, density) cell protects the kernel with uniform
@@ -1028,7 +1031,8 @@ pub fn fpcc(raw_args: &[String]) -> Result<String, CliError> {
 /// cached unprotected baseline. Cells fan out over `--jobs` workers;
 /// compiled images, baselines and protected binaries are shared through
 /// the engine's artifact cache, and the rendered rows are identical
-/// whatever the worker count.
+/// whatever the worker count. The report is the `sweep` [`Table`] plus a
+/// cache summary line; `--csv <dir>` saves the table as `<dir>/sweep.csv`.
 ///
 /// # Errors
 ///
@@ -1040,7 +1044,7 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     if !args.positional.is_empty() {
         return Err(CliError(
             "usage: fpsweep [--workloads a,b,..] [--densities 0.25,1.0,..] \
-             [--encrypt] [--jobs N] [--csv <out.csv>] [--metrics <out.json>]"
+             [--encrypt] [--jobs N] [--csv <dir>] [--metrics <out.json>]"
                 .to_owned(),
         ));
     }
@@ -1083,7 +1087,7 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     for &workload in &workloads {
         for &density in &densities {
             let mut config = ProtectionConfig::new().with_guards(GuardConfig {
-                key: 0x0BAD_C0DE_CAFE_F00D,
+                key: DEFAULT_GUARD_KEY,
                 seed: 7,
                 placement: Placement::Uniform,
                 selection: Selection::Density(density),
@@ -1091,8 +1095,7 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
             });
             let mut tag = format!("guards@{density}");
             if encrypt {
-                config =
-                    config.with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+                config = config.with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
                 tag.push_str("+enc");
             }
             grid.push((tag, Job::new(workload, config).profiled()));
@@ -1103,19 +1106,20 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
     let engine = Engine::new(batch.workers);
     let cells = engine.run_jobs(&grid, |ctx, (_, job)| ctx.run_cell(job));
 
-    let mut rows: Vec<Vec<String>> = vec![[
-        "workload",
-        "config",
-        "base-cycles",
-        "cycles",
-        "+%",
-        "guards",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect()];
+    let mut table = Table::new(
+        "sweep",
+        "guard density sweep",
+        &[
+            "workload",
+            "config",
+            "base-cycles",
+            "cycles",
+            "+%",
+            "guards",
+        ],
+    );
     for ((tag, job), cell) in grid.iter().zip(&cells) {
-        rows.push(vec![
+        table.push(vec![
             job.workload.name.to_owned(),
             tag.clone(),
             cell.baseline.run.stats.cycles.to_string(),
@@ -1125,41 +1129,17 @@ pub fn fpsweep(raw_args: &[String]) -> Result<String, CliError> {
         ]);
     }
 
-    if batch.csv.is_some() {
-        let mut csv = String::new();
-        for row in &rows {
-            csv.push_str(&csv_row(row));
-            csv.push('\n');
-        }
-        batch.write_csv(&csv)?;
-    }
+    batch.save_csv(&table)?;
     batch.write_metrics(&engine)?;
 
-    let mut widths = vec![0usize; rows[0].len()];
-    for row in &rows {
-        for (width, cell) in widths.iter_mut().zip(row) {
-            *width = (*width).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    for row in &rows {
-        for (i, (cell, width)) in row.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&format!("{cell:>width$}"));
-        }
-        out.push('\n');
-    }
     let stats = engine.cache().stats();
-    out.push_str(&format!(
-        "({} cells, {} workers, cache {} hits / {} misses)\n",
+    Ok(format!(
+        "{table}({} cells, {} workers, cache {} hits / {} misses)\n",
         grid.len(),
         engine.workers(),
         stats.hits,
         stats.misses
-    ));
-    Ok(out)
+    ))
 }
 
 #[cfg(test)]
@@ -1721,7 +1701,7 @@ loop:   addu $s1, $s1, $s0
         assert!(dirty.report.contains("[FP1"), "{}", dirty.report);
 
         // CSV output carries the same findings machine-readably.
-        let csv = fplint(&strs(&[&bad, "--secmon", &fpm, "--csv"])).unwrap();
+        let csv = fplint(&strs(&[&bad, "--secmon", &fpm, "--format", "csv"])).unwrap();
         assert!(csv.report.starts_with("id,name,severity,addr,message"));
         assert_eq!(csv.exit_code, 1);
 
@@ -1808,10 +1788,10 @@ loop:   addu $s1, $s1, $s0
         );
         assert!(doc.get("stats").is_some(), "{}", lint.report);
 
-        // --format csv matches the --csv shorthand.
-        let long = fplint(&strs(&[&prot, "--secmon", &fpm, "--format", "csv"])).unwrap();
-        let short = fplint(&strs(&[&prot, "--secmon", &fpm, "--csv"])).unwrap();
-        assert_eq!(long, short);
+        // --format csv is the one spelling: the old --csv shorthand is a
+        // usage error, not a second way to ask for it.
+        let err = fplint(&strs(&[&prot, "--secmon", &fpm, "--csv"])).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --csv");
 
         // --surface prints the tamper-surface map; every reachable word
         // is covered at density 1.0.
@@ -1896,14 +1876,6 @@ loop:   addu $s1, $s1, $s0
         assert!(fplint(&strs(&[])).is_err());
         assert!(fplint(&strs(&["/nonexistent.fpx"])).is_err());
         assert!(fplint(&strs(&[&prot, "--format", "yaml"])).is_err());
-    }
-
-    #[test]
-    fn csv_fields_with_commas_and_quotes_are_escaped() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_row(&["a".to_owned(), "b,c".to_owned()]), "a,\"b,c\"");
     }
 
     #[test]
@@ -1994,23 +1966,24 @@ loop:   addu $s1, $s1, $s0
         }
     }
 
-    #[test]
-    fn batch_drivers_reject_zero_jobs() {
-        for err in [
-            fpmatrix(&strs(&["--jobs", "0"])).unwrap_err(),
-            fpsweep(&strs(&["--jobs", "0"])).unwrap_err(),
-        ] {
-            assert!(err.to_string().contains("--jobs"), "{err}");
-        }
+    /// The tables [`fpmatrix`] writes, in output order.
+    const MATRIX_TABLES: [&str; 4] = ["surface", "guardnet", "refusals", "equiv"];
+
+    /// The committed full-grid baseline of one [`MATRIX_TABLES`] entry.
+    fn matrix_baseline(table: &str) -> String {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        std::fs::read_to_string(results.join(format!("{table}_baseline.csv"))).unwrap()
     }
 
     /// Splits an [`fpmatrix`] report into its tables, each checked to sit
-    /// under its `# <name>.csv` line in [`MATRIX_TABLES`] order.
+    /// under its `# <name>.csv` line in [`MATRIX_TABLES`] order and to
+    /// start with its baseline's header.
     fn matrix_tables(report: &str) -> Vec<Vec<&str>> {
         let mut tables: Vec<Vec<&str>> = Vec::new();
         for line in report.lines() {
             if let Some(file) = line.strip_prefix("# ") {
-                assert_eq!(file, MATRIX_TABLES[tables.len()].0, "{report}");
+                let want = format!("{}.csv", MATRIX_TABLES[tables.len()]);
+                assert_eq!(file, want, "{report}");
                 tables.push(Vec::new());
             } else {
                 tables
@@ -2020,8 +1993,8 @@ loop:   addu $s1, $s1, $s0
             }
         }
         assert_eq!(tables.len(), MATRIX_TABLES.len(), "{report}");
-        for (lines, (_, header)) in tables.iter().zip(MATRIX_TABLES) {
-            assert_eq!(lines[0], header);
+        for (lines, table) in tables.iter().zip(MATRIX_TABLES) {
+            assert_eq!(lines[0], matrix_baseline(table).lines().next().unwrap());
         }
         tables
     }
@@ -2142,7 +2115,6 @@ loop:   addu $s1, $s1, $s0
         .unwrap();
         assert_eq!(run.exit_code, 0);
         assert_eq!(run.report, "", "--csv writes the tables, not the report");
-        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         let mut written: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
@@ -2152,18 +2124,16 @@ loop:   addu $s1, $s1, $s0
             written,
             ["equiv.csv", "guardnet.csv", "refusals.csv", "surface.csv"]
         );
-        for (file, _) in MATRIX_TABLES {
-            let baseline = results.join(file.replace(".csv", "_baseline.csv"));
-            let baseline = std::fs::read_to_string(&baseline).unwrap();
+        for table in MATRIX_TABLES {
             let mut want = String::new();
-            for (i, line) in baseline.lines().enumerate() {
+            for (i, line) in matrix_baseline(table).lines().enumerate() {
                 if i == 0 || line.starts_with("collatz,") || line.starts_with("rle,") {
                     want.push_str(line);
                     want.push('\n');
                 }
             }
-            let got = std::fs::read_to_string(Path::new(&dir).join(file)).unwrap();
-            assert_eq!(got, want, "{file}");
+            let got = std::fs::read_to_string(Path::new(&dir).join(format!("{table}.csv")));
+            assert_eq!(got.unwrap(), want, "{table}");
         }
     }
 
@@ -2337,25 +2307,27 @@ loop:   addu $s1, $s1, $s0
 
     #[test]
     fn sweep_writes_csv_and_metrics() {
-        let dir = std::env::temp_dir().join("flexprot-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv_path = dir.join("sweep.csv").to_string_lossy().into_owned();
-        let metrics_path = dir
-            .join("sweep.metrics.json")
-            .to_string_lossy()
-            .into_owned();
+        let dir = tmp("sweep.csv.d");
+        let _ = std::fs::remove_dir_all(&dir);
+        let metrics_path = tmp("sweep.metrics.json");
         fpsweep(&strs(&[
             "--workloads",
             "rle",
             "--densities",
             "1.0",
             "--csv",
-            &csv_path,
+            &dir,
             "--metrics",
             &metrics_path,
         ]))
         .unwrap();
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
+        // --csv names a directory; the sweep is its one table.
+        let written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(written, ["sweep.csv"]);
+        let csv = std::fs::read_to_string(Path::new(&dir).join("sweep.csv")).unwrap();
         assert!(csv.starts_with("workload,config,base-cycles"), "{csv}");
         let metrics = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(
@@ -2363,6 +2335,46 @@ loop:   addu $s1, $s1, $s0
             "{metrics}"
         );
         assert!(metrics.contains("exec_jobs_completed"), "{metrics}");
+    }
+
+    #[test]
+    fn batch_drivers_refuse_bad_options_before_any_cell_runs() {
+        // --jobs 0, a --csv that names a regular file and a --metrics that
+        // names a directory are refused up front: the fresh --csv
+        // directory of the last case stays empty, so no cell ran and no
+        // table was written.
+        let file = tmp("batch.not-a-directory");
+        std::fs::write(&file, "").unwrap();
+        let dir = tmp("batch.metrics.d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fresh = tmp("batch.fresh.d");
+        type Driver = fn(&[String]) -> Result<String, CliError>;
+        let drivers: [(Driver, &[&str]); 2] = [
+            (
+                |a| fpmatrix(a).map(|s| s.report),
+                &["--programs", "collatz"],
+            ),
+            (fpsweep, &["--workloads", "rle", "--densities", "1.0"]),
+        ];
+        for (driver, grid) in drivers {
+            let err = driver(&strs(&[grid, &["--jobs", "0"]].concat())).unwrap_err();
+            assert!(err.to_string().contains("--jobs"), "{err}");
+            let err = driver(&strs(&[grid, &["--csv", &file]].concat())).unwrap_err();
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("cannot write {file}: ")),
+                "{err}"
+            );
+            let _ = std::fs::remove_dir_all(&fresh);
+            let args = [grid, &["--csv", &fresh, "--metrics", &dir]].concat();
+            let err = driver(&strs(&args)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("cannot write {dir}: ")),
+                "{err}"
+            );
+            assert_eq!(std::fs::read_dir(&fresh).unwrap().count(), 0, "{err}");
+        }
     }
 
     #[test]

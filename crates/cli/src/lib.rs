@@ -24,11 +24,18 @@
 //! ```text
 //! fpmatrix --jobs 4 --csv matrix/   # surface, guardnet, refusals, equiv .csv
 //! ```
+//!
+//! The batch drivers (`fpsweep`, `fpmatrix` and the evaluation's
+//! `experiments` binary in `flexprot-bench`) share one option block,
+//! [`BatchOpts`], parsed by [`args::parse`]: `--jobs N`, `--csv <dir>`
+//! (one `<id>.csv` per result [`Table`](flexprot_exec::Table)) and
+//! `--metrics <out.json>`; `fprun` over several images takes its
+//! `--jobs` and `--metrics`. Both outputs are created before any work.
 
 pub mod args;
 pub mod drivers;
 
 pub use drivers::{
-    fpasm, fpcc, fplint, fpmatrix, fpobjdump, fpprotect, fprun, fpsweep, CliError, LintSummary,
-    RunSummary,
+    fpasm, fpcc, fplint, fpmatrix, fpobjdump, fpprotect, fprun, fpsweep, BatchOpts, CliError,
+    LintSummary, Output, RunSummary,
 };

@@ -33,6 +33,10 @@ pub enum Granularity {
     Block,
 }
 
+/// The fixed encryption master key of the CLI drivers' defaults and the
+/// evaluation (callers wanting secrecy supply their own).
+pub const DEFAULT_ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
+
 /// Configuration of the encryption pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncryptConfig {

@@ -32,6 +32,10 @@ pub enum Selection {
     PerFunction(BTreeMap<String, f64>),
 }
 
+/// The fixed guard key of [`GuardConfig::with_density`], the CLI drivers'
+/// defaults and the evaluation (callers wanting secrecy supply their own).
+pub const DEFAULT_GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
+
 /// Configuration of the guard-insertion pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardConfig {
@@ -54,7 +58,7 @@ impl GuardConfig {
     /// own).
     pub fn with_density(density: f64) -> GuardConfig {
         GuardConfig {
-            key: 0x0BAD_C0DE_CAFE_F00D,
+            key: DEFAULT_GUARD_KEY,
             seed: 1,
             placement: Placement::Uniform,
             selection: Selection::Density(density),

@@ -53,10 +53,12 @@ pub mod profile;
 pub mod watermark;
 
 pub use cfg::{Block, Cfg, Function, Terminator};
-pub use encrypt::{encrypt_text, EncryptConfig, EncryptOutcome, Granularity};
+pub use encrypt::{encrypt_text, EncryptConfig, EncryptOutcome, Granularity, DEFAULT_ENC_KEY};
 pub use error::ProtectError;
 pub use estimate::{estimate, OverheadEstimate};
-pub use guards::{insert_guards, select_guard_blocks, GuardConfig, GuardOutcome, Selection};
+pub use guards::{
+    insert_guards, select_guard_blocks, GuardConfig, GuardOutcome, Selection, DEFAULT_GUARD_KEY,
+};
 pub use optimize::{optimize, FunctionPlan, OptimizerConfig, Plan};
 pub use pipeline::{protect, ProtectReport, Protected, ProtectionConfig};
 pub use place::Placement;

@@ -132,7 +132,6 @@ impl ArtifactCache {
         config: &ProtectionConfig,
         profile_sim: Option<&SimConfig>,
     ) -> Result<Arc<Protected>, String> {
-        let image = self.image(workload);
         let provenance = match profile_sim {
             Some(sim) => format!("profile@{sim:?}"),
             None => "unprofiled".to_owned(),
@@ -140,6 +139,7 @@ impl ArtifactCache {
         let key = format!("{}|{config:?}|{provenance}", workload.name);
         let slot = self.slot(&self.protecteds, &key);
         slot.get_or_init(|| {
+            let image = self.image(workload);
             let profile = profile_sim.map(|sim| self.baseline(workload, sim));
             protect(&image, config, profile.as_deref().map(|b| &b.profile))
                 .map(Arc::new)
@@ -198,6 +198,18 @@ mod tests {
             !Arc::ptr_eq(&g, &g_prof),
             "profile provenance is part of the key"
         );
+    }
+
+    #[test]
+    fn repeated_protected_lookups_count_one_hit_each() {
+        let cache = ArtifactCache::new();
+        let config = ProtectionConfig::new();
+        cache.protected(&rle(), &config, None).unwrap();
+        // The build looked up the image: two misses, no hit.
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+        cache.protected(&rle(), &config, None).unwrap();
+        // The repeat finds the protected slot and builds nothing.
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]

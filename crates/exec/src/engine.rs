@@ -53,11 +53,6 @@ impl Engine {
         }
     }
 
-    /// An engine sized by [`default_jobs`].
-    pub fn with_default_jobs() -> Engine {
-        Engine::new(default_jobs())
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers

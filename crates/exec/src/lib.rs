@@ -19,7 +19,9 @@
 //!   counter/histogram merges), so the aggregate too is independent of
 //!   scheduling;
 //! * [`matrix`] defines the golden protection matrix (programs × cells)
-//!   that the matrix sweeps, acceptance tests and CI baselines share.
+//!   that the matrix sweeps, acceptance tests and CI baselines share;
+//! * a [`Table`] is the one result-grid format: every driver writes its
+//!   CSV files and aligned text through it.
 //!
 //! # Example
 //!
@@ -38,10 +40,12 @@ mod cache;
 mod engine;
 pub mod matrix;
 mod sweep;
+mod table;
 
 pub use cache::{ArtifactCache, Baseline, CacheStats};
 pub use engine::{default_jobs, Engine, JobCtx};
 pub use sweep::{AttackSpec, CellResult, Job};
+pub use table::Table;
 
 // Re-exported so engine users can build jobs without extra imports.
 pub use flexprot_core::ProtectionConfig;

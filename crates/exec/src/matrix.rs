@@ -10,13 +10,8 @@
 //! `fpmatrix` writes, pinned as the committed `results/*_baseline.csv`
 //! files, so renaming one moves every baseline.
 
-use flexprot_core::{EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
+use flexprot_core::{EncryptConfig, Granularity, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY};
 use flexprot_isa::Image;
-
-/// Guard-layer key of every guarded cell.
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-/// Master cipher key of every encrypted cell.
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 
 /// The matrix programs in row order: the MiniC kernels, then the
 /// assembly workloads.
@@ -39,13 +34,10 @@ pub fn programs() -> Vec<(String, Image)> {
 
 /// The protection cells in column order, keyed by their CSV name.
 pub fn cells() -> Vec<(&'static str, ProtectionConfig)> {
-    let guards = |density: f64| GuardConfig {
-        key: GUARD_KEY,
-        ..GuardConfig::with_density(density)
-    };
+    let guards = GuardConfig::with_density;
     let enc = |granularity: Granularity| EncryptConfig {
         granularity,
-        ..EncryptConfig::whole_program(ENC_KEY)
+        ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
     };
     vec![
         ("none", ProtectionConfig::new()),

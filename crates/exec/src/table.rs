@@ -1,13 +1,14 @@
-//! Plain-text/CSV result tables.
+//! Result tables: the one grid format every driver writes, as CSV files
+//! and as aligned text.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One experiment's result table.
+/// One result table: an experiment's table or one of a sweep's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
-    /// Experiment id, e.g. `"F1"`.
+    /// Table id, e.g. `"F1"` or `"surface"`; names the CSV file.
     pub id: &'static str,
     /// Human-readable caption.
     pub title: String,
@@ -43,13 +44,22 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders as CSV (headers first).
+    /// Renders as CSV (headers first). A field containing a comma, a
+    /// double quote or a newline is quoted with embedded quotes doubled
+    /// (RFC 4180); every other field is written as is.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, field) in line.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if field.contains([',', '"', '\n']) {
+                    out.push_str(&format!("\"{}\"", field.replace('"', "\"\"")));
+                } else {
+                    out.push_str(field);
+                }
+            }
             out.push('\n');
         }
         out
@@ -130,6 +140,21 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "name,value");
         assert_eq!(lines[2], "long-name,22");
+    }
+
+    #[test]
+    fn csv_fields_with_commas_quotes_and_newlines_are_escaped() {
+        let mut t = Table::new("esc", "escaping", &["plain", "comma", "quote", "newline"]);
+        t.push(vec![
+            "a".into(),
+            "b,c".into(),
+            "say \"hi\"".into(),
+            "two\nlines".into(),
+        ]);
+        assert_eq!(
+            t.to_csv(),
+            "plain,comma,quote,newline\na,\"b,c\",\"say \"\"hi\"\"\",\"two\nlines\"\n"
+        );
     }
 
     #[test]

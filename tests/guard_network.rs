@@ -14,17 +14,15 @@
 //!    baseline on a weakly connected configuration.
 
 use flexprot::attack::{evaluate_random_nop, evaluate_targeted, StaticOracle};
-use flexprot::core::{protect, GuardConfig, ProtectionConfig};
+use flexprot::core::{protect, GuardConfig, ProtectionConfig, DEFAULT_GUARD_KEY};
 use flexprot::secmon::guard::{decode_guard_symbol, encode_guard_inst, is_guard_form};
 use flexprot::sim::SimConfig;
 use flexprot::verify::{analyze, verify, LintPolicy, Verdict};
 use flexprot_exec::matrix;
 
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-
 fn guards(density: f64) -> GuardConfig {
     GuardConfig {
-        key: GUARD_KEY,
+        key: DEFAULT_GUARD_KEY,
         ..GuardConfig::with_density(density)
     }
 }

@@ -9,7 +9,9 @@
 //! the value read is `plaintext XOR keystream(key)` — and stores it to
 //! the data segment where an attacker can read it back.
 
-use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectError, ProtectionConfig};
+use flexprot_core::{
+    protect, EncryptConfig, GuardConfig, ProtectError, ProtectionConfig, DEFAULT_GUARD_KEY,
+};
 use flexprot_isa::Image;
 
 /// Reads the first word of its own (encrypted) text segment as data and
@@ -120,7 +122,7 @@ fn clean_programs_pass_the_gate_across_the_protection_matrix() {
         encrypted_config().with_key_flow_check(),
         encrypted_config()
             .with_guards(GuardConfig {
-                key: 0x0BAD_C0DE_CAFE_F00D,
+                key: DEFAULT_GUARD_KEY,
                 ..GuardConfig::with_density(1.0)
             })
             .with_key_flow_check(),

@@ -2,7 +2,7 @@
 //! serialize → deserialize → run round trip — the shipping path of a real
 //! deployment (binary to the device, monitor config to the FPGA).
 
-use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
+use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY};
 use flexprot::isa::{Image, ImageFormatError, Segment};
 use flexprot::secmon::{GuardSite, SecMon, SecMonConfig};
 use flexprot::sim::{Machine, Outcome, SimConfig, TamperCause, TamperEvent};
@@ -210,7 +210,7 @@ fn hostile_decrypt_latency_is_refused_not_wrapped() {
     .expect("assemble");
     let config = ProtectionConfig::new()
         .with_guards(GuardConfig::with_density(1.0))
-        .with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+        .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
     let protected = protect(&image, &config, None).expect("protect");
     let ceiling = 1u64 << 20;
     for (cycles_per_word, startup, field, cycles) in [
@@ -266,7 +266,7 @@ fn hostile_protected_range_is_counted_not_walked() {
     .expect("assemble");
     let config = ProtectionConfig::new()
         .with_guards(GuardConfig::with_density(1.0))
-        .with_encryption(EncryptConfig::whole_program(0x5EED_5EED_5EED_5EED));
+        .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
     let protected = protect(&image, &config, None).expect("protect");
     assert_eq!(protected.secmon.protected.len(), 1);
     for (start, end, message) in [

@@ -11,18 +11,17 @@
 //!    sweep.
 
 use flexprot::attack::{campaign_sim, evaluate, Attack, AttackSummary};
-use flexprot::core::{protect, EncryptConfig, GuardConfig, ProtectionConfig};
+use flexprot::core::{
+    protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY, DEFAULT_GUARD_KEY,
+};
 use flexprot::isa::Image;
 use flexprot::sim::{Machine, SimConfig};
 use flexprot::verify::{analyze, LintPolicy, SurfaceMap};
 use flexprot_exec::matrix;
 
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
-
 fn guards(density: f64) -> GuardConfig {
     GuardConfig {
-        key: GUARD_KEY,
+        key: DEFAULT_GUARD_KEY,
         ..GuardConfig::with_density(density)
     }
 }
@@ -103,13 +102,13 @@ fn static_oracle_meets_precision_and_recall_targets() {
         ("guards", ProtectionConfig::new().with_guards(guards(1.0))),
         (
             "enc",
-            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(ENC_KEY)),
+            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY)),
         ),
         (
             "guards+enc",
             ProtectionConfig::new()
                 .with_guards(guards(1.0))
-                .with_encryption(EncryptConfig::whole_program(ENC_KEY)),
+                .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY)),
         ),
     ];
     let baseline = Machine::new(&image, SimConfig::default()).run();

@@ -8,13 +8,13 @@
 //! region key) must be caught with witness addresses inside the damaged
 //! range.
 
-use flexprot::core::{protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig};
+use flexprot::core::{
+    protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY,
+    DEFAULT_GUARD_KEY,
+};
 use flexprot::secmon::derive_subkey;
 use flexprot::verify::equiv::{self, EquivVerdict};
 use flexprot_exec::matrix;
-
-const GUARD_KEY: u64 = 0x0BAD_C0DE_CAFE_F00D;
-const ENC_KEY: u64 = 0x5EED_5EED_5EED_5EED;
 
 #[test]
 fn every_matrix_cell_is_proven_or_carries_a_witness() {
@@ -98,7 +98,7 @@ fn pipeline_matrix_is_fully_proven() {
 fn injected_guard_clobber_is_caught_with_witness() {
     let (name, image) = &matrix::programs()[0];
     let config = ProtectionConfig::new().with_guards(GuardConfig {
-        key: GUARD_KEY,
+        key: DEFAULT_GUARD_KEY,
         ..GuardConfig::with_density(1.0)
     });
     let protected = protect(image, &config, None).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -144,7 +144,7 @@ fn injected_cipher_key_skew_is_caught_with_witness() {
     let (name, image) = &matrix::programs()[0];
     let config = ProtectionConfig::new().with_encryption(EncryptConfig {
         granularity: Granularity::Function,
-        ..EncryptConfig::whole_program(ENC_KEY)
+        ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
     });
     let protected = protect(image, &config, None).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut skewed = protected.secmon.clone();
@@ -159,7 +159,7 @@ fn injected_cipher_key_skew_is_caught_with_witness() {
     let mut patched = regions.clone();
     for r in &mut patched {
         if r.start == victim.start {
-            r.key = derive_subkey(ENC_KEY ^ 1, r.start);
+            r.key = derive_subkey(DEFAULT_ENC_KEY ^ 1, r.start);
         }
     }
     skewed.regions = flexprot::secmon::RegionTable::new(patched);
