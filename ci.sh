@@ -140,9 +140,11 @@ echo "== perfbench: correctness smoke =="
 # never compile it. One-second runs of each workload build it against the
 # current crates and run its own correctness checks: the end-to-end mode
 # (--trace 0) checks protect round trips and campaign tallies, the layered
-# mode (--trace 1) replays evaluate() step by step and checks the staged
-# trials against it. The stage only reads perfbench; every run must report
-# "correct": true and "failed": 0.
+# mode (--trace 1) times each step of a trial separately, running every
+# mutant from instruction 0 on a re-armed, traced machine (evaluate() forks
+# its trials from one pristine run instead), and checks that the staged
+# trials agree with evaluate() on the outcome counts. The stage only reads
+# perfbench; every run must report "correct": true and "failed": 0.
 for workload in loops footprint checked; do
     for trace in 0 1; do
         out="$EXEC_DIR/perfbench.$workload.$trace.txt"

@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use flexprot_core::Protected;
 use flexprot_isa::{Image, Inst, Rng64};
-use flexprot_secmon::{SecMon, SecMonConfig};
-use flexprot_sim::{Fault, Machine, Outcome, RunResult, SimConfig, TamperCause};
+use flexprot_secmon::SecMonConfig;
+use flexprot_sim::{Fault, Outcome, RunResult, SimConfig, TamperCause, TextWatch, Watched};
 use flexprot_trace::Metrics;
 
 use crate::attacks::Attack;
@@ -337,10 +337,12 @@ pub fn campaign_sim(baseline_instructions: u64, sim: &SimConfig) -> SimConfig {
 /// The fuel limit in `sim` should come from [`campaign_sim`]. The static
 /// oracle is built once from the pristine image and serves every trial.
 ///
-/// One simulator [`Machine`] is re-armed across trials (its page table
-/// and cache arrays are reused), which matters when an engine batches
-/// hundreds of attack cells; the classification is identical to running
-/// each trial on a fresh machine.
+/// The trials share one pristine run: each is forked from it just before
+/// its first fetch of a patched word, so only the rest of the trial is
+/// simulated, and a trial whose mutation is never fetched takes the
+/// pristine result. A trial whose patched word a load or store touches
+/// before that fetch is run from scratch on a re-armed machine. Every
+/// classification is identical to running each trial on a fresh machine.
 pub fn evaluate(
     protected: &Protected,
     expected_output: &str,
@@ -349,9 +351,8 @@ pub fn evaluate(
     seed: u64,
     sim: &SimConfig,
 ) -> AttackSummary {
-    let mut rng = Rng64::new(seed);
     let oracle = StaticOracle::new(&protected.image, &protected.secmon);
-    let mutate = |_, image: &mut Image| attack.apply(image, &mut rng);
+    let mutate = random_attacks(attack, seed);
     campaign(protected, &oracle, expected_output, trials, sim, mutate)
 }
 
@@ -371,15 +372,7 @@ pub fn evaluate_targeted(
     trials: u32,
     sim: &SimConfig,
 ) -> AttackSummary {
-    let targets: Vec<usize> = oracle
-        .target_plan()
-        .into_iter()
-        .filter(|&i| protected.image.text[i] != Inst::NOP.encode())
-        .collect();
-    let mutate = |trial: u32, image: &mut Image| {
-        let plan_step = targets.get(trial as usize % targets.len().max(1));
-        plan_step.is_some_and(|&index| nop_out(image, index))
-    };
+    let mutate = targeted_nops(protected, oracle);
     campaign(protected, oracle, expected_output, trials, sim, mutate)
 }
 
@@ -395,12 +388,46 @@ pub fn evaluate_random_nop(
     seed: u64,
     sim: &SimConfig,
 ) -> AttackSummary {
+    campaign(
+        protected,
+        oracle,
+        expected_output,
+        trials,
+        sim,
+        random_nops(seed),
+    )
+}
+
+/// The mutations of [`evaluate`]: one random instance of `attack` a trial.
+fn random_attacks(attack: Attack, seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
     let mut rng = Rng64::new(seed);
-    let mutate = |_, image: &mut Image| {
+    move |_, image| attack.apply(image, &mut rng)
+}
+
+/// The mutations of [`evaluate_targeted`]: trial `t` NOPs out step `t` of
+/// the plan, cycling.
+fn targeted_nops(
+    protected: &Protected,
+    oracle: &StaticOracle,
+) -> impl FnMut(u32, &mut Image) -> bool {
+    let targets: Vec<usize> = oracle
+        .target_plan()
+        .into_iter()
+        .filter(|&i| protected.image.text[i] != Inst::NOP.encode())
+        .collect();
+    move |trial, image| {
+        let plan_step = targets.get(trial as usize % targets.len().max(1));
+        plan_step.is_some_and(|&index| nop_out(image, index))
+    }
+}
+
+/// The mutations of [`evaluate_random_nop`]: one random word a trial.
+fn random_nops(seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
+    let mut rng = Rng64::new(seed);
+    move |_, image| {
         let index = rng.index(image.text.len());
         nop_out(image, index)
-    };
-    campaign(protected, oracle, expected_output, trials, sim, mutate)
+    }
 }
 
 /// NOPs out word `index`; `false` (nothing to edit) when it already is one.
@@ -413,14 +440,25 @@ fn nop_out(image: &mut Image, index: usize) -> bool {
     true
 }
 
-/// The one trial loop of every simulated campaign.
+/// One applied trial of a campaign, as pass 1 of [`campaign`] leaves it.
+struct Trial {
+    /// The static verifier's verdict on the mutated image.
+    flagged: bool,
+    /// The oracle's prediction for the mutation.
+    predicted: bool,
+    /// The words the mutation changed, as `(text index, new word)`.
+    patch: Vec<(usize, u32)>,
+}
+
+/// The one trial loop of every simulated campaign, in two passes.
 ///
-/// Trial `t` clones the pristine build and hands its image to
-/// `mutate(t, ..)`, which edits it in place or returns `false` when the
-/// attack found no site (the trial is then recorded
+/// Pass 1 hands trial `t` a copy of the pristine image through
+/// `mutate(t, ..)`, which edits its text words in place or returns `false`
+/// when the attack found no site (the trial is then recorded
 /// [`TrialOutcome::Inapplicable`]). An applied mutation is scored by the
-/// static baseline and the oracle prediction, then run untraced on one
-/// lazily built, re-armed machine and classified from its result.
+/// static baseline and the oracle prediction, and kept as its patch: the
+/// words it changed. Pass 2 runs every patch ([`run_patches`]), and each
+/// result is classified in trial order.
 fn campaign(
     protected: &Protected,
     oracle: &StaticOracle,
@@ -429,34 +467,159 @@ fn campaign(
     sim: &SimConfig,
     mut mutate: impl FnMut(u32, &mut Image) -> bool,
 ) -> AttackSummary {
+    let pristine = &protected.image;
+    let mut image = pristine.clone();
+    let trials: Vec<Option<Trial>> = (0..trials)
+        .map(|t| {
+            let applied = mutate(t, &mut image);
+            let patch = patch_of(pristine, &image);
+            let scores = applied.then(|| {
+                let flagged = static_detects(&image, &protected.secmon);
+                (flagged, oracle.predicts(pristine, &image))
+            });
+            for &(index, _) in &patch {
+                image.text[index] = pristine.text[index];
+            }
+            scores.map(|(flagged, predicted)| Trial {
+                flagged,
+                predicted,
+                patch,
+            })
+        })
+        .collect();
+    let patches: Vec<&[(usize, u32)]> = trials.iter().flatten().map(|t| &t.patch[..]).collect();
+    let mut results = run_patches(protected, &patches, sim).into_iter();
     let mut summary = AttackSummary::default();
-    let mut machine: Option<Machine<SecMon>> = None;
-    for trial in 0..trials {
-        let mut mutated = protected.clone();
-        if !mutate(trial, &mut mutated.image) {
+    for trial in &trials {
+        let Some(trial) = trial else {
             summary.record(TrialOutcome::Inapplicable, false);
             continue;
-        }
-        let flagged = static_detects(&mutated.image, &mutated.secmon);
-        let predicted = oracle.predicts(&protected.image, &mutated.image);
-        match machine.as_mut() {
-            Some(m) => mutated.rearm(m),
-            None => machine = Some(mutated.machine(sim.clone())),
-        }
-        let m = machine.as_mut().expect("machine built on first trial");
-        let result = m.run();
+        };
+        let (result, _) = results.next().expect("one result per applied trial");
         let (outcome, cause) = classify_result(&result, expected_output);
-        summary.record_caused(outcome, flagged, cause);
-        summary.record_prediction(outcome, predicted);
+        summary.record_caused(outcome, trial.flagged, cause);
+        summary.record_prediction(outcome, trial.predicted);
     }
     summary
+}
+
+/// The text words `mutated` changed against `pristine`, as `(text index,
+/// new word)`.
+fn patch_of(pristine: &Image, mutated: &Image) -> Vec<(usize, u32)> {
+    let words = mutated.text.iter().zip(&pristine.text).enumerate();
+    words
+        .filter(|(_, (new, old))| new != old)
+        .map(|(index, (&new, _))| (index, new))
+        .collect()
+}
+
+/// How [`run_patches`] came by the result of a patched build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Forked from the pristine run at its first fetch of a patched word.
+    Forked,
+    /// The pristine result: no patched word was ever read.
+    Pristine,
+    /// Run from scratch: a data access read a patched word first.
+    FromScratch,
+}
+
+/// Runs `protected` patched by each of `patches` (`(text index, new word)`
+/// lists) under `sim`, and returns the results in order, each equal to a
+/// fresh [`Protected::run`] of its patched build, with the path it took.
+///
+/// One pristine run is watched ([`Machine::run_watched`]): a patched run
+/// is state for state the pristine run until it first fetches a patched
+/// word. So the pristine run pauses before the first fetch of every
+/// patched word, and each patch holding the word that has no result yet
+/// is forked there: the paused machine is cloned, the patch is written as
+/// a store to text would write it ([`Machine::poke_text`]) and the fork
+/// runs to its end. A patch that is never fetched, or changes no word,
+/// takes the pristine result; the pristine run goes on only while some
+/// patch still needs it. A load, store or print-string syscall that
+/// touches a patched word before its first fetch breaks the match, so the
+/// patches holding that word are run from scratch on the re-armed
+/// pristine machine instead ([`Protected::rearm`]).
+///
+/// [`Machine::run_watched`]: flexprot_sim::Machine::run_watched
+/// [`Machine::poke_text`]: flexprot_sim::Machine::poke_text
+fn run_patches(
+    protected: &Protected,
+    patches: &[&[(usize, u32)]],
+    sim: &SimConfig,
+) -> Vec<(RunResult, Path)> {
+    let mut holders: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut watch = TextWatch::new(protected.image.text_base, protected.image.text.len());
+    for (t, patch) in patches.iter().enumerate() {
+        for &(index, _) in *patch {
+            holders.entry(index).or_default().push(t);
+            watch.arm(index);
+        }
+    }
+    let mut results: Vec<Option<(RunResult, Path)>> = vec![None; patches.len()];
+    let mut from_scratch = vec![false; patches.len()];
+    // Trials that still need the pristine run: no result and no fallback.
+    let mut waiting = patches.len();
+    let mut machine = protected.machine(sim.clone());
+    let pristine = loop {
+        let stop = machine.run_watched(&mut watch);
+        for index in watch.take_touched() {
+            for &t in &holders[&index] {
+                if results[t].is_none() && !from_scratch[t] {
+                    from_scratch[t] = true;
+                    waiting -= 1;
+                }
+            }
+        }
+        let pc = match stop {
+            Watched::End(result) => break Some(result),
+            Watched::Fetch(pc) => pc,
+        };
+        let index = ((pc - protected.image.text_base) / 4) as usize;
+        for &t in &holders[&index] {
+            if results[t].is_some() || from_scratch[t] {
+                continue;
+            }
+            let mut forked = machine.clone();
+            for &(index, word) in patches[t] {
+                forked.poke_text(index, word);
+            }
+            results[t] = Some((forked.run(), Path::Forked));
+            waiting -= 1;
+        }
+        if waiting == 0 {
+            break None;
+        }
+    };
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(t, result)| match result {
+            Some(result) => result,
+            None if !from_scratch[t] => {
+                let pristine = pristine.clone().expect("the pristine run ended");
+                (pristine, Path::Pristine)
+            }
+            None => {
+                let mut mutated = protected.clone();
+                for &(index, word) in patches[t] {
+                    mutated.image.text[index] = word;
+                }
+                mutated.rearm(&mut machine);
+                (machine.run(), Path::FromScratch)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexprot_core::{protect, EncryptConfig, GuardConfig, ProtectionConfig, DEFAULT_GUARD_KEY};
-    use flexprot_sim::Machine;
+    use flexprot_core::{
+        protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY,
+        DEFAULT_GUARD_KEY,
+    };
+    use flexprot_sim::{CacheConfig, EngineKind, Machine};
 
     fn sample() -> (flexprot_isa::Image, String) {
         let image = flexprot_asm::assemble_or_panic(
@@ -667,11 +830,11 @@ loop:   addu $s0, $s0, $t0
     }
 
     #[test]
-    fn machine_reuse_matches_fresh_machine_per_trial() {
+    fn forked_trials_classify_as_fresh_machines_do() {
         let (image, expected) = sample();
         let config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
         let protected = protect(&image, &config, None).unwrap();
-        let reused = evaluate(&protected, &expected, Attack::BitFlip, 30, 9, &fast_sim());
+        let forked = evaluate(&protected, &expected, Attack::BitFlip, 30, 9, &fast_sim());
         // Replay the identical trial stream, but classify each mutation on
         // a freshly constructed machine.
         let mut rng = Rng64::new(9);
@@ -689,8 +852,8 @@ loop:   addu $s0, $s0, $t0
             fresh.record_caused(outcome, flagged, cause);
             fresh.record_prediction(outcome, predicted);
         }
-        assert_eq!(reused, fresh, "re-arming must not change classification");
-        assert!(reused.applied > 0);
+        assert_eq!(forked, fresh, "forking must not change classification");
+        assert!(forked.applied > 0);
     }
 
     #[test]
@@ -759,6 +922,263 @@ loop:   addu $s0, $s0, $t0
             metrics.counter("attack_trials_applied"),
             2 * u64::from(summary.applied)
         );
+    }
+
+    /// Runs every mutation `mutate` makes of `protected` in `trials`
+    /// trials both ways, through [`run_patches`] and on a fresh machine,
+    /// and requires equal results. Returns the path each applied trial took.
+    fn assert_forks_match_fresh_runs(
+        label: &str,
+        protected: &Protected,
+        sim: &SimConfig,
+        trials: u32,
+        mut mutate: impl FnMut(u32, &mut Image) -> bool,
+    ) -> Vec<Path> {
+        let mut mutated = protected.clone();
+        let mut builds = Vec::new();
+        for t in 0..trials {
+            mutated.image.text.clone_from(&protected.image.text);
+            if mutate(t, &mut mutated.image) {
+                let patch = patch_of(&protected.image, &mutated.image);
+                builds.push((patch, mutated.run(sim.clone())));
+            }
+        }
+        let patches: Vec<&[(usize, u32)]> = builds.iter().map(|(patch, _)| &patch[..]).collect();
+        let runs = run_patches(protected, &patches, sim);
+        for (t, ((result, path), (_, fresh))) in runs.iter().zip(&builds).enumerate() {
+            assert_eq!(result, fresh, "{label}: trial {t} ({path:?})");
+        }
+        runs.into_iter().map(|(_, path)| path).collect()
+    }
+
+    /// The six programs of the protection matrix: the MiniC reference
+    /// kernels, then three assembly workloads.
+    fn matrix_programs() -> Vec<(String, Image)> {
+        let kernels = flexprot_cc::kernels::all().map(|(name, source)| {
+            let image = flexprot_cc::compile_to_image(source).expect("kernel compiles");
+            (name.to_owned(), image)
+        });
+        let workloads = ["rle", "bitcount", "fir"].map(|name| {
+            let workload = flexprot_workloads::by_name(name).expect("catalogued workload");
+            (name.to_owned(), workload.image())
+        });
+        kernels.into_iter().chain(workloads).collect()
+    }
+
+    /// Trials per attack family in the matrix differential.
+    const DIFFERENTIAL_TRIALS: u32 = 8;
+
+    /// Every attack family, the targeted and the random NOP attacker, on
+    /// every matrix program under one recipe: each forked trial must equal
+    /// a fresh run. The fuel follows [`campaign_sim`] from a baseline
+    /// capped at 50 000 instructions, so queens' ten-million-instruction
+    /// run stays out of a unit test: its trials then end out of fuel, which
+    /// must match just the same.
+    fn matrix_differential(config: &ProtectionConfig, sim: &SimConfig) {
+        let mut forked = 0;
+        for (name, image) in matrix_programs() {
+            let protected = protect(&image, config, None).unwrap();
+            let baseline = Machine::new(&image, sim.clone()).run().stats.instructions;
+            let sim = campaign_sim(baseline.min(50_000), sim);
+            let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+            let trials = DIFFERENTIAL_TRIALS;
+            for (k, attack) in Attack::all().into_iter().enumerate() {
+                let mutate = random_attacks(attack, 0xD1FF + k as u64);
+                let label = format!("{name}/{}", attack.name());
+                let paths = assert_forks_match_fresh_runs(&label, &protected, &sim, trials, mutate);
+                forked += paths.iter().filter(|&&path| path == Path::Forked).count();
+            }
+            let targeted = targeted_nops(&protected, &oracle);
+            assert_forks_match_fresh_runs(&name, &protected, &sim, trials, targeted);
+            assert_forks_match_fresh_runs(&name, &protected, &sim, trials, random_nops(0xD1FF));
+        }
+        assert!(forked > 0, "the differential must fork some trials");
+    }
+
+    #[test]
+    fn forked_trials_match_fresh_runs_under_dense_guards_and_program_encryption() {
+        let config = ProtectionConfig::new()
+            .with_guards(GuardConfig::with_density(1.0))
+            .with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
+        matrix_differential(&config, &SimConfig::default());
+    }
+
+    #[test]
+    fn forked_trials_match_fresh_runs_under_sparse_guards_block_keys_and_a_tiny_icache() {
+        let config = ProtectionConfig::new()
+            .with_guards(GuardConfig::with_density(0.25))
+            .with_encryption(EncryptConfig {
+                granularity: Granularity::Block,
+                ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
+            });
+        let sim = SimConfig {
+            icache: CacheConfig {
+                size_bytes: 256,
+                line_bytes: 16,
+                ways: 1,
+            },
+            ..SimConfig::default()
+        };
+        matrix_differential(&config, &sim);
+    }
+
+    #[test]
+    fn forked_trials_match_fresh_runs_on_the_reference_engine() {
+        let config = ProtectionConfig::new()
+            .with_guards(GuardConfig::with_density(1.0))
+            .with_encryption(EncryptConfig {
+                granularity: Granularity::Function,
+                ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
+            });
+        matrix_differential(
+            &config,
+            &SimConfig::default().with_engine(EngineKind::Reference),
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_two_small_cells_forks_to_its_fresh_run() {
+        const BITS: [u32; 4] = [0, 11, 21, 31];
+        let programs = matrix_programs();
+        let cells = [
+            (
+                "fir",
+                ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0)),
+            ),
+            (
+                "sieve",
+                ProtectionConfig::new().with_encryption(EncryptConfig {
+                    granularity: Granularity::Block,
+                    ..EncryptConfig::whole_program(DEFAULT_ENC_KEY)
+                }),
+            ),
+        ];
+        for (name, config) in cells {
+            let (_, image) = programs.iter().find(|(n, _)| n == name).unwrap();
+            let protected = protect(image, &config, None).unwrap();
+            let baseline = protected.run(SimConfig::default()).stats.instructions;
+            let sim = campaign_sim(baseline, &SimConfig::default());
+            let words = protected.image.text.len() as u32;
+            let flip = |t: u32, image: &mut Image| {
+                image.text[(t / 4) as usize] ^= 1 << BITS[(t % 4) as usize];
+                true
+            };
+            let paths = assert_forks_match_fresh_runs(name, &protected, &sim, 4 * words, flip);
+            assert_eq!(paths.len() as u32, 4 * words);
+            assert!(!paths.contains(&Path::FromScratch), "{name}: {paths:?}");
+        }
+    }
+
+    /// One trial a `(label, instruction)` pair: `program` with the word at
+    /// the label replaced, run both ways under a fuel of `fuel`
+    /// instructions. The paths the trials took.
+    fn edge_case(program: &str, patches: &[(&str, &str)], fuel: u64) -> Vec<Path> {
+        let image = flexprot_asm::assemble_or_panic(program);
+        let protected = protect(&image, &ProtectionConfig::new(), None).unwrap();
+        let sim = SimConfig {
+            max_instructions: fuel,
+            ..SimConfig::default()
+        };
+        let words: Vec<(usize, u32)> = patches
+            .iter()
+            .map(|(label, src)| {
+                let index = (image.symbols[*label] - image.text_base) / 4;
+                let word = flexprot_asm::assemble_or_panic(&format!("main: {src}\n")).text[0];
+                (index as usize, word)
+            })
+            .collect();
+        let mutate = |t: u32, image: &mut Image| {
+            let (index, word) = words[t as usize];
+            image.text[index] = word;
+            true
+        };
+        assert_forks_match_fresh_runs("edge case", &protected, &sim, words.len() as u32, mutate)
+    }
+
+    #[test]
+    fn a_load_or_store_of_a_patched_word_before_its_fetch_runs_the_trial_from_scratch() {
+        // The program reads its own next instruction as data, then runs it.
+        let load = r#"
+main:   la   $t0, target
+        lw   $a0, 0($t0)
+        li   $v0, 34
+        syscall
+target: li   $a0, 111
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+"#;
+        let paths = edge_case(load, &[("target", "li $a0, 222")], 1_000);
+        assert_eq!(paths, [Path::FromScratch]);
+        // The program overwrites the low byte of its next instruction's
+        // immediate: the build patched to print 300 (0x12C) prints 333
+        // (0x14D).
+        let store = r#"
+main:   la   $t0, target
+        li   $t1, 77
+        sb   $t1, 0($t0)
+target: li   $a0, 111
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+"#;
+        let paths = edge_case(store, &[("target", "li $a0, 300")], 1_000);
+        assert_eq!(paths, [Path::FromScratch]);
+    }
+
+    #[test]
+    fn a_patch_in_code_that_never_runs_takes_the_pristine_result() {
+        let program = r#"
+main:   li   $a0, 5
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+dead:   li   $a0, 9
+"#;
+        let paths = edge_case(program, &[("dead", "li $a0, 7")], 1_000);
+        assert_eq!(paths, [Path::Pristine]);
+    }
+
+    #[test]
+    fn a_mutation_that_changes_no_word_scores_the_pristine_run() {
+        let (image, expected) = sample();
+        let mut padded = image.clone();
+        padded.text.push(Inst::NOP.encode());
+        let protected = protect(&padded, &ProtectionConfig::new(), None).unwrap();
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+        let last = protected.image.text.len() - 1;
+        // A NOP written over a NOP: applied, but no word changes.
+        let nop_over_nop = |_, image: &mut Image| {
+            image.text[last] = Inst::NOP.encode();
+            true
+        };
+        let paths = assert_forks_match_fresh_runs("nop", &protected, &fast_sim(), 3, nop_over_nop);
+        assert_eq!(paths, [Path::Pristine; 3]);
+        let summary = campaign(&protected, &oracle, &expected, 3, &fast_sim(), nop_over_nop);
+        assert_eq!((summary.applied, summary.benign), (3, 3), "{summary:?}");
+    }
+
+    #[test]
+    fn a_campaign_whose_pristine_run_ends_out_of_fuel_forks_and_shares_it() {
+        let program = r#"
+main:   li   $t0, 0
+loop:   addi $t0, $t0, 1
+back:   b    loop
+exit:   li   $v0, 10
+        syscall
+"#;
+        // Trial 0 changes the loop body, trial 1 breaks out of the loop and
+        // trial 2 patches the exit code the pristine run never reaches.
+        let patches = [
+            ("loop", "addi $t0, $t0, 2"),
+            ("back", "nop"),
+            ("exit", "li $v0, 17"),
+        ];
+        let paths = edge_case(program, &patches, 500);
+        assert_eq!(paths, [Path::Forked, Path::Forked, Path::Pristine]);
     }
 
     #[test]

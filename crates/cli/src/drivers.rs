@@ -478,6 +478,7 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
     let input = &args.positional[0];
     let image = load_image(input)?;
     let sim = fprun_sim(&args)?;
+    let metrics = args.value("metrics").map(Output::create).transpose()?;
     let mut machine = Machine::with_monitor(&image, sim, SecMon::new(secmon_arg(&args)?));
     let trace = match args.value("trace") {
         Some(path) => {
@@ -492,8 +493,8 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
     if let Some((path, recorder)) = trace {
         recorder.borrow_mut().finish().map_err(cannot_write(path))?;
     }
-    if let Some(path) = args.value("metrics") {
-        write(path, machine.metrics().to_json().as_bytes())?;
+    if let Some(metrics) = metrics {
+        metrics.write(&machine.metrics().to_json())?;
     }
 
     let (outcome_text, exit_code) = outcome_code(&result.outcome);
@@ -1579,6 +1580,21 @@ loop:   addu $s1, $s1, $s0
         std::fs::create_dir_all(&dir).unwrap();
         let err = fprun(&strs(&[&fpx, "--trace", &dir])).unwrap_err();
         assert!(err.0.starts_with(&format!("cannot write {dir}: ")), "{err}");
+    }
+
+    #[test]
+    fn fprun_metrics_into_a_directory_is_refused_before_the_run() {
+        // The error carries no program output, and the trace holds no
+        // event: the program never ran.
+        let (fpx, _, _) = smoke_build("metrics_dir", &[]);
+        let dir = tmp("metrics_dir.d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = tmp("metrics_dir.trace.jsonl");
+        let _ = std::fs::remove_file(&trace);
+        let err = fprun(&strs(&[&fpx, "--metrics", &dir, "--trace", &trace])).unwrap_err();
+        assert!(err.0.starts_with(&format!("cannot write {dir}: ")), "{err}");
+        let events = std::fs::read_to_string(&trace).unwrap_or_default();
+        assert!(events.is_empty(), "the program ran: {events}");
     }
 
     #[test]

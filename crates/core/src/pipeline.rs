@@ -167,14 +167,16 @@ impl Protected {
     ///
     /// The monitor is re-provisioned from this binary's [`SecMonConfig`]
     /// (the secure monitor carries per-run state), and the machine's sink
-    /// is cleared — reattach one afterwards for a traced run. The batch
-    /// harnesses use this to amortize allocations across many trials.
+    /// is cleared — reattach one afterwards for a traced run. Batch runs
+    /// of many builds use this to amortize allocations: the attack
+    /// harness's trials that must run from scratch (a patched word read
+    /// as data before its first fetch) and perfbench's staged trials.
     ///
     /// When the machine's previous monitor used the same encryption
-    /// regions — the attack harness's case: thousands of single-word
-    /// mutations of one protected binary — [`Machine::rearm`] keeps the
-    /// decoded lines and each trial re-decrypts only the lines the
-    /// mutation touched; a different region table clears them.
+    /// regions — single-word mutations of one protected binary, say —
+    /// [`Machine::rearm`] keeps the decoded lines and each run
+    /// re-decrypts only the lines the mutation touched; a different region
+    /// table clears them.
     pub fn rearm(&self, machine: &mut Machine<SecMon>) {
         machine.rearm(&self.image, SecMon::new(self.secmon.clone()));
     }

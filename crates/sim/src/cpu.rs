@@ -12,7 +12,8 @@
 //!   syscalls and D-cache timing.
 //!
 //! This module owns what ties them together: the machine state, the
-//! per-commit loop with the `observe_commit` guard hook, and reset/rearm
+//! per-commit loop with the `observe_commit` guard hook, its watched copy
+//! that pauses at chosen text words (`crate::watch`), and reset/rearm
 //! lifecycle.
 
 use flexprot_isa::{Image, Reg, STACK_TOP};
@@ -24,6 +25,7 @@ use crate::exec::Step;
 use crate::mem::Memory;
 use crate::monitor::{FetchMonitor, NullMonitor, TamperEvent};
 use crate::stats::{Fault, Stats};
+use crate::watch::TextWatch;
 
 /// Which fetch/decode engine drives the simulation.
 ///
@@ -295,7 +297,46 @@ impl<M: FetchMonitor> Machine<M> {
 
     /// Runs until exit, fault, tamper detection or fuel exhaustion.
     pub fn run(&mut self) -> RunResult {
-        let outcome = self.run_inner();
+        let outcome = self
+            .run_inner::<false>(None)
+            .expect("an unwatched run never pauses");
+        self.finish(outcome)
+    }
+
+    /// Runs like [`Machine::run`], but pauses just before the first fetch
+    /// of each text word `watch` arms, and records in `watch` every armed
+    /// word a load, a store or a print-string syscall touches before that
+    /// fetch ([`TextWatch::take_touched`]).
+    ///
+    /// A pause disarms its word and leaves the machine as it was before
+    /// that fetch, so cloning it there and patching the clone
+    /// ([`Machine::poke_text`]) forks the run of a patched build; calling
+    /// `run_watched` again resumes. The watch is checked in a copy of the
+    /// commit loop of its own: [`Machine::run`] does not pay for it.
+    pub fn run_watched(&mut self, watch: &mut TextWatch) -> Watched {
+        match self.run_inner::<true>(Some(watch)) {
+            Some(outcome) => Watched::End(self.finish(outcome)),
+            None => Watched::Fetch(self.pc),
+        }
+    }
+
+    /// Writes `word` over text word `index` as a store to text would: into
+    /// memory, dropping the decoded line that holds it. No cycle is charged
+    /// and no cache line moves, so the next fetch of the word reads the new
+    /// word at the timing of the old one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` lies past the text segment.
+    pub fn poke_text(&mut self, index: usize, word: u32) {
+        let words = ((self.text_end - self.text_base) / 4) as usize;
+        assert!(index < words, "text word {index} of {words}");
+        let addr = self.text_base + 4 * index as u32;
+        self.mem.write_u32(addr, word);
+        self.decode.invalidate(addr);
+    }
+
+    fn finish(&mut self, outcome: Outcome) -> RunResult {
         if matches!(outcome, Outcome::TamperDetected(_)) {
             // Tamper response: drop decoded plaintext so a re-keyed or
             // re-provisioned monitor never executes stale decodes.
@@ -317,26 +358,35 @@ impl<M: FetchMonitor> Machine<M> {
         }
     }
 
-    fn run_inner(&mut self) -> Outcome {
+    /// The commit loop. `WATCH` compiles the checks of `watch` in: `None`
+    /// is a pause before fetching an armed word, which only a watched loop
+    /// returns.
+    fn run_inner<const WATCH: bool>(
+        &mut self,
+        mut watch: Option<&mut TextWatch>,
+    ) -> Option<Outcome> {
         loop {
             if self.stats.instructions >= self.config.max_instructions {
-                return Outcome::OutOfFuel;
+                return Some(Outcome::OutOfFuel);
             }
             let pc = self.pc;
             if !pc.is_multiple_of(4) || pc < self.text_base || pc >= self.text_end {
-                return Outcome::Fault(Fault::WildPc { pc });
+                return Some(Outcome::Fault(Fault::WildPc { pc }));
+            }
+            if WATCH && watch.as_mut().is_some_and(|watch| watch.fetch(pc)) {
+                return None;
             }
 
             // --- fetch + decode (crate::fetch) ---
             let (inst, word) = match self.fetch_decode(pc) {
                 Ok(fetched) => fetched,
-                Err(outcome) => return outcome,
+                Err(outcome) => return Some(outcome),
             };
 
             // --- commit observation (guard verification) ---
             let sequential = self.prev_pc == Some(pc.wrapping_sub(4));
             if let Some(event) = self.monitor.observe_commit(pc, word, sequential) {
-                return Outcome::TamperDetected(event);
+                return Some(Outcome::TamperDetected(event));
             }
             self.stats.instructions += 1;
             if let Some(sink) = &self.sink {
@@ -345,16 +395,30 @@ impl<M: FetchMonitor> Machine<M> {
             self.prev_pc = Some(pc);
 
             // --- execute (crate::exec) ---
+            if WATCH {
+                if let (Some(watch), Some((addr, len))) = (watch.as_mut(), self.data_span(inst)) {
+                    watch.touch(addr, len);
+                }
+            }
             match self.execute(pc, inst) {
                 Step::Next => self.pc = pc.wrapping_add(4),
                 Step::Goto(target) => {
                     self.stats.taken_transfers += 1;
                     self.pc = target;
                 }
-                Step::Stop(outcome) => return outcome,
+                Step::Stop(outcome) => return Some(outcome),
             }
         }
     }
+}
+
+/// Where a [`Machine::run_watched`] call stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Watched {
+    /// Just before the first fetch of the armed text word at this address.
+    Fetch(u32),
+    /// The run ended.
+    End(RunResult),
 }
 
 #[cfg(test)]
@@ -506,6 +570,78 @@ patch:  li   $a0, 222
             assert_eq!(r.outcome, Outcome::Exit(0), "{engine:?}");
             assert_eq!(r.output, "222", "{engine:?}");
         }
+    }
+
+    #[test]
+    fn a_run_forked_at_a_watched_fetch_matches_the_patched_run() {
+        // Patch the loop body and the exit code: the fork from each pause,
+        // patched like a store to text, must equal a fresh patched run.
+        let src = r#"
+main:   li   $t0, 0
+        li   $t1, 20
+loop:   addu $t0, $t0, $t1
+        addi $t1, $t1, -1
+        bgtz $t1, loop
+        move $a0, $t0
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+"#;
+        let image = flexprot_asm::assemble_or_panic(src);
+        let loop_word = ((image.symbols["loop"] - image.text_base) / 4) as usize;
+        let patches = [
+            (loop_word + 1, image.text[loop_word + 1] ^ 1), // addi step -2
+            (image.text.len() - 2, image.text[image.text.len() - 2] + 7), // exit service 17
+        ];
+        for engine in [EngineKind::Predecoded, EngineKind::Reference] {
+            let config = SimConfig::default().with_engine(engine);
+            let mut pristine = Machine::new(&image, config.clone());
+            let mut watch = TextWatch::new(image.text_base, image.text.len());
+            for &(index, _) in &patches {
+                watch.arm(index);
+            }
+            let mut pauses = Vec::new();
+            let end = loop {
+                match pristine.run_watched(&mut watch) {
+                    Watched::End(result) => break result,
+                    Watched::Fetch(pc) => pauses.push(pc),
+                }
+                let index = ((pristine.pc - image.text_base) / 4) as usize;
+                let &(_, word) = patches.iter().find(|(i, _)| *i == index).unwrap();
+                let mut fork = pristine.clone();
+                fork.poke_text(index, word);
+                let mut patched = image.clone();
+                patched.text[index] = word;
+                let fresh = Machine::new(&patched, config.clone()).run();
+                assert_eq!(fork.run(), fresh, "{engine:?}: patch at word {index}");
+            };
+            let at = |index: usize| image.text_base + 4 * index as u32;
+            assert_eq!(pauses, [at(patches[0].0), at(patches[1].0)], "{engine:?}");
+            assert_eq!(end, Machine::new(&image, config).run(), "{engine:?}");
+            assert!(watch.take_touched().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_watched_run_records_armed_words_that_data_touches_first() {
+        let src = r#"
+main:   la   $t0, word
+        lw   $t1, 0($t0)
+        li   $v0, 10
+        syscall
+word:   nop
+"#;
+        let image = flexprot_asm::assemble_or_panic(src);
+        let index = ((image.symbols["word"] - image.text_base) / 4) as usize;
+        let mut machine = Machine::new(&image, SimConfig::default());
+        let mut watch = TextWatch::new(image.text_base, image.text.len());
+        watch.arm(index);
+        let Watched::End(result) = machine.run_watched(&mut watch) else {
+            panic!("the word is loaded, never fetched");
+        };
+        assert_eq!(result.outcome, Outcome::Exit(0));
+        assert_eq!(watch.take_touched(), [index]);
     }
 
     #[test]

@@ -12,6 +12,9 @@ use crate::cpu::{Machine, Outcome};
 use crate::monitor::FetchMonitor;
 use crate::stats::Fault;
 
+/// The most bytes a print-string syscall reads.
+const MAX_PRINT_BYTES: usize = 1 << 16;
+
 /// What executing one instruction asks the commit loop to do next.
 pub(crate) enum Step {
     Next,
@@ -63,6 +66,33 @@ impl<M: FetchMonitor> Machine<M> {
         }
     }
 
+    /// The bytes executing `inst` would read or write as data, as
+    /// `(addr, len)`: a load's or a store's access, or the string a
+    /// print-string syscall reads, terminator included. An access that
+    /// would fault still counts; `None` for every other instruction.
+    pub(crate) fn data_span(&self, inst: Inst) -> Option<(u32, u32)> {
+        use Inst::*;
+        let at = |base: Reg, off: i16| self.reg(base).wrapping_add(off as i32 as u32);
+        match inst {
+            Lb { off, base, .. } | Lbu { off, base, .. } | Sb { off, base, .. } => {
+                Some((at(base, off), 1))
+            }
+            Lh { off, base, .. } | Lhu { off, base, .. } | Sh { off, base, .. } => {
+                Some((at(base, off), 2))
+            }
+            Lw { off, base, .. } | Sw { off, base, .. } => Some((at(base, off), 4)),
+            Syscall if self.reg(Reg::V0) == 4 => {
+                let a0 = self.reg(Reg::A0);
+                let read = self.mem.read_cstr(a0, MAX_PRINT_BYTES).len() + 1;
+                Some((a0, read.min(MAX_PRINT_BYTES) as u32))
+            }
+            _ => None,
+        }
+    }
+
+    // Inlined into both commit loops (`Machine::run` and the watched copy),
+    // as it was into the single loop before the watched one existed.
+    #[inline(always)]
     pub(crate) fn execute(&mut self, pc: u32, inst: Inst) -> Step {
         use Inst::*;
         let branch = |cond: bool, off: i16| -> Step {
@@ -201,6 +231,8 @@ impl<M: FetchMonitor> Machine<M> {
         Step::Next
     }
 
+    // Inlined into `execute`, as it was before `execute` had two callers.
+    #[inline(always)]
     fn syscall(&mut self, pc: u32) -> Step {
         self.stats.syscalls += 1;
         let service = self.reg(Reg::V0);
@@ -208,7 +240,7 @@ impl<M: FetchMonitor> Machine<M> {
         match service {
             1 => self.output.push_str(&(a0 as i32).to_string()),
             4 => {
-                let bytes = self.mem.read_cstr(a0, 1 << 16);
+                let bytes = self.mem.read_cstr(a0, MAX_PRINT_BYTES);
                 self.output.push_str(&String::from_utf8_lossy(&bytes));
             }
             10 => return Step::Stop(Outcome::Exit(0)),

@@ -26,6 +26,9 @@ impl<M: FetchMonitor> Machine<M> {
     /// Fetches and decodes the instruction at `pc`, charging fetch-path
     /// timing. Returns the decoded instruction and its plaintext word, or
     /// the outcome that aborts the run.
+    // Inlined into both commit loops (`Machine::run` and the watched copy),
+    // as it was into the single loop before the watched one existed.
+    #[inline(always)]
     pub(crate) fn fetch_decode(&mut self, pc: u32) -> Result<(Inst, u32), Outcome> {
         self.stats.cycles += 1;
         self.stats.icache_accesses += 1;

@@ -48,8 +48,10 @@ mod fetch;
 pub mod mem;
 pub mod monitor;
 pub mod stats;
+mod watch;
 
 pub use cache::{Cache, CacheConfig};
-pub use cpu::{EngineKind, Machine, Outcome, RunResult, SimConfig};
+pub use cpu::{EngineKind, Machine, Outcome, RunResult, SimConfig, Watched};
 pub use monitor::{FetchMonitor, NullMonitor, TamperCause, TamperEvent};
 pub use stats::{Fault, Stats};
+pub use watch::TextWatch;
