@@ -135,6 +135,37 @@ for driver in fprun fplint; do
 done
 echo "hostile decrypt latency refused OK"
 
+echo "== tampered guard window: fplint reports every finding =="
+# The smoke build with one bit flipped in the text word just before its
+# first guard site, inside that guard's window. The attack harness only
+# asks whether such an image is flagged, and that verdict stops at the
+# first error; fplint must still run every check and list both errors:
+# the signature recheck (FP102) and the checksum proof that re-derives
+# it (FP703).
+python3 - "$OBS_DIR/smoke.prot.fpx" "$OBS_DIR/smoke.fpm" "$OBS_DIR/flipped.fpx" <<'EOF'
+import struct, sys
+data = bytearray(open(sys.argv[1], "rb").read())
+fpm = open(sys.argv[2], "rb").read()
+# FPX1: magic, u32 entry, text_base, data_base, text_words, then the
+# text words. FPM1: the first site address follows magic, key and count.
+text_base = struct.unpack_from("<I", data, 8)[0]
+site = struct.unpack_from("<I", fpm, 16)[0]
+index = (site - text_base) // 4 - 1
+data[20 + 4 * index] ^= 1 << 5
+open(sys.argv[3], "wb").write(data)
+EOF
+status=0
+"$BIN/fplint" "$OBS_DIR/flipped.fpx" --secmon "$OBS_DIR/smoke.fpm" \
+    > "$OBS_DIR/flipped.lint" || status=$?
+[ "$status" -eq 1 ] || {
+    echo "fplint exited $status on a tampered guard window (expected 1)"; exit 1;
+}
+errors=$(grep -o '^error: \[FP[0-9]*\]' "$OBS_DIR/flipped.lint" | tr '\n' ' ')
+[ "$errors" = "error: [FP102] error: [FP703] " ] || {
+    echo "fplint did not list FP102 and FP703 (got: $errors):"; cat "$OBS_DIR/flipped.lint"; exit 1;
+}
+echo "tampered guard window fully reported OK"
+
 echo "== perfbench: correctness smoke =="
 # perfbench is a Cargo package of its own, so the workspace stages above
 # never compile it. One-second runs of each workload build it against the

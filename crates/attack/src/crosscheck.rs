@@ -157,11 +157,23 @@ fn mutation_on_surface(protected: &Protected, oracle: &StaticOracle, mutated: &I
         .all(|(i, _)| !map.covered[i] && !map.encrypted[i])
 }
 
-/// Runs a single-word random mutation campaign: each trial flips a
-/// random bit pattern into one random text word of the protected image,
-/// validates and predicts it once, classifies the result via
-/// [`classify`], and tallies the agreement classes. Deterministic for a
-/// given seed.
+/// The mutation of one [`cross_check`] trial: one random text word of
+/// `image` gets a random bit flipped or is replaced by a random word, half
+/// the time each — the classic single-bit hardware attack and whole-word
+/// substitution.
+pub fn random_word_edit(image: &mut Image, rng: &mut Rng64) {
+    let index = rng.index(image.text.len());
+    if rng.next_u64() & 1 == 0 {
+        image.text[index] ^= 1 << rng.below(32);
+    } else {
+        image.text[index] = rng.next_u32();
+    }
+}
+
+/// Runs a single-word random mutation campaign: each trial makes one
+/// [`random_word_edit`] of the protected image, validates and predicts it
+/// once, classifies the result via [`classify`], and tallies the
+/// agreement classes. Deterministic for a given seed.
 pub fn cross_check(
     base: &Image,
     protected: &Protected,
@@ -172,14 +184,7 @@ pub fn cross_check(
     let mut summary = CrossCheckSummary::default();
     for _ in 0..trials {
         let mut mutated = protected.image.clone();
-        let index = rng.index(mutated.text.len());
-        // Bias half the trials toward single-bit flips (the classic
-        // hardware-attack model), half toward whole-word substitution.
-        if rng.next_u64() & 1 == 0 {
-            mutated.text[index] ^= 1 << rng.below(32);
-        } else {
-            mutated.text[index] = rng.next_u32();
-        }
+        random_word_edit(&mut mutated, rng);
         summary.trials += 1;
         let verdict = equiv::validate(base, &mutated, &protected.secmon).verdict;
         let predicted = oracle.predicts(&protected.image, &mutated);

@@ -7,6 +7,7 @@ use flexprot_isa::{Image, Inst, Rng64};
 use flexprot_secmon::SecMonConfig;
 use flexprot_sim::{Fault, Outcome, RunResult, SimConfig, TamperCause, TextWatch, Watched};
 use flexprot_trace::Metrics;
+use flexprot_verify::LintPolicy;
 
 use crate::attacks::Attack;
 use crate::oracle::StaticOracle;
@@ -287,8 +288,15 @@ impl AttackSummary {
 /// zero-execution detection baseline. A tampered image caught here never
 /// needs to run at all; compare with the runtime latencies the dynamic
 /// trials measure.
+///
+/// The answer is exactly `!flexprot_verify::verify(image, config).is_clean()`,
+/// but it comes from [`Shipped::flags`], which stops at the first
+/// structural check that reports an error: most mutants break a guard
+/// signature or a decode and never need the value-set analyses.
+///
+/// [`Shipped::flags`]: flexprot_verify::Shipped::flags
 pub fn static_detects(image: &Image, config: &SecMonConfig) -> bool {
-    !flexprot_verify::verify(image, config).is_clean()
+    flexprot_verify::Shipped::new(image, config).flags(&LintPolicy::default())
 }
 
 /// Classifies a finished attacked run from its result alone.
@@ -399,14 +407,18 @@ pub fn evaluate_random_nop(
 }
 
 /// The mutations of [`evaluate`]: one random instance of `attack` a trial.
-fn random_attacks(attack: Attack, seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
+///
+/// Like every mutation source of a campaign, the closure edits the text
+/// words of the pristine image it is handed for trial `t`, and returns
+/// `false` when the attack found no site.
+pub fn random_attacks(attack: Attack, seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
     let mut rng = Rng64::new(seed);
     move |_, image| attack.apply(image, &mut rng)
 }
 
 /// The mutations of [`evaluate_targeted`]: trial `t` NOPs out step `t` of
 /// the plan, cycling.
-fn targeted_nops(
+pub fn targeted_nops(
     protected: &Protected,
     oracle: &StaticOracle,
 ) -> impl FnMut(u32, &mut Image) -> bool {
@@ -422,7 +434,7 @@ fn targeted_nops(
 }
 
 /// The mutations of [`evaluate_random_nop`]: one random word a trial.
-fn random_nops(seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
+pub fn random_nops(seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
     let mut rng = Rng64::new(seed);
     move |_, image| {
         let index = rng.index(image.text.len());

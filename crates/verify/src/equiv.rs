@@ -677,7 +677,7 @@ fn non_control_mismatch(
 /// transparency obligation, on the protected flow's liveness and
 /// memory-sensitive value-set facts.
 fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgement {
-    let (protected, text, flow, mem) = (shipped.image, &shipped.text, &shipped.flow, &shipped.mem);
+    let (protected, text, flow) = (shipped.image, &shipped.text, &shipped.flow);
     let word = text[g];
     if is_guard_form(word) {
         return WordJudgement::Transparent; // rd == $zero, no memory, no control
@@ -695,7 +695,8 @@ fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgeme
         // reason that rules self-modification out.
         let lo = protected.text_base;
         let hi = lo.wrapping_add(4 * text.len() as u32);
-        let class = mem
+        let class = shipped
+            .mem()
             .get(g)
             .and_then(|f| f.as_ref())
             .and_then(|state| alias::store_site(g, inst, state))
@@ -717,7 +718,7 @@ fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgeme
     }
     if inst.is_branch() {
         // Lockstep symbolic execution decides the condition where it can.
-        return match branch_taken(inst, mem.get(g).and_then(|f| f.as_ref())) {
+        return match branch_taken(inst, shipped.mem().get(g).and_then(|f| f.as_ref())) {
             Some(false) => WordJudgement::Transparent,
             Some(true) => WordJudgement::Clobber(
                 "provably-taken branch in guard window diverts control flow".to_owned(),

@@ -12,18 +12,23 @@
 //! pair surfaces as a finding instead of cancelling out.
 //!
 //! Every analysis starts from one fact base per image, [`Shipped`]: the
-//! decrypted text, the recovered [`Flow`] and the [`memdom`] value-set
-//! facts, derived once by [`Shipped::new`]. [`Shipped::analyze`] runs the
-//! lint checks (flow, guards, spacing, relocations, regions, coverage,
-//! guard network and, on request, key-flow [`taint`]) and returns a
-//! [`Verification`]: a [`Report`] of [`Finding`]s with stable lint IDs
-//! (`fplint --lints` enumerates them), the tamper-surface [`SurfaceMap`],
-//! the guard network and the checksum proofs. [`Shipped::validate`]
-//! translation-validates the image against its baseline ([`equiv`]). An
-//! image is *clean* when no finding has [`Severity::Error`]; policies
-//! ([`LintPolicy`]) can promote or demote individual lints. [`verify`],
-//! [`analyze`], [`analyze_with_options`] and [`equiv::validate`] build a
-//! fresh fact base for one consumer.
+//! decrypted text and the recovered [`Flow`], derived by [`Shipped::new`],
+//! and the [`memdom`] value-set facts, built once on first use by the
+//! checksum proofs, the key-flow analysis or translation validation.
+//! [`Shipped::analyze`] runs the lint checks (flow, guards, spacing,
+//! relocations, regions, coverage, guard network and, on request,
+//! key-flow [`taint`]) and returns a [`Verification`]: a [`Report`] of
+//! [`Finding`]s with stable lint IDs (`fplint --lints` enumerates them),
+//! the tamper-surface [`SurfaceMap`], the guard network and the checksum
+//! proofs. [`Shipped::flags`] answers only whether that report would hold
+//! an error: it runs the same checks in the same order but stops at the
+//! first structural check (flow, guards, spacing, relocations, regions)
+//! that reports one, before the memory facts are needed.
+//! [`Shipped::validate`] translation-validates the image against its
+//! baseline ([`equiv`]). An image is *clean* when no finding has
+//! [`Severity::Error`]; policies ([`LintPolicy`]) can promote or demote
+//! individual lints. [`verify`], [`analyze`], [`analyze_with_options`]
+//! and [`equiv::validate`] build a fresh fact base for one consumer.
 //!
 //! The iterative analyses run on a worklist dataflow framework
 //! ([`dataflow`]) instantiated for backward register liveness
@@ -70,6 +75,7 @@ pub use guardnet::{GuardNet, NetNode, WeakLink};
 pub use liveness::Liveness;
 pub use taint::{TaintState, TaintStats};
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use flexprot_isa::Image;
@@ -85,6 +91,9 @@ pub(crate) struct Sink<'p> {
     findings: Vec<Finding>,
     /// Findings seen per capped lint id since its last summary.
     capped: Vec<(&'static str, usize)>,
+    /// Whether a caller that only needs the verdict stops at the first
+    /// error (see [`Sink::go_on`]).
+    stop_at_error: bool,
 }
 
 impl<'p> Sink<'p> {
@@ -93,7 +102,24 @@ impl<'p> Sink<'p> {
             policy,
             findings: Vec::new(),
             capped: Vec::new(),
+            stop_at_error: false,
         }
+    }
+
+    /// A sink whose [`Sink::go_on`] says stop once it holds an error.
+    fn stopping(policy: &'p LintPolicy) -> Sink<'p> {
+        Sink {
+            stop_at_error: true,
+            ..Sink::new(policy)
+        }
+    }
+
+    /// `None` when this sink stops at errors and already holds one, so a
+    /// sequence of checks can end with `?`.
+    fn go_on(&self) -> Option<()> {
+        let stop =
+            self.stop_at_error && self.findings.iter().any(|f| f.severity == Severity::Error);
+        (!stop).then_some(())
     }
 
     fn emit(&mut self, lint: &'static Lint, addr: Option<u32>, message: String) {
@@ -189,10 +215,12 @@ impl Verification {
     }
 }
 
-/// The facts every analysis of one shipped image reads, derived once:
-/// the decrypted text, its recovered flow graph and the memory-sensitive
-/// value-set facts. The lint checks, the key-flow analysis, the checksum
-/// proofs and translation validation all start from here.
+/// The facts every analysis of one shipped image reads, each derived at
+/// most once: the decrypted text and its recovered flow graph, built by
+/// [`Shipped::new`], and the memory-sensitive value-set facts, built the
+/// first time an analysis reads them. The lint checks, the key-flow
+/// analysis, the checksum proofs and translation validation all start
+/// from here.
 #[derive(Debug)]
 pub struct Shipped<'a> {
     /// The shipped image.
@@ -204,24 +232,36 @@ pub struct Shipped<'a> {
     /// The instruction-level flow graph of `text`.
     pub(crate) flow: Flow,
     /// The abstract state entering each text word
-    /// ([`memdom::analyze_memory`]).
-    pub(crate) mem: Vec<memdom::MemFact>,
+    /// ([`memdom::analyze_memory`]), once [`Shipped::mem`] has built it.
+    mem: OnceCell<Vec<memdom::MemFact>>,
+}
+
+/// What the structural checks hand the rest of the analysis.
+struct Structural {
+    sites_checked: usize,
+    windows: Vec<GuardWindow>,
+    max_spacing: Option<u64>,
+    relocs_checked: usize,
 }
 
 impl<'a> Shipped<'a> {
-    /// Decrypts `image` under `config`, recovers its flow and runs the
-    /// memory-sensitive value-set analysis.
+    /// Decrypts `image` under `config` and recovers its flow.
     pub fn new(image: &'a Image, config: &'a SecMonConfig) -> Shipped<'a> {
         let text = decrypt_text(image, config);
         let flow = Flow::recover(image, &text);
-        let mem = memdom::analyze_memory(image, &flow);
         Shipped {
             image,
             config,
             text,
             flow,
-            mem,
+            mem: OnceCell::new(),
         }
+    }
+
+    /// The memory-sensitive value-set facts, built on first use.
+    pub(crate) fn mem(&self) -> &[memdom::MemFact] {
+        self.mem
+            .get_or_init(|| memdom::analyze_memory(self.image, &self.flow))
     }
 
     /// Runs every lint check under `policy`, returning the report, the
@@ -229,27 +269,70 @@ impl<'a> Shipped<'a> {
     /// the key-flow analysis runs too: FP9xx findings land in the report
     /// and the run counters in [`VerifyStats::taint`].
     pub fn analyze(&self, policy: &LintPolicy, taint: bool) -> Verification {
-        let (image, config, text, flow) = (self.image, self.config, &self.text, &self.flow);
         let mut sink = Sink::new(policy);
-        checks::check_flow(self, &mut sink);
-        let (sites_checked, windows) = checks::check_guards(self, &mut sink);
-        let max_spacing = checks::check_spacing(self, &mut sink);
-        let relocs_checked = checks::check_relocs(self, &mut sink);
-        checks::check_regions(self, &mut sink);
+        let structural = self
+            .structural(&mut sink)
+            .expect("only a stopping sink cuts the structural checks short");
+        self.semantic(sink, structural, taint)
+    }
 
+    /// Whether [`Shipped::analyze`] without the key-flow analysis would
+    /// report an error under `policy`, that is
+    /// `!self.analyze(policy, false).report.is_clean()`.
+    ///
+    /// Findings are only ever added and their severity is fixed when they
+    /// are emitted, so the first error decides the answer: the checks run
+    /// in the order `analyze` runs them and stop after the first structural
+    /// check that reports an error, before the control-flow, coverage and
+    /// value-set analyses (and the memory facts) are built.
+    pub fn flags(&self, policy: &LintPolicy) -> bool {
+        let mut sink = Sink::stopping(policy);
+        match self.structural(&mut sink) {
+            None => true,
+            Some(structural) => !self.semantic(sink, structural, false).report.is_clean(),
+        }
+    }
+
+    /// The structural checks — flow, guards, spacing, relocations and
+    /// regions — which read only the text and the flow. `None` when a
+    /// stopping sink has an error after one of them.
+    fn structural(&self, sink: &mut Sink) -> Option<Structural> {
+        checks::check_flow(self, sink);
+        sink.go_on()?;
+        let (sites_checked, windows) = checks::check_guards(self, sink);
+        sink.go_on()?;
+        let max_spacing = checks::check_spacing(self, sink);
+        sink.go_on()?;
+        let relocs_checked = checks::check_relocs(self, sink);
+        sink.go_on()?;
+        checks::check_regions(self, sink);
+        sink.go_on()?;
+        Some(Structural {
+            sites_checked,
+            windows,
+            max_spacing,
+            relocs_checked,
+        })
+    }
+
+    /// The checks after the structural ones: control-flow graph,
+    /// dominators, liveness and coverage, the checksum proofs on the
+    /// memory facts, the guard network and, with `taint` set, key flow.
+    fn semantic(&self, mut sink: Sink, structural: Structural, taint: bool) -> Verification {
+        let (image, config, text, flow) = (self.image, self.config, &self.text, &self.flow);
         let cfg = Cfg::build(image, flow);
         let doms = cfg
             .entry
             .map(|entry| domtree::dominators(entry, &cfg.succs));
         let live = liveness::analyze(flow);
-        let cov = coverage::analyze(flow, &cfg, doms.as_ref(), windows);
+        let cov = coverage::analyze(flow, &cfg, doms.as_ref(), structural.windows);
         checks::check_coverage(self, &cov, &live, &mut sink);
         let surface = coverage::surface_map(image, config, flow, &cfg, &cov);
 
         // Abstract interpretation: the memory-sensitive value-set facts
         // (pointer provenance + tracked stack frame) feed the per-guard
         // checksum proofs; the window list feeds the guard network.
-        let proofs = absint::prove_guards(image, config, text, flow, &self.mem, &cov.windows);
+        let proofs = absint::prove_guards(image, config, text, flow, self.mem(), &cov.windows);
         let net = guardnet::build(&cov.windows);
         checks::check_network(&net, &proofs, &mut sink);
         let taint_stats = taint.then(|| taint::check_taint(self, &mut sink));
@@ -258,9 +341,9 @@ impl<'a> Shipped<'a> {
             stats: VerifyStats {
                 text_words: text.len(),
                 reachable_words: flow.reachable_count(),
-                sites_checked,
-                relocs_checked,
-                max_spacing,
+                sites_checked: structural.sites_checked,
+                relocs_checked: structural.relocs_checked,
+                max_spacing: structural.max_spacing,
                 sound_windows: surface.sound_windows,
                 covered_words: surface.covered_words(),
                 surface_words: surface.surface_words(),
@@ -307,6 +390,39 @@ pub fn analyze_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexprot_core::{protect, GuardConfig, ProtectionConfig};
+
+    #[test]
+    fn memory_facts_are_built_on_first_use_and_only_once() {
+        let base = flexprot_asm::assemble_or_panic(
+            "main: li $t0, 5\n li $t1, 6\n addu $a0, $t0, $t1\n li $v0, 1\n syscall\n \
+             li $v0, 10\n syscall\n",
+        );
+        let config = ProtectionConfig::new().with_guards(GuardConfig::with_density(1.0));
+        let protected = protect(&base, &config, None).unwrap();
+        let (image, secmon) = (&protected.image, &protected.secmon);
+
+        // A broken signature ends the verdict in the structural checks.
+        let mut mutant = image.clone();
+        let site = *secmon.sites.keys().next().unwrap();
+        mutant.text[image.text_index_of(site).unwrap() - 1] ^= 1 << 5;
+        let shipped = Shipped::new(&mutant, secmon);
+        assert!(shipped.flags(&LintPolicy::default()));
+        assert!(shipped.mem.get().is_none(), "flags built the memory facts");
+
+        // The full analysis builds them, and validation reads the same ones.
+        assert!(!shipped
+            .analyze(&LintPolicy::default(), false)
+            .report
+            .is_clean());
+        let built = shipped
+            .mem
+            .get()
+            .expect("analyze builds the memory facts")
+            .as_ptr();
+        shipped.validate(&base, &LintPolicy::default());
+        assert_eq!(shipped.mem().as_ptr(), built);
+    }
 
     #[test]
     fn capped_lints_summarise_their_overflow_and_restart() {

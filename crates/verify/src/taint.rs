@@ -319,7 +319,7 @@ pub struct TaintStats {
 /// Runs the key-flow analysis over `shipped` and reports every sink hit
 /// through `sink`, returning the run counters.
 pub(crate) fn check_taint(shipped: &Shipped, sink: &mut Sink<'_>) -> TaintStats {
-    let (image, config, flow, mem) = (shipped.image, shipped.config, &shipped.flow, &shipped.mem);
+    let (image, config, flow, mem) = (shipped.image, shipped.config, &shipped.flow, shipped.mem());
     let taints = analyze_taint(image, config, flow, mem);
     let mut stats = TaintStats::default();
 

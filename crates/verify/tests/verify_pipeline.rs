@@ -9,7 +9,7 @@ use flexprot_core::{protect, EncryptConfig, GuardConfig, Placement, ProtectionCo
 use flexprot_isa::{Inst, Rng64};
 use flexprot_secmon::SecMonConfig;
 use flexprot_sim::{Outcome, SimConfig};
-use flexprot_verify::{analyze, verify, LintPolicy, Severity};
+use flexprot_verify::{analyze, verify, LintPolicy, Report, Severity, Shipped};
 
 const LOOP_CALL: &str = r#"
         .data
@@ -309,6 +309,52 @@ fn policy_overrides_change_the_verdict() {
     let deny = LintPolicy::new(&["FP501"], &[]).unwrap();
     let strict = analyze(&image, &secmon, &deny).report;
     assert!(strict.count(Severity::Error) >= default_report.count(Severity::Error));
+}
+
+#[test]
+fn flags_reads_the_effective_severity_of_each_finding() {
+    // A mutant whose one error is FP102: a flipped bit in a guard window
+    // that the checksum proofs do not re-derive.
+    let (image, secmon) = guarded();
+    let errors = |report: &Report| -> Vec<&str> {
+        let errors = report
+            .findings
+            .iter()
+            .filter(|f| f.severity == Severity::Error);
+        errors.map(|f| f.id).collect()
+    };
+    let mutant = (0..image.text.len())
+        .flat_map(|i| (0..32).map(move |bit| (i, bit)))
+        .map(|(i, bit)| {
+            let mut mutated = image.clone();
+            mutated.text[i] ^= 1 << bit;
+            mutated
+        })
+        .find(|mutated| errors(&verify(mutated, &secmon)) == ["FP102"])
+        .expect("some bit flip breaks only a signature");
+    let shipped = Shipped::new(&mutant, &secmon);
+    assert!(shipped.flags(&LintPolicy::default()));
+    // Allowed, FP102 no longer stops the checks, and nothing after it
+    // is an error.
+    let allow = LintPolicy::new::<&str>(&[], &["FP102"]).unwrap();
+    assert!(shipped.analyze(&allow, false).report.is_clean());
+    assert!(!shipped.flags(&allow));
+
+    // Denied, the coverage-gap warning of a sparse-guard build, which
+    // only the checks after the structural ones report, is an error.
+    let image = flexprot_asm::assemble_or_panic(LOOP_CALL);
+    let config = ProtectionConfig::new().with_guards(GuardConfig {
+        placement: Placement::LoopHeaders,
+        ..GuardConfig::with_density(0.1)
+    });
+    let p = protect(&image, &config, None).unwrap();
+    let shipped = Shipped::new(&p.image, &p.secmon);
+    let report = shipped.analyze(&LintPolicy::default(), false).report;
+    assert!(report.is_clean() && report.with_id("FP603").count() > 0);
+    assert!(!shipped.flags(&LintPolicy::default()));
+    let deny = LintPolicy::new(&["FP603"], &[]).unwrap();
+    assert!(!shipped.analyze(&deny, false).report.is_clean());
+    assert!(shipped.flags(&deny));
 }
 
 #[test]
