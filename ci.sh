@@ -58,6 +58,19 @@ grep -q '"ev":"run_end"' "$OBS_DIR/smoke.trace.jsonl" || {
     echo "trace missing run_end event"; exit 1;
 }
 echo "metrics schema OK"
+# The predecoded engine steps a cache line at a time; the reference engine
+# steps every fetch on its own. Under a 256-byte I-cache (refills all the
+# time) both must write the same metrics document and the same trace.
+for engine in reference predecoded; do
+    cargo run --quiet --release -p flexprot-cli --bin fprun -- \
+        "$OBS_DIR/smoke.prot.fpx" --secmon "$OBS_DIR/smoke.fpm" \
+        --engine "$engine" --icache 256 \
+        --metrics "$OBS_DIR/smoke.$engine.metrics.json" \
+        --trace "$OBS_DIR/smoke.$engine.trace.jsonl" > /dev/null
+done
+cmp "$OBS_DIR/smoke.reference.metrics.json" "$OBS_DIR/smoke.predecoded.metrics.json"
+cmp "$OBS_DIR/smoke.reference.trace.jsonl" "$OBS_DIR/smoke.predecoded.trace.jsonl"
+echo "engines agree through fprun OK"
 
 echo "== fprun --trace: bounded memory =="
 # A traced run streams its events to the trace file, so its peak RSS must

@@ -292,6 +292,7 @@ impl SecMon {
         }
     }
 
+    #[inline]
     fn observe(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
         if let Some(col) = self.collecting.take() {
             if !sequential || pc != col.next_pc {
@@ -395,6 +396,9 @@ impl FetchMonitor for SecMon {
         self.table = AttrTable::compile(&self.config, text_base, text_end);
     }
 
+    // Inlined, with `observe`, into the simulator's commit loop, which
+    // calls it once per committed word.
+    #[inline]
     fn observe_commit(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
         self.observe(pc, word, sequential)
     }

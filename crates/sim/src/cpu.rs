@@ -11,10 +11,14 @@
 //! * `exec` — the execute stage: ALU/memory/branch semantics,
 //!   syscalls and D-cache timing.
 //!
-//! This module owns what ties them together: the machine state, the
-//! per-commit loop with the `observe_commit` guard hook, its watched copy
-//! that pauses at chosen text words (`crate::watch`), and reset/rearm
-//! lifecycle.
+//! This module owns what ties them together: the machine state, the one
+//! commit loop and reset/rearm lifecycle. The loop steps the predecoded
+//! engine a *line run* at a time: the first word of a straight-line run
+//! through an I-cache line makes the real I-cache access, and each later
+//! word of the line is charged as a hit and read from the decoded-line
+//! store. The `observe_commit` guard hook still sees every word before it
+//! executes, and a watched copy of the same loop (`crate::watch`) still
+//! checks every word before its fetch is charged.
 
 use flexprot_isa::{Image, Reg, STACK_TOP};
 use flexprot_trace::{Metrics, SharedSink, TraceEvent};
@@ -296,6 +300,12 @@ impl<M: FetchMonitor> Machine<M> {
     }
 
     /// Runs until exit, fault, tamper detection or fuel exhaustion.
+    ///
+    /// Under [`EngineKind::Predecoded`] the run is stepped a line run at a
+    /// time (see the module doc): one fuel check, one I-cache access and
+    /// one decode-store lookup per straight-line run through a line, with
+    /// the same [`RunResult`], monitor calls and trace events as stepping
+    /// every fetch on its own, which [`EngineKind::Reference`] does.
     pub fn run(&mut self) -> RunResult {
         let outcome = self
             .run_inner::<false>(None)
@@ -312,7 +322,9 @@ impl<M: FetchMonitor> Machine<M> {
     /// that fetch, so cloning it there and patching the clone
     /// ([`Machine::poke_text`]) forks the run of a patched build; calling
     /// `run_watched` again resumes. The watch is checked in a copy of the
-    /// commit loop of its own: [`Machine::run`] does not pay for it.
+    /// commit loop of its own, compiled from the same source, so
+    /// [`Machine::run`] does not pay for it; the copy steps line runs too,
+    /// and checks the watch before each word of a run is charged.
     pub fn run_watched(&mut self, watch: &mut TextWatch) -> Watched {
         match self.run_inner::<true>(Some(watch)) {
             Some(outcome) => Watched::End(self.finish(outcome)),
@@ -361,15 +373,33 @@ impl<M: FetchMonitor> Machine<M> {
     /// The commit loop. `WATCH` compiles the checks of `watch` in: `None`
     /// is a pause before fetching an armed word, which only a watched loop
     /// returns.
+    ///
+    /// Each pass of the outer loop steps one *line run*: the word at `pc`
+    /// and the words after it in the same I-cache line. The first word
+    /// goes through [`Machine::fetch_decode`] (the real I-cache access,
+    /// with fill, miss timing and the monitor's fill penalty); each later
+    /// word is charged as the hit it must be and read straight from the
+    /// decoded-line store. A run ends at a taken transfer or a stop, at
+    /// the end of the line or of text, when the fuel runs out, or at a
+    /// word the store cannot serve (it does not decode, or a store to text
+    /// dropped its line): the next pass then re-does that word through
+    /// `fetch_decode`, as per-commit stepping would. The reference engine
+    /// takes runs of one word, so it stays the per-fetch oracle. The
+    /// monitor and the watch still see every word before it executes.
     fn run_inner<const WATCH: bool>(
         &mut self,
         mut watch: Option<&mut TextWatch>,
     ) -> Option<Outcome> {
+        let line_bytes = self.config.icache.line_bytes;
         loop {
-            if self.stats.instructions >= self.config.max_instructions {
+            let fuel = self
+                .config
+                .max_instructions
+                .saturating_sub(self.stats.instructions);
+            if fuel == 0 {
                 return Some(Outcome::OutOfFuel);
             }
-            let pc = self.pc;
+            let mut pc = self.pc;
             if !pc.is_multiple_of(4) || pc < self.text_base || pc >= self.text_end {
                 return Some(Outcome::Fault(Fault::WildPc { pc }));
             }
@@ -377,36 +407,72 @@ impl<M: FetchMonitor> Machine<M> {
                 return None;
             }
 
-            // --- fetch + decode (crate::fetch) ---
-            let (inst, word) = match self.fetch_decode(pc) {
+            // --- fetch + decode (crate::fetch): the run's first word ---
+            let (mut inst, mut word) = match self.fetch_decode(pc) {
                 Ok(fetched) => fetched,
                 Err(outcome) => return Some(outcome),
             };
-
-            // --- commit observation (guard verification) ---
-            let sequential = self.prev_pc == Some(pc.wrapping_sub(4));
-            if let Some(event) = self.monitor.observe_commit(pc, word, sequential) {
-                return Some(Outcome::TamperDetected(event));
-            }
-            self.stats.instructions += 1;
-            if let Some(sink) = &self.sink {
-                sink.emit(&TraceEvent::Commit { pc });
-            }
-            self.prev_pc = Some(pc);
-
-            // --- execute (crate::exec) ---
-            if WATCH {
-                if let (Some(watch), Some((addr, len))) = (watch.as_mut(), self.data_span(inst)) {
-                    watch.touch(addr, len);
+            let mut left = match self.config.engine {
+                EngineKind::Predecoded => {
+                    let in_line = (line_bytes - (pc & (line_bytes - 1))) / 4;
+                    let in_text = (self.text_end - pc).div_ceil(4);
+                    u64::from(in_line.min(in_text)).min(fuel)
                 }
-            }
-            match self.execute(pc, inst) {
-                Step::Next => self.pc = pc.wrapping_add(4),
-                Step::Goto(target) => {
-                    self.stats.taken_transfers += 1;
-                    self.pc = target;
+                EngineKind::Reference => 1,
+            };
+            let mut sequential = self.prev_pc == Some(pc.wrapping_sub(4));
+            loop {
+                // --- commit observation (guard verification) ---
+                if let Some(event) = self.monitor.observe_commit(pc, word, sequential) {
+                    return Some(Outcome::TamperDetected(event));
                 }
-                Step::Stop(outcome) => return Some(outcome),
+                self.stats.instructions += 1;
+                if let Some(sink) = &self.sink {
+                    sink.emit(&TraceEvent::Commit { pc });
+                }
+                self.prev_pc = Some(pc);
+
+                // --- execute (crate::exec) ---
+                if WATCH {
+                    if let (Some(watch), Some((addr, len))) = (watch.as_mut(), self.data_span(inst))
+                    {
+                        watch.touch(addr, len);
+                    }
+                }
+                match self.execute(pc, inst) {
+                    Step::Next => self.pc = pc.wrapping_add(4),
+                    Step::Goto(target) => {
+                        self.stats.taken_transfers += 1;
+                        self.pc = target;
+                        break;
+                    }
+                    Step::Stop(outcome) => return Some(outcome),
+                }
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+                pc = self.pc;
+                if WATCH && watch.as_mut().is_some_and(|watch| watch.fetch(pc)) {
+                    return None;
+                }
+
+                // --- a later word of the run: an I-cache hit ---
+                let Some((Some(next), next_word)) = self.decode.lookup(pc) else {
+                    break;
+                };
+                // The run's first word made this line resident, and no
+                // other I-cache access falls between two words of a run,
+                // so this access would hit and leave the line the most
+                // recent in its set. Skipping `Cache::access` changes only
+                // the cache's global tick, and LRU compares ticks only
+                // within a set: no later miss or victim can differ.
+                self.stats.cycles += 1;
+                self.stats.icache_accesses += 1;
+                if let Some(sink) = &self.sink {
+                    sink.emit(&TraceEvent::Fetch { pc, hit: true });
+                }
+                (inst, word, sequential) = (next, next_word, true);
             }
         }
     }
@@ -906,14 +972,45 @@ main:   li   $t0, 5
         }
         let image =
             flexprot_asm::assemble_or_panic("main: nop\n nop\n nop\n nop\n li $v0, 10\n syscall\n");
-        let r = Machine::with_monitor(&image, SimConfig::default(), TripAtThird(0)).run();
-        match r.outcome {
-            Outcome::TamperDetected(event) => {
-                assert_eq!(event.pc, image.entry + 8);
-                // Two instructions committed before the third was blocked.
-                assert_eq!(r.stats.instructions, 2);
+        for engine in [EngineKind::Predecoded, EngineKind::Reference] {
+            let config = SimConfig::default().with_engine(engine);
+            let r = Machine::with_monitor(&image, config, TripAtThird(0)).run();
+            match r.outcome {
+                Outcome::TamperDetected(event) => {
+                    assert_eq!(event.pc, image.entry + 8);
+                    // Two instructions committed before the third was
+                    // blocked; the third was fetched, in the middle of
+                    // the entry line, so it still counts as an access.
+                    assert_eq!(r.stats.instructions, 2, "{engine:?}");
+                    assert_eq!(r.stats.icache_accesses, 3, "{engine:?}");
+                }
+                other => panic!("{engine:?}: expected tamper, got {other:?}"),
             }
-            other => panic!("expected tamper, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_illegal_word_mid_line_is_fetched_but_never_committed() {
+        let mut image =
+            flexprot_asm::assemble_or_panic("main: nop\n nop\n nop\n nop\n li $v0, 10\n syscall\n");
+        image.text[3] = 0xFFFF_FFFF;
+        let line = SimConfig::default().icache.line_bytes;
+        assert!(
+            image.entry.is_multiple_of(line),
+            "the program starts a line"
+        );
+        for engine in [EngineKind::Predecoded, EngineKind::Reference] {
+            let r = Machine::new(&image, SimConfig::default().with_engine(engine)).run();
+            assert_eq!(
+                r.outcome,
+                Outcome::Fault(Fault::IllegalInstruction {
+                    pc: image.entry + 12,
+                    word: 0xFFFF_FFFF
+                }),
+                "{engine:?}"
+            );
+            assert_eq!(r.stats.instructions, 3, "{engine:?}");
+            assert_eq!(r.stats.icache_accesses, 4, "{engine:?}");
         }
     }
 

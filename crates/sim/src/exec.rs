@@ -90,8 +90,8 @@ impl<M: FetchMonitor> Machine<M> {
         }
     }
 
-    // Inlined into both commit loops (`Machine::run` and the watched copy),
-    // as it was into the single loop before the watched one existed.
+    // Inlined into the commit loop's two copies (`Machine::run` and the
+    // watched one).
     #[inline(always)]
     pub(crate) fn execute(&mut self, pc: u32, inst: Inst) -> Step {
         use Inst::*;

@@ -13,7 +13,10 @@
 //!
 //! Every counter update, trace event and monitor timing call
 //! (`fill_penalty`) is shared between the engines, which is what keeps
-//! [`crate::Stats`] bit-identical across them.
+//! [`crate::Stats`] bit-identical across them. The predecoded engine
+//! calls [`Machine::fetch_decode`] only for the first word of a line run;
+//! the commit loop charges each later word of the run as the hit this
+//! function would have charged.
 
 use flexprot_isa::Inst;
 use flexprot_trace::TraceEvent;
@@ -26,8 +29,8 @@ impl<M: FetchMonitor> Machine<M> {
     /// Fetches and decodes the instruction at `pc`, charging fetch-path
     /// timing. Returns the decoded instruction and its plaintext word, or
     /// the outcome that aborts the run.
-    // Inlined into both commit loops (`Machine::run` and the watched copy),
-    // as it was into the single loop before the watched one existed.
+    // Inlined into the commit loop's two copies (`Machine::run` and the
+    // watched one).
     #[inline(always)]
     pub(crate) fn fetch_decode(&mut self, pc: u32) -> Result<(Inst, u32), Outcome> {
         self.stats.cycles += 1;

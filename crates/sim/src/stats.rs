@@ -55,7 +55,10 @@ pub struct Stats {
     pub cycles: u64,
     /// Committed instructions.
     pub instructions: u64,
-    /// I-cache accesses (one per committed instruction).
+    /// I-cache accesses: one per fetch. Every committed instruction was
+    /// fetched once, and so was the word that ends a run by failing to
+    /// decode or by tripping the monitor, which never commits: such a run
+    /// ends with one access more than it has instructions.
     pub icache_accesses: u64,
     /// I-cache misses.
     pub icache_misses: u64,

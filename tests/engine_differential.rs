@@ -6,13 +6,19 @@
 //! cache misses and monitor fill penalties included. The sweep runs 64
 //! randomly generated MiniC programs through every cell of the
 //! protection matrix ([`flexprot_exec::matrix`]) on both engines and
-//! asserts full [`flexprot::sim::RunResult`] equality, once under the
-//! default I-cache and once under a 256-byte direct-mapped one, where
-//! lines are evicted and refilled all the time. A third case re-arms one
-//! machine across a sequence of single-word mutants, the attack
-//! harness's use of the decoded-line store. A fourth case profiles every
-//! matrix program on both engines: the execution profiles must agree, and
-//! the profile's I-cache fills must add up to the run's miss count.
+//! asserts full [`flexprot::sim::RunResult`] equality under four
+//! I-caches: the default one, a 256-byte direct-mapped one where lines are
+//! evicted and refilled all the time, and two 2-way ones (16-byte and
+//! 64-byte lines) where the LRU choice of victim decides the misses. The
+//! predecoded engine charges the later words of a line as hits without
+//! touching the cache model, so these are the geometries that would show
+//! a skipped access that left the LRU order wrong. A fuel sweep stops
+//! one guarded, encrypted loop at every instruction count, inside lines
+//! too. Another case re-arms one machine across a sequence of single-word
+//! mutants, the attack harness's use of the decoded-line store. The last
+//! profiles every matrix program on both engines: the execution profiles
+//! must agree, and the profile's I-cache fills must add up to the run's
+//! miss count.
 //!
 //! Generated programs may loop past the fuel limit; that is fine — the
 //! engines must then agree on `OutOfFuel` at the same instruction count.
@@ -30,6 +36,21 @@ const TINY_ICACHE: CacheConfig = CacheConfig {
     size_bytes: 256,
     line_bytes: 32,
     ways: 1,
+};
+
+/// A 256-byte 2-way I-cache with 16-byte lines: eight sets, each with a
+/// victim to choose.
+const TWO_WAY_16B_ICACHE: CacheConfig = CacheConfig {
+    size_bytes: 256,
+    line_bytes: 16,
+    ways: 2,
+};
+
+/// A 512-byte 2-way I-cache with 64-byte lines: four sets of long runs.
+const TWO_WAY_64B_ICACHE: CacheConfig = CacheConfig {
+    size_bytes: 512,
+    line_bytes: 64,
+    ways: 2,
 };
 
 /// Self-modifying code aimed at the decode cache's weakest spot: a store
@@ -123,6 +144,62 @@ fn engines_agree_on_random_programs_across_the_protection_grid() {
 #[test]
 fn engines_agree_across_the_protection_grid_under_a_tiny_direct_mapped_icache() {
     sweep_random_programs(TINY_ICACHE);
+}
+
+#[test]
+fn engines_agree_across_the_protection_grid_under_a_two_way_icache_with_16_byte_lines() {
+    sweep_random_programs(TWO_WAY_16B_ICACHE);
+}
+
+#[test]
+fn engines_agree_across_the_protection_grid_under_a_two_way_icache_with_64_byte_lines() {
+    sweep_random_programs(TWO_WAY_64B_ICACHE);
+}
+
+#[test]
+fn engines_agree_when_the_fuel_runs_out_at_every_instruction() {
+    // A guarded, encrypted loop stopped after every instruction count from
+    // 0 to past its end: most stops fall inside an I-cache line, where the
+    // predecoded engine must end its line run exactly at the last fuel.
+    let image = flexprot::asm::assemble(
+        r#"
+main:   li   $s0, 10
+        li   $s1, 0
+loop:   addu $s1, $s1, $s0
+        addi $s0, $s0, -1
+        bgtz $s0, loop
+        move $a0, $s1
+        li   $v0, 1
+        syscall
+        li   $v0, 10
+        syscall
+"#,
+    )
+    .expect("loop program assembles");
+    let (cell, config) = matrix::cells()
+        .into_iter()
+        .find(|(cell, _)| *cell == "guards-enc")
+        .expect("the matrix has a guards-enc cell");
+    let protected =
+        protect(&image, &config, None).unwrap_or_else(|e| panic!("{cell}: protect failed: {e}"));
+    let full = protected.run(SimConfig::default().with_engine(EngineKind::Reference));
+    assert_eq!(full.outcome, Outcome::Exit(0));
+    assert_eq!(full.output, "55");
+    for fuel in 0..=full.stats.instructions + 4 {
+        let sim = SimConfig {
+            max_instructions: fuel,
+            ..SimConfig::default()
+        };
+        let fast = protected.run(sim.clone().with_engine(EngineKind::Predecoded));
+        let reference = protected.run(sim.with_engine(EngineKind::Reference));
+        assert_eq!(fast, reference, "fuel {fuel}: engines diverged");
+        if fuel < full.stats.instructions {
+            assert_eq!(fast.outcome, Outcome::OutOfFuel, "fuel {fuel}");
+            assert_eq!(fast.stats.instructions, fuel);
+        } else {
+            assert_eq!(fast, full, "fuel {fuel}");
+        }
+    }
 }
 
 #[test]
