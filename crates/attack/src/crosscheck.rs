@@ -160,8 +160,11 @@ fn mutation_on_surface(protected: &Protected, oracle: &StaticOracle, mutated: &I
 /// The mutation of one [`cross_check`] trial: one random text word of
 /// `image` gets a random bit flipped or is replaced by a random word, half
 /// the time each — the classic single-bit hardware attack and whole-word
-/// substitution.
+/// substitution. An empty text segment is left as it is.
 pub fn random_word_edit(image: &mut Image, rng: &mut Rng64) {
+    if image.text.is_empty() {
+        return;
+    }
     let index = rng.index(image.text.len());
     if rng.next_u64() & 1 == 0 {
         image.text[index] ^= 1 << rng.below(32);

@@ -5,7 +5,9 @@ use std::collections::BTreeMap;
 use flexprot_core::Protected;
 use flexprot_isa::{Image, Inst, Rng64};
 use flexprot_secmon::SecMonConfig;
-use flexprot_sim::{Fault, Outcome, RunResult, SimConfig, TamperCause, TextWatch, Watched};
+use flexprot_sim::{
+    Fault, Machine, Outcome, RunResult, SimConfig, TamperCause, TextWatch, Watched,
+};
 use flexprot_trace::Metrics;
 use flexprot_verify::LintPolicy;
 
@@ -349,7 +351,7 @@ pub fn campaign_sim(baseline_instructions: u64, sim: &SimConfig) -> SimConfig {
 /// its first fetch of a patched word, so only the rest of the trial is
 /// simulated, and a trial whose mutation is never fetched takes the
 /// pristine result. A trial whose patched word a load or store touches
-/// before that fetch is run from scratch on a re-armed machine. Every
+/// before that fetch is run from scratch on a freshly built machine. Every
 /// classification is identical to running each trial on a fresh machine.
 pub fn evaluate(
     protected: &Protected,
@@ -433,10 +435,14 @@ pub fn targeted_nops(
     }
 }
 
-/// The mutations of [`evaluate_random_nop`]: one random word a trial.
+/// The mutations of [`evaluate_random_nop`]: one random word a trial; no
+/// site in an empty text segment.
 pub fn random_nops(seed: u64) -> impl FnMut(u32, &mut Image) -> bool {
     let mut rng = Rng64::new(seed);
     move |_, image| {
+        if image.text.is_empty() {
+            return false;
+        }
         let index = rng.index(image.text.len());
         nop_out(image, index)
     }
@@ -550,8 +556,10 @@ enum Path {
 /// takes the pristine result; the pristine run goes on only while some
 /// patch still needs it. A load, store or print-string syscall that
 /// touches a patched word before its first fetch breaks the match, so the
-/// patches holding that word are run from scratch on the re-armed
-/// pristine machine instead ([`Protected::rearm`]).
+/// patches holding that word are poked into a freshly built machine
+/// ([`Protected::machine`]) instead, and run from its start. Every trial
+/// thus takes a machine at some point of the pristine run, pokes its
+/// patch and runs it.
 ///
 /// [`Machine::run_watched`]: flexprot_sim::Machine::run_watched
 /// [`Machine::poke_text`]: flexprot_sim::Machine::poke_text
@@ -568,6 +576,12 @@ fn run_patches(
             watch.arm(index);
         }
     }
+    let run = |mut machine: Machine<_>, t: usize| {
+        for &(index, word) in patches[t] {
+            machine.poke_text(index, word);
+        }
+        machine.run()
+    };
     let mut results: Vec<Option<(RunResult, Path)>> = vec![None; patches.len()];
     let mut from_scratch = vec![false; patches.len()];
     // Trials that still need the pristine run: no result and no fallback.
@@ -592,11 +606,7 @@ fn run_patches(
             if results[t].is_some() || from_scratch[t] {
                 continue;
             }
-            let mut forked = machine.clone();
-            for &(index, word) in patches[t] {
-                forked.poke_text(index, word);
-            }
-            results[t] = Some((forked.run(), Path::Forked));
+            results[t] = Some((run(machine.clone(), t), Path::Forked));
             waiting -= 1;
         }
         if waiting == 0 {
@@ -612,14 +622,7 @@ fn run_patches(
                 let pristine = pristine.clone().expect("the pristine run ended");
                 (pristine, Path::Pristine)
             }
-            None => {
-                let mut mutated = protected.clone();
-                for &(index, word) in patches[t] {
-                    mutated.image.text[index] = word;
-                }
-                mutated.rearm(&mut machine);
-                (machine.run(), Path::FromScratch)
-            }
+            None => (run(protected.machine(sim.clone()), t), Path::FromScratch),
         })
         .collect()
 }
@@ -631,7 +634,7 @@ mod tests {
         protect, EncryptConfig, Granularity, GuardConfig, ProtectionConfig, DEFAULT_ENC_KEY,
         DEFAULT_GUARD_KEY,
     };
-    use flexprot_sim::{CacheConfig, EngineKind, Machine};
+    use flexprot_sim::{CacheConfig, EngineKind};
 
     fn sample() -> (flexprot_isa::Image, String) {
         let image = flexprot_asm::assemble_or_panic(
@@ -1081,12 +1084,17 @@ loop:   addu $s0, $s0, $t0
         }
     }
 
-    /// One trial a `(label, instruction)` pair: `program` with the word at
-    /// the label replaced, run both ways under a fuel of `fuel`
-    /// instructions. The paths the trials took.
-    fn edge_case(program: &str, patches: &[(&str, &str)], fuel: u64) -> Vec<Path> {
+    /// One trial a `(label, instruction)` pair: `program` built under
+    /// `config` with the word at the label replaced, run both ways under a
+    /// fuel of `fuel` instructions. The paths the trials took.
+    fn edge_case(
+        program: &str,
+        config: &ProtectionConfig,
+        patches: &[(&str, &str)],
+        fuel: u64,
+    ) -> Vec<Path> {
         let image = flexprot_asm::assemble_or_panic(program);
-        let protected = protect(&image, &ProtectionConfig::new(), None).unwrap();
+        let protected = protect(&image, config, None).unwrap();
         let sim = SimConfig {
             max_instructions: fuel,
             ..SimConfig::default()
@@ -1121,8 +1129,6 @@ target: li   $a0, 111
         li   $v0, 10
         syscall
 "#;
-        let paths = edge_case(load, &[("target", "li $a0, 222")], 1_000);
-        assert_eq!(paths, [Path::FromScratch]);
         // The program overwrites the low byte of its next instruction's
         // immediate: the build patched to print 300 (0x12C) prints 333
         // (0x14D).
@@ -1136,8 +1142,17 @@ target: li   $a0, 111
         li   $v0, 10
         syscall
 "#;
-        let paths = edge_case(store, &[("target", "li $a0, 300")], 1_000);
-        assert_eq!(paths, [Path::FromScratch]);
+        // Under whole-program encryption both programs read and write
+        // ciphertext, and the plaintext patches decrypt to junk: the
+        // trials must still equal fresh runs.
+        let encrypted =
+            ProtectionConfig::new().with_encryption(EncryptConfig::whole_program(DEFAULT_ENC_KEY));
+        for config in [ProtectionConfig::new(), encrypted] {
+            let paths = edge_case(load, &config, &[("target", "li $a0, 222")], 1_000);
+            assert_eq!(paths, [Path::FromScratch], "{config:?}");
+            let paths = edge_case(store, &config, &[("target", "li $a0, 300")], 1_000);
+            assert_eq!(paths, [Path::FromScratch], "{config:?}");
+        }
     }
 
     #[test]
@@ -1150,7 +1165,8 @@ main:   li   $a0, 5
         syscall
 dead:   li   $a0, 9
 "#;
-        let paths = edge_case(program, &[("dead", "li $a0, 7")], 1_000);
+        let config = ProtectionConfig::new();
+        let paths = edge_case(program, &config, &[("dead", "li $a0, 7")], 1_000);
         assert_eq!(paths, [Path::Pristine]);
     }
 
@@ -1189,8 +1205,27 @@ exit:   li   $v0, 10
             ("back", "nop"),
             ("exit", "li $v0, 17"),
         ];
-        let paths = edge_case(program, &patches, 500);
+        let paths = edge_case(program, &ProtectionConfig::new(), &patches, 500);
         assert_eq!(paths, [Path::Forked, Path::Forked, Path::Pristine]);
+    }
+
+    #[test]
+    fn random_word_attackers_find_no_site_in_an_empty_text() {
+        // `protect` refuses an empty text (no entry word), so the build is
+        // put together by hand.
+        let image = Image::from_text(vec![]);
+        let protected = Protected {
+            image: image.clone(),
+            secmon: SecMonConfig::default(),
+            report: Default::default(),
+        };
+        let oracle = StaticOracle::new(&protected.image, &protected.secmon);
+        let summary = evaluate_random_nop(&protected, &oracle, "", 3, 5, &fast_sim());
+        // Every trial is inapplicable: nothing is tallied.
+        assert_eq!(summary, AttackSummary::default());
+        let mut rng = Rng64::new(5);
+        let checked = crate::cross_check(&image, &protected, 3, &mut rng);
+        assert_eq!(checked.trials, 3, "{checked:?}");
     }
 
     #[test]

@@ -162,21 +162,10 @@ impl Protected {
         Machine::with_monitor(&self.image, config, SecMon::new(self.secmon.clone()))
     }
 
-    /// Re-arms an existing machine to run this protected program, reusing
-    /// its cache and memory allocations instead of building a new machine.
-    ///
-    /// The monitor is re-provisioned from this binary's [`SecMonConfig`]
-    /// (the secure monitor carries per-run state), and the machine's sink
-    /// is cleared — reattach one afterwards for a traced run. Batch runs
-    /// of many builds use this to amortize allocations: the attack
-    /// harness's trials that must run from scratch (a patched word read
-    /// as data before its first fetch) and perfbench's staged trials.
-    ///
-    /// When the machine's previous monitor used the same encryption
-    /// regions — single-word mutations of one protected binary, say —
-    /// [`Machine::rearm`] keeps the decoded lines and each run
-    /// re-decrypts only the lines the mutation touched; a different region
-    /// table clears them.
+    /// Re-arms an existing machine to run this protected program: it
+    /// becomes the machine [`Protected::machine`] builds under its config,
+    /// with a freshly provisioned monitor and no sink
+    /// ([`Machine::rearm`]).
     pub fn rearm(&self, machine: &mut Machine<SecMon>) {
         machine.rearm(&self.image, SecMon::new(self.secmon.clone()));
     }

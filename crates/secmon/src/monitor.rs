@@ -366,11 +366,6 @@ impl FetchMonitor for SecMon {
         self.config.regions.apply_line(line_addr, words);
     }
 
-    fn same_transform(&self, other: &Self) -> bool {
-        // The fetch transform is the region table and nothing else.
-        self.config.regions == other.config.regions
-    }
-
     fn fill_penalty(&mut self, line_addr: u32, line_words: u32) -> u64 {
         let encrypted = self
             .config

@@ -205,14 +205,6 @@ impl Cache {
             *way = Way::default();
         }
     }
-
-    /// Restores the just-constructed state, reusing the way allocation:
-    /// every line invalid and the LRU clock back at zero, so a reset cache
-    /// behaves identically to a fresh [`Cache::new`].
-    pub fn reset(&mut self) {
-        self.flush();
-        self.tick = 0;
-    }
 }
 
 #[cfg(test)]
@@ -287,20 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_matches_fresh_cache_behaviour() {
-        let mut used = tiny();
-        // Age the LRU clock and dirty some lines before resetting.
-        for addr in [0x000u32, 0x020, 0x040, 0x010] {
-            used.access(addr, true);
-        }
-        used.reset();
-        let mut fresh = tiny();
-        for addr in [0x000u32, 0x020, 0x000, 0x040, 0x020] {
-            assert_eq!(used.access(addr, false), fresh.access(addr, false));
-        }
-    }
-
-    #[test]
     fn shift_indexing_matches_division() {
         // The precomputed shifts must place every address exactly where
         // dividing by the line size and the set count does, and a dirty
@@ -314,9 +292,9 @@ mod tests {
                 line_bytes,
                 ways,
             };
-            let mut c = Cache::new(config);
             let sets = config.sets();
             for _ in 0..512 {
+                let mut c = Cache::new(config);
                 let addr = rng.next_u32();
                 assert_eq!(c.set_index(addr), ((addr / line_bytes) % sets) as usize);
                 assert_eq!(c.tag(addr), addr / line_bytes / sets);
@@ -330,7 +308,6 @@ mod tests {
                     .map(|k| c.access(line.wrapping_add(k.wrapping_mul(stride)), false))
                     .find_map(|a| a.writeback);
                 assert_eq!(evicted, Some(line), "{config:?} at {addr:#010x}");
-                c.reset();
             }
         }
     }

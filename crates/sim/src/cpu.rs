@@ -12,13 +12,14 @@
 //!   syscalls and D-cache timing.
 //!
 //! This module owns what ties them together: the machine state, the one
-//! commit loop and reset/rearm lifecycle. The loop steps the predecoded
-//! engine a *line run* at a time: the first word of a straight-line run
-//! through an I-cache line makes the real I-cache access, and each later
-//! word of the line is charged as a hit and read from the decoded-line
-//! store. The `observe_commit` guard hook still sees every word before it
-//! executes, and a watched copy of the same loop (`crate::watch`) still
-//! checks every word before its fetch is charged.
+//! commit loop and the lifecycle, in which a re-armed machine is a freshly
+//! built one. The loop steps the predecoded engine a *line run* at a
+//! time: the first word of a straight-line run through an I-cache line
+//! makes the real I-cache access, and each later word of the line is
+//! charged as a hit and read from the decoded-line store. The
+//! `observe_commit` guard hook still sees every word before it executes,
+//! and a watched copy of the same loop (`crate::watch`) still checks every
+//! word before its fetch is charged.
 
 use flexprot_isa::{Image, Reg, STACK_TOP};
 use flexprot_trace::{Metrics, SharedSink, TraceEvent};
@@ -179,24 +180,22 @@ impl<M: FetchMonitor> Machine<M> {
         let mut regs = [0u32; 32];
         regs[Reg::SP.index() as usize] = STACK_TOP;
         regs[Reg::FP.index() as usize] = STACK_TOP;
-        let icache = Cache::new(config.icache);
-        let mut decode = DecodeCache::new(config.icache.line_bytes);
-        decode.bind(image.text_base, image.text_end());
-        monitor.bind_text(image.text_base, image.text_end());
+        let (text_base, text_end) = (image.text_base, image.text_end());
+        monitor.bind_text(text_base, text_end);
         Machine {
             regs,
             pc: image.entry,
             prev_pc: None,
             mem: Memory::load(image),
-            icache,
+            icache: Cache::new(config.icache),
             dcache: Cache::new(config.dcache),
-            decode,
+            decode: DecodeCache::new(config.icache.line_bytes, text_base, text_end),
             stats: Stats::default(),
             output: String::new(),
             config,
             monitor,
-            text_base: image.text_base,
-            text_end: image.text_end(),
+            text_base,
+            text_end,
             sink: None,
         }
     }
@@ -253,50 +252,11 @@ impl<M: FetchMonitor> Machine<M> {
         &mut self.monitor
     }
 
-    /// Re-arms the machine to run `image` from scratch under a fresh
-    /// monitor, reusing the cache and memory allocations of the previous
-    /// run instead of reallocating.
-    ///
-    /// Registers, pc, memory, caches, stats, captured output and the
-    /// observability sink are all restored to their just-constructed
-    /// state, and the decoded-line store and the new monitor are bound to
-    /// the image's text segment ([`FetchMonitor::bind_text`]), so a
-    /// re-armed machine produces byte-identical results to a fresh
-    /// [`Machine::with_monitor`] under the same config.
-    ///
-    /// When the new monitor has the same fetch transform as the previous
-    /// one ([`FetchMonitor::same_transform`]) and the text segment keeps
-    /// its bounds, the decoded-line store is *retained*: each retained
-    /// line is revalidated against raw memory at its next I-cache fill, so
-    /// re-running an image that differs in only a few lines (the attack
-    /// harness's tamper trials) re-decrypts and re-decodes only those
-    /// lines. A different transform (re-keying, different encryption
-    /// regions) clears the store, because identical ciphertext bytes would
-    /// otherwise replay a stale decrypt. Either way results are
-    /// byte-identical to a fresh machine: the I-cache itself is fully
-    /// reset, so miss patterns and timing do not change.
+    /// Re-arms the machine to run `image` from scratch under `monitor`:
+    /// the machine becomes the one [`Machine::with_monitor`] builds under
+    /// its config, with no sink attached.
     pub fn rearm(&mut self, image: &Image, monitor: M) {
-        if self.monitor.same_transform(&monitor) {
-            self.decode.retain();
-        } else {
-            self.decode.clear();
-        }
-        self.monitor = monitor;
-        self.regs = [0; 32];
-        self.regs[Reg::SP.index() as usize] = STACK_TOP;
-        self.regs[Reg::FP.index() as usize] = STACK_TOP;
-        self.pc = image.entry;
-        self.prev_pc = None;
-        self.mem.reset(image);
-        self.icache.reset();
-        self.dcache.reset();
-        self.stats = Stats::default();
-        self.output.clear();
-        self.text_base = image.text_base;
-        self.text_end = image.text_end();
-        self.decode.bind(self.text_base, self.text_end);
-        self.monitor.bind_text(self.text_base, self.text_end);
-        self.sink = None;
+        *self = Machine::with_monitor(image, self.config.clone(), monitor);
     }
 
     /// Runs until exit, fault, tamper detection or fuel exhaustion.
@@ -350,8 +310,8 @@ impl<M: FetchMonitor> Machine<M> {
 
     fn finish(&mut self, outcome: Outcome) -> RunResult {
         if matches!(outcome, Outcome::TamperDetected(_)) {
-            // Tamper response: drop decoded plaintext so a re-keyed or
-            // re-provisioned monitor never executes stale decodes.
+            // Tamper response: the hardware zeroises the plaintext it
+            // decrypted, so none of it outlives the detection.
             self.decode.clear();
         }
         if let Some(sink) = &self.sink {
@@ -530,10 +490,9 @@ main:   li  $t0, 21
 
     #[test]
     fn rearm_run_is_byte_identical_to_fresh_run() {
-        // Rearm retains decoded lines; with an identity transform it must
-        // still match a fresh machine exactly, whether the image changed
-        // (content revalidation re-decodes mutated lines) or not, and
-        // whatever the previous run left in registers, stack and caches.
+        // A re-armed machine must match a fresh machine exactly, whether
+        // the image changed or not, and whatever the previous run left in
+        // registers, stack and caches.
         let a = flexprot_asm::assemble_or_panic(
             "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall\n",
         );

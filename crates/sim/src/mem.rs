@@ -56,7 +56,10 @@ impl Memory {
     /// Creates a memory pre-loaded with an image's text and data segments.
     pub fn load(image: &Image) -> Memory {
         let mut mem = Memory::new();
-        mem.store_segments(image);
+        let text = image.text.iter().flat_map(|word| word.to_le_bytes());
+        mem.store(image.text_base, 4 * image.text.len(), text);
+        let data = image.data.iter().copied();
+        mem.store(image.data_base, image.data.len(), data);
         mem
     }
 
@@ -70,13 +73,6 @@ impl Memory {
             .get_or_insert_with(|| Box::new([const { None }; DIR_PAGES]));
         dir[(addr >> PAGE_BITS) as usize % DIR_PAGES]
             .get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
-    }
-
-    fn pages_mut(&mut self) -> impl Iterator<Item = &mut Box<Page>> {
-        self.dirs
-            .iter_mut()
-            .flatten()
-            .flat_map(|dir| dir.iter_mut().flatten())
     }
 
     /// Reads `N` bytes from `addr` on, wrapping at the top of the address
@@ -107,13 +103,6 @@ impl Memory {
             addr = addr.wrapping_add(n as u32);
             len -= n;
         }
-    }
-
-    fn store_segments(&mut self, image: &Image) {
-        let text = image.text.iter().flat_map(|word| word.to_le_bytes());
-        self.store(image.text_base, 4 * image.text.len(), text);
-        let data = image.data.iter().copied();
-        self.store(image.data_base, image.data.len(), data);
     }
 
     /// Reads one byte.
@@ -159,18 +148,6 @@ impl Memory {
             out.push(byte);
         }
         out
-    }
-
-    /// Zeroes every resident page in place and reloads `image`'s segments —
-    /// functionally identical to a fresh [`Memory::load`], but page
-    /// allocations from the previous run are reused instead of freed and
-    /// reallocated. Batch drivers lean on this to run many images through
-    /// one machine.
-    pub fn reset(&mut self, image: &Image) {
-        for page in self.pages_mut() {
-            **page = [0; PAGE_SIZE];
-        }
-        self.store_segments(image);
     }
 
     /// Number of resident pages, for footprint diagnostics.
@@ -221,22 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_pages_and_matches_fresh_load() {
-        let mut img = Image::from_text(vec![0xAABB_CCDD]);
-        img.data = vec![1, 2, 3];
-        let mut mem = Memory::load(&img);
-        // Dirty some unrelated memory (the stack, say) before resetting.
-        mem.write_u32(0x7FFF_F000, 0xDEAD_BEEF);
-        let pages_before = mem.resident_pages();
-        mem.reset(&img);
-        assert_eq!(mem.resident_pages(), pages_before, "allocations reused");
-        let fresh = Memory::load(&img);
-        assert_eq!(mem.read_u32(img.text_base), fresh.read_u32(img.text_base));
-        assert_eq!(mem.read_u8(img.data_base + 2), 3);
-        assert_eq!(mem.read_u32(0x7FFF_F000), 0, "stale state cleared");
-    }
-
-    #[test]
     fn word_paths_equal_byte_composition() {
         // Random addresses, a quarter of them within 4 bytes of a page
         // boundary (or of the top of the address space), so the one-lookup
@@ -270,36 +231,6 @@ mod tests {
             });
             assert_eq!(mem.read_u32(probe), composed, "probe {probe:#010x}");
         }
-    }
-
-    #[test]
-    fn reset_equals_load_across_page_boundaries() {
-        // Segments that straddle page boundaries at odd offsets.
-        let mut img = Image::from_text((0..3000u32).map(|i| i.wrapping_mul(0x0101_0101)).collect());
-        img.text_base = 0x0040_0FF8;
-        img.data_base = 0x1001_0FFD;
-        img.data = (0..5000).map(|i| i as u8).collect();
-        let fresh = Memory::load(&img);
-        let mut other = Image::from_text(vec![7; 1500]);
-        other.data = vec![0xEE; 9000];
-        let mut mem = Memory::load(&other);
-        mem.write_u32(0x7FFF_EFFC, 0xDEAD_BEEF);
-        mem.reset(&img);
-        for (i, &word) in img.text.iter().enumerate() {
-            let addr = img.text_base + 4 * i as u32;
-            assert_eq!(fresh.read_u32(addr), word);
-            assert_eq!(mem.read_u32(addr), word);
-        }
-        for (i, &byte) in img.data.iter().enumerate() {
-            let addr = img.data_base + i as u32;
-            assert_eq!((fresh.read_u8(addr), mem.read_u8(addr)), (byte, byte));
-        }
-        for page in 0..1u32 << (32 - PAGE_BITS) {
-            let addr = page << PAGE_BITS;
-            let contents = |m: &Memory| m.page(addr).map_or([0; PAGE_SIZE], |p| *p);
-            assert!(contents(&fresh) == contents(&mem), "page {addr:#010x}");
-        }
-        assert_eq!(mem.read_u32(0x7FFF_EFFC), 0, "stale state cleared");
     }
 
     #[test]

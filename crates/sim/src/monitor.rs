@@ -132,9 +132,9 @@ pub trait FetchMonitor {
     }
 
     /// Tells the monitor the bounds `[text_base, text_end)` of the text
-    /// segment it guards. The machine calls this whenever it is built or
-    /// re-armed with a monitor, and on every reset, before the first
-    /// commit; every pc it then passes to
+    /// segment it guards. The machine calls this once, when it is built
+    /// (or re-armed, which builds it afresh) with the monitor, before the
+    /// first commit; every pc it then passes to
     /// [`FetchMonitor::observe_commit`] lies inside these bounds. A
     /// monitor can compile per-address state into a table over them. The
     /// default ignores the bounds.
@@ -164,30 +164,13 @@ pub trait FetchMonitor {
     fn export_metrics(&self, metrics: &mut Metrics) {
         let _ = metrics;
     }
-
-    /// Whether `other`'s [`FetchMonitor::transform_fetch`] is the same
-    /// function as this monitor's, so identical raw bytes decrypt
-    /// identically under both. [`Machine::rearm`](crate::Machine::rearm)
-    /// keeps its decoded lines across a monitor swap only when this holds.
-    /// The default, `false`, is always sound.
-    fn same_transform(&self, other: &Self) -> bool
-    where
-        Self: Sized,
-    {
-        let _ = other;
-        false
-    }
 }
 
 /// A monitor that does nothing — the unprotected baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullMonitor;
 
-impl FetchMonitor for NullMonitor {
-    fn same_transform(&self, _: &Self) -> bool {
-        true
-    }
-}
+impl FetchMonitor for NullMonitor {}
 
 #[cfg(test)]
 mod tests {
