@@ -148,6 +148,35 @@ for driver in fprun fplint; do
 done
 echo "hostile decrypt latency refused OK"
 
+echo "== hostile program: tainted store at the top of the stack offsets =="
+# A ciphertext word stored at $sp + 0x7ffffffc, the last aligned stack
+# slot below 2^31. The key-flow pass used to walk the store's word span
+# past i32::MAX and insert about 2^30 slots until memory ran out. Under a
+# 512 MiB address-space limit fplint --taint must exit 0 or 1, never 134
+# (an abort) or 124 (the timeout).
+cat > "$OBS_DIR/top_slot.s" <<'EOF'
+main:   nop
+        nop
+        lui  $t0, 0x40
+        lw   $t1, 0($t0)
+        lui  $t2, 0x7fff
+        ori  $t2, $t2, 0xfffc
+        add  $t3, $sp, $t2
+        sw   $t1, 0($t3)
+        li   $v0, 10
+        syscall
+EOF
+"$BIN/fpasm" "$OBS_DIR/top_slot.s" --o "$OBS_DIR/top_slot.fpx" > /dev/null
+"$BIN/fpprotect" "$OBS_DIR/top_slot.fpx" --o "$OBS_DIR/top_slot.prot.fpx" \
+    --secmon "$OBS_DIR/top_slot.fpm" --encrypt program > /dev/null
+status=0
+(ulimit -v 524288; timeout 60 "$BIN/fplint" "$OBS_DIR/top_slot.prot.fpx" \
+    --secmon "$OBS_DIR/top_slot.fpm" --taint > /dev/null 2>&1) || status=$?
+[ "$status" -eq 0 ] || [ "$status" -eq 1 ] || {
+    echo "fplint --taint exited $status on a store at the top stack slot (expected 0 or 1)"; exit 1;
+}
+echo "top stack slot store analysed OK"
+
 echo "== tampered guard window: fplint reports every finding =="
 # The smoke build with one bit flipped in the text word just before its
 # first guard site, inside that guard's window. The attack harness only

@@ -128,61 +128,44 @@ impl AbsVal {
 
 /// The register (if any) `inst` writes, and its abstract value, mirroring
 /// the simulator's concrete semantics over plain (pointer-blind) scalars.
-/// The memory-sensitive domain in [`crate::memdom`] layers pointer
+/// `ops` holds the values of the registers `inst.uses()` names, in that
+/// order. The memory-sensitive domain in [`crate::memdom`] layers pointer
 /// provenance on top.
-pub(crate) fn scalar_eval(addr: u32, inst: Inst, regs: &[AbsVal]) -> Option<(Reg, AbsVal)> {
+pub(crate) fn scalar_eval(addr: u32, inst: Inst, ops: &[AbsVal; 2]) -> Option<(Reg, AbsVal)> {
     use Inst::*;
-    let r = |reg: Reg| &regs[reg.index() as usize];
+    let [a, b] = ops;
     Some(match inst {
-        Sll { rd, rt, sh } => (rd, r(rt).map(|x| x << sh)),
-        Srl { rd, rt, sh } => (rd, r(rt).map(|x| x >> sh)),
-        Sra { rd, rt, sh } => (rd, r(rt).map(|x| ((x as i32) >> sh) as u32)),
-        Sllv { rd, rt, rs } => (rd, r(rt).map2(r(rs), |x, s| x << (s & 31))),
-        Srlv { rd, rt, rs } => (rd, r(rt).map2(r(rs), |x, s| x >> (s & 31))),
-        Srav { rd, rt, rs } => (
-            rd,
-            r(rt).map2(r(rs), |x, s| ((x as i32) >> (s & 31)) as u32),
-        ),
+        Sll { rd, sh, .. } => (rd, a.map(|x| x << sh)),
+        Srl { rd, sh, .. } => (rd, a.map(|x| x >> sh)),
+        Sra { rd, sh, .. } => (rd, a.map(|x| ((x as i32) >> sh) as u32)),
+        Sllv { rd, .. } => (rd, a.map2(b, |x, s| x << (s & 31))),
+        Srlv { rd, .. } => (rd, a.map2(b, |x, s| x >> (s & 31))),
+        Srav { rd, .. } => (rd, a.map2(b, |x, s| ((x as i32) >> (s & 31)) as u32)),
         Jalr { rd, .. } => (rd, AbsVal::Const(addr.wrapping_add(4))),
         Jal { .. } => (Reg::RA, AbsVal::Const(addr.wrapping_add(4))),
-        Mul { rd, rs, rt } => (rd, r(rs).map2(r(rt), u32::wrapping_mul)),
-        Div { rd, rs, rt } => (
+        Mul { rd, .. } => (rd, a.map2(b, u32::wrapping_mul)),
+        Div { rd, .. } => (
             rd,
-            r(rs).map2(r(rt), |a, b| {
-                if b == 0 {
-                    0
-                } else {
-                    (a as i32).wrapping_div(b as i32) as u32
-                }
-            }),
+            a.map2(b, |a, b| signed_or_zero(a, b, i32::wrapping_div)),
         ),
-        Rem { rd, rs, rt } => (
+        Rem { rd, .. } => (
             rd,
-            r(rs).map2(r(rt), |a, b| {
-                if b == 0 {
-                    0
-                } else {
-                    (a as i32).wrapping_rem(b as i32) as u32
-                }
-            }),
+            a.map2(b, |a, b| signed_or_zero(a, b, i32::wrapping_rem)),
         ),
-        Add { rd, rs, rt } | Addu { rd, rs, rt } => (rd, r(rs).map2(r(rt), u32::wrapping_add)),
-        Sub { rd, rs, rt } | Subu { rd, rs, rt } => (rd, r(rs).map2(r(rt), u32::wrapping_sub)),
-        And { rd, rs, rt } => (rd, r(rs).map2(r(rt), |a, b| a & b)),
-        Or { rd, rs, rt } => (rd, r(rs).map2(r(rt), |a, b| a | b)),
-        Xor { rd, rs, rt } => (rd, r(rs).map2(r(rt), |a, b| a ^ b)),
-        Nor { rd, rs, rt } => (rd, r(rs).map2(r(rt), |a, b| !(a | b))),
-        Slt { rd, rs, rt } => (
-            rd,
-            r(rs).map2(r(rt), |a, b| u32::from((a as i32) < (b as i32))),
-        ),
-        Sltu { rd, rs, rt } => (rd, r(rs).map2(r(rt), |a, b| u32::from(a < b))),
-        Addi { rt, rs, imm } => (rt, r(rs).map(|x| x.wrapping_add(imm as i32 as u32))),
-        Slti { rt, rs, imm } => (rt, r(rs).map(|x| u32::from((x as i32) < i32::from(imm)))),
-        Sltiu { rt, rs, imm } => (rt, r(rs).map(|x| u32::from(x < (imm as i32 as u32)))),
-        Andi { rt, rs, imm } => (rt, r(rs).map(|x| x & u32::from(imm))),
-        Ori { rt, rs, imm } => (rt, r(rs).map(|x| x | u32::from(imm))),
-        Xori { rt, rs, imm } => (rt, r(rs).map(|x| x ^ u32::from(imm))),
+        Add { rd, .. } | Addu { rd, .. } => (rd, a.map2(b, u32::wrapping_add)),
+        Sub { rd, .. } | Subu { rd, .. } => (rd, a.map2(b, u32::wrapping_sub)),
+        And { rd, .. } => (rd, a.map2(b, |a, b| a & b)),
+        Or { rd, .. } => (rd, a.map2(b, |a, b| a | b)),
+        Xor { rd, .. } => (rd, a.map2(b, |a, b| a ^ b)),
+        Nor { rd, .. } => (rd, a.map2(b, |a, b| !(a | b))),
+        Slt { rd, .. } => (rd, a.map2(b, |a, b| u32::from((a as i32) < (b as i32)))),
+        Sltu { rd, .. } => (rd, a.map2(b, |a, b| u32::from(a < b))),
+        Addi { rt, imm, .. } => (rt, a.map(|x| x.wrapping_add(imm as i32 as u32))),
+        Slti { rt, imm, .. } => (rt, a.map(|x| u32::from((x as i32) < i32::from(imm)))),
+        Sltiu { rt, imm, .. } => (rt, a.map(|x| u32::from(x < (imm as i32 as u32)))),
+        Andi { rt, imm, .. } => (rt, a.map(|x| x & u32::from(imm))),
+        Ori { rt, imm, .. } => (rt, a.map(|x| x | u32::from(imm))),
+        Xori { rt, imm, .. } => (rt, a.map(|x| x ^ u32::from(imm))),
         Lui { rt, imm } => (rt, AbsVal::Const(u32::from(imm) << 16)),
         Lb { rt, .. } | Lh { rt, .. } | Lw { rt, .. } | Lbu { rt, .. } | Lhu { rt, .. } => {
             (rt, AbsVal::Top)
@@ -193,6 +176,16 @@ pub(crate) fn scalar_eval(addr: u32, inst: Inst, regs: &[AbsVal]) -> Option<(Reg
             return None
         }
     })
+}
+
+/// `f` over the words as signed integers, or zero when `b` is zero (the
+/// simulator's division by zero).
+fn signed_or_zero(a: u32, b: u32, f: fn(i32, i32) -> i32) -> u32 {
+    if b == 0 {
+        0
+    } else {
+        f(a as i32, b as i32) as u32
+    }
 }
 
 /// Abstract window hasher: one concrete [`WindowHasher`] per candidate
@@ -371,7 +364,7 @@ pub fn prove_guards(
     config: &SecMonConfig,
     text: &[u32],
     flow: &Flow,
-    mem: &[crate::memdom::MemFact],
+    mem: &crate::memdom::MemFacts,
     windows: &[GuardWindow],
 ) -> Vec<GuardProof> {
     windows
@@ -391,7 +384,7 @@ fn prove_window(
     config: &SecMonConfig,
     text: &[u32],
     flow: &Flow,
-    mem: &[crate::memdom::MemFact],
+    mem: &crate::memdom::MemFacts,
     w: &GuardWindow,
 ) -> Verdict {
     if !w.structural {
@@ -531,9 +524,12 @@ mod tests {
     /// The memory domain's abstract register files entering each word.
     fn register_states(image: &Image) -> Vec<Option<Vec<AbsVal>>> {
         let flow = Flow::recover(image, &image.text.clone());
-        crate::memdom::analyze_memory(image, &flow)
-            .into_iter()
-            .map(|fact| fact.map(|state| state.regs.into_iter().map(|r| r.off).collect()))
+        let mem = crate::memdom::analyze_memory(image, &flow);
+        (0..image.text.len())
+            .map(|i| {
+                mem.at(i)
+                    .map(|state| state.regs.into_iter().map(|r| r.off).collect())
+            })
             .collect()
     }
 
@@ -644,7 +640,7 @@ mod tests {
     fn windows_of(
         image: &Image,
         _config: &SecMonConfig,
-    ) -> (Flow, Vec<crate::memdom::MemFact>, Vec<GuardWindow>) {
+    ) -> (Flow, crate::memdom::MemFacts, Vec<GuardWindow>) {
         let text = image.text.clone();
         let flow = Flow::recover(image, &text);
         let mem = crate::memdom::analyze_memory(image, &flow);
@@ -807,7 +803,7 @@ mod tests {
     ) -> (
         SecMonConfig,
         Flow,
-        Vec<crate::memdom::MemFact>,
+        crate::memdom::MemFacts,
         Vec<GuardWindow>,
     ) {
         let base = image.text_base;

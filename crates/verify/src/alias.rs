@@ -24,7 +24,7 @@
 use flexprot_isa::{Image, Inst, Reg};
 
 use crate::coverage::GuardWindow;
-use crate::memdom::{Base, MemState, MemVal, STACK_REGION_MAX, STACK_REGION_MIN};
+use crate::memdom::{mem_operand, Base, MemState, MemVal, STACK_REGION_MAX, STACK_REGION_MIN};
 
 /// The three-way points-to verdict for one store against one interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +56,8 @@ pub struct StoreSite {
 /// Resolves `inst` (at text word `index`) as a store under `state`, or
 /// `None` for non-store instructions.
 pub fn store_site(index: usize, inst: Inst, state: &MemState) -> Option<StoreSite> {
-    let (rt, off, base, size) = match inst {
-        Inst::Sb { rt, off, base } => (rt, off, base, 1),
-        Inst::Sh { rt, off, base } => (rt, off, base, 2),
-        Inst::Sw { rt, off, base } => (rt, off, base, 4),
-        _ => return None,
+    let Some((true, rt, base, off, size)) = mem_operand(inst) else {
+        return None;
     };
     Some(StoreSite {
         index,
@@ -132,19 +129,19 @@ pub struct WindowAliasing {
 pub fn partition_window(
     image: &Image,
     flow: &crate::flow::Flow,
-    mem: &[crate::memdom::MemFact],
+    mem: &crate::memdom::MemFacts,
     w: &GuardWindow,
 ) -> WindowAliasing {
     let (lo, hi) = window_interval(image, w);
     let mut out = WindowAliasing::default();
     for b in w.start..w.end().min(flow.decoded.len()) {
-        let Some(inst) = flow.decoded[b] else {
+        let Some(inst) = flow.decoded[b].filter(|i| i.is_store()) else {
             continue;
         };
-        let Some(state) = mem.get(b).and_then(|s| s.as_ref()) else {
+        let Some(state) = mem.at(b) else {
             continue;
         };
-        let Some(site) = store_site(b, inst, state) else {
+        let Some(site) = store_site(b, inst, &state) else {
             continue;
         };
         match classify(&site.target, site.size, lo, hi) {

@@ -238,7 +238,7 @@ impl SurfaceMap {
 /// `None` (no path) below every `Some`, and `Some(a) ⊑ Some(b)` iff
 /// `b ≤ a` — joins take the minimum, so facts only ever improve and
 /// chains are bounded by the shortest-path depth.
-struct MinDepth;
+pub(crate) struct MinDepth;
 
 impl Analysis for MinDepth {
     type Fact = Option<u32>;
@@ -252,25 +252,17 @@ impl Analysis for MinDepth {
     }
 
     fn join(&self, into: &mut Option<u32>, from: &Option<u32>) -> bool {
-        match (*into, *from) {
-            (_, None) => false,
-            (None, Some(f)) => {
-                *into = Some(f);
-                true
-            }
-            (Some(i), Some(f)) => {
-                if f < i {
-                    *into = Some(f);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        let joined = match (*into, *from) {
+            (Some(i), Some(f)) => Some(i.min(f)),
+            (i, f) => i.or(f),
+        };
+        let changed = joined != *into;
+        *into = joined;
+        changed
     }
 
-    fn transfer(&self, _node: usize, input: &Option<u32>) -> Option<u32> {
-        input.map(|d| d.saturating_add(1))
+    fn transfer(&self, _node: usize, depth: &mut Option<u32>) {
+        *depth = depth.map(|d| d.saturating_add(1));
     }
 }
 
@@ -292,7 +284,8 @@ pub fn surface_map(
 
     // Minimum flow depth from the entry and every symbol landing pad.
     let seeds: Vec<(usize, Option<u32>)> = flow.roots().map(|i| (i, Some(0))).collect();
-    let depth = dataflow::solve(&MinDepth, &flow.succ_index, &seeds).input;
+    let mut depth = vec![None; len];
+    dataflow::solve(&MinDepth, &flow.succ_index, &seeds).walk(&MinDepth, |i, &d| depth[i] = d);
 
     // Must-execute blocks: post-dominate the entry block.
     let must_execute_block: Vec<bool> = match cfg.entry {

@@ -697,9 +697,8 @@ fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgeme
         let hi = lo.wrapping_add(4 * text.len() as u32);
         let class = shipped
             .mem()
-            .get(g)
-            .and_then(|f| f.as_ref())
-            .and_then(|state| alias::store_site(g, inst, state))
+            .at(g)
+            .and_then(|state| alias::store_site(g, inst, &state))
             .map_or(StoreClass::MayAlias, |site| {
                 alias::classify(&site.target, site.size, lo, hi)
             });
@@ -718,7 +717,7 @@ fn judge_guard_word(shipped: &Shipped, g: usize, live: &Liveness) -> WordJudgeme
     }
     if inst.is_branch() {
         // Lockstep symbolic execution decides the condition where it can.
-        return match branch_taken(inst, shipped.mem().get(g).and_then(|f| f.as_ref())) {
+        return match branch_taken(inst, shipped.mem().at(g).as_ref()) {
             Some(false) => WordJudgement::Transparent,
             Some(true) => WordJudgement::Clobber(
                 "provably-taken branch in guard window diverts control flow".to_owned(),

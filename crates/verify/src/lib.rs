@@ -231,9 +231,9 @@ pub struct Shipped<'a> {
     pub(crate) text: Vec<u32>,
     /// The instruction-level flow graph of `text`.
     pub(crate) flow: Flow,
-    /// The abstract state entering each text word
-    /// ([`memdom::analyze_memory`]), once [`Shipped::mem`] has built it.
-    mem: OnceCell<Vec<memdom::MemFact>>,
+    /// The memory facts at the chain heads ([`memdom::analyze_memory`]),
+    /// once [`Shipped::mem`] has built them.
+    mem: OnceCell<memdom::MemFacts>,
 }
 
 /// What the structural checks hand the rest of the analysis.
@@ -259,7 +259,7 @@ impl<'a> Shipped<'a> {
     }
 
     /// The memory-sensitive value-set facts, built on first use.
-    pub(crate) fn mem(&self) -> &[memdom::MemFact] {
+    pub(crate) fn mem(&self) -> &memdom::MemFacts {
         self.mem
             .get_or_init(|| memdom::analyze_memory(self.image, &self.flow))
     }
@@ -415,13 +415,10 @@ mod tests {
             .analyze(&LintPolicy::default(), false)
             .report
             .is_clean());
-        let built = shipped
-            .mem
-            .get()
-            .expect("analyze builds the memory facts")
-            .as_ptr();
+        let built: *const memdom::MemFacts =
+            shipped.mem.get().expect("analyze builds the memory facts");
         shipped.validate(&base, &LintPolicy::default());
-        assert_eq!(shipped.mem().as_ptr(), built);
+        assert!(std::ptr::eq(shipped.mem(), built));
     }
 
     #[test]

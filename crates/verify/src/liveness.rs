@@ -50,11 +50,10 @@ pub fn def_mask(inst: Option<Inst>) -> u32 {
     inst.and_then(|i| i.def()).map_or(0, |r| 1u32 << r.index())
 }
 
-struct LiveAnalysis<'f> {
-    flow: &'f Flow,
-}
+/// The analysis over each word's (read, written) register masks.
+pub(crate) struct LiveAnalysis(pub(crate) Vec<(u32, u32)>);
 
-impl Analysis for LiveAnalysis<'_> {
+impl Analysis for LiveAnalysis {
     type Fact = u32;
 
     fn direction(&self) -> Direction {
@@ -72,19 +71,23 @@ impl Analysis for LiveAnalysis<'_> {
         changed
     }
 
-    fn transfer(&self, node: usize, live_out: &u32) -> u32 {
-        let inst = self.flow.decoded[node];
-        uses_mask(inst) | (live_out & !def_mask(inst))
+    fn transfer(&self, node: usize, live: &mut u32) {
+        let (uses, defs) = self.0[node];
+        *live = uses | (*live & !defs);
     }
 }
 
-/// Runs the analysis to fixpoint over `flow`.
+/// Runs the analysis to fixpoint over `flow`; one walk yields the masks.
 pub fn analyze(flow: &Flow) -> Liveness {
-    let solution = dataflow::solve(&LiveAnalysis { flow }, &flow.succ_index, &[]);
-    Liveness {
-        live_out: solution.input,
-        live_in: solution.output,
-    }
+    let masks = flow.decoded.iter().map(|&i| (uses_mask(i), def_mask(i)));
+    let analysis = LiveAnalysis(masks.collect());
+    let (mut live_in, mut live_out) = (vec![0; flow.decoded.len()], vec![0; flow.decoded.len()]);
+    let solution = dataflow::solve(&analysis, &flow.succ_index, &[]);
+    solution.walk(&analysis, |i, &out| {
+        (live_in[i], live_out[i]) = (out, out);
+        analysis.transfer(i, &mut live_in[i]);
+    });
+    Liveness { live_in, live_out }
 }
 
 #[cfg(test)]

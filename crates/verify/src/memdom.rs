@@ -55,7 +55,7 @@ use std::collections::BTreeMap;
 use flexprot_isa::{Image, Inst, Reg};
 
 use crate::absint::{scalar_eval, AbsVal};
-use crate::dataflow::{self, Analysis, Direction};
+use crate::dataflow::{self, Analysis, Direction, Solution};
 use crate::flow::Flow;
 
 /// Lower bound of the architectural stack region (assumption A1).
@@ -176,7 +176,7 @@ fn sub_vals(a: &MemVal, b: &MemVal) -> MemVal {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemState {
     /// One [`MemVal`] per architectural register.
-    pub regs: Vec<MemVal>,
+    pub regs: [MemVal; 32],
     /// Known stack words, keyed by seed-relative byte offset (4-aligned).
     pub slots: BTreeMap<i32, MemVal>,
 }
@@ -196,8 +196,8 @@ pub type MemFact = Option<MemState>;
 /// pinned, `$sp`/`$fp` stack-region at the (symbolic) seed, all else
 /// unknown. `exact_seed` is true at the architectural entry, where the
 /// reset contract additionally pins the displacement to zero.
-fn root_state(exact_seed: bool) -> MemState {
-    let mut regs = vec![MemVal::top(); 32];
+pub(crate) fn root_state(exact_seed: bool) -> MemState {
+    let mut regs: [MemVal; 32] = std::array::from_fn(|_| MemVal::top());
     regs[Reg::ZERO.index() as usize] = MemVal::abs(AbsVal::Const(0));
     let sp = if exact_seed {
         MemVal::stack(AbsVal::Const(0))
@@ -209,6 +209,21 @@ fn root_state(exact_seed: bool) -> MemState {
     MemState {
         regs,
         slots: BTreeMap::new(),
+    }
+}
+
+/// The decoded instruction's memory operand, if it is a load or store:
+/// `(is_store, value/dest register, base register, offset, size)`.
+pub(crate) fn mem_operand(inst: Inst) -> Option<(bool, Reg, Reg, i16, u32)> {
+    use Inst::*;
+    match inst {
+        Lb { rt, off, base } | Lbu { rt, off, base } => Some((false, rt, base, off, 1)),
+        Lh { rt, off, base } | Lhu { rt, off, base } => Some((false, rt, base, off, 2)),
+        Lw { rt, off, base } => Some((false, rt, base, off, 4)),
+        Sb { rt, off, base } => Some((true, rt, base, off, 1)),
+        Sh { rt, off, base } => Some((true, rt, base, off, 2)),
+        Sw { rt, off, base } => Some((true, rt, base, off, 4)),
+        _ => None,
     }
 }
 
@@ -225,12 +240,13 @@ pub(crate) fn caller_saved(reg: usize) -> bool {
         || (Reg::S0.index()..=Reg::S7.index()).contains(&(reg as u8)))
 }
 
-/// Byte span a store of `size` bytes at slot offset `k` can touch,
-/// widened to the enclosing word boundaries.
-fn touched_words(k: i32, size: i32) -> std::ops::RangeInclusive<i32> {
-    let lo = k.div_euclid(4) * 4;
-    let hi = (k + size - 1).div_euclid(4) * 4;
-    lo..=hi
+/// The word slots a store of `size` bytes at slot offset `k` touches, in
+/// `i64` so the top of the offset range cannot overflow; a slot past it
+/// wraps to the bottom, as the offsets' `u32` arithmetic does.
+pub(crate) fn touched_words(k: i32, size: u32) -> impl Iterator<Item = i32> {
+    let lo = i64::from(k).div_euclid(4) * 4;
+    let hi = (i64::from(k) + i64::from(size) - 1).div_euclid(4) * 4;
+    (lo..=hi).step_by(4).map(|w| w as i32)
 }
 
 /// Drops every tracked slot a store through `target` (of `size` bytes)
@@ -243,7 +259,7 @@ fn apply_store(state: &mut MemState, target: &MemVal, size: u32, value: MemVal) 
             Some(offs) => {
                 for &o in offs {
                     let k = o as i32;
-                    for w in touched_words(k, size as i32) {
+                    for w in touched_words(k, size) {
                         state.slots.remove(&w);
                     }
                 }
@@ -293,13 +309,14 @@ fn apply_call(state: &mut MemState) {
     }
 }
 
-/// The forward memory-sensitive analysis, one node per text word.
-struct MemAbs<'a> {
-    flow: &'a Flow,
-    image: &'a Image,
+/// The forward memory-sensitive analysis over its own copy of the text.
+#[derive(Debug)]
+pub(crate) struct MemAbs {
+    decoded: Vec<Option<Inst>>,
+    text_base: u32,
 }
 
-impl MemAbs<'_> {
+impl MemAbs {
     fn eval(&self, addr: u32, inst: Inst, state: &mut MemState) {
         use Inst::*;
         let set = |state: &mut MemState, rd: Reg, val: MemVal| {
@@ -319,8 +336,7 @@ impl MemAbs<'_> {
                 set(state, rd, v);
             }
             Addi { rt, rs, imm } => {
-                let disp = MemVal::abs(AbsVal::Const(imm as i32 as u32));
-                let v = add_vals(&r(state, rs), &disp);
+                let v = state.effective_addr(rs, imm);
                 set(state, rt, v);
             }
             // `or`/`xor`/`ori`/`xori` with zero are common move idioms;
@@ -332,11 +348,8 @@ impl MemAbs<'_> {
                     (_, Some(AbsVal::Const(0))) => a.clone(),
                     (Some(AbsVal::Const(0)), _) => b.clone(),
                     _ => {
-                        let f: fn(u32, u32) -> u32 = match inst {
-                            Or { .. } => |x, y| x | y,
-                            _ => |x, y| x ^ y,
-                        };
-                        MemVal::abs(a.as_abs().map2(&b.as_abs(), f))
+                        let ops = [a.as_abs(), b.as_abs()];
+                        MemVal::abs(scalar_eval(addr, inst, &ops).expect("defines rd").1)
                     }
                 };
                 set(state, rd, v);
@@ -363,16 +376,13 @@ impl MemAbs<'_> {
                 set(state, rt, MemVal::top());
             }
             // Stores mutate the tracked frame, never a register.
-            Sb { rt: _, off, base } | Sh { rt: _, off, base } | Sw { rt: _, off, base } => {
-                let size = match inst {
-                    Sb { .. } => 1,
-                    Sh { .. } => 2,
-                    _ => 4,
-                };
+            Sb { .. } | Sh { .. } | Sw { .. } => {
+                let (_, rt, base, off, size) = mem_operand(inst).expect("a store");
                 let target = state.effective_addr(base, off);
-                let value = match inst {
-                    Sw { rt, .. } => r(state, rt),
-                    _ => MemVal::top(),
+                let value = if size == 4 {
+                    r(state, rt)
+                } else {
+                    MemVal::top()
                 };
                 apply_store(state, &target, size, value);
             }
@@ -389,11 +399,13 @@ impl MemAbs<'_> {
                 apply_call(state);
                 set(state, rd, MemVal::abs(AbsVal::Const(addr.wrapping_add(4))));
             }
-            // Everything else is scalar: evaluate over the pointer-blind
-            // view and re-wrap as `Abs`.
+            // Everything else is scalar: evaluate the operands' pointer-blind
+            // views and re-wrap as `Abs`.
             _ => {
-                let scalars: Vec<AbsVal> = state.regs.iter().map(MemVal::as_abs).collect();
-                if let Some((rd, val)) = scalar_eval(addr, inst, &scalars) {
+                let ops = inst.uses().map(|u| {
+                    u.map_or(AbsVal::Top, |reg| state.regs[reg.index() as usize].as_abs())
+                });
+                if let Some((rd, val)) = scalar_eval(addr, inst, &ops) {
                     set(state, rd, MemVal::abs(val));
                 }
             }
@@ -401,7 +413,7 @@ impl MemAbs<'_> {
     }
 }
 
-impl Analysis for MemAbs<'_> {
+impl Analysis for MemAbs {
     type Fact = MemFact;
 
     fn direction(&self) -> Direction {
@@ -430,54 +442,69 @@ impl Analysis for MemAbs<'_> {
                 }
                 // Slot intersection: a word is known only if both paths
                 // know it; disagreeing values join.
-                let keys: Vec<i32> = into.slots.keys().copied().collect();
-                for k in keys {
-                    match from.slots.get(&k) {
-                        None => {
-                            into.slots.remove(&k);
+                into.slots.retain(|k, i| match from.slots.get(k) {
+                    None => {
+                        changed = true;
+                        false
+                    }
+                    Some(f) => {
+                        let joined = i.join(f);
+                        if joined != *i {
+                            *i = joined;
                             changed = true;
                         }
-                        Some(f) => {
-                            let i = &into.slots[&k];
-                            let joined = i.join(f);
-                            if joined != *i {
-                                into.slots.insert(k, joined);
-                                changed = true;
-                            }
-                        }
+                        true
                     }
-                }
+                });
                 changed
             }
         }
     }
 
-    fn transfer(&self, node: usize, input: &MemFact) -> MemFact {
-        let state = input.as_ref()?;
-        let mut state = state.clone();
-        if let Some(inst) = self.flow.decoded[node] {
-            self.eval(self.image.addr_of_index(node), inst, &mut state);
+    fn transfer(&self, node: usize, fact: &mut MemFact) {
+        if let (Some(state), Some(inst)) = (fact, self.decoded[node]) {
+            self.eval(self.text_base + 4 * node as u32, inst, state);
         }
-        Some(state)
     }
 }
 
-/// Runs the memory-sensitive analysis, returning the abstract state
-/// *entering* each text word (`None` where no static path arrives).
-pub fn analyze_memory(image: &Image, flow: &Flow) -> Vec<MemFact> {
+/// The memory analysis's fixpoint: one abstract state per straight-line
+/// chain of text words (see [`crate::dataflow`]), the state entering the
+/// chain's head. The state entering any other word is replayed from there.
+#[derive(Debug)]
+pub struct MemFacts {
+    pub(crate) analysis: MemAbs,
+    pub(crate) solution: Solution<MemFact>,
+}
+
+impl MemFacts {
+    /// The abstract state entering text word `i` (`None` where no static
+    /// path arrives), replayed from the head of its chain.
+    pub fn at(&self, i: usize) -> MemFact {
+        self.solution.at(&self.analysis, i)
+    }
+}
+
+/// Runs the memory-sensitive analysis from every root ([`Flow::roots`]);
+/// [`MemFacts::at`] replays the state *entering* any text word.
+pub fn analyze_memory(image: &Image, flow: &Flow) -> MemFacts {
     let seeds: Vec<(usize, MemFact)> = flow
         .roots()
         .map(|i| (i, Some(root_state(flow.entry == Some(i)))))
         .collect();
-    let analysis = MemAbs { flow, image };
-    dataflow::solve(&analysis, &flow.succ_index, &seeds).input
+    let analysis = MemAbs {
+        decoded: flow.decoded.clone(),
+        text_base: image.text_base,
+    };
+    let solution = dataflow::solve(&analysis, &flow.succ_index, &seeds);
+    MemFacts { analysis, solution }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn states_of(src: &str) -> (Flow, Vec<MemFact>) {
+    fn states_of(src: &str) -> (Flow, MemFacts) {
         let image = flexprot_asm::assemble_or_panic(src);
         let flow = Flow::recover(&image, &image.text.clone());
         let states = analyze_memory(&image, &flow);
@@ -496,8 +523,8 @@ mod tests {
             .expect("load present")
     }
 
-    fn reg(states: &[MemFact], node: usize, r: Reg) -> MemVal {
-        states[node].as_ref().expect("reachable").regs[r.index() as usize].clone()
+    fn reg(states: &MemFacts, node: usize, r: Reg) -> MemVal {
+        states.at(node).expect("reachable").regs[r.index() as usize].clone()
     }
 
     #[test]
@@ -596,6 +623,18 @@ mod tests {
             MemVal::abs(AbsVal::Const(0)),
             "caller frame slot must survive the call"
         );
+    }
+
+    #[test]
+    fn store_at_the_top_of_the_offset_range_does_not_overflow() {
+        // $t3 = seed + 0x7ffffffc, the last aligned slot below 2^31: the
+        // store's word span used to overflow `i32`.
+        let (flow, states) = states_of(
+            "main: li $t1, 7\n lui $t2, 0x7fff\n ori $t2, $t2, 0xfffc\n add $t3, $sp, $t2\n \
+             sw $t1, 0($t3)\n lw $t4, 0($t3)\n li $v0, 10\n syscall\n",
+        );
+        let at = after_load(&flow, Reg::T4, 0);
+        assert_eq!(reg(&states, at, Reg::T4), MemVal::abs(AbsVal::Const(7)));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::absint::AbsVal;
 use crate::dataflow::{self, Analysis, Direction};
 use crate::diag;
 use crate::flow::Flow;
-use crate::memdom::{self, Base, MemFact, MemState, MemVal};
+use crate::memdom::{self, mem_operand, Base, MemFacts, MemVal};
 use crate::{Shipped, Sink};
 
 /// How a memory access relates to the union of encrypted regions.
@@ -126,21 +126,6 @@ impl TaintState {
 /// Per-node fact: `None` where no static path arrives.
 pub type TaintFact = Option<TaintState>;
 
-/// The decoded instruction's memory operand, if it is a load or store:
-/// `(is_store, value/dest register, base register, offset, size)`.
-fn mem_operand(inst: Inst) -> Option<(bool, Reg, Reg, i16, u32)> {
-    use Inst::*;
-    match inst {
-        Lb { rt, off, base } | Lbu { rt, off, base } => Some((false, rt, base, off, 1)),
-        Lh { rt, off, base } | Lhu { rt, off, base } => Some((false, rt, base, off, 2)),
-        Lw { rt, off, base } => Some((false, rt, base, off, 4)),
-        Sb { rt, off, base } => Some((true, rt, base, off, 1)),
-        Sh { rt, off, base } => Some((true, rt, base, off, 2)),
-        Sw { rt, off, base } => Some((true, rt, base, off, 4)),
-        _ => None,
-    }
-}
-
 /// Whether a load at `target` (under `taint`) observes key-derived data.
 fn load_taint(config: &SecMonConfig, taint: &TaintState, target: &MemVal, size: u32) -> bool {
     if matches!(region_class(config, target, size), RegionClass::Inside(_)) {
@@ -163,13 +148,7 @@ fn store_taint(taint: &mut TaintState, target: &MemVal, size: u32, value_tainted
             let k = *o as i32;
             if value_tainted {
                 // Mark every word the store touches.
-                let lo = k.div_euclid(4) * 4;
-                let hi = (k + size as i32 - 1).div_euclid(4) * 4;
-                let mut w = lo;
-                while w <= hi {
-                    taint.slots.insert(w);
-                    w += 4;
-                }
+                taint.slots.extend(memdom::touched_words(k, size));
             } else if size == 4 && k % 4 == 0 {
                 taint.slots.remove(&k); // strong update clears the slot
             }
@@ -190,25 +169,51 @@ fn store_taint(taint: &mut TaintState, target: &MemVal, size: u32, value_tainted
 
 /// The forward key-flow analysis, one node per text word, reading the
 /// memory-sensitive points-to facts for address resolution.
-struct TaintAbs<'a> {
+pub(crate) struct TaintAbs<'a> {
     flow: &'a Flow,
     config: &'a SecMonConfig,
-    mem: &'a [MemFact],
+    /// The abstract address of each word's memory operand (`Top` where
+    /// there is none or memdom has no state), read off one memdom walk.
+    targets: Vec<MemVal>,
 }
 
-impl TaintAbs<'_> {
+impl<'a> TaintAbs<'a> {
+    pub(crate) fn new(config: &'a SecMonConfig, flow: &'a Flow, mem: &MemFacts) -> Self {
+        let mut targets = vec![MemVal::top(); flow.decoded.len()];
+        mem.solution.walk(&mem.analysis, |i, state| {
+            if let (Some(s), Some((_, _, base, off, _))) =
+                (state, flow.decoded[i].and_then(mem_operand))
+            {
+                targets[i] = s.effective_addr(base, off);
+            }
+        });
+        TaintAbs {
+            flow,
+            config,
+            targets,
+        }
+    }
+
+    /// The taint state entering each text word: the solver keeps one per
+    /// chain head, and one walk replays them into per-word states.
+    fn facts(&self) -> Vec<TaintFact> {
+        let seeds: Vec<(usize, TaintFact)> = (self.flow.roots())
+            .map(|i| (i, Some(TaintState::default())))
+            .collect();
+        let mut taints = vec![None; self.flow.decoded.len()];
+        dataflow::solve(self, &self.flow.succ_index, &seeds)
+            .walk(self, |i, fact| taints[i] = fact.clone());
+        taints
+    }
+
     fn eval(&self, node: usize, inst: Inst, taint: &mut TaintState) {
-        let mstate = self.mem.get(node).and_then(|f| f.as_ref());
-        let target_of = |base: Reg, off: i16| -> MemVal {
-            mstate.map_or_else(MemVal::top, |s| s.effective_addr(base, off))
-        };
-        if let Some((is_store, rt, base, off, size)) = mem_operand(inst) {
-            let target = target_of(base, off);
+        if let Some((is_store, rt, _, _, size)) = mem_operand(inst) {
+            let target = &self.targets[node];
             if is_store {
                 let value_tainted = taint.tainted(rt);
-                store_taint(taint, &target, size, value_tainted);
+                store_taint(taint, target, size, value_tainted);
             } else {
-                let t = load_taint(self.config, taint, &target, size);
+                let t = load_taint(self.config, taint, target, size);
                 taint.set(rt, t);
             }
             return;
@@ -217,13 +222,9 @@ impl TaintAbs<'_> {
             // A callee may clobber the caller-saved registers, so their
             // taint clears at calls (return-value flow is not modelled — a
             // documented approximation).
-            Inst::Jal { .. } | Inst::Jalr { .. } => {
-                for r in 0..32 {
-                    if memdom::caller_saved(r) {
-                        taint.set(Reg::from_bits(r as u32), false);
-                    }
-                }
-            }
+            Inst::Jal { .. } | Inst::Jalr { .. } => (0..32)
+                .filter(|&r| memdom::caller_saved(r))
+                .for_each(|r| taint.set(Reg::from_bits(r as u32), false)),
             _ => {
                 if let Some(rd) = inst.def() {
                     let t = inst.uses().iter().flatten().any(|&r| taint.tainted(r));
@@ -253,36 +254,26 @@ impl Analysis for TaintAbs<'_> {
                 true
             }
             Some(into) => {
-                let mut changed = false;
-                let regs = into.regs | from.regs;
-                if regs != into.regs {
-                    into.regs = regs;
-                    changed = true;
-                }
-                for &k in &from.slots {
-                    changed |= into.slots.insert(k);
-                }
-                if from.stack_wild && !into.stack_wild {
-                    into.stack_wild = true;
-                    changed = true;
-                }
-                changed
+                // Every part only grows, so its size tells whether it did.
+                let before = (into.regs, into.slots.len(), into.stack_wild);
+                into.regs |= from.regs;
+                into.slots.extend(&from.slots);
+                into.stack_wild |= from.stack_wild;
+                before != (into.regs, into.slots.len(), into.stack_wild)
             }
         }
     }
 
-    fn transfer(&self, node: usize, input: &TaintFact) -> TaintFact {
-        let taint = input.as_ref()?;
-        let mut taint = taint.clone();
-        if let Some(inst) = self.flow.decoded[node] {
-            self.eval(node, inst, &mut taint);
+    fn transfer(&self, node: usize, fact: &mut TaintFact) {
+        if let (Some(taint), Some(inst)) = (fact, self.flow.decoded[node]) {
+            self.eval(node, inst, taint);
         }
-        Some(taint)
     }
 }
 
 /// Runs the key-flow analysis, returning the taint state *entering* each
-/// text word (`None` where no static path arrives). Roots match
+/// text word (`None` where no static path arrives), replayed by one walk
+/// from the states the solver keeps at chain heads. Roots match
 /// [`crate::memdom::analyze_memory`]: the entry point plus every text
 /// symbol ([`Flow::roots`]), all starting untainted. `_image`, the image
 /// `flow` was recovered from, is not read: the flow carries the roots.
@@ -290,14 +281,9 @@ pub fn analyze_taint(
     _image: &Image,
     config: &SecMonConfig,
     flow: &Flow,
-    mem: &[MemFact],
+    mem: &MemFacts,
 ) -> Vec<TaintFact> {
-    let seeds: Vec<(usize, TaintFact)> = flow
-        .roots()
-        .map(|i| (i, Some(TaintState::default())))
-        .collect();
-    let analysis = TaintAbs { flow, config, mem };
-    dataflow::solve(&analysis, &flow.succ_index, &seeds).input
+    TaintAbs::new(config, flow, mem).facts()
 }
 
 /// Counters of one key-flow run (rendered into the lint JSON under
@@ -319,128 +305,93 @@ pub struct TaintStats {
 /// Runs the key-flow analysis over `shipped` and reports every sink hit
 /// through `sink`, returning the run counters.
 pub(crate) fn check_taint(shipped: &Shipped, sink: &mut Sink<'_>) -> TaintStats {
-    let (image, config, flow, mem) = (shipped.image, shipped.config, &shipped.flow, shipped.mem());
-    let taints = analyze_taint(image, config, flow, mem);
+    let (image, config, flow) = (shipped.image, shipped.config, &shipped.flow);
+    let analysis = TaintAbs::new(config, flow, shipped.mem());
     let mut stats = TaintStats::default();
-
-    // Findings grouped by lint ID — FP901 stores first.
-    for (i, fact) in taints.iter().enumerate() {
+    // One pass in word order; findings are reported grouped by lint ID,
+    // FP901 stores first.
+    let mut found: [Vec<(u32, String)>; 4] = Default::default();
+    for (i, fact) in analysis.facts().iter().enumerate() {
         let (Some(taint), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
             continue;
         };
-        let Some((true, rt, base, off, size)) = mem_operand(inst) else {
-            continue;
-        };
-        if !taint.tainted(rt) {
-            continue;
-        }
-        let target = target_at(mem, i, base, off);
-        // Stack traffic propagates (private scratch, A1); a write-back
-        // into an encrypted region stays inside the protected envelope.
-        if target.base == Base::Stack {
-            continue;
-        }
-        if matches!(region_class(config, &target, size), RegionClass::Inside(_)) {
-            continue;
-        }
         let addr = image.addr_of_index(i);
-        let witness = target
-            .scalar()
-            .and_then(|v| v.values())
-            .and_then(|vs| vs.first().copied());
-        let detail = match witness {
-            Some(w) => {
-                format!("key-derived value in {rt} is stored to observable memory at {w:#010x}")
+        let target = &analysis.targets[i];
+        match mem_operand(inst) {
+            // FP901: stack traffic propagates (private scratch, A1); a
+            // write-back into an encrypted region stays inside the
+            // protected envelope.
+            Some((true, rt, _, _, size)) if taint.tainted(rt) => {
+                let inside = matches!(region_class(config, target, size), RegionClass::Inside(_));
+                if target.base != Base::Stack && !inside {
+                    let detail = match target.scalar().and_then(|v| v.values()?.first()) {
+                        Some(w) => format!(
+                            "key-derived value in {rt} is stored to observable memory at {w:#010x}"
+                        ),
+                        None => format!(
+                            "key-derived value in {rt} is stored through an unresolved pointer \
+                             to observable memory"
+                        ),
+                    };
+                    found[0].push((addr, detail));
+                    stats.tainted_stores += 1;
+                }
             }
-            None => format!(
-                "key-derived value in {rt} is stored through an unresolved pointer \
-                 to observable memory"
-            ),
-        };
-        sink.emit_capped(&diag::TAINT_KEY_STORE, addr, format_args!("{detail}"));
-        stats.tainted_stores += 1;
-    }
-    sink.summarise(&diag::TAINT_KEY_STORE, "");
-
-    // FP902 syscall operands.
-    for (i, fact) in taints.iter().enumerate() {
-        let (Some(taint), Some(Inst::Syscall)) = (fact.as_ref(), flow.decoded[i]) else {
-            continue;
-        };
-        for r in [Reg::V0, Reg::A0] {
-            if taint.tainted(r) {
-                sink.emit_capped(
-                    &diag::TAINT_KEY_SYSCALL,
-                    image.addr_of_index(i),
-                    format_args!("syscall operand {r} carries key-derived data"),
-                );
+            // FP904 unresolved ciphertext reads, plus the source counter.
+            Some((false, _, _, _, size)) => match region_class(config, target, size) {
+                RegionClass::Inside(_) => stats.sources += 1,
+                RegionClass::May => {
+                    let detail = "load may read an encrypted region but its address is \
+                                  unresolved; taint tracking is approximate here";
+                    found[3].push((addr, detail.to_owned()));
+                    stats.unresolved_reads += 1;
+                }
+                RegionClass::Outside => {}
+            },
+            _ => {}
+        }
+        // FP902 syscall operands.
+        if matches!(inst, Inst::Syscall) {
+            for r in [Reg::V0, Reg::A0].into_iter().filter(|&r| taint.tainted(r)) {
+                found[1].push((
+                    addr,
+                    format!("syscall operand {r} carries key-derived data"),
+                ));
                 stats.tainted_syscalls += 1;
             }
         }
-    }
-    sink.summarise(&diag::TAINT_KEY_SYSCALL, "");
-
-    // FP903 key-dependent control flow / access patterns.
-    for (i, fact) in taints.iter().enumerate() {
-        let (Some(taint), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
-            continue;
+        // FP903 key-dependent control flow / access patterns.
+        let dependent = if inst.is_branch() {
+            inst.uses()
+                .iter()
+                .flatten()
+                .any(|&r| taint.tainted(r))
+                .then(|| "branch condition depends on key-derived data".to_owned())
+        } else {
+            mem_operand(inst)
+                .filter(|&(_, _, base, _, _)| taint.tainted(base))
+                .map(|(_, _, base, _, _)| {
+                    format!("memory address in {base} depends on key-derived data")
+                })
         };
-        if inst.is_branch() {
-            if inst.uses().iter().flatten().any(|&r| taint.tainted(r)) {
-                sink.emit_capped(
-                    &diag::TAINT_KEY_DEPENDENT,
-                    image.addr_of_index(i),
-                    format_args!("branch condition depends on key-derived data"),
-                );
-                stats.key_dependent += 1;
-            }
-        } else if let Some((_, _, base, _, _)) = mem_operand(inst) {
-            if taint.tainted(base) {
-                sink.emit_capped(
-                    &diag::TAINT_KEY_DEPENDENT,
-                    image.addr_of_index(i),
-                    format_args!("memory address in {base} depends on key-derived data"),
-                );
-                stats.key_dependent += 1;
-            }
+        if let Some(detail) = dependent {
+            found[2].push((addr, detail));
+            stats.key_dependent += 1;
         }
     }
-    sink.summarise(&diag::TAINT_KEY_DEPENDENT, "");
-
-    // FP904 unresolved ciphertext reads, plus the source counter.
-    for (i, fact) in taints.iter().enumerate() {
-        let (Some(_), Some(inst)) = (fact.as_ref(), flow.decoded[i]) else {
-            continue;
-        };
-        let Some((false, _, base, off, size)) = mem_operand(inst) else {
-            continue;
-        };
-        match region_class(config, &target_at(mem, i, base, off), size) {
-            RegionClass::Inside(_) => stats.sources += 1,
-            RegionClass::May => {
-                sink.emit_capped(
-                    &diag::TAINT_UNRESOLVED_READ,
-                    image.addr_of_index(i),
-                    format_args!(
-                        "load may read an encrypted region but its address is unresolved; \
-                         taint tracking is approximate here"
-                    ),
-                );
-                stats.unresolved_reads += 1;
-            }
-            RegionClass::Outside => {}
+    let lints = [
+        &diag::TAINT_KEY_STORE,
+        &diag::TAINT_KEY_SYSCALL,
+        &diag::TAINT_KEY_DEPENDENT,
+        &diag::TAINT_UNRESOLVED_READ,
+    ];
+    for (lint, found) in lints.into_iter().zip(found) {
+        for (addr, detail) in found {
+            sink.emit_capped(lint, addr, format_args!("{detail}"));
         }
+        sink.summarise(lint, "");
     }
-    sink.summarise(&diag::TAINT_UNRESOLVED_READ, "");
     stats
-}
-
-/// The abstract target of the access at node `i`, `Top` when the memory
-/// analysis has no state there.
-fn target_at(mem: &[MemFact], i: usize, base: Reg, off: i16) -> MemVal {
-    mem.get(i)
-        .and_then(|f| f.as_ref())
-        .map_or_else(MemVal::top, |s: &MemState| s.effective_addr(base, off))
 }
 
 #[cfg(test)]
@@ -531,6 +482,42 @@ mod tests {
         assert!(stats.key_dependent >= 1, "{:?}", report.findings);
         assert!(report.with_id("FP902").count() >= 1);
         assert!(report.with_id("FP903").count() >= 1);
+    }
+
+    #[test]
+    fn tainted_store_at_the_top_of_the_offset_range_marks_one_slot() {
+        // A key-derived word stored at seed + 0x7ffffffc, the last aligned
+        // slot below 2^31: the slot walk used to overflow `i32` and, when
+        // wrapping, insert about 2^30 slots.
+        let mut taint = TaintState::default();
+        let top = MemVal::stack(AbsVal::Const(0x7fff_fffc));
+        store_taint(&mut taint, &top, 4, true);
+        assert_eq!(taint.slots, BTreeSet::from([0x7fff_fffc]));
+
+        // The same store through the whole pass, from a ciphertext load.
+        let src = "main: la $t0, secret\n lw $t1, 0($t0)\n lui $t2, 0x7fff\n \
+                   ori $t2, $t2, 0xfffc\n add $t3, $sp, $t2\n sw $t1, 0($t3)\n \
+                   li $v0, 10\n syscall\nsecret: nop\n nop\n";
+        let image = flexprot_asm::assemble_or_panic(src);
+        let start = image.symbol("secret").unwrap();
+        let regions = vec![EncRegion {
+            start,
+            end: start + 8,
+            key: 0x5EED,
+        }];
+        let (report, stats) = run(src, regions.clone());
+        assert_eq!(stats.sources, 1, "{:?}", report.findings);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+
+        let mut config = SecMonConfig::transparent();
+        config.regions = flexprot_secmon::RegionTable::new(regions);
+        let shipped = crate::Shipped::new(&image, &config);
+        let taints = analyze_taint(&image, &config, &shipped.flow, shipped.mem());
+        let store = (shipped.flow.decoded.iter())
+            .position(|i| matches!(i, Some(Inst::Sw { .. })))
+            .unwrap();
+        let after = taints[store + 1].as_ref().expect("reachable");
+        assert_eq!(after.slots, BTreeSet::from([0x7fff_fffc]));
     }
 
     #[test]

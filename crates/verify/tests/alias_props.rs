@@ -23,7 +23,7 @@ use flexprot_cc::kernels::random_minic;
 use flexprot_isa::{Image, Inst, Reg, Rng64, STACK_TOP};
 use flexprot_verify::alias::{self, StoreClass};
 use flexprot_verify::flow::Flow;
-use flexprot_verify::memdom::{self, Base, MemFact, STACK_REGION_MAX, STACK_REGION_MIN};
+use flexprot_verify::memdom::{self, Base, MemFacts, STACK_REGION_MAX, STACK_REGION_MIN};
 
 // ------------------------------------------------------ concrete oracle
 
@@ -223,15 +223,15 @@ fn intervals(image: &Image, targets: &[(u32, u32)]) -> Vec<(u32, u32)> {
 /// Checks every executed store of one program against the analysis.
 /// Returns the number of (store, interval) verdicts checked.
 fn assert_partition_sound(name: &str, image: &Image, flow: &Flow) -> usize {
-    let mem: Vec<MemFact> = memdom::analyze_memory(image, flow);
+    let mem: MemFacts = memdom::analyze_memory(image, flow);
     let observed = run_oracle(image, flow, 50_000);
     let mut checked = 0;
     for (&index, targets) in &observed {
         let inst = flow.decoded[index].expect("executed word decodes");
-        let state = mem[index].as_ref().unwrap_or_else(|| {
+        let state = mem.at(index).unwrap_or_else(|| {
             panic!("{name}: store at word {index} executed but analyzed unreachable")
         });
-        let site = alias::store_site(index, inst, state).expect("store resolves");
+        let site = alias::store_site(index, inst, &state).expect("store resolves");
         // Value-set membership: the concrete target is a concretisation
         // of the abstract one.
         for &(a, size) in targets {
@@ -342,10 +342,10 @@ fn scalar_and_stack_stores_partition_as_designed() {
     let mut saw = (false, false);
     for (index, decoded) in flow.decoded.iter().enumerate() {
         let Some(inst) = *decoded else { continue };
-        let Some(state) = mem[index].as_ref() else {
+        let Some(state) = mem.at(index) else {
             continue;
         };
-        let Some(site) = alias::store_site(index, inst, state) else {
+        let Some(site) = alias::store_site(index, inst, &state) else {
             continue;
         };
         // Every store in this kernel is provably off the text segment…
