@@ -70,6 +70,35 @@ for engine in reference predecoded; do
 done
 cmp "$OBS_DIR/smoke.reference.metrics.json" "$OBS_DIR/smoke.predecoded.metrics.json"
 cmp "$OBS_DIR/smoke.reference.trace.jsonl" "$OBS_DIR/smoke.predecoded.trace.jsonl"
+# rle under per-block keys and sparse guards: its text ends inside a
+# 32-byte line, and under a 512-byte direct-mapped I-cache it refills.
+# The monitor counts a fill's encrypted words from its per-word table and
+# looks the words past the text up in the region table; the last line's
+# fill takes both paths.
+cargo run --quiet --release -p flexprot-cli --bin fpasm -- \
+    crates/workloads/asm/rle.s --o "$OBS_DIR/rle.fpx" > /dev/null
+cargo run --quiet --release -p flexprot-cli --bin fpprotect -- \
+    "$OBS_DIR/rle.fpx" --o "$OBS_DIR/rle.prot.fpx" \
+    --secmon "$OBS_DIR/rle.fpm" --density 0.25 --encrypt block > /dev/null
+set -- $(cargo run --quiet --release -p flexprot-cli --bin fpobjdump -- \
+    "$OBS_DIR/rle.prot.fpx" | sed -n '1s/.* text \(0x[0-9a-f]*\)+\([0-9]*\) words.*/\1 \2/p')
+base=$1 words=$2
+[ $((words % 8)) -ne 0 ] || {
+    echo "rle's protected text ($words words) no longer ends inside a line"; exit 1;
+}
+for engine in reference predecoded; do
+    cargo run --quiet --release -p flexprot-cli --bin fprun -- \
+        "$OBS_DIR/rle.prot.fpx" --secmon "$OBS_DIR/rle.fpm" \
+        --engine "$engine" --icache 512 --icache-ways 1 \
+        --metrics "$OBS_DIR/rle.$engine.metrics.json" \
+        --trace "$OBS_DIR/rle.$engine.trace.jsonl" > /dev/null
+done
+cmp "$OBS_DIR/rle.reference.metrics.json" "$OBS_DIR/rle.predecoded.metrics.json"
+cmp "$OBS_DIR/rle.reference.trace.jsonl" "$OBS_DIR/rle.predecoded.trace.jsonl"
+last_line=$(printf '0x%08x' $((base + words / 8 * 32)))
+grep -q "\"ev\":\"decrypt\",\"line\":\"$last_line\"" "$OBS_DIR/rle.predecoded.trace.jsonl" || {
+    echo "rle's last text line $last_line was never filled with decryption"; exit 1;
+}
 echo "engines agree through fprun OK"
 
 echo "== fprun --trace: bounded memory =="

@@ -12,7 +12,7 @@ use flexprot_core::{
 use flexprot_exec::{default_jobs, matrix, Engine, Job, Table};
 use flexprot_isa::Image;
 use flexprot_secmon::{DecryptModel, SecMon, SecMonConfig};
-use flexprot_sim::{CacheConfig, Machine, Outcome, SimConfig};
+use flexprot_sim::{Machine, Outcome, SimConfig};
 use flexprot_trace::Recorder;
 use flexprot_verify::{EquivReport, Verification};
 
@@ -398,14 +398,16 @@ fn fprun_sim(args: &Args) -> Result<SimConfig, CliError> {
         let size: u32 = bytes
             .parse()
             .map_err(|_| CliError(format!("invalid --icache `{bytes}`")))?;
-        sim.icache = CacheConfig {
-            size_bytes: size,
-            ..CacheConfig::default_icache()
-        };
-        sim.icache
-            .validate()
-            .map_err(|e| CliError(format!("--icache: {e}")))?;
+        sim.icache.size_bytes = size;
     }
+    if let Some(ways) = args.value("icache-ways") {
+        sim.icache.ways = ways
+            .parse()
+            .map_err(|_| CliError(format!("invalid --icache-ways `{ways}`")))?;
+    }
+    sim.icache
+        .validate()
+        .map_err(|e| CliError(format!("--icache: {e}")))?;
     if let Some(kind) = args.value("engine") {
         sim.engine = kind
             .parse()
@@ -424,8 +426,11 @@ fn outcome_code(outcome: &Outcome) -> (String, i32) {
 }
 
 /// `fprun <image.fpx>... [--secmon <cfg.fpm>] [--icache BYTES]
-/// [--max-instr N] [--engine predecoded|reference] [--jobs N] [--stats]
-/// [--metrics <out.json>] [--trace <out.jsonl>]`.
+/// [--icache-ways N] [--max-instr N] [--engine predecoded|reference]
+/// [--jobs N] [--stats] [--metrics <out.json>] [--trace <out.jsonl>]`.
+///
+/// `--icache` and `--icache-ways` set the I-cache's size and
+/// associativity (default 4096 bytes, 2 ways, 32-byte lines).
 ///
 /// `--engine` selects the simulator core: `predecoded` (the default
 /// fill-path engine) or `reference` (the per-fetch interpreter kept for
@@ -459,6 +464,7 @@ pub fn fprun(raw_args: &[String]) -> Result<RunSummary, CliError> {
         &[
             "secmon",
             "icache",
+            "icache-ways",
             "max-instr",
             "engine",
             "metrics",
@@ -2264,6 +2270,15 @@ loop:   addu $s1, $s1, $s0
         let err = fpprotect(&strs(&[&[fpx.as_str()][..], &slow[..]].concat())).unwrap_err();
         assert_eq!(err.to_string(), "--cycles-per-word must be at most 1048576");
         assert!(fprun(&strs(&[&fpx, "--icache", "999"])).is_err());
+        // 32 B lines times 2^27 ways is 2^32 bytes: refused, not wrapped
+        // to a zero-byte way.
+        for ways in ["0", "x", "3", "134217728"] {
+            assert!(
+                fprun(&strs(&[&fpx, "--icache-ways", ways])).is_err(),
+                "{ways}"
+            );
+        }
+        assert!(fprun(&strs(&[&fpx, "--icache", "512", "--icache-ways", "1"])).is_ok());
     }
 
     #[test]

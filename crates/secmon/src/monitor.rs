@@ -6,7 +6,7 @@
 //! * a rolling [`WindowHasher`] that resets on every pc discontinuity and at
 //!   every registered window start (guarded block leader);
 //! * when the pc reaches a guard site, the current digest is snapshotted and
-//!   the next [`GuardSite::symbols`](crate::schedule::GuardSite::symbols) committed words are parsed as signature
+//!   the next [`GuardSite::symbols`] committed words are parsed as signature
 //!   symbols; any mismatch, or any control transfer that interrupts the
 //!   sequence, raises a tamper event;
 //! * an instruction counter bounds the distance between successful checks
@@ -17,16 +17,20 @@
 //! Like the hardware, which indexes provisioned tables by fetch address,
 //! the monitor compiles its schedule into one attribute byte per text word
 //! when a machine binds it to a text segment
-//! ([`FetchMonitor::bind_text`]): a commit then costs one bounds check and
-//! one load instead of set lookups and a range scan.
+//! ([`FetchMonitor::bind_text`]), with the descriptors of the guard sites
+//! beside it. A commit then costs one bounds check and one load, a guard
+//! site entry one more read for its [`GuardSite`], and a line fill counts
+//! its encrypted words from the same bytes; only a line's words outside
+//! the text go to the region table's binary search.
 //! The monitor also keeps its own run counters, as hardware status
 //! registers would ([`FetchMonitor::export_metrics`] reports them).
 
 use flexprot_sim::{FetchMonitor, TamperCause, TamperEvent};
 use flexprot_trace::{Histogram, Metrics, SharedSink, TraceEvent};
 
+use crate::cipher::RegionTable;
 use crate::guard::{decode_guard_symbol, signature_from_symbols, WindowHasher, SIG_SYMBOLS};
-use crate::schedule::SecMonConfig;
+use crate::schedule::{GuardSite, SecMonConfig};
 
 /// Attribute bits of one instruction address.
 const WINDOW_START: u8 = 1;
@@ -36,10 +40,15 @@ const SITE: u8 = 8;
 /// Set at run time, never compiled: the guard check at this site has
 /// passed at least once.
 const PASSED: u8 = 16;
+/// The word lies in an encrypted region.
+const ENCRYPTED: u8 = 32;
+
+/// Text words per entry of [`AttrTable::site_rank`].
+const RANK_WORDS: usize = 32;
 
 /// The attribute bits of `pc`, read straight from the schedule: three
-/// tree lookups and a scan of the protected ranges. The reference the
-/// compiled [`AttrTable`] is tested against.
+/// tree lookups, a scan of the protected ranges and a region lookup. The
+/// reference the compiled [`AttrTable`] is tested against.
 #[cfg(test)]
 fn attrs_of(config: &SecMonConfig, pc: u32) -> u8 {
     let bit = |set: bool, flag: u8| if set { flag } else { 0 };
@@ -47,16 +56,25 @@ fn attrs_of(config: &SecMonConfig, pc: u32) -> u8 {
         | bit(config.reset_points.contains(&pc), RESET_POINT)
         | bit(config.in_protected(pc), PROTECTED)
         | bit(config.sites.contains_key(&pc), SITE)
+        | bit(config.regions.lookup(pc).is_some(), ENCRYPTED)
 }
 
 /// The schedule compiled over a text segment: the attribute bits of every
 /// word-aligned address in `[base, base + 4 * flags.len())`, the only
-/// place the monitor reads them at run time.
+/// place the monitor reads them at run time, and the descriptors of the
+/// guard sites among those words.
 #[derive(Debug, Clone, Default)]
 struct AttrTable {
     /// Word-aligned address of `flags[0]`.
     base: u32,
     flags: Vec<u8>,
+    /// The descriptor of every `SITE` word, in address order.
+    sites: Vec<GuardSite>,
+    /// Per [`RANK_WORDS`] words of `flags`: the number of `SITE` words
+    /// before them, and a bit per `SITE` word among them. A site's
+    /// ordinal in `sites` is one entry and a popcount away, and the index
+    /// costs a quarter byte per word.
+    site_rank: Vec<(u32, u32)>,
 }
 
 impl AttrTable {
@@ -73,24 +91,51 @@ impl AttrTable {
             let addr = u64::from(addr).clamp(u64::from(base), end);
             ((addr - u64::from(base)).div_ceil(4)) as usize
         };
+        let in_table = |addr: u32| addr.is_multiple_of(4) && addr >= base && u64::from(addr) < end;
         let keys = (config
             .window_starts
             .iter()
             .map(|&addr| (addr, WINDOW_START)))
-        .chain(config.reset_points.iter().map(|&addr| (addr, RESET_POINT)))
-        .chain(config.sites.keys().map(|&addr| (addr, SITE)));
+        .chain(config.reset_points.iter().map(|&addr| (addr, RESET_POINT)));
         for (addr, flag) in keys {
-            if addr.is_multiple_of(4) && addr >= base && u64::from(addr) < end {
+            if in_table(addr) {
                 flags[index(addr)] |= flag;
             }
         }
-        for range in &config.protected {
-            let (first, last) = (index(range.start), index(range.end));
-            for flag in flags.get_mut(first..last).unwrap_or_default() {
-                *flag |= PROTECTED;
+        let mut sites = Vec::new();
+        let mut site_rank: Vec<(u32, u32)> = vec![(0, 0); len.div_ceil(RANK_WORDS)];
+        for (&addr, &site) in config.sites.range(base..) {
+            if in_table(addr) {
+                let i = index(addr);
+                flags[i] |= SITE;
+                site_rank[i / RANK_WORDS].1 |= 1 << (i % RANK_WORDS);
+                sites.push(site);
             }
         }
-        AttrTable { base, flags }
+        let mut before = 0;
+        for (sites_before, bits) in &mut site_rank {
+            *sites_before = before;
+            before += bits.count_ones();
+        }
+        // The encrypted regions are sorted and disjoint: one pass marks
+        // them, as it marks the protected ranges.
+        let ranges = (config.protected.iter())
+            .map(|range| (range.start, range.end, PROTECTED))
+            .chain(
+                (config.regions.regions().iter())
+                    .map(|region| (region.start, region.end, ENCRYPTED)),
+            );
+        for (start, end, flag) in ranges {
+            for word in flags.get_mut(index(start)..index(end)).unwrap_or_default() {
+                *word |= flag;
+            }
+        }
+        AttrTable {
+            base,
+            flags,
+            sites,
+            site_rank,
+        }
     }
 
     /// The compiled attribute bits of `pc`, if the table covers it.
@@ -100,6 +145,44 @@ impl AttrTable {
         }
         let index = (pc.wrapping_sub(self.base) >> 2) as usize;
         self.flags.get(index).copied()
+    }
+
+    /// The descriptor of the guard site at `pc`, a `SITE` word.
+    fn site(&self, pc: u32) -> GuardSite {
+        let index = (pc.wrapping_sub(self.base) >> 2) as usize;
+        let (before, bits) = self.site_rank[index / RANK_WORDS];
+        let below = bits & ((1 << (index % RANK_WORDS)) - 1);
+        self.sites[(before + below.count_ones()) as usize]
+    }
+
+    /// The number of encrypted words in the line of `line_words` words at
+    /// `line_addr`: counted from the table where it covers the line, and
+    /// looked up in `regions` where the line runs past either end of it.
+    fn encrypted_words_in_line(
+        &self,
+        regions: &RegionTable,
+        line_addr: u32,
+        line_words: u32,
+    ) -> u32 {
+        // The table indices of the line's first and last-plus-one words,
+        // which may lie outside the table.
+        let first = (i64::from(line_addr) - i64::from(self.base)) >> 2;
+        let len = self.flags.len() as i64;
+        let lo = first.clamp(0, len);
+        let hi = (first + i64::from(line_words)).clamp(0, len);
+        let inside = (self.flags[lo as usize..hi as usize].iter())
+            .filter(|&&flag| flag & ENCRYPTED != 0)
+            .count() as u32;
+        if hi - lo == i64::from(line_words) {
+            return inside;
+        }
+        let outside = (0..line_words)
+            .filter(|&i| {
+                let index = first + i64::from(i);
+                (index < lo || index >= hi) && regions.lookup(line_addr + 4 * i).is_some()
+            })
+            .count() as u32;
+        inside + outside
     }
 
     /// Marks `site` passed, if the table covers it.
@@ -135,7 +218,7 @@ struct Counters {
 }
 
 /// A guard sequence in progress.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Collect {
     site: u32,
     /// Guard symbols seen so far.
@@ -261,8 +344,10 @@ impl SecMon {
         None
     }
 
-    /// Advances an in-progress guard collection by one committed word.
-    fn advance_collect(&mut self, mut col: Collect, pc: u32, word: u32) -> Option<TamperEvent> {
+    /// Advances the guard collection in progress by one committed word,
+    /// in place until the check completes or fails.
+    fn advance_collect(&mut self, pc: u32, word: u32) -> Option<TamperEvent> {
+        let col = self.collecting.as_mut()?;
         col.next_pc = pc.wrapping_add(4);
         if col.seen < col.total {
             // Symbol phase: guard words carry the signature and are NOT
@@ -285,27 +370,22 @@ impl SecMon {
             col.tail_remaining = col.tail_remaining.saturating_sub(1);
         }
         if col.seen == col.total && col.tail_remaining == 0 {
-            self.finish_check(pc, col)
-        } else {
-            self.collecting = Some(col);
-            None
+            let col = *col;
+            self.collecting = None;
+            return self.finish_check(pc, col);
         }
+        None
     }
 
     #[inline]
     fn observe(&mut self, pc: u32, word: u32, sequential: bool) -> Option<TamperEvent> {
-        if let Some(col) = self.collecting.take() {
+        if let Some(col) = &self.collecting {
             if !sequential || pc != col.next_pc {
-                self.emit(TraceEvent::GuardFail { site: col.site, pc });
-                return self.trip(
-                    pc,
-                    TamperCause::InterruptedGuard {
-                        site: col.site,
-                        expected: col.next_pc,
-                    },
-                );
+                let (site, expected) = (col.site, col.next_pc);
+                self.emit(TraceEvent::GuardFail { site, pc });
+                return self.trip(pc, TamperCause::InterruptedGuard { site, expected });
             }
-            return self.advance_collect(col, pc, word);
+            return self.advance_collect(pc, word);
         }
 
         // A pc outside the bound text has no attributes (see
@@ -322,18 +402,18 @@ impl SecMon {
             }
         }
         if attrs & SITE != 0 {
-            let site = self.config.sites[&pc];
+            let site = self.table.site(pc);
             self.counters.windows_closed += 1;
             self.emit(TraceEvent::WindowClose { site: pc });
-            let col = Collect {
+            self.collecting = Some(Collect {
                 site: pc,
                 seen: 0,
                 head: [0; SIG_SYMBOLS as usize],
                 total: site.symbols,
                 tail_remaining: site.tail,
                 next_pc: pc,
-            };
-            return self.advance_collect(col, pc, word);
+            });
+            return self.advance_collect(pc, word);
         }
 
         self.hasher.absorb(pc, word);
@@ -352,6 +432,25 @@ impl SecMon {
         }
         None
     }
+
+    /// Charges the decrypt unit for a line fill with `encrypted` words to
+    /// decrypt, and counts the fill.
+    fn charge_fill(&mut self, line_addr: u32, encrypted: u32) -> u64 {
+        let cycles = self.config.decrypt.fill_penalty(encrypted);
+        if encrypted > 0 {
+            self.counters.decrypt_fills += 1;
+            self.counters.decrypted_words += u64::from(encrypted);
+            if cycles > 0 {
+                self.counters.decrypt_stall.record(cycles);
+            }
+            self.emit(TraceEvent::Decrypt {
+                line_addr,
+                encrypted_words: encrypted,
+                cycles,
+            });
+        }
+        cycles
+    }
 }
 
 impl FetchMonitor for SecMon {
@@ -367,24 +466,9 @@ impl FetchMonitor for SecMon {
     }
 
     fn fill_penalty(&mut self, line_addr: u32, line_words: u32) -> u64 {
-        let encrypted = self
-            .config
-            .regions
-            .encrypted_words_in_line(line_addr, line_words);
-        let cycles = self.config.decrypt.fill_penalty(encrypted);
-        if encrypted > 0 {
-            self.counters.decrypt_fills += 1;
-            self.counters.decrypted_words += u64::from(encrypted);
-            if cycles > 0 {
-                self.counters.decrypt_stall.record(cycles);
-            }
-            self.emit(TraceEvent::Decrypt {
-                line_addr,
-                encrypted_words: encrypted,
-                cycles,
-            });
-        }
-        cycles
+        let encrypted =
+            (self.table).encrypted_words_in_line(&self.config.regions, line_addr, line_words);
+        self.charge_fill(line_addr, encrypted)
     }
 
     fn bind_text(&mut self, text_base: u32, text_end: u32) {
@@ -970,7 +1054,8 @@ mod tail_tests {
 #[cfg(test)]
 mod table_tests {
     use super::*;
-    use crate::schedule::{GuardSite, ProtectedRange};
+    use crate::cipher::EncRegion;
+    use crate::schedule::ProtectedRange;
     use flexprot_isa::Rng64;
     use flexprot_sim::{Machine, Outcome, RunResult, SimConfig, Stats};
 
@@ -992,53 +1077,184 @@ mod table_tests {
         }
     }
 
+    /// A site descriptor: an empty, one-symbol, full or endless guard,
+    /// with or without a tail.
+    pub(super) fn any_site(rng: &mut Rng64) -> GuardSite {
+        let symbols = [0, 1, SIG_SYMBOLS, SIG_SYMBOLS, u32::MAX][rng.index(5)];
+        let tail = [0, 0, 1, 2][rng.index(4)];
+        GuardSite { symbols, tail }
+    }
+
+    /// A valid region table around the text `[text_base, text_end)`:
+    /// block-sized regions inside it, regions reaching past either end of
+    /// it and regions wholly outside it.
+    pub(super) fn any_regions(rng: &mut Rng64, text_base: u32, text_end: u32) -> RegionTable {
+        let (base, end) = (u64::from(text_base & !3), u64::from(text_end));
+        let mut candidates: Vec<(u64, u64)> = (0..rng.below(12))
+            .map(|_| {
+                let words = 1 + rng.below(16);
+                let start = match rng.below(4) {
+                    // Block-sized, inside the text.
+                    0 | 1 => base + 4 * rng.below((end - base) / 4 + 1),
+                    // Across the text's first word.
+                    2 if rng.chance(0.5) => base.saturating_sub(4 * rng.below(words)),
+                    // Across its end, or wholly past it.
+                    2 => end.saturating_sub(4 * rng.below(words)) & !3,
+                    // Wholly before it.
+                    _ => base.saturating_sub(4 * (words + rng.below(8))),
+                };
+                (start, (start + 4 * words).min(0xFFFF_FFFC))
+            })
+            .collect();
+        candidates.sort_unstable();
+        let mut regions: Vec<EncRegion> = Vec::new();
+        for (start, end) in candidates {
+            let free = regions
+                .last()
+                .is_none_or(|last| u64::from(last.end) <= start);
+            if start < end && free {
+                let key = rng.next_u64();
+                let (start, end) = (start as u32, end as u32);
+                regions.push(EncRegion { start, end, key });
+            }
+        }
+        RegionTable::new(regions)
+    }
+
+    /// A text segment: aligned or not, near the bottom or the top of the
+    /// address space or at the usual base.
+    fn any_text(rng: &mut Rng64) -> (u32, u32) {
+        let words = rng.below(600) as u32;
+        let text_base = match rng.below(4) {
+            0 => 4 * rng.below(64) as u32,
+            1 => 0xFFFF_FFFC - 4 * words - 4 * rng.below(16) as u32,
+            2 => 0x0040_0000 + rng.below(4) as u32,
+            _ => 0x0040_0000,
+        };
+        (text_base, text_base + 4 * words)
+    }
+
+    /// A schedule whose keys and ranges fall in, near and far from the
+    /// text `[text_base, text_end)`.
+    fn any_config(rng: &mut Rng64, text_base: u32, text_end: u32) -> SecMonConfig {
+        let mut config = SecMonConfig::transparent();
+        for _ in 0..rng.below(40) {
+            (config.window_starts).insert(near(rng, text_base, text_end));
+            (config.reset_points).insert(near(rng, text_base, text_end));
+            let site = any_site(rng);
+            config.sites.insert(near(rng, text_base, text_end), site);
+        }
+        for _ in 0..rng.below(5) {
+            // Overlapping, empty and wrapping (`start > end`) ranges.
+            let start = near(rng, text_base, text_end);
+            let end = near(rng, text_base, text_end);
+            config.protected.push(ProtectedRange { start, end });
+        }
+        config.regions = any_regions(rng, text_base, text_end);
+        config
+    }
+
+    /// Checks every word of `table`, compiled from `config`, against the
+    /// schedule: its attribute bits and, at a site, its descriptor.
+    fn assert_table_matches(
+        table: &AttrTable,
+        config: &SecMonConfig,
+        words: impl Iterator<Item = u32>,
+    ) {
+        for i in words {
+            let pc = table.base + 4 * i;
+            let attrs = attrs_of(config, pc);
+            assert_eq!(table.get(pc), Some(attrs), "pc {pc:#010x}");
+            if attrs & SITE != 0 {
+                assert_eq!(table.site(pc), config.sites[&pc], "site {pc:#010x}");
+            }
+        }
+    }
+
     #[test]
     fn compiled_table_matches_the_schedule_on_every_text_word() {
         let mut rng = Rng64::new(0x7AB1_E5EC);
-        for case in 0..400 {
-            let words = rng.below(600) as u32;
-            let text_base = match rng.below(4) {
-                0 => 4 * rng.below(64) as u32,
-                1 => 0xFFFF_FFFC - 4 * words - 4 * rng.below(16) as u32,
-                2 => 0x0040_0000 + rng.below(4) as u32,
-                _ => 0x0040_0000,
-            };
-            let text_end = text_base + 4 * words;
-            let mut config = SecMonConfig::transparent();
-            for _ in 0..rng.below(40) {
-                config
-                    .window_starts
-                    .insert(near(&mut rng, text_base, text_end));
-                config
-                    .reset_points
-                    .insert(near(&mut rng, text_base, text_end));
-                let site = GuardSite::default();
-                config
-                    .sites
-                    .insert(near(&mut rng, text_base, text_end), site);
-            }
-            for _ in 0..rng.below(5) {
-                // Overlapping, empty and wrapping (`start > end`) ranges.
-                let start = near(&mut rng, text_base, text_end);
-                let end = near(&mut rng, text_base, text_end);
-                config.protected.push(ProtectedRange { start, end });
-            }
+        for _ in 0..400 {
+            let (text_base, text_end) = any_text(&mut rng);
+            let config = any_config(&mut rng, text_base, text_end);
             let table = AttrTable::compile(&config, text_base, text_end);
             // One word more than the text when its base is not word-aligned.
+            let words = (text_end - text_base) / 4;
             assert!(table.flags.len() <= words as usize + 1);
-            for i in 0..table.flags.len() as u32 {
-                let pc = table.base + 4 * i;
-                assert_eq!(
-                    table.get(pc),
-                    Some(attrs_of(&config, pc)),
-                    "case {case}: pc {pc:#010x} of text [{text_base:#x}, {text_end:#x})"
-                );
-            }
+            assert_table_matches(&table, &config, 0..table.flags.len() as u32);
+            // The table holds a descriptor for each site inside it, no more.
+            let sites = table.flags.iter().filter(|&&f| f & SITE != 0).count();
+            assert_eq!(table.sites.len(), sites);
             let past = table.base.wrapping_add(4 * table.flags.len() as u32);
             assert_eq!(table.get(past), None);
             assert_eq!(table.get(table.base.wrapping_sub(4)), None);
             assert_eq!(table.get(table.base | 1), None);
         }
+    }
+
+    #[test]
+    fn table_counts_a_lines_encrypted_words_as_the_region_table_does() {
+        let mut rng = Rng64::new(0x11E5_C0DE);
+        for _ in 0..300 {
+            let (text_base, text_end) = any_text(&mut rng);
+            let config = any_config(&mut rng, text_base, text_end);
+            let table = AttrTable::compile(&config, text_base, text_end);
+            let table_end = u64::from(table.base) + 4 * table.flags.len() as u64;
+            for line_bytes in [16u32, 32, 64] {
+                let line_words = line_bytes / 4;
+                // Every line that overlaps the table, and the lines on
+                // either side of it.
+                let first = u64::from(table.base & !(line_bytes - 1));
+                let lines = (first.saturating_sub(u64::from(line_bytes))..)
+                    .step_by(line_bytes as usize)
+                    .take_while(|&line| line <= table_end && line < 1 << 32);
+                for line in lines.map(|line| line as u32) {
+                    assert_eq!(
+                        table.encrypted_words_in_line(&config.regions, line, line_words),
+                        config.regions.encrypted_words_in_line(line, line_words),
+                        "line {line:#010x} of {line_bytes} B, text [{text_base:#x}, {text_end:#x})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_schedule_binds_a_table_that_matches_it() {
+        // A 64k-word text with a one-word encrypted region and a guard site
+        // on every word: the table holds them all and reads back the
+        // schedule.
+        const WORDS: u32 = 1 << 16;
+        let base = 0x0040_0000;
+        let mut config = SecMonConfig {
+            decrypt: crate::decrypt::DecryptModel::baseline(),
+            ..SecMonConfig::transparent()
+        };
+        config.regions = RegionTable::new(
+            (0..WORDS)
+                .map(|i| EncRegion {
+                    start: base + 4 * i,
+                    end: base + 4 * i + 4,
+                    key: u64::from(i),
+                })
+                .collect(),
+        );
+        for i in 0..WORDS {
+            let site = GuardSite {
+                symbols: i,
+                tail: i % 3,
+            };
+            config.sites.insert(base + 4 * i, site);
+        }
+        let mut mon = SecMon::new(config);
+        mon.bind_text(base, base + 4 * WORDS);
+        let table = &mon.table;
+        assert_eq!((table.flags.len(), table.sites.len()), (65_536, 65_536));
+        let sample = (0..WORDS).step_by(61).chain([WORDS - 1]);
+        assert_table_matches(table, &mon.config, sample);
+        // The last line's eight words are all encrypted: one pipelined
+        // fill of the baseline unit.
+        assert_eq!(mon.fill_penalty(base + 4 * (WORDS - 8), 8), 4 + 2);
     }
 
     #[test]
@@ -1081,5 +1297,283 @@ mod table_tests {
             output: String::new(),
         };
         assert_eq!(machine.run(), pinned);
+    }
+}
+
+/// A reference monitor that reads the schedule itself: attributes from
+/// [`attrs_of`], the site descriptor from `sites`, a guard collection
+/// taken out and written back on every word, and a line's encrypted words
+/// counted by the region table. It shares the rest of [`SecMon`]; the
+/// table-driven monitor is tested against it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::decrypt::DecryptModel;
+    use crate::guard::{encode_guard_inst, signature_symbols};
+    use crate::schedule::ProtectedRange;
+    use flexprot_isa::Rng64;
+    use flexprot_trace::Recorder;
+    use std::cell::RefCell;
+    use std::io::{self, Write};
+    use std::rc::Rc;
+
+    impl SecMon {
+        fn observe_reference(
+            &mut self,
+            pc: u32,
+            word: u32,
+            sequential: bool,
+        ) -> Option<TamperEvent> {
+            if let Some(col) = self.collecting.take() {
+                if !sequential || pc != col.next_pc {
+                    self.emit(TraceEvent::GuardFail { site: col.site, pc });
+                    return self.trip(
+                        pc,
+                        TamperCause::InterruptedGuard {
+                            site: col.site,
+                            expected: col.next_pc,
+                        },
+                    );
+                }
+                return self.advance_collect_reference(col, pc, word);
+            }
+
+            // The table only says whether `pc` lies in the bound text.
+            let attrs = match self.table.get(pc) {
+                Some(_) => attrs_of(&self.config, pc),
+                None => 0,
+            };
+            if !sequential || attrs & WINDOW_START != 0 {
+                self.hasher.reset();
+                if !sequential && attrs & RESET_POINT != 0 {
+                    self.reset_spacing();
+                }
+                if attrs & WINDOW_START != 0 {
+                    self.counters.windows_opened += 1;
+                    self.emit(TraceEvent::WindowOpen { pc });
+                }
+            }
+            if attrs & SITE != 0 {
+                let site = self.config.sites[&pc];
+                self.counters.windows_closed += 1;
+                self.emit(TraceEvent::WindowClose { site: pc });
+                let col = Collect {
+                    site: pc,
+                    seen: 0,
+                    head: [0; SIG_SYMBOLS as usize],
+                    total: site.symbols,
+                    tail_remaining: site.tail,
+                    next_pc: pc,
+                };
+                return self.advance_collect_reference(col, pc, word);
+            }
+
+            self.hasher.absorb(pc, word);
+            if let Some(bound) = self.config.spacing_bound {
+                if attrs & PROTECTED != 0 {
+                    self.spacing += 1;
+                    self.emit(TraceEvent::SpacingTick {
+                        pc,
+                        count: self.spacing,
+                    });
+                    if self.spacing > bound {
+                        self.emit(TraceEvent::SpacingExceeded { pc, bound });
+                        return self.trip(pc, TamperCause::SpacingBound { bound });
+                    }
+                }
+            }
+            None
+        }
+
+        fn advance_collect_reference(
+            &mut self,
+            mut col: Collect,
+            pc: u32,
+            word: u32,
+        ) -> Option<TamperEvent> {
+            col.next_pc = pc.wrapping_add(4);
+            if col.seen < col.total {
+                if !crate::guard::is_guard_form(word) {
+                    let site = col.site;
+                    self.emit(TraceEvent::GuardFail { site, pc });
+                    return self.trip(pc, TamperCause::MalformedGuard { site });
+                }
+                if let Some(symbol) = col.head.get_mut(col.seen as usize) {
+                    *symbol = decode_guard_symbol(word);
+                }
+                col.seen += 1;
+            } else {
+                self.hasher.absorb(pc, word);
+                col.tail_remaining = col.tail_remaining.saturating_sub(1);
+            }
+            if col.seen == col.total && col.tail_remaining == 0 {
+                self.finish_check(pc, col)
+            } else {
+                self.collecting = Some(col);
+                None
+            }
+        }
+
+        fn fill_penalty_reference(&mut self, line_addr: u32, line_words: u32) -> u64 {
+            let encrypted = (self.config.regions).encrypted_words_in_line(line_addr, line_words);
+            self.charge_fill(line_addr, encrypted)
+        }
+    }
+
+    /// An in-memory trace the test reads after the recorder owns it.
+    #[derive(Clone, Default)]
+    struct Buffer(Rc<RefCell<Vec<u8>>>);
+
+    impl Write for Buffer {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A monitor bound to `[text_base, text_end)` that traces into the
+    /// returned buffer.
+    fn traced(config: &SecMonConfig, text_base: u32, text_end: u32) -> (SecMon, Buffer) {
+        let buffer = Buffer::default();
+        let mut mon = SecMon::new(config.clone());
+        mon.attach_sink(Recorder::with_writer(buffer.clone()).shared().0);
+        mon.bind_text(text_base, text_end);
+        (mon, buffer)
+    }
+
+    /// A schedule over `words` words at `base`: window starts, reset
+    /// points, sites of every shape, protected ranges, encrypted regions,
+    /// a spacing bound near the length of a straight-line stretch, either
+    /// tamper mode.
+    fn any_schedule(rng: &mut Rng64, base: u32, words: u32) -> SecMonConfig {
+        let mut config = SecMonConfig {
+            guard_key: rng.next_u64(),
+            halt_on_tamper: rng.chance(0.5),
+            spacing_bound: rng.chance(0.8).then(|| 1 + rng.below(24)),
+            decrypt: DecryptModel {
+                cycles_per_word: rng.below(4),
+                startup: rng.below(8),
+                pipelined: rng.chance(0.5),
+            },
+            ..SecMonConfig::transparent()
+        };
+        let word = |rng: &mut Rng64| base + 4 * rng.below(u64::from(words)) as u32;
+        for _ in 0..words / 6 {
+            config.window_starts.insert(word(rng));
+        }
+        for _ in 0..words / 16 {
+            config.reset_points.insert(word(rng));
+        }
+        for _ in 0..words / 8 {
+            let addr = word(rng);
+            config.sites.insert(addr, super::table_tests::any_site(rng));
+        }
+        for _ in 0..rng.below(3) {
+            let (a, b) = (word(rng), word(rng));
+            let (start, end) = (a.min(b), a.max(b) + 4);
+            config.protected.push(ProtectedRange { start, end });
+        }
+        config.regions = super::table_tests::any_regions(rng, base, base + 4 * words);
+        config
+    }
+
+    #[test]
+    fn monitor_matches_the_reference_on_random_commit_streams() {
+        let mut rng = Rng64::new(0x5EC_0BE5);
+        let mut passed = 0;
+        for case in 0..600 {
+            let base = 0x0040_0000 + 0x40 * rng.below(4) as u32;
+            let words = 16 + rng.below(160) as u32;
+            let config = any_schedule(&mut rng, base, words);
+            let end = base + 4 * words;
+            let line_words = [4, 8, 16][rng.index(3)];
+            let (mut mon, trace) = traced(&config, base, end);
+            let (mut oracle, oracle_trace) = traced(&config, base, end);
+            // Words the stream commits next at the following pcs: a guard
+            // sequence planned to pass.
+            let mut planned: Vec<u32> = Vec::new();
+            let mut pc = base;
+            let mut sequential = false;
+            for step in 0..400 {
+                let word = if let Some(word) = planned.pop() {
+                    word
+                } else {
+                    let symbols = config.sites.get(&pc).map(|site| site.symbols);
+                    if symbols == Some(SIG_SYMBOLS)
+                        && oracle.collecting.is_none()
+                        && rng.chance(0.6)
+                    {
+                        // The signature the site checks: the window so
+                        // far (reset as the monitor resets it), then the
+                        // tail words.
+                        let mut hasher = oracle.hasher;
+                        if !sequential || config.window_starts.contains(&pc) {
+                            hasher.reset();
+                        }
+                        let tail = config.sites[&pc].tail;
+                        let tail_words: Vec<u32> = (0..tail).map(|_| rng.next_u32()).collect();
+                        for (i, &word) in tail_words.iter().enumerate() {
+                            hasher.absorb(pc + 4 * (SIG_SYMBOLS + i as u32), word);
+                        }
+                        let guard = signature_symbols(hasher.digest())
+                            .into_iter()
+                            .map(|sym| encode_guard_inst(sym, rng.next_u8()).encode());
+                        planned = guard.chain(tail_words).rev().collect();
+                        planned.pop().expect("four symbols")
+                    } else if rng.chance(0.3) {
+                        encode_guard_inst(rng.next_u8(), rng.next_u8()).encode()
+                    } else {
+                        rng.next_u32()
+                    }
+                };
+                let got = mon.observe_commit(pc, word, sequential);
+                let want = oracle.observe_reference(pc, word, sequential);
+                let at = format!("case {case}, step {step}, pc {pc:#010x}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(mon.hasher, oracle.hasher, "{at}");
+                assert_eq!(mon.collecting, oracle.collecting, "{at}");
+                assert_eq!(mon.spacing, oracle.spacing, "{at}");
+                if got.is_some() {
+                    // A halting monitor ends the run.
+                    break;
+                }
+                if rng.chance(0.05) {
+                    let line = (base & !(4 * line_words - 1))
+                        + 4 * line_words * rng.below(u64::from(words / line_words + 2)) as u32;
+                    let line = line.wrapping_sub(4 * line_words * rng.below(2) as u32);
+                    assert_eq!(
+                        mon.fill_penalty(line, line_words),
+                        oracle.fill_penalty_reference(line, line_words),
+                        "{at}, line {line:#010x}"
+                    );
+                }
+                // Step on, or break the sequence: a taken transfer, now
+                // and then one the stream calls sequential anyway.
+                let next = pc.wrapping_add(4);
+                if planned.is_empty() && (rng.chance(0.12) || next >= end) {
+                    pc = base + 4 * rng.below(u64::from(words)) as u32;
+                    sequential = rng.chance(0.05);
+                } else {
+                    pc = next;
+                    sequential = true;
+                }
+            }
+            assert_eq!(mon.tamper_log, oracle.tamper_log, "case {case}");
+            let (mut got, mut want) = (Metrics::new(), Metrics::new());
+            mon.export_metrics(&mut got);
+            oracle.export_metrics(&mut want);
+            assert_eq!(got, want, "case {case}");
+            assert!(
+                *trace.0.borrow() == *oracle_trace.0.borrow(),
+                "case {case}: traces differ"
+            );
+            passed += mon.checks_passed();
+        }
+        // The planned guards pass often enough to exercise the pass path.
+        assert!(passed > 100, "only {passed} checks passed");
     }
 }

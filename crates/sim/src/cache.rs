@@ -62,11 +62,12 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("associativity must be at least 1".to_owned());
         }
-        if self.size_bytes == 0 || !self.size_bytes.is_multiple_of(self.line_bytes * self.ways) {
+        // In 64 bits: a hostile associativity must not wrap the product.
+        let set_bytes = u64::from(self.line_bytes) * u64::from(self.ways);
+        if self.size_bytes == 0 || !u64::from(self.size_bytes).is_multiple_of(set_bytes) {
             return Err(format!(
-                "size {} is not a multiple of line*ways = {}",
-                self.size_bytes,
-                self.line_bytes * self.ways
+                "size {} is not a multiple of line*ways = {set_bytes}",
+                self.size_bytes
             ));
         }
         if !self.sets().is_power_of_two() {
@@ -347,6 +348,14 @@ mod tests {
             size_bytes: 96,
             line_bytes: 16,
             ways: 2
+        }
+        .validate()
+        .is_err());
+        // line * ways is 2^32 bytes, which wraps to 0 in 32 bits.
+        assert!(CacheConfig {
+            size_bytes: 4096,
+            line_bytes: 32,
+            ways: 1 << 27
         }
         .validate()
         .is_err());
