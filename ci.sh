@@ -237,6 +237,25 @@ errors=$(grep -o '^error: \[FP[0-9]*\]' "$OBS_DIR/flipped.lint" | tr '\n' ' ')
 }
 echo "tampered guard window fully reported OK"
 
+echo "== report drivers: a reader that stops early =="
+# `fpobjdump x.fpx | head -1` used to panic with "failed printing to
+# stdout: Broken pipe" and exit 101 when head had gone before the
+# driver's write. Here head -1 takes a line from `echo` and goes first;
+# the driver starts a moment later, writes into the closed pipe, and
+# must still exit 0 (pipefail: its status is the pipeline's) with
+# nothing on stderr.
+for cmd in "fpobjdump $OBS_DIR/smoke.prot.fpx --secmon $OBS_DIR/smoke.fpm" \
+           "fplint $OBS_DIR/smoke.prot.fpx --secmon $OBS_DIR/smoke.fpm" \
+           "fpmatrix --programs collatz --jobs 1"; do
+    status=0
+    bash -c "set -o pipefail; { echo; sleep 0.2; exec \"$BIN\"/$cmd; } | head -1 > /dev/null" \
+        2> "$OBS_DIR/pipe.err" || status=$?
+    [ "$status" -eq 0 ] && [ ! -s "$OBS_DIR/pipe.err" ] || {
+        echo "$cmd | head -1 exited $status:"; cat "$OBS_DIR/pipe.err"; exit 1;
+    }
+done
+echo "early-stopping readers OK"
+
 echo "== perfbench: correctness smoke =="
 # perfbench is a Cargo package of its own, so the workspace stages above
 # never compile it. One-second runs of each workload build it against the

@@ -74,7 +74,7 @@ impl StaticOracle {
         if covering.is_empty() {
             return 0;
         }
-        let seeds: Vec<usize> = covering.iter().map(|&w| usize::from(w)).collect();
+        let seeds: Vec<usize> = covering.iter().map(|&w| w as usize).collect();
         self.net.defeat_closure(&seeds).len() as u32
     }
 

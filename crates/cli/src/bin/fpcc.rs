@@ -3,7 +3,7 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match flexprot_cli::fpcc(&args) {
-        Ok(message) => println!("{message}"),
+        Ok(message) => flexprot_cli::print_report("fpcc", &format!("{message}\n")),
         Err(err) => {
             eprintln!("fpcc: {err}");
             std::process::exit(2);

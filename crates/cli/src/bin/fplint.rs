@@ -4,7 +4,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match flexprot_cli::fplint(&args) {
         Ok(summary) => {
-            print!("{}", summary.report);
+            flexprot_cli::print_report("fplint", &summary.report);
             std::process::exit(summary.exit_code);
         }
         Err(err) => {

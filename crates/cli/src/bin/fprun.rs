@@ -1,13 +1,10 @@
 //! Thin wrapper over [`flexprot_cli::fprun`].
 
-use std::io::Write;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match flexprot_cli::fprun(&args) {
         Ok(summary) => {
-            print!("{}", summary.output);
-            std::io::stdout().flush().ok();
+            flexprot_cli::print_report("fprun", &summary.output);
             eprintln!("{}", summary.report);
             std::process::exit(summary.exit_code);
         }

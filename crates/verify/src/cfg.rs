@@ -11,8 +11,8 @@
 
 use flexprot_isa::Image;
 
-use crate::dataflow;
 use crate::flow::{EdgeKind, Flow};
+use crate::graph::Graph;
 
 /// One basic block: the half-open word-index range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +30,8 @@ pub struct Cfg {
     pub blocks: Vec<BasicBlock>,
     /// Word index → index of the containing block.
     pub block_of: Vec<usize>,
-    /// Successor blocks per block (deduplicated).
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessor blocks per block.
-    pub preds: Vec<Vec<usize>>,
+    /// Successor blocks per block, ascending and deduplicated.
+    pub succs: Graph,
     /// Block containing the entry point, when the entry lands in text.
     pub entry: Option<usize>,
 }
@@ -46,8 +44,7 @@ impl Cfg {
             return Cfg {
                 blocks: Vec::new(),
                 block_of: Vec::new(),
-                succs: Vec::new(),
-                preds: Vec::new(),
+                succs: Graph::default(),
                 entry: None,
             };
         }
@@ -102,21 +99,20 @@ impl Cfg {
             }
         }
 
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); blocks.len()];
-        for (b, block) in blocks.iter().enumerate() {
-            let last = block.end - 1;
-            let mut outs: Vec<usize> = flow.succs[last].iter().map(|e| block_of[e.to]).collect();
+        let mut succs = Graph::with_capacity(blocks.len(), 2 * blocks.len());
+        let mut outs: Vec<usize> = Vec::new();
+        for block in &blocks {
+            outs.clear();
+            outs.extend(flow.succs[block.end - 1].iter().map(|e| block_of[e.to]));
             outs.sort_unstable();
             outs.dedup();
-            succs[b] = outs;
+            succs.push_row(outs.iter().copied());
         }
-        let preds = dataflow::invert(&succs);
         let entry = flow.entry.map(|e| block_of[e]);
         Cfg {
             blocks,
             block_of,
             succs,
-            preds,
             entry,
         }
     }
@@ -160,7 +156,7 @@ join:   li   $v0, 10
         assert_eq!(cfg.succs[entry].len(), 2);
         // Both arms converge on the join block.
         let join = cfg.block_of[4];
-        assert_eq!(cfg.preds[join].len(), 2);
+        assert_eq!(cfg.succs.edges().filter(|&(_, to)| to == join).count(), 2);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{self, Analysis, Direction};
 use crate::domtree::{self, DomTree};
 use crate::flow::Flow;
+use crate::graph::Graph;
 
 /// One guard site's hash window, resolved to word indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +67,9 @@ impl GuardWindow {
 pub struct Coverage {
     /// Every resolved window, sound or not, in site-address order.
     pub windows: Vec<GuardWindow>,
-    /// Per word: indices into `windows` of the sound windows covering it.
-    pub covered_by: Vec<Vec<u16>>,
+    /// Per word: indices into `windows` of the sound windows covering it,
+    /// ascending.
+    pub covered_by: Graph<u32>,
     /// Per word: a sound guard check completes on every path from the
     /// entry to the word (block-level dominator approximation: either an
     /// earlier check in the same block, or a check in a strict dominator
@@ -86,15 +88,15 @@ pub fn analyze(
     windows: Vec<GuardWindow>,
 ) -> Coverage {
     let len = flow.decoded.len();
-    let mut covered_by: Vec<Vec<u16>> = vec![Vec::new(); len];
-    for (k, w) in windows.iter().enumerate() {
-        if !w.sound {
-            continue;
-        }
-        for slot in &mut covered_by[w.start..w.end().min(len)] {
-            slot.push(k as u16);
-        }
-    }
+    let covering = windows
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| w.sound)
+        .flat_map(|(k, w)| {
+            let k = u32::try_from(k).expect("window indices fit in u32");
+            (w.start..w.end().min(len)).map(move |i| (i, k))
+        });
+    let covered_by = Graph::from_pairs(len, covering);
 
     // Earliest word index at which a sound check has completed, per block:
     // the monitor compares only after the last signed tail word streams by.
@@ -285,7 +287,7 @@ pub fn surface_map(
     // Minimum flow depth from the entry and every symbol landing pad.
     let seeds: Vec<(usize, Option<u32>)> = flow.roots().map(|i| (i, Some(0))).collect();
     let mut depth = vec![None; len];
-    dataflow::solve(&MinDepth, &flow.succ_index, &seeds).walk(&MinDepth, |i, &d| depth[i] = d);
+    dataflow::solve(&MinDepth, &flow.succs, &seeds).walk(&MinDepth, |i, &d| depth[i] = d);
 
     // Must-execute blocks: post-dominate the entry block.
     let must_execute_block: Vec<bool> = match cfg.entry {
@@ -384,5 +386,23 @@ mod tests {
         assert!(!cov.dominated[0], "before the check");
         assert!(!cov.dominated[1], "the check has not completed yet");
         assert!(cov.dominated[2] && cov.dominated[4], "after the check");
+    }
+
+    #[test]
+    fn window_indices_past_u16_name_their_own_window() {
+        // 65,537 sound windows over a 16-word text, window `k` covering
+        // word `k % 16` alone: the last, 65,536, covers word 0.
+        let image = flexprot_isa::Image::from_text(vec![0; 16]);
+        let flow = Flow::recover(&image, &image.text.clone());
+        let cfg = Cfg::build(&image, &flow);
+        let windows: Vec<GuardWindow> = (0..65_537)
+            .map(|k| window(k % 16, k % 16, 1, 0, true))
+            .collect();
+        let cov = analyze(&flow, &cfg, None, windows);
+        let last = |i: usize| cov.covered_by[i].last().map(|&k| k as usize);
+        assert_eq!(cov.covered_by[0].len(), 4097);
+        assert_eq!(last(0), Some(65_536));
+        assert_eq!(last(15), Some(65_535));
+        assert!(cov.covered_by[0].windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -21,6 +21,15 @@
 //! into the successor chains' heads.  Per-node facts are replayed:
 //! [`Solution::at`] for one node, [`Solution::walk`] for all of them.
 //!
+//! # Graphs
+//!
+//! [`solve`] reads its graph as one flat [`Graph`]: every node's row of
+//! successors is a slice of a single item array.  The items may be bare
+//! node indices or anything that names one through [`Target`], so the
+//! analyses solve straight over [`crate::flow::Flow::succs`]' edges.  A
+//! backward problem propagates along [`Graph::invert`], built once per
+//! solve in the same flat layout.
+//!
 //! # Termination
 //!
 //! [`solve`] terminates because a chain is requeued only when the fact
@@ -32,6 +41,8 @@
 //! is therefore requeued finitely often and the worklist drains.
 
 use std::collections::VecDeque;
+
+use crate::graph::{Graph, Target};
 
 /// Which way facts propagate through the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,37 +93,30 @@ pub struct Solution<F> {
     pub requeues: usize,
 }
 
-/// Predecessor lists of `succs`.
-pub fn invert(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut preds = vec![Vec::new(); succs.len()];
-    for (i, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            preds[s].push(i);
-        }
-    }
-    preds
-}
-
 /// Runs `analysis` to fixpoint over the graph given by `succs`.
 ///
 /// `seeds` injects extra facts at nodes before iteration — entry facts
 /// for a forward analysis, exit facts for a backward one.  Nodes touched
 /// by no seed start at bottom.
-pub fn solve<A: Analysis>(
+pub fn solve<A: Analysis, E: Target>(
     analysis: &A,
-    succs: &[Vec<usize>],
+    succs: &Graph<E>,
     seeds: &[(usize, A::Fact)],
 ) -> Solution<A::Fact> {
     let len = succs.len();
     let direction = analysis.direction();
     let mut in_degree = vec![0usize; len];
     let mut seeded = vec![false; len];
-    succs.iter().flatten().for_each(|&s| in_degree[s] += 1);
+    succs
+        .items()
+        .iter()
+        .for_each(|e| in_degree[e.target()] += 1);
     seeds.iter().for_each(|&(node, _)| seeded[node] = true);
     // The node a link `i - 1 -> i` enters: `i` forward, `i - 1` backward.
     let entered = |i: usize| i - usize::from(direction == Direction::Backward);
+    let only_next = |i: usize| matches!(succs[i - 1], [e] if e.target() == i);
     let mut starts: Vec<usize> = (0..len)
-        .filter(|&i| i == 0 || succs[i - 1] != [i] || in_degree[i] != 1 || seeded[entered(i)])
+        .filter(|&i| i == 0 || !only_next(i) || in_degree[i] != 1 || seeded[entered(i)])
         .collect();
     starts.push(len);
     let mut solution = Solution {
@@ -128,43 +132,42 @@ pub fn solve<A: Analysis>(
     }
     // Propagation edges leave a chain's last node: successors forward,
     // predecessors backward, each the head of its own chain.
-    let preds;
-    let edges: &[Vec<usize>] = match direction {
-        Direction::Forward => succs,
-        Direction::Backward => {
-            preds = invert(succs);
-            &preds
-        }
-    };
-    // Chaotic iteration.  Reverse order converges faster for backward
-    // problems on mostly-sequential code, forward order for forward ones.
-    let chains = solution.heads.len();
-    let mut work: VecDeque<usize> = match direction {
-        Direction::Forward => (0..chains).collect(),
-        Direction::Backward => (0..chains).rev().collect(),
-    };
-    let mut queued = vec![true; chains];
-    while let Some(c) = work.pop_front() {
-        queued[c] = false;
-        solution.visits += 1;
-        let mut fact = solution.heads[c].clone();
-        solution
-            .nodes(c)
-            .for_each(|node| analysis.transfer(node, &mut fact));
-        let last = solution.nodes(c).last().expect("chains are not empty");
-        for &j in &edges[last] {
-            let d = solution.chain_of(j);
-            if analysis.join(&mut solution.heads[d], &fact) && !queued[d] {
-                queued[d] = true;
-                work.push_back(d);
-                solution.requeues += 1;
-            }
-        }
+    match direction {
+        Direction::Forward => solution.iterate(analysis, succs),
+        Direction::Backward => solution.iterate(analysis, &succs.invert()),
     }
     solution
 }
 
 impl<F: Clone> Solution<F> {
+    /// Chaotic iteration along `edges`, the propagation edges.  Reverse
+    /// order converges faster for backward problems on mostly-sequential
+    /// code, forward order for forward ones.
+    fn iterate<A: Analysis<Fact = F>, E: Target>(&mut self, analysis: &A, edges: &Graph<E>) {
+        let chains = self.heads.len();
+        let mut work: VecDeque<usize> = match self.direction {
+            Direction::Forward => (0..chains).collect(),
+            Direction::Backward => (0..chains).rev().collect(),
+        };
+        let mut queued = vec![true; chains];
+        while let Some(c) = work.pop_front() {
+            queued[c] = false;
+            self.visits += 1;
+            let mut fact = self.heads[c].clone();
+            self.nodes(c)
+                .for_each(|node| analysis.transfer(node, &mut fact));
+            let last = self.nodes(c).last().expect("chains are not empty");
+            for e in &edges[last] {
+                let d = self.chain_of(e.target());
+                if analysis.join(&mut self.heads[d], &fact) && !queued[d] {
+                    queued[d] = true;
+                    work.push_back(d);
+                    self.requeues += 1;
+                }
+            }
+        }
+    }
+
     fn chain_of(&self, node: usize) -> usize {
         self.starts.partition_point(|&s| s <= node) - 1
     }
@@ -207,6 +210,7 @@ impl<F: Clone> Solution<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::Edge;
     use flexprot_secmon::SecMonConfig;
 
     /// Forward constant propagation of "is this node reachable" — the
@@ -231,7 +235,7 @@ mod tests {
     #[test]
     fn reachability_fixpoint_on_looping_diamond() {
         // 0 -> {1, 2}; 1 -> 3; 2 -> 3; 3 -> 1 (loop); 4 isolated.
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![1], vec![]];
+        let succs = crate::graph::graph(&[&[1, 2], &[3], &[3], &[1], &[]]);
         let sol = solve(&Reach, &succs, &[(0, true)]);
         let facts: Vec<bool> = (0..5).map(|i| sol.at(&Reach, i)).collect();
         assert_eq!(facts, vec![true, true, true, true, false]);
@@ -257,7 +261,7 @@ mod tests {
         let edges: &[Vec<usize>] = match analysis.direction() {
             Direction::Forward => succs,
             Direction::Backward => {
-                preds = invert(succs);
+                preds = crate::flow::reference::invert(succs);
                 &preds
             }
         };
@@ -284,17 +288,22 @@ mod tests {
         input
     }
 
-    /// Solves `analysis` both ways and compares the fact entering every
-    /// node, read by a walk and by replay.
+    /// Solves `analysis` both ways, the reference over one successor
+    /// list per node, and compares the fact entering every node, read by
+    /// a walk and by replay.
     fn assert_solvers_agree<A: Analysis>(
         what: &str,
         analysis: &A,
-        succs: &[Vec<usize>],
+        succs: &Graph<Edge>,
         seeds: &[(usize, A::Fact)],
     ) where
         A::Fact: std::fmt::Debug,
     {
-        let reference = solve_per_word(analysis, succs, seeds);
+        let nested: Vec<Vec<usize>> = succs
+            .rows()
+            .map(|row| row.iter().map(|e| e.to).collect())
+            .collect();
+        let reference = solve_per_word(analysis, &nested, seeds);
         let bottom = analysis.bottom();
         assert!(reference.iter().any(|f| *f != bottom), "{what}: all bottom");
         let solution = solve(analysis, succs, seeds);
@@ -310,7 +319,7 @@ mod tests {
     /// depth) against the per-word reference on one shipped image.
     fn assert_analyses_agree(name: &str, image: &flexprot_isa::Image, config: &SecMonConfig) {
         let shipped = crate::Shipped::new(image, config);
-        let (flow, succs) = (&shipped.flow, &shipped.flow.succ_index);
+        let (flow, succs) = (&shipped.flow, &shipped.flow.succs);
         let mem = shipped.mem();
         let root = |i| crate::memdom::root_state(flow.entry == Some(i));
         let seeds: Vec<_> = flow.roots().map(|i| (i, Some(root(i)))).collect();
@@ -366,12 +375,5 @@ mod tests {
             key: 0x5EED,
         }]);
         assert_analyses_agree("key-leak", &image, &config);
-    }
-
-    #[test]
-    fn invert_reverses_every_edge() {
-        let succs = vec![vec![1, 2], vec![2], vec![]];
-        let preds = invert(&succs);
-        assert_eq!(preds, vec![vec![], vec![0], vec![0, 1]]);
     }
 }

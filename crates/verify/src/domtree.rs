@@ -7,9 +7,11 @@
 //! on the reversed graph with a virtual exit node fanned in from every
 //! natural exit.
 //!
-//! The functions are generic over a plain successor-list graph so the
-//! same code serves the block-level [`crate::cfg::Cfg`] in production and
-//! the synthetic random digraphs the property tests enumerate paths on.
+//! The functions take any successor [`Graph`], so the same code serves
+//! the block-level [`crate::cfg::Cfg`] in production and the synthetic
+//! random digraphs the property tests enumerate paths on.
+
+use crate::graph::Graph;
 
 /// An immediate-dominator tree over graph nodes `0..n`.
 #[derive(Debug, Clone)]
@@ -49,7 +51,7 @@ impl DomTree {
 
 /// Reverse post-order from `root`; returns the order and per-node RPO
 /// numbers (`None` = unreachable).
-fn reverse_postorder(root: usize, succs: &[Vec<usize>]) -> (Vec<usize>, Vec<Option<usize>>) {
+fn reverse_postorder(root: usize, succs: &Graph) -> (Vec<usize>, Vec<Option<usize>>) {
     let n = succs.len();
     let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
     let mut postorder = Vec::new();
@@ -78,10 +80,10 @@ fn reverse_postorder(root: usize, succs: &[Vec<usize>]) -> (Vec<usize>, Vec<Opti
 }
 
 /// Computes the dominator tree of the graph `succs` rooted at `root`.
-pub fn dominators(root: usize, succs: &[Vec<usize>]) -> DomTree {
+pub fn dominators(root: usize, succs: &Graph) -> DomTree {
     let n = succs.len();
     let (order, rpo_num) = reverse_postorder(root, succs);
-    let preds = crate::dataflow::invert(succs);
+    let preds = succs.invert();
 
     // During iteration idom[root] = root so `intersect` can walk chains;
     // published as `None` at the end.
@@ -134,29 +136,27 @@ pub fn dominators(root: usize, succs: &[Vec<usize>]) -> DomTree {
 /// virtual exit's index.  `tree.dominates(a, b)` then reads "`a`
 /// post-dominates `b`".  Nodes that reach no exit (infinite loops) are
 /// unreachable in the reversed graph and post-dominate nothing.
-pub fn post_dominators(succs: &[Vec<usize>]) -> (DomTree, usize) {
-    let n = succs.len();
-    let exit = n;
-    let mut rsuccs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for (i, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            rsuccs[s].push(i);
-        }
-        if ss.is_empty() {
-            rsuccs[exit].push(i);
-        }
-    }
-    (dominators(exit, &rsuccs), exit)
+pub fn post_dominators(succs: &Graph) -> (DomTree, usize) {
+    let exit = succs.len();
+    let exits = (0..exit)
+        .filter(|&i| succs[i].is_empty())
+        .map(|i| (exit, i));
+    let reversed = succs.edges().map(|(i, s)| (s, i)).chain(exits);
+    (
+        dominators(exit, &Graph::from_pairs(exit + 1, reversed)),
+        exit,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::graph;
 
     #[test]
     fn diamond_dominators() {
         // 0 -> {1, 2} -> 3
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
+        let succs = graph(&[&[1, 2], &[3], &[3], &[]]);
         let t = dominators(0, &succs);
         assert_eq!(t.idom, vec![None, Some(0), Some(0), Some(0)]);
         assert!(t.dominates(0, 3));
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn loop_back_edge_keeps_header_dominating_body() {
         // 0 -> 1 -> 2 -> 1, 2 -> 3
-        let succs = vec![vec![1], vec![2], vec![1, 3], vec![]];
+        let succs = graph(&[&[1], &[2], &[1, 3], &[]]);
         let t = dominators(0, &succs);
         assert!(t.dominates(1, 2));
         assert!(t.dominates(1, 3));
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_are_outside_the_tree() {
-        let succs = vec![vec![1], vec![], vec![1]]; // node 2 unreachable
+        let succs = graph(&[&[1], &[], &[1]]); // node 2 unreachable
         let t = dominators(0, &succs);
         assert!(!t.reachable(2));
         assert!(!t.dominates(2, 1));
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn post_dominators_of_a_diamond() {
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
+        let succs = graph(&[&[1, 2], &[3], &[3], &[]]);
         let (pdt, exit) = post_dominators(&succs);
         assert!(pdt.dominates(3, 0), "join post-dominates the fork");
         assert!(!pdt.dominates(1, 0));
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn infinite_loop_post_dominates_nothing() {
         // 0 -> 1 <-> 2 (no exit reachable from anywhere)
-        let succs = vec![vec![1], vec![2], vec![1]];
+        let succs = graph(&[&[1], &[2], &[1]]);
         let (pdt, _) = post_dominators(&succs);
         assert!(!pdt.dominates(1, 0));
         assert!(!pdt.reachable(0));

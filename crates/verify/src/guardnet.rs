@@ -27,6 +27,7 @@ use flexprot_trace::json::{self, JsonWriter};
 
 use crate::absint::{GuardProof, Verdict};
 use crate::coverage::GuardWindow;
+use crate::graph::Graph;
 
 /// One guard in the network, with its connectivity diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,10 +37,6 @@ pub struct NetNode {
     /// Whether the window passed every structural and cryptographic check
     /// (only sound guards participate in the graph analyses).
     pub sound: bool,
-    /// Guards this one checks (indices into the node list).
-    pub checks: Vec<usize>,
-    /// Guards checking this one.
-    pub checked_by: Vec<usize>,
     /// Strongly connected component id over the sound subgraph.
     pub scc: Option<usize>,
     /// Sound and checked by no other guard.
@@ -70,6 +67,10 @@ pub struct GuardNet {
     /// One node per guard window, in site-address order (indices align
     /// with the coverage analysis' window indices).
     pub nodes: Vec<NetNode>,
+    /// Per node: the guards it checks (indices into `nodes`, ascending).
+    pub checks: Graph,
+    /// Per node: the guards checking it, ascending.
+    pub checked_by: Graph,
     /// Number of check edges between distinct sound guards.
     pub edges: usize,
     /// Number of strongly connected components of the sound subgraph.
@@ -119,7 +120,7 @@ impl GuardNet {
             }
         }
         while let Some(v) = stack.pop() {
-            for &p in &self.nodes[v].checked_by {
+            for &p in &self.checked_by[v] {
                 if !in_closure[p] {
                     in_closure[p] = true;
                     stack.push(p);
@@ -137,26 +138,14 @@ pub fn build(windows: &[GuardWindow]) -> GuardNet {
     // words, for distinct sound guards. A guard always covers its own
     // symbols (they *are* the signature), so self-edges carry no
     // information and are excluded.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut edges = 0usize;
-    for (k, wk) in windows.iter().enumerate() {
-        if !wk.sound {
-            continue;
-        }
-        for (j, wj) in windows.iter().enumerate() {
-            if j == k || !wj.sound {
-                continue;
-            }
-            let sym_start = wj.site;
-            let sym_end = wj.site + wj.symbols;
-            if wk.start < sym_end && sym_start < wk.end() {
-                succs[k].push(j);
-                preds[j].push(k);
-                edges += 1;
-            }
-        }
-    }
+    let checks_symbols = |k: usize, j: usize| {
+        let (wk, wj) = (&windows[k], &windows[j]);
+        j != k && wk.sound && wj.sound && wk.start < wj.site + wj.symbols && wj.site < wk.end()
+    };
+    let checks: Graph = (0..n)
+        .map(|k| (0..n).filter(move |&j| checks_symbols(k, j)))
+        .collect();
+    let checked_by = checks.invert();
 
     // Graph analyses run on the compacted sound subgraph.
     let sound_ids: Vec<usize> = (0..n).filter(|&i| windows[i].sound).collect();
@@ -167,9 +156,9 @@ pub fn build(windows: &[GuardWindow]) -> GuardNet {
         }
         m
     };
-    let sub_succs: Vec<Vec<usize>> = sound_ids
+    let sub_succs: Graph = sound_ids
         .iter()
-        .map(|&i| succs[i].iter().map(|&j| compact[j].unwrap()).collect())
+        .map(|&i| checks[i].iter().map(|&j| compact[j].unwrap()))
         .collect();
     let sub_adj = undirected(&sub_succs);
     let components = sccs(&sub_succs);
@@ -191,11 +180,9 @@ pub fn build(windows: &[GuardWindow]) -> GuardNet {
             NetNode {
                 site_addr: w.site_addr,
                 sound: w.sound,
-                checks: succs[i].clone(),
-                checked_by: preds[i].clone(),
                 scc: c.map(|c| scc_of[c]),
-                unchecked: w.sound && preds[i].is_empty(),
-                acyclic: w.sound && !preds[i].is_empty() && !in_cycle,
+                unchecked: w.sound && checked_by[i].is_empty(),
+                acyclic: w.sound && !checked_by[i].is_empty() && !in_cycle,
                 in_cut: false,
                 articulation: c.is_some_and(|c| arts.contains(&c)),
             }
@@ -223,43 +210,40 @@ pub fn build(windows: &[GuardWindow]) -> GuardNet {
     weak_links.sort_by_key(|l| {
         (
             std::cmp::Reverse(l.score),
-            nodes[l.node].checked_by.len(),
+            checked_by[l.node].len(),
             l.site_addr,
         )
     });
 
     GuardNet {
         nodes,
-        edges,
+        edges: checks.items().len(),
+        checks,
+        checked_by,
         scc_count: components.len(),
         min_cut: cut.map(|c| c.into_iter().map(|v| sound_ids[v]).collect()),
         weak_links,
     }
 }
 
-/// The undirected adjacency underlying a digraph (deduplicated).
-fn undirected(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); succs.len()];
-    for (u, ss) in succs.iter().enumerate() {
-        for &v in ss {
-            if u != v {
-                adj[u].push(v);
-                adj[v].push(u);
-            }
-        }
-    }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
-    adj
+/// The undirected adjacency underlying a digraph (each row ascending and
+/// deduplicated).
+fn undirected(succs: &Graph) -> Graph {
+    let mut pairs: Vec<(usize, usize)> = succs
+        .edges()
+        .filter(|(u, v)| u != v)
+        .flat_map(|(u, v)| [(u, v), (v, u)])
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    Graph::from_pairs(succs.len(), pairs.into_iter())
 }
 
 /// Strongly connected components of a digraph (iterative Tarjan).
 /// Components are returned in reverse topological order of the
 /// condensation (a component precedes the components it reaches);
 /// vertices within a component are sorted.
-pub fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub fn sccs(succs: &Graph) -> Vec<Vec<usize>> {
     let n = succs.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -315,7 +299,7 @@ pub fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
 
 /// Articulation points of an undirected graph: vertices whose removal
 /// increases the number of connected components. Returned sorted.
-pub fn articulation_points(adj: &[Vec<usize>]) -> Vec<usize> {
+pub fn articulation_points(adj: &Graph) -> Vec<usize> {
     let n = adj.len();
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -370,7 +354,7 @@ pub fn articulation_points(adj: &[Vec<usize>]) -> Vec<usize> {
 /// vertices in different components. Computed by unit-capacity node-split
 /// max-flow over every non-adjacent vertex pair — exact, and fast enough
 /// for guard networks (tens of nodes).
-pub fn min_vertex_cut(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
+pub fn min_vertex_cut(adj: &Graph) -> Option<Vec<usize>> {
     let n = adj.len();
     if n < 2 {
         return None;
@@ -394,7 +378,7 @@ pub fn min_vertex_cut(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
 }
 
 /// Whether an undirected graph is connected (vacuously true when empty).
-fn connected(adj: &[Vec<usize>]) -> bool {
+fn connected(adj: &Graph) -> bool {
     let n = adj.len();
     if n == 0 {
         return true;
@@ -420,33 +404,29 @@ fn connected(adj: &[Vec<usize>]) -> bool {
 /// terminals), each undirected edge {u, v} becomes `u_out → v_in` and
 /// `v_out → u_in` with capacity ∞; max-flow from `s_out` to `t_in` then
 /// equals the cut, recovered from the residual reachability frontier.
-fn st_vertex_cut(adj: &[Vec<usize>], s: usize, t: usize) -> Vec<usize> {
+fn st_vertex_cut(adj: &Graph, s: usize, t: usize) -> Vec<usize> {
     const INF: i64 = i64::MAX / 4;
     let n = adj.len();
     let node_in = |v: usize| 2 * v;
     let node_out = |v: usize| 2 * v + 1;
-    // Adjacency as edge lists with residual capacities.
-    let mut graph: Vec<Vec<usize>> = vec![Vec::new(); 2 * n];
-    let mut edges: Vec<(usize, usize, i64)> = Vec::new(); // (to, rev-index pairing via parity), cap
-    let add_edge = |graph: &mut Vec<Vec<usize>>,
-                    edges: &mut Vec<(usize, usize, i64)>,
-                    from: usize,
-                    to: usize,
-                    cap: i64| {
-        graph[from].push(edges.len());
+    // Residual edges `(from, to, cap)`, each forward edge followed by its
+    // reverse (edge `e ^ 1`), and every node's row of outgoing edge ids.
+    let mut edges: Vec<(usize, usize, i64)> = Vec::new();
+    let mut add_edge = |from: usize, to: usize, cap: i64| {
         edges.push((from, to, cap));
-        graph[to].push(edges.len());
         edges.push((to, from, 0));
     };
     for v in 0..n {
         let cap = if v == s || v == t { INF } else { 1 };
-        add_edge(&mut graph, &mut edges, node_in(v), node_out(v), cap);
+        add_edge(node_in(v), node_out(v), cap);
     }
-    for (u, ss) in adj.iter().enumerate() {
-        for &v in ss {
-            add_edge(&mut graph, &mut edges, node_out(u), node_in(v), INF);
-        }
+    for (u, v) in adj.edges() {
+        add_edge(node_out(u), node_in(v), INF);
     }
+    let graph = Graph::from_pairs(
+        2 * n,
+        edges.iter().enumerate().map(|(e, &(from, ..))| (from, e)),
+    );
     let (source, sink) = (node_out(s), node_in(t));
 
     // Edmonds–Karp: BFS augmenting paths.
@@ -538,12 +518,12 @@ pub fn to_json(net: &GuardNet, proofs: &[GuardProof]) -> String {
         w.key("min_cut")
             .opt(net.min_cut.as_deref(), |w, cut| w.array(|w| sites(w, cut)));
         w.key("nodes").array(|w| {
-            for node in &net.nodes {
+            for (i, node) in net.nodes.iter().enumerate() {
                 w.object(|w| {
                     w.key("site").hex(node.site_addr);
                     w.key("sound").bool(node.sound);
-                    w.key("checks").array(|w| sites(w, &node.checks));
-                    w.key("checked_by").array(|w| sites(w, &node.checked_by));
+                    w.key("checks").array(|w| sites(w, &net.checks[i]));
+                    w.key("checked_by").array(|w| sites(w, &net.checked_by[i]));
                     w.key("scc").opt(node.scc, JsonWriter::num);
                     w.key("unchecked").bool(node.unchecked);
                     w.key("acyclic").bool(node.acyclic);
@@ -590,6 +570,7 @@ fn proof_fields(w: &mut JsonWriter, proofs: &[GuardProof], site_addr: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::graph;
 
     fn window(start: usize, site: usize, sound: bool) -> GuardWindow {
         GuardWindow {
@@ -676,7 +657,7 @@ mod tests {
     #[test]
     fn scc_condensation_on_a_known_digraph() {
         // 0 <-> 1, 2 -> 0, 2 -> 3, 3 -> 2: components {0,1} and {2,3}.
-        let succs = vec![vec![1], vec![0], vec![0, 3], vec![2]];
+        let succs = graph(&[&[1], &[0], &[0, 3], &[2]]);
         let mut comps = sccs(&succs);
         comps.sort();
         assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
@@ -685,26 +666,26 @@ mod tests {
     #[test]
     fn articulation_points_on_a_known_graph() {
         // Path 0 - 1 - 2: the middle vertex is the articulation point.
-        let adj = vec![vec![1], vec![0, 2], vec![1]];
+        let adj = graph(&[&[1], &[0, 2], &[1]]);
         assert_eq!(articulation_points(&adj), vec![1]);
         // Triangle: none.
-        let tri = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
+        let tri = graph(&[&[1, 2], &[0, 2], &[0, 1]]);
         assert_eq!(articulation_points(&tri), Vec::<usize>::new());
     }
 
     #[test]
     fn min_cut_on_known_graphs() {
         // Path 0 - 1 - 2: cut {1}.
-        let path = vec![vec![1], vec![0, 2], vec![1]];
+        let path = graph(&[&[1], &[0, 2], &[1]]);
         assert_eq!(min_vertex_cut(&path), Some(vec![1]));
         // Triangle: complete, no cut.
-        let tri = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
+        let tri = graph(&[&[1, 2], &[0, 2], &[0, 1]]);
         assert_eq!(min_vertex_cut(&tri), None);
         // Two isolated vertices: already disconnected.
-        let iso = vec![vec![], vec![]];
+        let iso = graph(&[&[], &[]]);
         assert_eq!(min_vertex_cut(&iso), Some(vec![]));
         // 4-cycle: any opposite pair disconnects; the cut has size 2.
-        let square = vec![vec![1, 3], vec![0, 2], vec![1, 3], vec![2, 0]];
+        let square = graph(&[&[1, 3], &[0, 2], &[1, 3], &[2, 0]]);
         let cut = min_vertex_cut(&square).expect("cut exists");
         assert_eq!(cut.len(), 2);
     }

@@ -58,6 +58,7 @@ pub mod diag;
 pub mod domtree;
 pub mod equiv;
 pub mod flow;
+pub mod graph;
 pub mod guardnet;
 pub mod liveness;
 pub mod memdom;
@@ -71,6 +72,7 @@ pub use diag::{lint_by_id, Finding, Lint, LintPolicy, Report, Severity, VerifySt
 pub use domtree::DomTree;
 pub use equiv::{EquivReport, EquivStats, EquivVerdict, RefusalReason, WindowEquiv};
 pub use flow::{Edge, EdgeKind, Flow};
+pub use graph::Graph;
 pub use guardnet::{GuardNet, NetNode, WeakLink};
 pub use liveness::Liveness;
 pub use taint::{TaintState, TaintStats};

@@ -82,7 +82,7 @@ pub fn analyze(flow: &Flow) -> Liveness {
     let masks = flow.decoded.iter().map(|&i| (uses_mask(i), def_mask(i)));
     let analysis = LiveAnalysis(masks.collect());
     let (mut live_in, mut live_out) = (vec![0; flow.decoded.len()], vec![0; flow.decoded.len()]);
-    let solution = dataflow::solve(&analysis, &flow.succ_index, &[]);
+    let solution = dataflow::solve(&analysis, &flow.succs, &[]);
     solution.walk(&analysis, |i, &out| {
         (live_in[i], live_out[i]) = (out, out);
         analysis.transfer(i, &mut live_in[i]);

@@ -496,7 +496,7 @@ pub fn analyze_memory(image: &Image, flow: &Flow) -> MemFacts {
         decoded: flow.decoded.clone(),
         text_base: image.text_base,
     };
-    let solution = dataflow::solve(&analysis, &flow.succ_index, &seeds);
+    let solution = dataflow::solve(&analysis, &flow.succs, &seeds);
     MemFacts { analysis, solution }
 }
 

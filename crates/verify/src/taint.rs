@@ -201,7 +201,7 @@ impl<'a> TaintAbs<'a> {
             .map(|i| (i, Some(TaintState::default())))
             .collect();
         let mut taints = vec![None; self.flow.decoded.len()];
-        dataflow::solve(self, &self.flow.succ_index, &seeds)
+        dataflow::solve(self, &self.flow.succs, &seeds)
             .walk(self, |i, fact| taints[i] = fact.clone());
         taints
     }

@@ -10,7 +10,7 @@
 use flexprot_cc::kernels::random_minic;
 use flexprot_isa::Rng64;
 use flexprot_verify::flow::Flow;
-use flexprot_verify::{domtree, liveness};
+use flexprot_verify::{domtree, liveness, Graph};
 
 // ------------------------------------------------------------- liveness
 
@@ -90,7 +90,7 @@ fn liveness_matches_brute_force_on_random_kernels() {
 // ------------------------------------------------------------ dominators
 
 /// Random digraph on `n` nodes rooted at 0, out-degree ≤ 3.
-fn random_digraph(rng: &mut Rng64, n: usize) -> Vec<Vec<usize>> {
+fn random_digraph(rng: &mut Rng64, n: usize) -> Graph {
     (0..n)
         .map(|_| {
             let degree = rng.index(4);
@@ -103,7 +103,7 @@ fn random_digraph(rng: &mut Rng64, n: usize) -> Vec<Vec<usize>> {
 }
 
 /// Which nodes `from` reaches, optionally with one vertex deleted.
-fn reachable_avoiding(succs: &[Vec<usize>], from: usize, avoid: Option<usize>) -> Vec<bool> {
+fn reachable_avoiding(succs: &Graph, from: usize, avoid: Option<usize>) -> Vec<bool> {
     let mut seen = vec![false; succs.len()];
     if Some(from) == avoid {
         return seen;
@@ -151,7 +151,7 @@ fn dominators_match_vertex_deletion_on_random_digraphs() {
 
 /// Whether `from` can reach any natural exit (empty successor list),
 /// optionally with one vertex deleted.
-fn reaches_exit_avoiding(succs: &[Vec<usize>], from: usize, avoid: Option<usize>) -> bool {
+fn reaches_exit_avoiding(succs: &Graph, from: usize, avoid: Option<usize>) -> bool {
     reachable_avoiding(succs, from, avoid)
         .iter()
         .enumerate()

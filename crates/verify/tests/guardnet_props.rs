@@ -10,48 +10,43 @@
 
 use flexprot_isa::Rng64;
 use flexprot_verify::guardnet::{articulation_points, min_vertex_cut, sccs};
+use flexprot_verify::Graph;
 
 /// A random digraph on `n` vertices with edge probability ~`density`/8.
-fn random_digraph(rng: &mut Rng64, n: usize, density: u64) -> Vec<Vec<usize>> {
-    let mut succs = vec![Vec::new(); n];
-    for (u, out) in succs.iter_mut().enumerate() {
-        for v in 0..n {
-            if u != v && rng.below(8) < density {
-                out.push(v);
-            }
-        }
-    }
-    succs
+fn random_digraph(rng: &mut Rng64, n: usize, density: u64) -> Graph {
+    (0..n)
+        .map(|u| {
+            (0..n)
+                .filter(|&v| u != v && rng.below(8) < density)
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 /// The undirected counterpart (what the connectivity analyses consume).
-fn undirect(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn undirect(succs: &Graph) -> Graph {
     let n = succs.len();
     let mut adj = vec![Vec::new(); n];
-    for (u, out) in succs.iter().enumerate() {
-        for &v in out {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
+    for (u, v) in succs.edges() {
+        adj[u].push(v);
+        adj[v].push(u);
     }
     for a in &mut adj {
         a.sort_unstable();
         a.dedup();
     }
-    adj
+    adj.into_iter().collect()
 }
 
 /// Transitive reachability by saturation.
-fn reachability(succs: &[Vec<usize>]) -> Vec<Vec<bool>> {
+fn reachability(succs: &Graph) -> Vec<Vec<bool>> {
     let n = succs.len();
     let mut reach = vec![vec![false; n]; n];
     for (u, row) in reach.iter_mut().enumerate() {
         row[u] = true;
     }
-    for (u, out) in succs.iter().enumerate() {
-        for &v in out {
-            reach[u][v] = true;
-        }
+    for (u, v) in succs.edges() {
+        reach[u][v] = true;
     }
     for k in 0..n {
         for i in 0..n {
@@ -67,7 +62,7 @@ fn reachability(succs: &[Vec<usize>]) -> Vec<Vec<bool>> {
 
 /// Number of connected components of the undirected graph induced on the
 /// vertices where `alive` is true.
-fn component_count(adj: &[Vec<usize>], alive: &[bool]) -> usize {
+fn component_count(adj: &Graph, alive: &[bool]) -> usize {
     let n = adj.len();
     let mut seen = vec![false; n];
     let mut components = 0;
@@ -91,7 +86,7 @@ fn component_count(adj: &[Vec<usize>], alive: &[bool]) -> usize {
 }
 
 /// Whether removing `cut` leaves ≥ 2 vertices in ≥ 2 components.
-fn disconnects(adj: &[Vec<usize>], cut: &[usize]) -> bool {
+fn disconnects(adj: &Graph, cut: &[usize]) -> bool {
     let n = adj.len();
     let mut alive = vec![true; n];
     for &v in cut {
@@ -103,7 +98,7 @@ fn disconnects(adj: &[Vec<usize>], cut: &[usize]) -> bool {
 
 /// The minimum cut size by subset enumeration, or `None` when no subset
 /// disconnects the graph.
-fn brute_min_cut(adj: &[Vec<usize>]) -> Option<usize> {
+fn brute_min_cut(adj: &Graph) -> Option<usize> {
     let n = adj.len();
     (0u32..(1 << n))
         .filter_map(|mask| {
@@ -144,13 +139,11 @@ fn sccs_agree_with_mutual_reachability() {
         }
         // Reverse-topological order: no edge from a later component to an
         // earlier one.
-        for (u, out) in succs.iter().enumerate() {
-            for &v in out {
-                assert!(
-                    owner[u] >= owner[v],
-                    "case {case}: edge {u}->{v} breaks the component order of {succs:?}"
-                );
-            }
+        for (u, v) in succs.edges() {
+            assert!(
+                owner[u] >= owner[v],
+                "case {case}: edge {u}->{v} breaks the component order of {succs:?}"
+            );
         }
     }
 }
